@@ -156,9 +156,7 @@ def cmd_verify(args) -> int:
     )
     scan_n = int(_pick(args.scan_n, cfg, "verify.scan_n", 40))
     n_rays = int(_pick(args.n_rays, cfg, "verify.n_rays", 720))
-    scan_rays = int(_pick(None, cfg, "verify.scan_rays", 240))
-    report = run_verification(p, boundary, mc, scan_n=scan_n,
-                              n_rays=n_rays, scan_rays=scan_rays)
+    report = run_verification(p, boundary, mc, scan_n=scan_n, n_rays=n_rays)
 
     residual_threshold = float(_pick(args.residual_threshold, cfg,
                                      "verify.residual_threshold", 1e-3))
@@ -295,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--horizon", type=float, default=None)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--scan-n", dest="scan_n", type=int, default=None)
-    s.add_argument("--n-rays", dest="n_rays", type=int, default=None)
+    s.add_argument("--n-rays", dest="n_rays", type=int, default=None,
+                   help="trapezoid nodes on the boundary curve, at least 8 per grid node")
     s.add_argument("--residual-threshold", dest="residual_threshold",
                    type=float, default=None)
     s.add_argument("--report", default=None, help="verification report JSON path")

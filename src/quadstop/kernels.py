@@ -123,8 +123,8 @@ def transition_density(cfg: KillingConfig, t: float, x, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def green_kernel_radial(cfg: KillingConfig, s):
-    """Green kernel as a function of the distance s = |x - y| > 0."""
+def _radial(cfg: KillingConfig, s, order: HalfIntOrder, factor: float):
+    """factor * 2 (2 pi)^{-d/2} (s^2/(2r))^{(2-d)/4} K_order(s kappa)."""
     s = np.asarray(s, dtype=float)
     if s.size and (not np.all(np.isfinite(s)) or np.any(s <= 0.0)):
         raise ValueError("distance must be finite and > 0 (diagonal is singular)")
@@ -132,8 +132,22 @@ def green_kernel_radial(cfg: KillingConfig, s):
     s = np.atleast_1d(s)
     k = cfg.kappa
     pref = 2.0 * (2.0 * np.pi) ** (-0.5 * cfg.d) * (s * s / (2.0 * cfg.r)) ** (0.25 * (2 - cfg.d))
-    out = pref * bessel_K_scaled(cfg.bessel_order, s * k) * np.exp(-s * k)
+    out = factor * pref * bessel_K_scaled(order, s * k) * np.exp(-s * k)
     return float(out[0]) if scalar else out
+
+
+def green_kernel_radial(cfg: KillingConfig, s):
+    """Green kernel as a function of the distance s = |x - y| > 0."""
+    return _radial(cfg, s, cfg.bessel_order, 1.0)
+
+
+def green_kernel_radial_ds(cfg: KillingConfig, s):
+    """d/ds of green_kernel_radial: -kappa times the same prefactor times K_{d/2}.
+
+    From d/du (u^{-nu} K_nu(u)) = -u^{-nu} K_{nu+1}(u) with nu = (d-2)/2;
+    d = 2 gives -kappa K_1(s kappa)/pi.
+    """
+    return _radial(cfg, s, HalfIntOrder(cfg.d), -cfg.kappa)
 
 
 def green_kernel_log_radial(cfg: KillingConfig, s):

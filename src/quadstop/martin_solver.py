@@ -25,7 +25,7 @@ never uses those forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lstsq
@@ -81,6 +81,13 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of a solve.
+
+    iterations counts Levenberg-Marquardt steps (Jacobian evaluations),
+    summed over the homotopy stages.  The residual is always that of
+    the target problem, also when an intermediate stage failed.
+    """
+
     converged: bool
     iterations: int
     residual_inf_norm: float
@@ -225,9 +232,8 @@ def _lm_solve(p, grid, test_grid, rho0, cfg):
     mu = cfg.damping
     step_inf = np.inf
     iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        if np.max(np.abs(res)) <= cfg.residual_tol * scale:
-            break
+    while np.max(np.abs(res)) > cfg.residual_tol * scale and iterations < cfg.max_iterations:
+        iterations += 1
         dm = radial_moment_drho(p.d, rho[:, None], gm, beta)
         jac = rw[:, None] * (w[:, None] * dm).T
         col_sq = (jac * jac).sum(axis=0)
@@ -291,23 +297,23 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid,
     # symmetric-problem boundary in affine polar radius: rho = sqrt(lambda) R
     rho = np.full(grid.n, float(np.sqrt(lam_start[0]) * symmetric_radius(p.d, p.r)))
     trace = []
-    report = None
+    iterations = 0
     for k in range(1, cfg.homotopy_steps + 1):
         t = k / cfg.homotopy_steps
         lam_k = (1.0 - t) * lam_start + t * lam_target
         p_k = QuadraticProblem(p.r, tuple(lam_k))
         rho, report = _lm_solve(p_k, grid, test_grid, rho, cfg)
+        iterations += report.iterations
         trace.append((tuple(lam_k), report.residual_inf_norm))
         if not report.converged:
             break
-    report = SolveReport(
-        converged=report.converged,
-        iterations=report.iterations,
-        residual_inf_norm=report.residual_inf_norm,
-        step_inf_norm=report.step_inf_norm,
-        residual_scale=report.residual_scale,
-        homotopy_trace=tuple(trace),
-    )
+    report = replace(report, iterations=iterations, homotopy_trace=tuple(trace))
+    if k < cfg.homotopy_steps:
+        # an intermediate stage failed: judge its radii against the target problem
+        gm = _gamma_matrix(p, grid.nodes, test_grid.nodes)
+        res, scale = _residual_parts(p, grid.weights, gm, rho, cfg.series_switch)
+        report = replace(report, residual_inf_norm=float(np.max(np.abs(res))),
+                         residual_scale=scale)
     return StarBoundary(grid, rho), report
 
 

@@ -6,7 +6,7 @@ reuse the Martin-kernel discretization:
 * `green_integral_over_C` evaluates E(x) = integral over C of
   G_r(x, y) (r - L)g(y) dy.  The defining property of the optimal
   boundary is E = 0 on the stopping set, and g - E is the value
-  function everywhere, so this single quadrature yields the residual
+  function everywhere, so this single integral yields the residual
   check, the reconstructed value, and the majorant scan.
 * `mc_value` prices the candidate stopping rule by direct simulation.
 * `green_measure_identity_check` validates the Green-measure calculus
@@ -14,13 +14,16 @@ reuse the Martin-kernel discretization:
 * `finiteness_ratio_scan` monitors g / I_0(sqrt(2r)|x|), whose decay
   certifies finiteness of the value.
 
-The 2-d quadrature scheme is a local polar sweep around the evaluation
-point: rays cast from x, boundary crossings located by dense scan plus
-lockstep bisection against the trigonometric interpolant of rho(theta),
-and the radial factor integrated with Gauss-Legendre panels, graded
-geometrically toward s = 0 where K_0's logarithmic singularity lives.
-The polar Jacobian s ds makes the integrand continuous there; grading
-restores full accuracy against its unbounded derivatives.
+In d = 2, Green's second identity turns the area integral into one
+integral over ∂C, using only G_r, g and the curve:
+
+    E(x) = chi(x) g(x) + 1/2 integral over ∂C of (g d_nG - G d_n g) ds,
+
+with chi = 1, 1/2, 0 inside C, on ∂C and outside (L = Laplacian/2 and
+(r - L)G_r = delta).  ∂C is the trigonometric interpolant of the radii;
+points away from it use the periodic trapezoid rule, points near or on
+it Gauss-Legendre panels graded toward the nearest curve point (see
+`_green_integrals`).  A whole batch of points is evaluated at once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernels import KillingConfig, green_kernel_radial
+from .kernels import KillingConfig, green_kernel_radial, green_kernel_radial_ds
 from .problem import ClassCheckReport, QuadraticProblem, StarBoundary, class_membership_check
 from .specfun import bessel_I
 
@@ -68,160 +71,208 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# boundary interpolation (trigonometric, matching the equispaced grid)
-
-def _trig_coeffs(radii: np.ndarray) -> np.ndarray:
-    return np.fft.rfft(radii) / radii.size
-
-
-def _trig_eval(coeffs: np.ndarray, n: int, theta):
-    """Evaluate the trigonometric interpolant of the radii at theta."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.full(theta.shape, coeffs[0].real)
-    half = n // 2
-    for k in range(1, (n + 1) // 2):
-        out += 2.0 * (coeffs[k].real * np.cos(k * theta) - coeffs[k].imag * np.sin(k * theta))
-    if n % 2 == 0:
-        out += coeffs[half].real * np.cos(half * theta)
-    return out
-
+# the boundary curve
 
 class _BoundaryGeometry:
-    """Inside test for the continuation region of a d = 2 boundary."""
+    """The curve x(theta) = rho(theta) (cos theta, sin theta) / sqrt(lambda) of ∂C, d = 2.
+
+    rho is the trigonometric interpolant of the radii on the equispaced
+    grid.  It and its first two derivatives come from one sum of complex
+    exponentials: rho^(m)(theta) = Re sum_k c_k (ik)^m e^{ik theta}.
+    """
 
     def __init__(self, p: QuadraticProblem, b: StarBoundary):
         if p.d != 2 or b.grid.d != 2:
-            raise ValueError("local polar sweep is a d = 2 scheme")
+            raise ValueError("boundary integrals are a d = 2 scheme")
         self.p = p
-        self.coeffs = _trig_coeffs(b.radii)
         self.n = b.grid.n
-        self.points = b.cartesian_points(p)
+        coeffs = np.fft.rfft(b.radii) / self.n
+        coeffs[1:] *= 2.0
+        if self.n % 2 == 0:
+            coeffs[-1] = 0.5 * coeffs[-1].real   # the Nyquist mode is a cosine
+        self._ik = 1j * np.arange(coeffs.size)
+        self._coef = coeffs[:, None] * self._ik[:, None] ** np.arange(3)
 
-    def rho_hat(self, theta):
-        return _trig_eval(self.coeffs, self.n, theta)
+    def _rho(self, theta, order):
+        """(..., order + 1) array of rho(theta) and its first `order` derivatives."""
+        phase = np.exp(np.multiply.outer(theta, self._ik))
+        return (phase @ self._coef[:, :order + 1]).real
+
+    def rho(self, theta):
+        return self._rho(theta, 0)[..., 0]
+
+    def _frame(self, theta):
+        """u(theta) = (cos theta, sin theta) / sqrt(lambda) and u'(theta)."""
+        cos, sin = np.cos(theta), np.sin(theta)
+        return (np.stack([cos, sin], axis=-1) / self.p.sqrt_lam,
+                np.stack([-sin, cos], axis=-1) / self.p.sqrt_lam)
+
+    def curve(self, theta):
+        """x(theta), x'(theta) and x''(theta), each with a trailing axis of 2."""
+        rho, d1, d2 = np.moveaxis(self._rho(theta, 2), -1, 0)
+        u, du = self._frame(theta)
+        x = rho[..., None] * u
+        dx = d1[..., None] * u + rho[..., None] * du
+        d2x = (d2 - rho)[..., None] * u + 2.0 * d1[..., None] * du
+        return x, dx, d2x
+
+    def curve_from(self, theta, t):
+        """x(theta + t) - x(theta) and x'(theta + t), shaped (B, Q, 2) for B thetas, Q offsets t.
+
+        The difference is summed from expm1(ikt) and half-angle sines, so
+        it keeps its relative accuracy as t -> 0, where subtracting two
+        nearby points would leave only rounding.
+        """
+        at = np.exp(np.multiply.outer(theta, self._ik))[..., None] * self._coef[:, :2]
+        rho0, drho0 = at.sum(axis=1).real.T
+        step = (np.expm1(np.multiply.outer(t, self._ik)) @ at).real
+        rho = rho0[:, None] + step[..., 0]
+        drho = drho0[:, None] + step[..., 1]
+        u, du = self._frame(np.add.outer(theta, t))
+        # u(theta + t) - u(theta) = 2 sin(t/2) u'(theta + t/2)
+        chord = (2.0 * np.sin(0.5 * t))[:, None] * self._frame(np.add.outer(theta, 0.5 * t))[1]
+        diff = step[..., :1] * u + rho0[:, None, None] * chord
+        return diff, drho[..., None] * u + rho[..., None] * du
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
         z = pts * self.p.sqrt_lam
         rho = np.sqrt((z * z).sum(axis=-1))
-        theta = np.arctan2(z[..., 1], z[..., 0])
-        return rho < self.rho_hat(theta)
+        return rho < self.rho(np.arctan2(z[..., 1], z[..., 0]))
 
 
 # ---------------------------------------------------------------------------
-# radial panels
+# Green integrals over C as integrals over ∂C
 
-def _radial_panels(s0: np.ndarray, s1: np.ndarray, ray: np.ndarray, kappa: float):
-    """(lo, hi, ray) arrays for the radial panels of the segments [s0, s1].
+_FAR_SPACINGS = 5.0     # trapezoid rule beyond this many sample spacings from ∂C
+_NEAR_LEVELS = 12       # graded panels on each side of the nearest parameter
+_NEAR_FINEST = 1e-9     # the finest of them, relative to a plain panel
+_NEWTON_STEPS = 6
+_BLOCK_ENTRIES = 2 ** 14
 
-    A segment that starts at s = 0, where K_0's log endpoint lives, gets
-    breakpoints graded geometrically toward 0; any other segment gets
-    ceil((s1 - s0) * kappa) equal panels, clipped to [1, 64].  Panels
-    come out segment by segment, in segment order.
+
+def _layer_sums(p: QuadraticProblem, cfg: KillingConfig, d, y, dy, w):
+    """Quadratures of 1/2 (g d_nG - G d_n g) and 1/2 d_nG along ∂C, one per point.
+
+    Axis 0 runs over the points x, axis 1 over the nodes: d = y - x,
+    y and dy are the curve points and tangents, w the weights in theta.
+    dy rotated clockwise is the outward normal times ds/dtheta.
     """
-    keep = s1 > s0
-    s0, s1, ray = s0[keep], s1[keep], ray[keep]
-    graded = s0 <= 1e-9 * s1
-    n_pan = np.where(graded, _GRADE_LEVELS + 1,
-                     np.clip(np.ceil((s1 - s0) * kappa), 1, 64).astype(int))
-    seg = np.repeat(np.arange(s0.size), n_pan)
-    j = np.arange(seg.size) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
-    a, b, n, is_graded = s0[seg], s1[seg], n_pan[seg], graded[seg]
-    last = j == n - 1
-    # smooth: the breakpoints np.linspace(a, b, n + 1) would give
-    step = (b - a) / n
-    lo = j * step + a
-    hi = np.where(last, b, (j + 1) * step + a)
-    # graded: (b q^(j+1), b q^j) for j < levels, then (a, b q^levels)
-    lo = np.where(is_graded, np.where(last, a, b * _GRADE_Q ** (j + 1)), lo)
-    hi = np.where(is_graded, b * _GRADE_Q ** j, hi)
-    keep = hi > lo
-    return lo[keep], hi[keep], ray[seg[keep]]
+    nu = np.stack([dy[..., 1], -dy[..., 0]], axis=-1)
+    s = np.sqrt((d * d).sum(axis=-1))
+    kern = green_kernel_radial(cfg, s.ravel()).reshape(s.shape)
+    dn_kern = (green_kernel_radial_ds(cfg, s.ravel()).reshape(s.shape)
+               * (d * nu).sum(axis=-1) / s)
+    dn_g = 2.0 * (p.lam * y * nu).sum(axis=-1)
+    layer = ((p.reward(y) * dn_kern - kern * dn_g) * w).sum(axis=-1)
+    return 0.5 * layer, 0.5 * (dn_kern * w).sum(axis=-1)
 
 
-def _ray_segments_star(geom: _BoundaryGeometry, x: np.ndarray,
-                       n_rays: int, n_scan: int):
-    """Inside-C intervals (s0, s1, ray) along rays from x, refined by bisection."""
-    psi = 2.0 * np.pi * (np.arange(n_rays) + 0.5) / n_rays
-    dirs = np.stack([np.cos(psi), np.sin(psi)], axis=1)
-    s_max = 1.05 * float(np.max(np.sqrt(((geom.points - x) ** 2).sum(axis=1))))
-    if s_max == 0.0:
-        return dirs, []
-    s_grid = np.linspace(s_max / n_scan, s_max, n_scan)
-    pts = x + s_grid[None, :, None] * dirs[:, None, :]
-    flags = geom.inside(pts)
-    state0 = bool(geom.inside(x[None, :])[0])
-    prev = np.concatenate([np.full((n_rays, 1), state0), flags[:, :-1]], axis=1)
-    flip = flags != prev
-    ray_idx, col = np.nonzero(flip)
-    lo = np.where(col == 0, 0.0, s_grid[np.maximum(col - 1, 0)])
-    hi = s_grid[col]
-    state_lo = prev[ray_idx, col]
-    for _ in range(44):
-        mid = 0.5 * (lo + hi)
-        ins = geom.inside(x + mid[:, None] * dirs[ray_idx])
-        go_lo = ins == state_lo
-        lo = np.where(go_lo, mid, lo)
-        hi = np.where(go_lo, hi, mid)
-    cross = 0.5 * (lo + hi)
+def _near_panels(width: float):
+    """Gauss-Legendre offsets in (-pi, pi) and their weights.
 
-    segments = []
-    order = np.lexsort((cross, ray_idx))
-    ray_sorted = ray_idx[order]
-    cross_sorted = cross[order]
-    bounds = np.searchsorted(ray_sorted, np.arange(n_rays + 1))
-    for k in range(n_rays):
-        cs = cross_sorted[bounds[k]:bounds[k + 1]]
-        state = state0
-        s_prev = 0.0
-        for c in cs:
-            if state:
-                segments.append((s_prev, float(c), k))
-            state = not state
-            s_prev = float(c)
-        if state:
-            segments.append((s_prev, s_max, k))
-    return dirs, segments
+    Panels about `width` wide, except that the two next to 0 are split
+    geometrically toward 0, down to _NEAR_FINEST * width.  Offsets on
+    either side are exact negatives, so nothing near 0 is lost to
+    rounding.
+    """
+    graded = width * _NEAR_FINEST ** (np.arange(_NEAR_LEVELS, -1, -1) / _NEAR_LEVELS)
+    plain = np.linspace(width, np.pi, max(2, int(np.ceil(np.pi / width))))
+    edges = np.concatenate([[0.0], graded, plain[1:]])
+    half = 0.5 * np.diff(edges)
+    t = ((0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _GL16_X).ravel()
+    w = (half[:, None] * _GL16_W).ravel()
+    return np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
 
 
-def _sweep_integrals(p: QuadraticProblem, geom: _BoundaryGeometry, x: np.ndarray,
-                     n_rays: int, n_scan: int):
-    """(integral of G f, integral of G) over C from x, f = (r - L)g."""
+def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int = 720):
+    """(E, M) at each row of pts: E = integral over C of G_r(x, y) (r - L)g(y) dy, M of G_r.
+
+    Green's second identity with L = Laplacian/2 and (r - L)G_r = delta gives
+
+        E(x) = chi(x) g(x) + 1/2 integral over ∂C of (g d_nG - G d_n g) ds,
+        M(x) = (chi(x) + 1/2 integral over ∂C of d_nG ds) / r,
+
+    chi = 1, 1/2, 0 inside C, on ∂C and outside.  Points farther than
+    _FAR_SPACINGS sample spacings from ∂C use the trapezoid rule on
+    max(n_rays, 8n) equispaced parameters, spectrally accurate there.
+    Nearer points use 16-point Gauss-Legendre panels in the parameter,
+    graded geometrically toward the parameter of the nearest curve
+    point (found by Newton's method), which resolves the near-singular
+    kernels down to the finest panel.  A point closer to ∂C than that is
+    moved onto it, where chi = 1/2: the single layer is log-singular
+    there and the double layer bounded, which the same panels integrate.
+    Points are processed in blocks of about _BLOCK_ENTRIES kernel entries.
+    """
+    pts = np.asarray(pts, dtype=float)
+    geom = _BoundaryGeometry(p, b)
     cfg = KillingConfig(p.r, 2)
-    dirs, segments = _ray_segments_star(geom, x, n_rays, n_scan)
-    if not segments:
-        return 0.0, 0.0
-    s0, s1, ray = (np.array(col) for col in zip(*segments))
-    lo, hi, ray = _radial_panels(s0, s1, ray, cfg.kappa)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    s_nodes = mid[:, None] + half[:, None] * _GL16_X  # (P, 16)
-    s_flat = s_nodes.ravel()
-    pts = x + s_flat[:, None] * dirs[np.repeat(ray, 16)]
-    kern = green_kernel_radial(cfg, s_flat) * s_flat
-    f_vals = p.excess_generator(pts)
-    int_f = ((kern * f_vals).reshape(-1, 16) @ _GL16_W) * half
-    int_1 = (kern.reshape(-1, 16) @ _GL16_W) * half
-    w_ang = 2.0 * np.pi / dirs.shape[0]
-    return float(int_f.sum() * w_ang), float(int_1.sum() * w_ang)
+    n_samples = max(int(n_rays), 8 * geom.n)
+    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    y, dy, _ = geom.curve(theta)
+    spacing = 2.0 * np.pi / n_samples
+    far_dist = _FAR_SPACINGS * spacing * float(np.max(np.sqrt((dy * dy).sum(axis=1))))
+
+    nearest = np.empty(len(pts), dtype=int)
+    dist = np.empty(len(pts))
+    step = max(1, _BLOCK_ENTRIES // n_samples)
+    for i in range(0, len(pts), step):
+        d2 = ((pts[i:i + step, None, :] - y) ** 2).sum(axis=-1)
+        nearest[i:i + step] = np.argmin(d2, axis=1)
+        dist[i:i + step] = np.sqrt(d2[np.arange(len(d2)), nearest[i:i + step]])
+    chi = geom.inside(pts).astype(float)
+    x = pts.copy()
+    e_layer = np.empty(len(pts))
+    m_layer = np.empty(len(pts))
+
+    far = np.flatnonzero(dist > far_dist)
+    for i in range(0, far.size, step):
+        idx = far[i:i + step]
+        e_layer[idx], m_layer[idx] = _layer_sums(p, cfg, y - x[idx, None, :], y[None],
+                                                 dy[None], spacing)
+
+    near = np.flatnonzero(dist <= far_dist)
+    if near.size:
+        width = 16.0 * spacing    # as many nodes per turn as the trapezoid rule
+        offsets, weights = _near_panels(width)
+        t_star = theta[nearest[near]]
+        for _ in range(_NEWTON_STEPS):
+            yn, dyn, d2yn = geom.curve(t_star)
+            d = yn - x[near]
+            slope = (d * dyn).sum(axis=1)
+            curv = (dyn * dyn).sum(axis=1) + (d * d2yn).sum(axis=1)
+            curv = np.where(curv > 0.0, curv, (dyn * dyn).sum(axis=1))
+            t_star -= np.clip(slope / curv, -spacing, spacing)
+        yn, dyn, _ = geom.curve(t_star)
+        tau = np.sqrt(((yn - x[near]) ** 2).sum(axis=1) / (dyn * dyn).sum(axis=1))
+        on = tau < width * _NEAR_FINEST
+        x[near[on]] = yn[on]
+        chi[near[on]] = 0.5
+        step_near = max(1, _BLOCK_ENTRIES // offsets.size)
+        for i in range(0, near.size, step_near):
+            blk = slice(i, i + step_near)
+            diff, dyq = geom.curve_from(t_star[blk], offsets)
+            e_layer[near[blk]], m_layer[near[blk]] = _layer_sums(
+                p, cfg, diff + (yn[blk] - x[near[blk]])[:, None, :], diff + yn[blk, None, :],
+                dyq, weights)
+
+    return chi * p.reward(x) + e_layer, (chi + m_layer) / p.r
 
 
 def green_integral_over_C(p: QuadraticProblem, b: StarBoundary, x,
-                          n_rays: int = 720, n_scan: int = 256,
-                          mc_samples: int = 1_000_000, seed: int = 0) -> float:
+                          n_rays: int = 720, mc_samples: int = 1_000_000,
+                          seed: int = 0) -> float:
     """E(x) = integral over C of G_r(x, y) (r - L)g(y) dy.
 
-    d = 2: deterministic local polar sweep.  d = 3: importance-sampled
-    Monte Carlo against the closed-form Yukawa kernel (tensor quadrature
-    in three dimensions is out of budget); the estimate is deterministic
+    d = 2: Green's second identity turns it into an integral over ∂C
+    (see _green_integrals).  d = 3: importance-sampled Monte Carlo
+    against the closed-form Yukawa kernel; the estimate is deterministic
     for a fixed seed.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (p.d,):
         raise ValueError("x must be a point of dimension %d" % p.d)
     if p.d == 2:
-        geom = _BoundaryGeometry(p, b)
-        val, _ = _sweep_integrals(p, geom, x, n_rays, n_scan)
-        return val
+        return float(_green_integrals(p, b, x[None, :], n_rays)[0][0])
     if p.d == 3:
         return _green_integral_mc3(p, b, x, mc_samples, seed)
     raise ValueError("green integrals are implemented for d in {2, 3}")
@@ -246,15 +297,14 @@ def _green_integral_mc3(p: QuadraticProblem, b: StarBoundary, x,
 
 
 def green_residual_normalized(p: QuadraticProblem, b: StarBoundary, x,
-                              n_rays: int = 720, n_scan: int = 256) -> float:
+                              n_rays: int = 720) -> float:
     """E(x) / (r beta^2 integral of G over C): dimensionless residual.
 
     The denominator is the natural magnitude of either term of E, so a
     solved boundary scores ~quadrature noise and an unsolved one O(1).
     """
     x = np.asarray(x, dtype=float)
-    geom = _BoundaryGeometry(p, b)
-    val, mass = _sweep_integrals(p, geom, x, n_rays, n_scan)
+    (val,), (mass,) = _green_integrals(p, b, x[None, :], n_rays)
     if mass == 0.0:
         return np.inf if val != 0.0 else 0.0
     return float(val / (p.r * p.beta_sq * mass))
@@ -276,16 +326,15 @@ def interior_scan_grid(p: QuadraticProblem, b: StarBoundary, n: int = 40,
     xs = np.linspace(-mx[0], mx[0], n)
     ys = np.linspace(-mx[1], mx[1], n)
     grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    geom = _BoundaryGeometry(p, b)
     z = grid * p.sqrt_lam
     rho = np.sqrt((z * z).sum(axis=1))
     theta = np.arctan2(z[:, 1], z[:, 0])
-    keep = rho <= shrink * geom.rho_hat(theta)
+    keep = rho <= shrink * _BoundaryGeometry(p, b).rho(theta)
     return grid[keep]
 
 
 def majorant_gap_scan(p: QuadraticProblem, b: StarBoundary, scan_grid,
-                      n_rays: int = 240, n_scan: int = 128) -> float:
+                      n_rays: int = 720) -> float:
     """min over the grid of V(x) - g(x) = -E(x); should be >= -noise.
 
     The value dominates the reward everywhere; a markedly negative gap
@@ -294,12 +343,9 @@ def majorant_gap_scan(p: QuadraticProblem, b: StarBoundary, scan_grid,
     scan_grid = np.asarray(scan_grid, dtype=float)
     if scan_grid.ndim != 2 or scan_grid.shape[1] != p.d:
         raise ValueError("scan grid must be (n, d) points")
-    geom = _BoundaryGeometry(p, b)
-    worst = np.inf
-    for x in scan_grid:
-        val, _ = _sweep_integrals(p, geom, x, n_rays, n_scan)
-        worst = min(worst, -val)
-    return float(worst)
+    if not len(scan_grid):
+        return float(np.inf)
+    return float(np.min(-_green_integrals(p, b, scan_grid, n_rays)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +485,42 @@ def _gauss_legendre(n: int):
     return nodes, weights
 
 
+def _radial_panels(s0: np.ndarray, s1: np.ndarray, ray: np.ndarray, kappa: float):
+    """(lo, hi, ray) arrays for the radial panels of the segments [s0, s1].
+
+    A segment that starts at s = 0, where K_0's log endpoint lives, gets
+    breakpoints graded geometrically toward 0; any other segment gets
+    ceil((s1 - s0) * kappa) equal panels, clipped to [1, 64].  Panels
+    come out segment by segment, in segment order.
+    """
+    keep = s1 > s0
+    s0, s1, ray = s0[keep], s1[keep], ray[keep]
+    graded = s0 <= 1e-9 * s1
+    n_pan = np.where(graded, _GRADE_LEVELS + 1,
+                     np.clip(np.ceil((s1 - s0) * kappa), 1, 64).astype(int))
+    seg = np.repeat(np.arange(s0.size), n_pan)
+    j = np.arange(seg.size) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
+    a, b, n, is_graded = s0[seg], s1[seg], n_pan[seg], graded[seg]
+    last = j == n - 1
+    # smooth: the breakpoints np.linspace(a, b, n + 1) would give
+    step = (b - a) / n
+    lo = j * step + a
+    hi = np.where(last, b, (j + 1) * step + a)
+    # graded: (b q^(j+1), b q^j) for j < levels, then (a, b q^levels)
+    lo = np.where(is_graded, np.where(last, a, b * _GRADE_Q ** (j + 1)), lo)
+    hi = np.where(is_graded, b * _GRADE_Q ** j, hi)
+    keep = hi > lo
+    return lo[keep], hi[keep], ray[seg[keep]]
+
+
 def rect_green_mass(cfg: KillingConfig, x, rect, n_psi: int = 24) -> float:
     """G_r(x, rect) = integral of the Green kernel over the rectangle.
 
     Polar sweep around x with the angular domain split at the corner
     directions (the radial extent is smooth on each arc, so per-arc
     Gauss-Legendre in the angle, n_psi nodes per arc, converges
-    spectrally); radial panels as in the boundary sweep, graded when x
-    lies inside the rectangle.
+    spectrally); radial panels from _radial_panels, graded toward s = 0
+    when x lies inside the rectangle.
     """
     if cfg.d != 2:
         raise ValueError("rectangle masses are a d = 2 computation")
@@ -603,20 +677,18 @@ def finiteness_ratio_scan(p: QuadraticProblem, radii, reward_fn=None,
 
 def run_verification(p: QuadraticProblem, b: StarBoundary,
                      mc: MCConfig | None = None, scan_n: int = 40,
-                     n_rays: int = 720, n_scan: int = 256,
-                     scan_rays: int = 240) -> VerificationReport:
+                     n_rays: int = 720) -> VerificationReport:
     """All certification checks for a d = 2 boundary in one report."""
     if p.d != 2:
         raise ValueError("run_verification supports d = 2 boundaries")
     if mc is None:
         mc = MCConfig()
-    residuals = np.array([
-        green_residual_normalized(p, b, x, n_rays=n_rays, n_scan=n_scan)
-        for x in b.cartesian_points(p)])
+    residuals = np.array([green_residual_normalized(p, b, x, n_rays=n_rays)
+                          for x in b.cartesian_points(p)])
     grid = interior_scan_grid(p, b, n=scan_n)
-    min_gap = majorant_gap_scan(p, b, grid, n_rays=scan_rays)
+    min_gap = majorant_gap_scan(p, b, grid, n_rays=n_rays)
     origin = np.zeros(2)
-    recon = value(p, b, origin, n_rays=n_rays, n_scan=n_scan)
+    recon = value(p, b, origin, n_rays=n_rays)
     est, err = mc_value(p, b, origin, mc)
     return VerificationReport(
         boundary_residuals=residuals,

@@ -11,7 +11,6 @@ condition.  Runtime budgets are part of the checked condition.
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +30,6 @@ from quadstop.verification import (MCConfig, green_measure_identity_check,
                                    green_residual_normalized,
                                    interior_scan_grid, majorant_gap_scan,
                                    mc_value, value)
-
-REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
-
 
 def _acc(n: int, ok: bool, desc: str) -> bool:
     from conftest import ACCEPTANCE_LINES
@@ -261,7 +257,7 @@ def test_criterion_09_green_martin_equivalence():
                 1.8 * pts[50]]
     worst_e = max(abs(green_residual_normalized(p, b, x)) for x in exterior)
     elapsed = time.perf_counter() - t0
-    ok = worst_b <= 1e-3 and worst_e <= 1e-3 and elapsed < 300.0
+    ok = worst_b <= 1e-3 and worst_e <= 1e-5 and elapsed < 300.0
     assert _acc(9, ok, "normalized Green residual on the Martin-solved "
                        "boundary: nodes %.1e, exterior %.1e (%.1fs)"
                 % (worst_b, worst_e, elapsed))
@@ -311,10 +307,9 @@ def test_criterion_11_green_measure_identity():
                 % (*sigmas, elapsed))
 
 
-def test_criterion_12_radial_form_audit_report():
+def test_criterion_12_radial_form_audit_report(tmp_path):
     audit = radial_form_audit()
-    REPORT_DIR.mkdir(exist_ok=True)
-    out = REPORT_DIR / "radial_form_audit.json"
+    out = tmp_path / "radial_form_audit.json"
     write_json_report(out, audit)
     doc_ok = (out.exists() and audit["configs"]
               and "delta_identity" in audit and "conclusion" in audit)

@@ -79,6 +79,19 @@ def test_solve_non_convergence_exit_2(tmp_path, capsys):
     assert out_csv.exists()  # partial result still written for inspection
 
 
+def test_solve_failed_stage_exit_2(tmp_path, capsys):
+    out_csv = tmp_path / "b.csv"
+    rep_json = tmp_path / "b.json"
+    code, out, _ = run(capsys, "solve", "--r", "1", "--lambdas", "1,9", "--n", "32",
+                       "--max-iterations", "2", "--out", str(out_csv),
+                       "--report", str(rep_json))
+    assert code == 2
+    assert "converged=False" in out
+    rep = json.loads(rep_json.read_text())["solve_report"]
+    assert len(rep["homotopy_trace"]) == 1
+    assert rep["residual_inf_norm"] > 0.1 * rep["residual_scale"]
+
+
 def test_solve_rejects_bad_lambda(capsys):
     code, _, err = run(capsys, "solve", "--r", "1", "--lambdas", "1,-4")
     assert code == 1
@@ -219,10 +232,8 @@ def test_console_script_runs():
 
 
 def test_module_invocation_matches_script():
-    out = subprocess.run([sys.executable, "-c",
-                          "from quadstop.cli import main; import sys;"
-                          "sys.exit(main(['kernel', 'green', '--r', '0.5',"
-                          "'--d', '3', '--dist', '1.0']))"],
+    out = subprocess.run([sys.executable, "-m", "quadstop", "kernel", "green", "--r", "0.5",
+                          "--d", "3", "--dist", "1.0"],
                          capture_output=True, text=True)
-    assert out.returncode == 0
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "0.0585498315243"

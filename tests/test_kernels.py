@@ -5,6 +5,7 @@ import pytest
 
 from quadstop.kernels import (DiscreteMixture, KillingConfig, MartinDirection,
                               green_kernel, green_kernel_log_radial, green_kernel_radial,
+                              green_kernel_radial_ds,
                               green_ratio, harmonic_mixture, hyperplane_identity,
                               martin_kernel, transition_density, uniform_circle_mixture)
 from quadstop.specfun import bessel_I, bessel_K
@@ -47,6 +48,24 @@ def test_transition_density_errors():
         transition_density(_cfg(), 0.0, np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         transition_density(_cfg(), 1.0, np.zeros(2), np.zeros(3))
+
+
+def test_green_kernel_radial_ds():
+    # closed forms: d = 2 is -kappa K_1(kappa s)/pi, d = 3 differentiates e^{-ks}/(2 pi s)
+    s = np.array([1e-3, 0.2, 1.0, 3.0, 12.0, 30.0])
+    k = math.sqrt(2.0)
+    np.testing.assert_allclose(green_kernel_radial_ds(_cfg(r=1.0, d=2), s),
+                               -k * bessel_K(1, k * s) / math.pi, rtol=1e-13)
+    np.testing.assert_allclose(green_kernel_radial_ds(_cfg(r=1.0, d=3), s),
+                               -(k / s + 1.0 / s ** 2) * np.exp(-k * s) / (2.0 * math.pi),
+                               rtol=1e-13)
+    for d in (1, 2, 3):
+        cfg = _cfg(r=0.5, d=d)
+        h = 1e-5 * s
+        fd = (green_kernel_radial(cfg, s + h) - green_kernel_radial(cfg, s - h)) / (2.0 * h)
+        np.testing.assert_allclose(green_kernel_radial_ds(cfg, s), fd, rtol=1e-6)
+    with pytest.raises(ValueError):
+        green_kernel_radial_ds(_cfg(), 0.0)
 
 
 def test_green_kernel_closed_forms():

@@ -245,6 +245,38 @@ def test_solve_non_convergence_is_reported(grid64):
     assert np.all(np.isfinite(b.radii))
 
 
+def test_solve_iterations_count_every_stage(p_14, grid64, monkeypatch):
+    import quadstop.martin_solver as ms
+    calls = []
+    real = ms.radial_moment_drho
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ms, "radial_moment_drho", counted)
+    for cfg, stages in ((None, 4), (SolveConfig(homotopy_steps=0), 0)):
+        calls.clear()
+        _, rep = solve_boundary(p_14, grid64, cfg)
+        assert rep.converged and len(rep.homotopy_trace) == stages
+        assert rep.iterations == len(calls)
+
+
+def test_failed_homotopy_stage_reports_target_residual():
+    p = QuadraticProblem(1.0, (1.0, 9.0))
+    grid = make_circle_grid(32)
+    b, rep = solve_boundary(p, grid, SolveConfig(max_iterations=2))
+    assert not rep.converged
+    assert len(rep.homotopy_trace) == 1   # stage 1 of 4 failed
+    gm = math.sqrt(2.0 * p.r) * (grid.nodes / p.sqrt_lam) @ grid.nodes.T
+    m = radial_moment(2, b.radii[:, None], gm, p.beta)
+    assert rep.residual_inf_norm == pytest.approx(np.max(np.abs(assemble_residual(p, b))),
+                                                  rel=1e-12)
+    assert rep.residual_scale == pytest.approx(np.max(np.abs(m).T @ grid.weights), rel=1e-12)
+    # the failed stage's own residual is much smaller than the target's
+    assert rep.homotopy_trace[0][1] < 1e-3 * rep.residual_inf_norm
+
+
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(residual_tol=-1.0)

@@ -6,12 +6,14 @@ import pytest
 from quadstop.kernels import KillingConfig
 from quadstop.oracles import symmetric_radius
 from quadstop.problem import QuadraticProblem, StarBoundary
-from quadstop.specfun import bessel_I
-from quadstop.verification import (MCConfig, _radial_panels, finiteness_ratio_scan,
+from quadstop.specfun import bessel_I, bessel_K
+from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals,
+                                   _radial_panels, finiteness_ratio_scan,
                                    green_measure_identity_check,
                                    green_residual_normalized, interior_scan_grid,
                                    majorant_gap_scan, mc_value, rect_green_mass,
                                    run_verification, value)
+from sweep_reference import sweep_integrals, trig_eval
 
 V0_SYM_2D_R1 = 0.9512830041392790
 
@@ -82,6 +84,77 @@ def test_green_residual_normalized_small_on_solution(p_14, bnd_14):
         assert green_residual_normalized(p_14, bnd_14, x, n_rays=360) <= 1e-3
     out = bnd_14.cartesian_points(p_14)[0] * 1.5
     assert green_residual_normalized(p_14, bnd_14, out, n_rays=360) <= 1e-3
+
+
+def test_boundary_curve_matches_mode_loop(p_14, bnd_14):
+    geom = _BoundaryGeometry(p_14, bnd_14)
+    theta = np.random.default_rng(5).uniform(-4.0, 10.0, size=200)
+    np.testing.assert_allclose(geom.rho(theta), trig_eval(bnd_14.radii, theta),
+                               rtol=1e-13)
+    y, dy, d2y = geom.curve(theta)
+    np.testing.assert_allclose((y * p_14.sqrt_lam) ** 2 @ np.ones(2), geom.rho(theta) ** 2,
+                               rtol=1e-13)
+    h = 1e-5
+    yp, dyp, _ = geom.curve(theta + h)
+    ym, dym, _ = geom.curve(theta - h)
+    np.testing.assert_allclose(dy, (yp - ym) / (2 * h), atol=1e-8)
+    np.testing.assert_allclose(d2y, (dyp - dym) / (2 * h), atol=1e-8)
+    # differences along the curve keep their relative accuracy as t -> 0
+    t = np.array([-1.0, -1e-3, -1e-9, 1e-12, 1e-6, 0.5])
+    diff, tangent = geom.curve_from(theta[:3], t)
+    y_t, dy_t, _ = geom.curve(np.add.outer(theta[:3], t))
+    np.testing.assert_allclose(tangent, dy_t, atol=1e-13)
+    np.testing.assert_allclose(diff, y_t - y[:3, None, :], atol=1e-14)
+    np.testing.assert_allclose(diff[:, 3], 1e-12 * dy[:3], rtol=1e-6)
+
+
+def test_boundary_integrals_match_area_sweep(p_14, bnd_14):
+    """Green's identity on the boundary against the polar area sweep, on ten points."""
+    pts = bnd_14.cartesian_points(p_14)
+    interior = [np.zeros(2), 0.3 * pts[5], 0.7 * pts[12]]
+    near = [0.999 * pts[7], 1.001 * pts[7]]
+    nodes = [pts[0], pts[21]]
+    exterior = [1.3 * pts[0], 1.4 * pts[33], 1.8 * pts[50]]
+    xs = np.array(interior + near + nodes + exterior)
+    e_bd, m_bd = _green_integrals(p_14, bnd_14, xs)
+    scale = p_14.r * p_14.beta_sq
+    for k, x in enumerate(xs):
+        e_sw, m_sw = sweep_integrals(p_14, bnd_14, x)
+        res_bd, res_sw = e_bd[k] / (scale * m_bd[k]), e_sw / (scale * m_sw)
+        if k < 3:
+            assert abs(e_bd[k] - e_sw) <= 1e-9
+            assert abs(m_bd[k] - m_sw) <= 1e-9
+        elif k < 5:
+            assert abs(res_bd) <= 1e-4 and abs(res_sw) <= 1e-4
+        elif k < 7:
+            assert abs(res_bd) <= 1e-3 and abs(res_sw) <= 1e-3
+        else:
+            # exactly 0 is right outside C; the sweep's error is the larger
+            assert abs(res_bd) <= 1e-5
+            assert abs(res_sw) <= 1e-3
+
+
+def test_green_mass_of_disc_at_centre(p_sym, bnd_sym):
+    # integral of K_0(k|y|)/pi over the disc |y| < R is (1 - kR K_1(kR)) / r
+    k = math.sqrt(2.0 * p_sym.r)
+    R = float(bnd_sym.radii.mean())
+    _, mass = _green_integrals(p_sym, bnd_sym, np.zeros((1, 2)))
+    assert mass[0] == pytest.approx((1.0 - k * R * bessel_K(1, k * R)) / p_sym.r, rel=1e-12)
+
+
+def test_green_integral_continuous_across_boundary(p_14, bnd_14):
+    # E is continuously differentiable across ∂C: the jump of chi g and of
+    # the double layer cancel at every distance the near rule resolves,
+    # and on a wrong boundary (E of order 0.1) the slope stays bounded
+    wrong = StarBoundary(bnd_14.grid, 1.05 * bnd_14.radii)
+    geom = _BoundaryGeometry(p_14, wrong)
+    y, dy, _ = geom.curve(np.array([1.3]))
+    normal = np.array([dy[0, 1], -dy[0, 0]]) / np.hypot(*dy[0])
+    deltas = np.concatenate([-np.logspace(-2, -12, 6), [0.0], np.logspace(-12, -2, 6)])
+    e, m = _green_integrals(p_14, wrong, y[0] + deltas[:, None] * normal)
+    assert abs(e[6]) > 0.05
+    assert np.all(np.abs(e - e[6]) <= 1.0 * np.abs(deltas) + 1e-11)
+    assert np.all(np.abs(m - m[6]) <= 1.0 * np.abs(deltas) + 1e-11)
 
 
 def test_mc_value_stopped_regions(p_sym, bnd_sym):
@@ -209,8 +282,7 @@ def test_finiteness_ratio_scan(p_14, bnd_14):
 
 def test_run_verification_report(p_sym, bnd_sym):
     mc = MCConfig(paths=2000, time_step=4e-3, horizon=20.0, seed=8)
-    rep = run_verification(p_sym, bnd_sym, mc=mc, scan_n=16, n_rays=240,
-                           n_scan=96, scan_rays=120)
+    rep = run_verification(p_sym, bnd_sym, mc=mc, scan_n=16, n_rays=240)
     assert rep.boundary_residuals.shape == (64,)
     assert float(np.max(np.abs(rep.boundary_residuals))) <= 1e-3
     assert rep.majorant_min_gap >= -1e-4
@@ -221,8 +293,7 @@ def test_run_verification_report(p_sym, bnd_sym):
 
 def test_run_verification_with_mc(p_sym, bnd_sym):
     mc = MCConfig(paths=5000, time_step=4e-3, horizon=30.0, seed=3)
-    rep = run_verification(p_sym, bnd_sym, mc=mc, scan_n=10, n_rays=240,
-                           n_scan=96, scan_rays=120)
+    rep = run_verification(p_sym, bnd_sym, mc=mc, scan_n=10, n_rays=240)
     assert rep.mc_stderr > 0.0
     tol = 3.0 * rep.mc_stderr + 0.5 * math.sqrt(mc.time_step)
     assert abs(rep.mc_value - rep.reconstructed_value) <= tol
