@@ -5,9 +5,7 @@ Subcommands: solve, verify, plot, kernel, oracle, audit.  Exit codes:
 still written with diagnostics), 3 verification below thresholds.
 
 Every subcommand accepts --config pointing at a JSON file; explicit
-flags override config values, which override built-in defaults.  The
---threads flag is accepted for interface stability only: results never
-depend on it.
+flags override config values, which override built-in defaults.
 """
 
 from __future__ import annotations
@@ -254,8 +252,6 @@ def cmd_audit(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="reserved; results never depend on it")
 
 
 def _add_problem_flags(sub):

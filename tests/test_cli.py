@@ -189,13 +189,6 @@ def test_audit_report(tmp_path, capsys):
     assert "delta_identity" in doc
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, "oracle", "sym-radius", "--threads", "1",
-                       "--r", "1", "--d", "2")
-    assert code == 0
-    assert float(out.strip()) == pytest.approx(1.8274465007568879, rel=1e-10)
-
-
 def test_help_exits_zero(capsys):
     assert main(["-h"]) == 0
     assert "usage:" in capsys.readouterr().out

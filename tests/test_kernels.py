@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import quadstop.kernels as kernels
 from quadstop.kernels import (DiscreteMixture, KillingConfig, MartinDirection,
                               green_kernel, green_kernel_log_radial, green_kernel_radial,
                               green_kernel_radial_ds,
                               green_ratio, harmonic_mixture, hyperplane_identity,
                               martin_kernel, transition_density, uniform_circle_mixture)
-from quadstop.specfun import bessel_I, bessel_K
+from quadstop.specfun import HalfIntOrder, bessel_I, bessel_K
 
 E_SQRT2 = 4.1132503787829275  # e^{sqrt 2}
 GREEN_3D_R05_S1 = 0.05854983152431917  # e^{-1}/(2 pi)
@@ -66,6 +67,29 @@ def test_green_kernel_radial_ds():
         np.testing.assert_allclose(green_kernel_radial_ds(cfg, s), fd, rtol=1e-6)
     with pytest.raises(ValueError):
         green_kernel_radial_ds(_cfg(), 0.0)
+
+
+def test_one_bessel_call_per_radial_kernel(monkeypatch):
+    # the benchmark's tracer counts Bessel work by wrapping this attribute
+    calls = []
+    real = kernels.bessel_K_scaled
+
+    def counting(order, u):
+        calls.append((order, np.size(u)))
+        return real(order, u)
+
+    monkeypatch.setattr(kernels, "bessel_K_scaled", counting)
+    s = np.array([0.1, 1.0, 4.0])
+    for d in (2, 3):
+        # G needs K_{|d-2|/2}, dG/ds needs K_{d/2}, each from one call
+        for fn, order in ((green_kernel_radial, HalfIntOrder(abs(d - 2))),
+                          (green_kernel_radial_ds, HalfIntOrder(d))):
+            calls.clear()
+            fn(_cfg(d=d), s)
+            assert calls == [(order, 3)]
+            calls.clear()
+            fn(_cfg(d=d), 1.0)
+            assert calls == [(order, 1)]
 
 
 def test_green_kernel_closed_forms():

@@ -94,7 +94,8 @@ def test_wronskian():
 
 
 def test_branch_continuity():
-    # integer-order K switches method at u=2 and u=16
+    # K_0 and K_1 are continuous in u: a relative step of 2e-12 across u0
+    # moves them by about that step times u0
     for u0 in (2.0, 16.0):
         for order in (0, 1):
             lo = bessel_K(order, u0 * (1.0 - 1e-12))
@@ -118,10 +119,18 @@ def test_scaled_and_log_variants():
     assert bessel_K_log(0, 800.0) == pytest.approx(-800.0 + math.log(math.sqrt(math.pi / 1600.0)), rel=1e-4)
 
 
+K_FUNCTIONS = (bessel_K, bessel_K_scaled, bessel_K_log)
+K_ORDERS = (0, 1, HalfIntOrder(1), HalfIntOrder(3))
+
+
 def test_domain_errors():
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            bessel_K(0, bad)
+    for fn in K_FUNCTIONS:
+        for order in K_ORDERS:
+            for bad in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    fn(order, bad)
+                with pytest.raises(ValueError):
+                    fn(order, np.array([1.0, bad]))
     with pytest.raises(ValueError):
         bessel_I(0, -1.0)
     with pytest.raises(OverflowError) as exc:
@@ -135,3 +144,21 @@ def test_half_int_order_validation():
     with pytest.raises(ValueError):
         HalfIntOrder(-1)
     assert HalfIntOrder(0).twice_order == 0
+    for fn in K_FUNCTIONS:
+        for bad_order in (0.3, -0.5, float("nan")):
+            with pytest.raises(ValueError):
+                fn(bad_order, 1.0)
+
+
+def test_shapes_and_scalar_type():
+    u = np.geomspace(0.1, 20.0, 12).reshape(3, 4)
+    for fn in K_FUNCTIONS:
+        for order in K_ORDERS:
+            out = fn(order, u)
+            assert isinstance(out, np.ndarray) and out.shape == (3, 4)
+            assert np.array_equal(out.ravel(), [fn(order, float(v)) for v in u.ravel()])
+            assert type(fn(order, 1.5)) is float
+            assert fn(order, np.empty(0)).shape == (0,)
+    for order in (0, 1):
+        assert bessel_I(order, u).shape == (3, 4)
+        assert type(bessel_I(order, 1.5)) is float
