@@ -11,6 +11,10 @@ reuse the Martin-kernel discretization:
 * `mc_value` prices the candidate stopping rule by direct simulation.
 * `green_measure_identity_check` validates the Green-measure calculus
   itself on rectangles (quadrature versus strong-Markov decomposition).
+  `rect_green_mass` is the rectangle mass as 1/(2 pi r) times a sum over
+  sides of sgn(h) integral (1 - kappa s K_1(kappa s)) sech u du, s = |h| cosh u;
+  the integrand is analytic in |Im u| < pi/2 at any distance h of x from
+  a side, so Gauss-Legendre panels need no grading toward the edges.
 * `finiteness_ratio_scan` monitors g / I_0(sqrt(2r)|x|), whose decay
   certifies finiteness of the value.
 
@@ -31,7 +35,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -41,9 +44,6 @@ from .problem import ClassCheckReport, QuadraticProblem, StarBoundary, class_mem
 from .specfun import bessel_I
 
 _GL16_X, _GL16_W = leggauss(16)
-
-_GRADE_Q = 0.25
-_GRADE_LEVELS = 7
 
 
 @dataclass(frozen=True)
@@ -446,125 +446,80 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
 # ---------------------------------------------------------------------------
 # Green-measure identity on rectangles
 
-def _rect_corner_angles(x: np.ndarray, rect) -> np.ndarray:
-    (x1lo, x1hi), (x2lo, x2hi) = rect
-    corners = np.array([[x1lo, x2lo], [x1lo, x2hi], [x1hi, x2lo], [x1hi, x2hi]])
-    return np.sort(np.mod(np.arctan2(corners[:, 1] - x[1], corners[:, 0] - x[0]),
-                          2.0 * np.pi))
+_ON_LINE = 1e-280      # a side nearer to x than this contributes O(h log h): dropped
+_POINT_BLOCK = 2048    # points per block, which bounds the memory of a large batch
 
 
-def _ray_rect_interval(x: np.ndarray, dirs: np.ndarray, rect):
-    """[s0, s1] of each ray's intersection with the rectangle (slab method)."""
-    (x1lo, x1hi), (x2lo, x2hi) = rect
-    lo = np.zeros(dirs.shape[0])
-    hi = np.full(dirs.shape[0], np.inf)
-    for axis, (alo, ahi) in enumerate(((x1lo, x1hi), (x2lo, x2hi))):
-        d = dirs[:, axis]
-        o = x[axis]
-        with np.errstate(divide="ignore"):
-            t1 = (alo - o) / d
-            t2 = (ahi - o) / d
-        near = np.minimum(t1, t2)
-        far = np.maximum(t1, t2)
-        par = d == 0.0
-        inside_slab = (o >= alo) & (o <= ahi)
-        near = np.where(par, np.where(inside_slab, -np.inf, np.inf), near)
-        far = np.where(par, np.where(inside_slab, np.inf, -np.inf), far)
-        lo = np.maximum(lo, near)
-        hi = np.minimum(hi, far)
-    lo = np.maximum(lo, 0.0)
-    return lo, hi
+def _rect_mass_block(cfg: KillingConfig, x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """rect_green_mass for an (m, 2) block of points, by the side integrals."""
+    lo, hi = bounds[:, 0] - x, bounds[:, 1] - x
+    # sides x1 = lo, x1 = hi, x2 = lo, x2 = hi: the signed distance h to
+    # the side's line and the side's ends measured from the foot of the
+    # perpendicular
+    h = np.stack([-lo[:, 0], hi[:, 0], -lo[:, 1], hi[:, 1]], axis=1).ravel()
+    h = np.where(np.abs(h) < _ON_LINE, 0.0, h)
+    dist = np.where(h == 0.0, 1.0, np.abs(h))
+    u_a = np.arcsinh(lo[:, [1, 1, 0, 0]].ravel() / dist)
+    u_b = np.arcsinh(hi[:, [1, 1, 0, 0]].ravel() / dist)
+    n_pan = np.where(h == 0.0, 0, np.maximum(np.ceil(u_b - u_a), 1.0)).astype(int)
+    side = np.repeat(np.arange(h.size), n_pan)
+    j = np.arange(side.size) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
+    half = 0.5 * ((u_b - u_a) / np.maximum(n_pan, 1))[side]
+    cosh = np.cosh((u_a[side] + (2 * j + 1) * half)[:, None] + half[:, None] * _GL16_X)
+    s = dist[side, None] * cosh
+    psi = -np.pi * s * green_kernel_radial_ds(cfg, s.ravel()).reshape(s.shape)
+    per_panel = ((1.0 - psi) / cosh @ _GL16_W) * half * np.sign(h[side])
+    return np.bincount(side // 4, weights=per_panel, minlength=len(x)) / (2.0 * np.pi * cfg.r)
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    nodes, weights = leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+def rect_green_mass(cfg: KillingConfig, x, rect):
+    """G_r(x, rect) = integral of the Green kernel over the rectangle ((x1lo, x1hi), (x2lo, x2hi)).
 
+    x is one point (float result) or an (m, 2) batch ((m,) result).  The
+    mass formula (chi + 1/2 integral over the boundary of d_nG ds) / r of
+    _green_integrals, taken side by side with the radial integral of
+    G_r = K_0(kappa s)/pi in closed form, is
 
-def _radial_panels(s0: np.ndarray, s1: np.ndarray, ray: np.ndarray, kappa: float):
-    """(lo, hi, ray) arrays for the radial panels of the segments [s0, s1].
+        G_r(x, rect) = 1/(2 pi r) sum over sides of
+                       sgn(h) integral_{u_a}^{u_b} (1 - Psi(|h| cosh u)) sech u du,
 
-    A segment that starts at s = 0, where K_0's log endpoint lives, gets
-    breakpoints graded geometrically toward 0; any other segment gets
-    ceil((s1 - s0) * kappa) equal panels, clipped to [1, 64].  Panels
-    come out segment by segment, in segment order.
-    """
-    keep = s1 > s0
-    s0, s1, ray = s0[keep], s1[keep], ray[keep]
-    graded = s0 <= 1e-9 * s1
-    n_pan = np.where(graded, _GRADE_LEVELS + 1,
-                     np.clip(np.ceil((s1 - s0) * kappa), 1, 64).astype(int))
-    seg = np.repeat(np.arange(s0.size), n_pan)
-    j = np.arange(seg.size) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
-    a, b, n, is_graded = s0[seg], s1[seg], n_pan[seg], graded[seg]
-    last = j == n - 1
-    # smooth: the breakpoints np.linspace(a, b, n + 1) would give
-    step = (b - a) / n
-    lo = j * step + a
-    hi = np.where(last, b, (j + 1) * step + a)
-    # graded: (b q^(j+1), b q^j) for j < levels, then (a, b q^levels)
-    lo = np.where(is_graded, np.where(last, a, b * _GRADE_Q ** (j + 1)), lo)
-    hi = np.where(is_graded, b * _GRADE_Q ** j, hi)
-    keep = hi > lo
-    return lo[keep], hi[keep], ray[seg[keep]]
-
-
-def rect_green_mass(cfg: KillingConfig, x, rect, n_psi: int = 24) -> float:
-    """G_r(x, rect) = integral of the Green kernel over the rectangle.
-
-    Polar sweep around x with the angular domain split at the corner
-    directions (the radial extent is smooth on each arc, so per-arc
-    Gauss-Legendre in the angle, n_psi nodes per arc, converges
-    spectrally); radial panels from _radial_panels, graded toward s = 0
-    when x lies inside the rectangle.
+    Psi(s) = kappa s K_1(kappa s) = -pi s G_r'(s).  h is the signed
+    distance from x to the side's line (positive on the rectangle's
+    side), gd(u) the angle seen from x, and u_{a,b} = asinh(t_{a,b}/|h|)
+    for the side's ends t_{a,b} measured from the foot of the
+    perpendicular; a side with h = 0 contributes 0.  For every h the
+    integrand is analytic in the strip |Im u| < pi/2, so 16-point
+    Gauss-Legendre panels of width <= 1 in u converge to rounding at any
+    distance from an edge, with no grading and no resolution setting.
     """
     if cfg.d != 2:
         raise ValueError("rectangle masses are a d = 2 computation")
+    bounds = np.asarray(rect, dtype=float)
+    if (bounds.shape != (2, 2) or not np.all(np.isfinite(bounds))
+            or not np.all(bounds[:, 0] < bounds[:, 1])):
+        raise ValueError("rect must be ((x1lo, x1hi), (x2lo, x2hi)), finite with lo < hi")
     x = np.asarray(x, dtype=float)
-    angles = _rect_corner_angles(x, rect)
-    arcs = np.concatenate([angles, [angles[0] + 2.0 * np.pi]])
-    gl_x, gl_w = _gauss_legendre(n_psi)
-    psi_nodes = []
-    psi_weights = []
-    for a0, a1 in zip(arcs[:-1], arcs[1:]):
-        if a1 - a0 < 1e-14:
-            continue
-        m = 0.5 * (a0 + a1)
-        h = 0.5 * (a1 - a0)
-        psi_nodes.append(m + h * gl_x)
-        psi_weights.append(h * gl_w)
-    psi = np.concatenate(psi_nodes)
-    w_psi = np.concatenate(psi_weights)
-    dirs = np.stack([np.cos(psi), np.sin(psi)], axis=1)
-    lo, hi = _ray_rect_interval(x, dirs, rect)
-    pan_lo, pan_hi, pan_ray = _radial_panels(lo, hi, np.arange(psi.size), cfg.kappa)
-    if not pan_lo.size:
-        return 0.0
-    mid = 0.5 * (pan_lo + pan_hi)
-    half = 0.5 * (pan_hi - pan_lo)
-    s_nodes = (mid[:, None] + half[:, None] * _GL16_X).ravel()
-    kern = green_kernel_radial(cfg, s_nodes) * s_nodes
-    per_panel = (kern.reshape(-1, 16) @ _GL16_W) * half
-    return float(np.bincount(pan_ray, weights=per_panel, minlength=psi.size) @ w_psi)
+    if x.shape[-1:] != (2,) or x.ndim > 2 or not np.all(np.isfinite(x)):
+        raise ValueError("x must be a finite 2-d point or an (m, 2) batch")
+    pts = np.atleast_2d(x)
+    mass = np.empty(len(pts))
+    for i in range(0, len(pts), _POINT_BLOCK):
+        mass[i:i + _POINT_BLOCK] = _rect_mass_block(cfg, pts[i:i + _POINT_BLOCK], bounds)
+    return float(mass[0]) if x.ndim == 1 else mass
 
 
 def green_measure_identity_check(cfg: KillingConfig, rect, x, disc_radius: float,
                                  mc: MCConfig):
     """Quadrature versus strong-Markov decomposition of G_r(x, rect).
 
-    lhs: direct quadrature of the Green kernel over the rectangle.
-    rhs: Monte Carlo of E[int_0^tau e^{-rs} 1_rect(X_s) ds]
-         + E[e^{-r tau} G_r(X_tau, rect)], where tau is the first
-         sampled time the path leaves the disc of radius disc_radius
-         around x.  tau is a genuine stopping time of the exactly
-         sampled chain, so the identity holds without discretization
-         bias in the terminal term; the occupation term uses the exact
-         per-step discount weight (1 - e^{-r dt})/r and the sampled
-         position's indicator.
+    lhs: rect_green_mass at x.
+    rhs: Monte Carlo of E[int_0^T e^{-rs} 1_rect(X_s) ds] + E[e^{-r T} G_r(X_T, rect)],
+         T = min(tau, horizon), tau the first sampled time the path leaves
+         the disc of radius disc_radius around x.  T is a bounded stopping
+         time of the exactly sampled chain, so the terminal term, batched
+         over the paths' stopping positions, carries no discretization
+         bias; the occupation term uses the exact per-step discount
+         weight (1 - e^{-r dt})/r and the sampled position's indicator.
 
     Returns (lhs, rhs, stderr).
     """
@@ -573,7 +528,7 @@ def green_measure_identity_check(cfg: KillingConfig, rect, x, disc_radius: float
     x = np.asarray(x, dtype=float)
     if disc_radius <= 0.0:
         raise ValueError("disc_radius must be > 0")
-    lhs = rect_green_mass(cfg, x, rect, n_psi=24)
+    lhs = rect_green_mass(cfg, x, rect)
 
     dt = mc.time_step
     sq_dt = np.sqrt(dt)
@@ -581,41 +536,14 @@ def green_measure_identity_check(cfg: KillingConfig, rect, x, disc_radius: float
     w_occ = (1.0 - np.exp(-r * dt)) / r
     max_steps = int(np.ceil(mc.horizon / dt))
     (x1lo, x1hi), (x2lo, x2hi) = rect
-
-    # exit positions land in a thin annulus past the disc; tabulate the
-    # rectangle mass there and interpolate (bilinear in angle x radius)
-    r_pad = 6.0 * sq_dt * 2.0
-    tab_r = np.linspace(disc_radius, disc_radius + r_pad, 7)
-    tab_th = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    tab = np.empty((tab_th.size, tab_r.size))
-    for i, th in enumerate(tab_th):
-        for j, rr in enumerate(tab_r):
-            y = x + rr * np.array([np.cos(th), np.sin(th)])
-            tab[i, j] = rect_green_mass(cfg, y, rect, n_psi=12)
-
-    def mass_at(pts):
-        rel = pts - x
-        rad = np.sqrt((rel * rel).sum(axis=1))
-        th = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
-        ti = th / (2.0 * np.pi) * tab_th.size
-        i0 = np.floor(ti).astype(int) % tab_th.size
-        i1 = (i0 + 1) % tab_th.size
-        ft = ti - np.floor(ti)
-        rj = np.clip((rad - tab_r[0]) / (tab_r[1] - tab_r[0]), 0.0, tab_r.size - 1 - 1e-9)
-        j0 = np.floor(rj).astype(int)
-        fr = rj - j0
-        m00 = tab[i0, j0]
-        m01 = tab[i0, j0 + 1]
-        m10 = tab[i1, j0]
-        m11 = tab[i1, j0 + 1]
-        return (1 - ft) * ((1 - fr) * m00 + fr * m01) + ft * ((1 - fr) * m10 + fr * m11)
-
     decay = np.exp(-r * dt)
     r_sq = disc_radius * disc_radius
 
     def simulate(rng, n):
         pos = np.tile(x, (n, 1))
         contrib = np.zeros(n)
+        stop_pos = np.empty((n, 2))
+        stop_disc = np.empty(n)
         alive = np.arange(n)
         disc = 1.0
         for _ in range(max_steps):
@@ -629,15 +557,15 @@ def green_measure_identity_check(cfg: KillingConfig, rect, x, disc_radius: float
             out = dx * dx + dy * dy >= r_sq
             if out.any():
                 idx = alive[out]
-                contrib[idx] += disc * mass_at(pos[out])
+                stop_pos[idx] = pos[out]
+                stop_disc[idx] = disc
                 alive = alive[~out]
                 pos = pos[~out]
                 if alive.size == 0:
                     break
-        if alive.size:
-            # horizon truncation: discount is ~e^{-r horizon}, residual mass <= 1/r
-            contrib[alive] += disc * lhs
-        return contrib
+        stop_pos[alive] = pos
+        stop_disc[alive] = disc
+        return contrib + stop_disc * rect_green_mass(cfg, stop_pos, rect)
 
     rhs, stderr = _chunked_mean(mc.paths, mc.seed, simulate)
     return float(lhs), rhs, stderr

@@ -6,14 +6,14 @@ dense scan plus lockstep bisection against the trigonometric interpolant
 of rho(theta), and the radial factor integrated with Gauss-Legendre
 panels graded geometrically toward s = 0, where K_0's logarithmic
 singularity lives.  It shares no code with the package's boundary
-integrals except the radial panels and the kernel itself, so the tests
-use it as an oracle at a handful of points (about 0.3 s per point).
+integrals except the kernel itself, so the tests use it as an oracle at
+a handful of points (about 0.3 s per point).
 """
 
 import numpy as np
 
 from quadstop.kernels import KillingConfig, green_kernel_radial
-from quadstop.verification import _GL16_W, _GL16_X, _radial_panels
+from quadstop.verification import _GL16_W, _GL16_X
 
 
 def trig_eval(radii, theta):
@@ -77,6 +77,26 @@ def ray_segments_star(p, b, x, n_rays, n_scan):
     return dirs, segments
 
 
+def radial_panels(s0, s1, ray, kappa):
+    """(lo, hi, ray) of the radial panels: graded toward s = 0, else linspace panels."""
+    lo, hi, out_ray = [], [], []
+    for a, b, k in zip(s0, s1, ray):
+        if b <= a:
+            continue
+        if a <= 1e-9 * b:
+            cuts = [b * 0.25 ** level for level in range(8)]
+            panels = [(cuts[j + 1], cuts[j]) for j in range(7)] + [(a, cuts[-1])]
+        else:
+            cuts = np.linspace(a, b, max(1, min(64, int(np.ceil((b - a) * kappa)))) + 1)
+            panels = list(zip(cuts[:-1], cuts[1:]))
+        for p_lo, p_hi in panels:
+            if p_hi > p_lo:
+                lo.append(p_lo)
+                hi.append(p_hi)
+                out_ray.append(k)
+    return np.array(lo), np.array(hi), np.array(out_ray, dtype=int)
+
+
 def sweep_integrals(p, b, x, n_rays=720, n_scan=256):
     """(integral of G f, integral of G) over C from x, f = (r - L)g."""
     x = np.asarray(x, dtype=float)
@@ -85,7 +105,7 @@ def sweep_integrals(p, b, x, n_rays=720, n_scan=256):
     if not segments:
         return 0.0, 0.0
     s0, s1, ray = (np.array(col) for col in zip(*segments))
-    lo, hi, ray = _radial_panels(s0, s1, ray, cfg.kappa)
+    lo, hi, ray = radial_panels(s0, s1, ray, cfg.kappa)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     s_flat = (mid[:, None] + half[:, None] * _GL16_X).ravel()

@@ -95,12 +95,14 @@ def test_wronskian():
 
 def test_branch_continuity():
     # K_0 and K_1 are continuous in u: a relative step of 2e-12 across u0
-    # moves them by about that step times u0
+    # moves them by about that step times u0 |K'/K|, with K_0' = -K_1 and
+    # K_1' = -K_0 - K_1/u; abs=0, since K_0(16) is only 3.5e-8
     for u0 in (2.0, 16.0):
-        for order in (0, 1):
+        k0, k1 = bessel_K(0, u0), bessel_K(1, u0)
+        for order, log_slope in ((0, k1 / k0), (1, k0 / k1 + 1.0 / u0)):
             lo = bessel_K(order, u0 * (1.0 - 1e-12))
             hi = bessel_K(order, u0 * (1.0 + 1e-12))
-            assert lo == pytest.approx(hi, rel=1e-11)
+            assert lo == pytest.approx(hi, rel=1.1 * 2e-12 * u0 * log_slope, abs=0.0)
 
 
 def test_monotone_decreasing_in_u():

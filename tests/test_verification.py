@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from quadstop.kernels import KillingConfig
 from quadstop.oracles import symmetric_radius
 from quadstop.problem import QuadraticProblem, StarBoundary
 from quadstop.specfun import bessel_I, bessel_K
 from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals,
-                                   _radial_panels, finiteness_ratio_scan,
+                                   finiteness_ratio_scan,
                                    green_measure_identity_check,
                                    green_residual_normalized, interior_scan_grid,
                                    majorant_gap_scan, mc_value, rect_green_mass,
@@ -203,40 +204,73 @@ def test_rect_green_mass_large_box_is_one_over_r():
     for r in (0.5, 1.0):
         cfg = KillingConfig(r, 2)
         big = ((-40.0, 40.0), (-40.0, 40.0))
-        assert rect_green_mass(cfg, np.zeros(2), big, n_psi=48) == pytest.approx(
-            1.0 / r, rel=1e-6)
+        assert rect_green_mass(cfg, np.zeros(2), big) == pytest.approx(1.0 / r, rel=1e-6)
 
 
-def _radial_panels_loop(s0, s1, ray, kappa):
-    """Per-segment reference: graded toward s = 0, else linspace panels."""
-    lo, hi, out_ray = [], [], []
-    for a, b, k in zip(s0, s1, ray):
-        if b <= a:
-            continue
-        if a <= 1e-9 * b:
-            cuts = [b * 0.25 ** level for level in range(8)]
-            panels = [(cuts[j + 1], cuts[j]) for j in range(7)] + [(a, cuts[-1])]
-        else:
-            cuts = np.linspace(a, b, max(1, min(64, int(np.ceil((b - a) * kappa)))) + 1)
-            panels = list(zip(cuts[:-1], cuts[1:]))
-        for p_lo, p_hi in panels:
-            if p_hi > p_lo:
-                lo.append(p_lo)
-                hi.append(p_hi)
-                out_ray.append(k)
-    return np.array(lo), np.array(hi), np.array(out_ray, dtype=int)
+def _rect_mass_dblquad(cfg, x, rect):
+    # the rectangle split at x into four pieces with x at a corner, where
+    # the log singularity is an endpoint of both integrals; the inner one
+    # runs across the piece's narrower side
+    def kern(a, b):
+        return special.k0(cfg.kappa * math.hypot(a - x[0], b - x[1])) / math.pi
+
+    (alo, ahi), (blo, bhi) = rect
+    total = 0.0
+    for a0, a1 in ((alo, x[0]), (x[0], ahi)):
+        for b0, b1 in ((blo, x[1]), (x[1], bhi)):
+            if a1 - a0 <= b1 - b0:
+                total += integrate.dblquad(kern, b0, b1, a0, a1, epsabs=0.0, epsrel=1e-12)[0]
+            else:
+                total += integrate.dblquad(lambda b, a: kern(a, b), a0, a1, b0, b1,
+                                           epsabs=0.0, epsrel=1e-12)[0]
+    return total
 
 
-def test_radial_panels_match_per_segment_loop():
-    rng = np.random.default_rng(3)
-    s0 = np.concatenate([np.zeros(5), rng.uniform(0.0, 5.0, 40), [1.0, 2.0]])
-    s1 = np.concatenate([rng.uniform(0.1, 8.0, 45), [1.0, 1.5]])
-    ray = np.arange(s0.size)
-    for kappa in (0.7, math.sqrt(2.0), 30.0):
-        got = _radial_panels(s0, s1, ray, kappa)
-        want = _radial_panels_loop(s0, s1, ray, kappa)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+def test_rect_green_mass_near_edge():
+    # no grading toward the edges is needed: 2e-3 and 1e-6 inside an edge
+    # (and 1e-6 from a corner) the side integrals match an adaptive 2-d
+    # quadrature to 1e-10
+    cfg = KillingConfig(1.0, 2)
+    rect = ((-1.2, -0.4), (0.2, 1.0))
+    for x in ((-1.198, 0.814), (-1.2 + 1e-6, 0.5), (-0.7, 1.0 - 1e-6),
+              (-1.2 + 1e-6, 1.0 - 1e-6)):
+        x = np.array(x)
+        assert rect_green_mass(cfg, x, rect) == pytest.approx(
+            _rect_mass_dblquad(cfg, x, rect), rel=1e-10)
+    # subnormal distances to a side: that side's O(h log h) part is dropped
+    on_side = rect_green_mass(cfg, np.array([0.0, 0.1]), ((0.0, 0.8), (-0.3, 0.5)))
+    for h in (1e-300, 1e-310):
+        assert rect_green_mass(cfg, np.array([h, 0.1]), ((0.0, 0.8), (-0.3, 0.5))) == (
+            pytest.approx(on_side, rel=1e-12))
+
+
+def test_rect_green_mass_batch_matches_points():
+    cfg = KillingConfig(0.5, 2)
+    rect = ((0.8, 1.6), (-0.3, 0.5))
+    pts = np.concatenate([np.random.default_rng(4).normal(scale=1.5, size=(40, 2)),
+                          [[0.8, 0.0], [1.6, 0.5], [1.2, 0.1], [3.0, -2.0]]])
+    batch = rect_green_mass(cfg, pts, rect)
+    assert batch.shape == (len(pts),)
+    single = np.array([rect_green_mass(cfg, x, rect) for x in pts])
+    assert all(isinstance(m, float) for m in single)
+    np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0.0)
+    assert rect_green_mass(cfg, np.zeros((0, 2)), rect).shape == (0,)
+
+
+def test_rect_green_mass_rejects_malformed_rect():
+    cfg = KillingConfig(1.0, 2)
+    x = np.array([1.0, 0.0])
+    for rect in (((1.6, 0.8), (-0.3, 0.5)), ((0.8, 1.6), (0.5, -0.3)),
+                 ((0.8, 0.8), (-0.3, 0.5)), ((0.8, np.inf), (-0.3, 0.5)),
+                 ((0.8, 1.6), (np.nan, 0.5)), ((0.8, 1.6, 2.0), (-0.3, 0.5, 0.7))):
+        with pytest.raises(ValueError, match="rect"):
+            rect_green_mass(cfg, x, rect)
+    with pytest.raises(ValueError, match="rect"):
+        green_measure_identity_check(cfg, ((1.6, 0.8), (-0.3, 0.5)), x, 2.0,
+                                     MCConfig(paths=100))
+    for bad_x in (np.array([np.nan, 0.0]), np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="x must"):
+            rect_green_mass(cfg, bad_x, ((0.8, 1.6), (-0.3, 0.5)))
 
 
 def _rect_mass_tensor(cfg, x, rect):
