@@ -11,50 +11,19 @@ routes.
 """
 
 from .grids import SphereGrid, make_circle_grid, make_sphere_grid
-from .kernels import (
-    DiscreteMixture,
-    KillingConfig,
-    MartinDirection,
-    green_kernel,
-    green_kernel_radial,
-    green_ratio,
-    harmonic_mixture,
-    hyperplane_identity,
-    martin_kernel,
-    transition_density,
-    uniform_circle_mixture,
-)
-from .martin_solver import (
-    SolveConfig,
-    SolveReport,
-    radial_moment,
-    radial_form_audit,
-    solve_boundary,
-)
-from .oracles import (
-    Bracket,
-    BracketError,
-    ConvergenceError,
-    QuadratureError,
-    bessel2_value_iteration_radius,
-    brent_root,
-    quad_adaptive_1d,
-    resolvent_time_quadrature,
-    symmetric_radius,
-)
+from .kernels import KillingConfig, MartinDirection, green_kernel, martin_kernel
+from .martin_solver import SolveConfig, SolveReport, solve_boundary
 from .problem import (
     ClassCheckReport,
     QuadraticProblem,
     StarBoundary,
     class_membership_check,
     load_problem,
+    symmetric_radius,
 )
-from .specfun import HalfIntOrder, bessel_I, bessel_K, bessel_K_log, bessel_K_scaled
 from .verification import (
     MCConfig,
     VerificationReport,
-    green_integral_over_C,
-    green_measure_identity_check,
     majorant_gap_scan,
     mc_value,
     run_verification,
@@ -64,51 +33,27 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bracket",
-    "BracketError",
-    "ClassCheckReport",
-    "ConvergenceError",
-    "DiscreteMixture",
-    "HalfIntOrder",
-    "KillingConfig",
-    "MartinDirection",
-    "MCConfig",
-    "QuadratureError",
     "QuadraticProblem",
-    "SolveConfig",
-    "SolveReport",
-    "SphereGrid",
     "StarBoundary",
-    "VerificationReport",
-    "bessel2_value_iteration_radius",
-    "bessel_I",
-    "bessel_K",
-    "bessel_K_log",
-    "bessel_K_scaled",
-    "brent_root",
-    "class_membership_check",
-    "green_integral_over_C",
-    "green_kernel",
-    "green_kernel_radial",
-    "green_measure_identity_check",
-    "green_ratio",
-    "harmonic_mixture",
-    "hyperplane_identity",
     "load_problem",
-    "majorant_gap_scan",
+    "ClassCheckReport",
+    "class_membership_check",
+    "symmetric_radius",
+    "SphereGrid",
     "make_circle_grid",
     "make_sphere_grid",
-    "martin_kernel",
-    "mc_value",
-    "quad_adaptive_1d",
-    "radial_form_audit",
-    "radial_moment",
-    "resolvent_time_quadrature",
-    "run_verification",
+    "SolveConfig",
+    "SolveReport",
     "solve_boundary",
-    "symmetric_radius",
-    "transition_density",
-    "uniform_circle_mixture",
+    "KillingConfig",
+    "MartinDirection",
+    "green_kernel",
+    "martin_kernel",
+    "MCConfig",
+    "VerificationReport",
+    "run_verification",
     "value",
+    "mc_value",
+    "majorant_gap_scan",
     "__version__",
 ]

@@ -1,6 +1,6 @@
 """Batch command line interface.
 
-Subcommands: solve, verify, plot, kernel, oracle, audit.  Exit codes:
+Subcommands: solve, verify, plot, kernel, oracle.  Exit codes:
 0 success, 1 usage or I/O error, 2 solver non-convergence (outputs are
 still written with diagnostics), 3 verification below thresholds.
 
@@ -21,9 +21,8 @@ from .dataio import (load_boundary_csv, read_problem_csv, save_boundary_csv,
                      svg_boundary_plot, write_json_report)
 from .grids import make_circle_grid, make_sphere_grid
 from .kernels import KillingConfig, MartinDirection, green_kernel_radial, martin_kernel
-from .martin_solver import SolveConfig, radial_form_audit, solve_boundary
-from .oracles import symmetric_radius
-from .problem import load_problem
+from .martin_solver import SolveConfig, solve_boundary
+from .problem import load_problem, symmetric_radius
 from .verification import MCConfig, run_verification
 
 
@@ -238,18 +237,6 @@ def cmd_oracle(args) -> int:
     raise CliError("unknown oracle %r" % args.which)
 
 
-def cmd_audit(args) -> int:
-    out = args.out if args.out is not None else os.path.join("reports", "radial_form_audit.json")
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    audit = radial_form_audit()
-    write_json_report(out, audit)
-    print("conclusion: %s" % audit["conclusion"])
-    print("report=%s" % out)
-    return 0
-
-
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
 
@@ -319,11 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r", type=float, default=None)
     s.add_argument("--d", type=int, default=None)
     s.set_defaults(func=cmd_oracle)
-
-    s = subs.add_parser("audit", help="write the alternative radial-form audit report")
-    _add_common(s)
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=cmd_audit)
 
     return parser
 

@@ -15,24 +15,17 @@ where the closed form loses all precision to gamma^{-(d+2)}
 cancellation), and drives the radii with Levenberg-Marquardt on the
 analytic Jacobian, projecting onto [beta(1+1e-6), cap] after every
 step.
-
-`alt_radial_forms` evaluates an alternative published rewriting of the
-same radial integral verbatim; `radial_form_audit` tabulates its
-discrepancy against m_2.  The audit is purely informational: the solver
-never uses those forms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lstsq
 
 from .grids import SphereGrid, make_circle_grid, make_sphere_grid
-from .oracles import symmetric_radius
-from .problem import QuadraticProblem, StarBoundary
+from .problem import QuadraticProblem, StarBoundary, symmetric_radius
 
 __all__ = [
     "SphereGrid",
@@ -46,8 +39,6 @@ __all__ = [
     "assemble_residual",
     "assemble_jacobian",
     "solve_boundary",
-    "alt_radial_forms",
-    "radial_form_audit",
 ]
 
 
@@ -315,89 +306,3 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid,
         report = replace(report, residual_inf_norm=float(np.max(np.abs(res))),
                          residual_scale=scale)
     return StarBoundary(grid, rho), report
-
-
-def alt_radial_forms(alpha: float, r: float, rho: float, gam: float):
-    """A published pair of closed forms for the d = 2 radial integral.
-
-    Evaluates the two expressions verbatim (beta^2 = (1 + alpha^2)/r,
-    reward x^2 + alpha^2 y^2) so they can be compared against
-    radial_moment.  Kept out of the solver: see radial_form_audit for
-    the measured discrepancy.
-    """
-    if gam == 0.0:
-        raise ValueError("the printed forms have a gamma^4 denominator; gamma must be nonzero")
-    beta_sq = (1.0 + alpha * alpha) / r
-    beta = math.sqrt(beta_sq)
-    g2 = gam * gam
-    g4 = g2 * g2
-    p_pol = g2 * beta_sq - 3.0 * gam * beta + 3.0
-    f1 = -2.0 * p_pol * math.exp(gam * beta) / g4 + (g2 * beta_sq - 6.0) / g4
-    q_pol = ((beta_sq * rho - rho ** 3) * gam * g2
-             - (beta_sq - 3.0 * rho * rho) * g2
-             - 6.0 * gam * rho + 6.0)
-    f2 = 2.0 * p_pol * math.exp(beta * gam) / g4 + q_pol * math.exp(gam * rho) / g4
-    return f1, f2
-
-
-def radial_form_audit(alphas=(2.0, 0.5, 3.0), rs=(1.0, 0.3),
-                      n_rho: int = 7, n_gamma: int = 9) -> dict:
-    """Tabulate the alternative printed forms against the radial moment.
-
-    For each (alpha, r) the grid covers rho in [beta, 3 beta] and gamma
-    in [-sqrt(2r), sqrt(2r)] away from 0.  Reported per configuration:
-    the largest and smallest magnitude of delta = (F2 - F1) + m_2
-    (zero would mean the printed pair and the defining integral agree),
-    the match of delta against its own closed form
-    (4 P e^{beta gamma} + 12 - 2 beta^2 gamma^2)/gamma^4 with
-    P = beta^2 gamma^2 - 3 beta gamma + 3 (an exactness check on the
-    audit algebra), and sample rows.  Informational only.
-    """
-    configs = []
-    for alpha in alphas:
-        for r in rs:
-            beta_sq = (1.0 + alpha * alpha) / r
-            beta = math.sqrt(beta_sq)
-            kap = math.sqrt(2.0 * r)
-            rhos = np.linspace(beta, 3.0 * beta, n_rho)
-            gams = np.linspace(-kap, kap, n_gamma)
-            gams = gams[np.abs(gams) > 0.05 * kap]
-            rows = []
-            max_delta = 0.0
-            min_delta = np.inf
-            max_algebra_err = 0.0
-            for rho in rhos:
-                for gm in gams:
-                    f1, f2 = alt_radial_forms(alpha, r, float(rho), float(gm))
-                    m2 = radial_moment(2, float(rho), float(gm), beta)
-                    delta = (f2 - f1) + m2
-                    p_pol = beta_sq * gm * gm - 3.0 * beta * gm + 3.0
-                    delta_closed = ((4.0 * p_pol * math.exp(beta * gm)
-                                     + 12.0 - 2.0 * beta_sq * gm * gm) / gm ** 4)
-                    denom = max(abs(f2 - f1), abs(m2), 1.0)
-                    max_algebra_err = max(max_algebra_err, abs(delta - delta_closed) / denom)
-                    max_delta = max(max_delta, abs(delta))
-                    min_delta = min(min_delta, abs(delta))
-                    if len(rows) < 4:
-                        rows.append({"rho": float(rho), "gamma": float(gm),
-                                     "F1": f1, "F2": f2, "m2": float(m2),
-                                     "delta": float(delta)})
-            configs.append({
-                "alpha": float(alpha),
-                "r": float(r),
-                "beta": beta,
-                "max_abs_delta": float(max_delta),
-                "min_abs_delta": float(min_delta),
-                "delta_matches_closed_form_rel": float(max_algebra_err),
-                "sample_rows": rows,
-            })
-    overall = {
-        "conclusion": (
-            "The printed pair (F1, F2) differs from the defining radial integral "
-            "m_2 by a rho-independent but gamma-dependent offset delta(gamma) != 0; "
-            "the two discrete systems are therefore not equivalent, and the solver "
-            "uses m_2 derived from first principles."),
-        "delta_identity": "(F2 - F1) + m2 = (4 P e^{beta gamma} + 12 - 2 beta^2 gamma^2)/gamma^4",
-        "configs": configs,
-    }
-    return overall

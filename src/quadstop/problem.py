@@ -7,7 +7,9 @@ x_k = rho omega_k / sqrt(lambda_k) in which g = rho^2, the negative set
 container produced by the solver, and the membership checks for the
 class of candidate continuation regions (closed, bounded, containing
 the negative set, star-shaped, reflection-symmetric, and excluded from
-the far-quadrant box).
+the far-quadrant box).  `symmetric_radius` is the analytic boundary
+radius of the symmetric problem: the far-quadrant box is built from it,
+and the solver's homotopy starts from it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import SphereGrid
-from .oracles import symmetric_radius
+from .specfun import bessel_I
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,41 @@ class QuadraticProblem:
             omega[0] = 1.0
             return omega, 0.0
         return z / rho, rho
+
+
+def _bracketed_root(f, a: float, b: float) -> float:
+    """Root of f in [a, b], where f changes sign, by the Illinois variant of regula falsi."""
+    fa, fb = f(a), f(b)
+    for _ in range(100):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        if fc == 0.0 or abs(c - b) <= 1e-15 * abs(c):
+            return c
+        # new bracket [a, c] or [b, c]; keeping a again halves f(a), so a cannot stall
+        a, fa = (a, 0.5 * fa) if (fc < 0.0) == (fb < 0.0) else (b, fb)
+        b, fb = c, fc
+    raise RuntimeError("no root in [%g, %g] after 100 steps" % (a, b))
+
+
+def symmetric_radius(d: int, r: float) -> float:
+    """Boundary radius of the symmetric problem (all weights equal).
+
+    For reward |x|^2 in dimension d with discount r the continuation
+    region is a centered ball; its radius is w*/sqrt(2r) where w* solves
+    a scalar equation in the rescaled variable.  In d = 2 the condition
+    is w I1(w) = 2 I0(w) and in d = 3 it is tanh(w) = w / 3.  A common
+    factor on all reward weights rescales the value, not the boundary,
+    so this covers every symmetric instance.
+    """
+    if r <= 0.0:
+        raise ValueError("discount r must be > 0")
+    if d == 2:
+        w = _bracketed_root(lambda t: t * bessel_I(1, t) - 2.0 * bessel_I(0, t), 1.0, 5.0)
+    elif d == 3:
+        w = _bracketed_root(lambda t: np.tanh(t) - t / 3.0, 2.0, 3.0)
+    else:
+        raise ValueError("symmetric_radius is implemented for d in {2, 3}")
+    return w / np.sqrt(2.0 * r)
 
 
 def load_problem(source) -> QuadraticProblem:

@@ -9,14 +9,8 @@ reuse the Martin-kernel discretization:
   function everywhere, so this single integral yields the residual
   check, the reconstructed value, and the majorant scan.
 * `mc_value` prices the candidate stopping rule by direct simulation.
-* `green_measure_identity_check` validates the Green-measure calculus
-  itself on rectangles (quadrature versus strong-Markov decomposition).
-  `rect_green_mass` is the rectangle mass as 1/(2 pi r) times a sum over
-  sides of sgn(h) integral (1 - kappa s K_1(kappa s)) sech u du, s = |h| cosh u;
-  the integrand is analytic in |Im u| < pi/2 at any distance h of x from
-  a side, so Gauss-Legendre panels need no grading toward the edges.
-* `finiteness_ratio_scan` monitors g / I_0(sqrt(2r)|x|), whose decay
-  certifies finiteness of the value.
+* `run_verification` runs all of them, plus the class membership
+  checks, into one report.
 
 In d = 2, Green's second identity turns the area integral into one
 integral over ∂C, using only G_r, g and the curve:
@@ -41,7 +35,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .kernels import KillingConfig, green_kernel_radial, green_kernel_radial_ds
 from .problem import ClassCheckReport, QuadraticProblem, StarBoundary, class_membership_check
-from .specfun import bessel_I
 
 _GL16_X, _GL16_W = leggauss(16)
 
@@ -441,163 +434,6 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
         return payoff
 
     return _chunked_mean(cfg.paths, cfg.seed, simulate)
-
-
-# ---------------------------------------------------------------------------
-# Green-measure identity on rectangles
-
-_ON_LINE = 1e-280      # a side nearer to x than this contributes O(h log h): dropped
-_POINT_BLOCK = 2048    # points per block, which bounds the memory of a large batch
-
-
-def _rect_mass_block(cfg: KillingConfig, x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """rect_green_mass for an (m, 2) block of points, by the side integrals."""
-    lo, hi = bounds[:, 0] - x, bounds[:, 1] - x
-    # sides x1 = lo, x1 = hi, x2 = lo, x2 = hi: the signed distance h to
-    # the side's line and the side's ends measured from the foot of the
-    # perpendicular
-    h = np.stack([-lo[:, 0], hi[:, 0], -lo[:, 1], hi[:, 1]], axis=1).ravel()
-    h = np.where(np.abs(h) < _ON_LINE, 0.0, h)
-    dist = np.where(h == 0.0, 1.0, np.abs(h))
-    u_a = np.arcsinh(lo[:, [1, 1, 0, 0]].ravel() / dist)
-    u_b = np.arcsinh(hi[:, [1, 1, 0, 0]].ravel() / dist)
-    n_pan = np.where(h == 0.0, 0, np.maximum(np.ceil(u_b - u_a), 1.0)).astype(int)
-    side = np.repeat(np.arange(h.size), n_pan)
-    j = np.arange(side.size) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
-    half = 0.5 * ((u_b - u_a) / np.maximum(n_pan, 1))[side]
-    cosh = np.cosh((u_a[side] + (2 * j + 1) * half)[:, None] + half[:, None] * _GL16_X)
-    s = dist[side, None] * cosh
-    psi = -np.pi * s * green_kernel_radial_ds(cfg, s.ravel()).reshape(s.shape)
-    per_panel = ((1.0 - psi) / cosh @ _GL16_W) * half * np.sign(h[side])
-    return np.bincount(side // 4, weights=per_panel, minlength=len(x)) / (2.0 * np.pi * cfg.r)
-
-
-def rect_green_mass(cfg: KillingConfig, x, rect):
-    """G_r(x, rect) = integral of the Green kernel over the rectangle ((x1lo, x1hi), (x2lo, x2hi)).
-
-    x is one point (float result) or an (m, 2) batch ((m,) result).  The
-    mass formula (chi + 1/2 integral over the boundary of d_nG ds) / r of
-    _green_integrals, taken side by side with the radial integral of
-    G_r = K_0(kappa s)/pi in closed form, is
-
-        G_r(x, rect) = 1/(2 pi r) sum over sides of
-                       sgn(h) integral_{u_a}^{u_b} (1 - Psi(|h| cosh u)) sech u du,
-
-    Psi(s) = kappa s K_1(kappa s) = -pi s G_r'(s).  h is the signed
-    distance from x to the side's line (positive on the rectangle's
-    side), gd(u) the angle seen from x, and u_{a,b} = asinh(t_{a,b}/|h|)
-    for the side's ends t_{a,b} measured from the foot of the
-    perpendicular; a side with h = 0 contributes 0.  For every h the
-    integrand is analytic in the strip |Im u| < pi/2, so 16-point
-    Gauss-Legendre panels of width <= 1 in u converge to rounding at any
-    distance from an edge, with no grading and no resolution setting.
-    """
-    if cfg.d != 2:
-        raise ValueError("rectangle masses are a d = 2 computation")
-    bounds = np.asarray(rect, dtype=float)
-    if (bounds.shape != (2, 2) or not np.all(np.isfinite(bounds))
-            or not np.all(bounds[:, 0] < bounds[:, 1])):
-        raise ValueError("rect must be ((x1lo, x1hi), (x2lo, x2hi)), finite with lo < hi")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (2,) or x.ndim > 2 or not np.all(np.isfinite(x)):
-        raise ValueError("x must be a finite 2-d point or an (m, 2) batch")
-    pts = np.atleast_2d(x)
-    mass = np.empty(len(pts))
-    for i in range(0, len(pts), _POINT_BLOCK):
-        mass[i:i + _POINT_BLOCK] = _rect_mass_block(cfg, pts[i:i + _POINT_BLOCK], bounds)
-    return float(mass[0]) if x.ndim == 1 else mass
-
-
-def green_measure_identity_check(cfg: KillingConfig, rect, x, disc_radius: float,
-                                 mc: MCConfig):
-    """Quadrature versus strong-Markov decomposition of G_r(x, rect).
-
-    lhs: rect_green_mass at x.
-    rhs: Monte Carlo of E[int_0^T e^{-rs} 1_rect(X_s) ds] + E[e^{-r T} G_r(X_T, rect)],
-         T = min(tau, horizon), tau the first sampled time the path leaves
-         the disc of radius disc_radius around x.  T is a bounded stopping
-         time of the exactly sampled chain, so the terminal term, batched
-         over the paths' stopping positions, carries no discretization
-         bias; the occupation term uses the exact per-step discount
-         weight (1 - e^{-r dt})/r and the sampled position's indicator.
-
-    Returns (lhs, rhs, stderr).
-    """
-    if cfg.d != 2:
-        raise ValueError("the identity check is a d = 2 computation")
-    x = np.asarray(x, dtype=float)
-    if disc_radius <= 0.0:
-        raise ValueError("disc_radius must be > 0")
-    lhs = rect_green_mass(cfg, x, rect)
-
-    dt = mc.time_step
-    sq_dt = np.sqrt(dt)
-    r = cfg.r
-    w_occ = (1.0 - np.exp(-r * dt)) / r
-    max_steps = int(np.ceil(mc.horizon / dt))
-    (x1lo, x1hi), (x2lo, x2hi) = rect
-    decay = np.exp(-r * dt)
-    r_sq = disc_radius * disc_radius
-
-    def simulate(rng, n):
-        pos = np.tile(x, (n, 1))
-        contrib = np.zeros(n)
-        stop_pos = np.empty((n, 2))
-        stop_disc = np.empty(n)
-        alive = np.arange(n)
-        disc = 1.0
-        for _ in range(max_steps):
-            in_rect = ((pos[:, 0] >= x1lo) & (pos[:, 0] <= x1hi)
-                       & (pos[:, 1] >= x2lo) & (pos[:, 1] <= x2hi))
-            contrib[alive[in_rect]] += w_occ * disc
-            pos += sq_dt * rng.standard_normal((alive.size, 2))
-            disc *= decay
-            dx = pos[:, 0] - x[0]
-            dy = pos[:, 1] - x[1]
-            out = dx * dx + dy * dy >= r_sq
-            if out.any():
-                idx = alive[out]
-                stop_pos[idx] = pos[out]
-                stop_disc[idx] = disc
-                alive = alive[~out]
-                pos = pos[~out]
-                if alive.size == 0:
-                    break
-        stop_pos[alive] = pos
-        stop_disc[alive] = disc
-        return contrib + stop_disc * rect_green_mass(cfg, stop_pos, rect)
-
-    rhs, stderr = _chunked_mean(mc.paths, mc.seed, simulate)
-    return float(lhs), rhs, stderr
-
-
-# ---------------------------------------------------------------------------
-# finiteness diagnostic
-
-def finiteness_ratio_scan(p: QuadraticProblem, radii, reward_fn=None,
-                          n_angles: int = 256):
-    """max over angles of g(x) / I_0(sqrt(2r)|x|) for each radius.
-
-    The mixture I_0 is r-harmonic, so a decaying tail certifies the
-    boundedness of g against it (hence finiteness of the value);
-    reward_fn substitutes a hypothetical reward for diagnostics.
-    """
-    if p.d != 2:
-        raise ValueError("the ratio scan is a d = 2 diagnostic")
-    if reward_fn is None:
-        reward_fn = p.reward
-    kappa = np.sqrt(2.0 * p.r)
-    th = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
-    out = []
-    for rad in radii:
-        rad = float(rad)
-        if rad == 0.0:
-            out.append(0.0)
-            continue
-        vals = reward_fn(rad * ring) / bessel_I(0, kappa * rad)
-        out.append(float(np.max(vals)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,32 @@
+"""The package's public names, and what its command line imports."""
+
+import subprocess
+import sys
+
+import quadstop
+
+PUBLIC = [
+    "QuadraticProblem", "StarBoundary", "load_problem", "ClassCheckReport",
+    "class_membership_check", "symmetric_radius",
+    "SphereGrid", "make_circle_grid", "make_sphere_grid",
+    "SolveConfig", "SolveReport", "solve_boundary",
+    "KillingConfig", "MartinDirection", "green_kernel", "martin_kernel",
+    "MCConfig", "VerificationReport", "run_verification", "value", "mc_value",
+    "majorant_gap_scan",
+]
+
+
+def test_public_names_resolve():
+    assert quadstop.__all__ == PUBLIC + ["__version__"]
+    namespace = {}
+    exec("from quadstop import *", namespace)
+    assert set(PUBLIC + ["__version__"]) <= set(namespace)
+
+
+def test_cli_import_skips_optimize_and_integrate():
+    # scipy.optimize alone costs ~0.2 s of every CLI process
+    code = ("import sys, quadstop.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -179,16 +179,6 @@ def test_config_precedence(tmp_path, capsys):
     assert load_boundary_csv(tmp_path / "flag.csv").grid.n == 16
 
 
-def test_audit_report(tmp_path, capsys):
-    out = tmp_path / "audit.json"
-    code, text, _ = run(capsys, "audit", "--out", str(out))
-    assert code == 0
-    assert "conclusion:" in text
-    doc = json.loads(out.read_text())
-    assert doc["configs"]
-    assert "delta_identity" in doc
-
-
 def test_help_exits_zero(capsys):
     assert main(["-h"]) == 0
     assert "usage:" in capsys.readouterr().out

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import quadstop.kernels as kernels
-from quadstop.kernels import (DiscreteMixture, KillingConfig, MartinDirection,
-                              green_kernel, green_kernel_log_radial, green_kernel_radial,
-                              green_kernel_radial_ds,
-                              green_ratio, harmonic_mixture, hyperplane_identity,
-                              martin_kernel, transition_density, uniform_circle_mixture)
+from quadstop.kernels import (KillingConfig, MartinDirection, green_kernel, green_kernel_radial,
+                              green_kernel_radial_ds, martin_kernel)
 from quadstop.specfun import HalfIntOrder, bessel_I, bessel_K
+from reference import (DiscreteMixture, green_kernel_log_radial, green_ratio, harmonic_mixture,
+                       hyperplane_identity, transition_density, uniform_circle_mixture)
 
 E_SQRT2 = 4.1132503787829275  # e^{sqrt 2}
 GREEN_3D_R05_S1 = 0.05854983152431917  # e^{-1}/(2 pi)

@@ -5,11 +5,11 @@ import pytest
 
 import quadstop as q
 from quadstop.grids import make_circle_grid, make_sphere_grid
-from quadstop.martin_solver import (SolveConfig, alt_radial_forms, assemble_jacobian,
-                                    assemble_residual, gamma, radial_form_audit,
-                                    radial_moment, radial_moment_drho, solve_boundary)
-from quadstop.oracles import quad_adaptive_1d, symmetric_radius
-from quadstop.problem import QuadraticProblem, StarBoundary
+from quadstop.martin_solver import (SolveConfig, assemble_jacobian, assemble_residual,
+                                    gamma, radial_moment, radial_moment_drho,
+                                    solve_boundary)
+from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
+from reference import alt_radial_forms, quad, radial_form_audit
 
 M2_RHO1_GAM1_BETA2 = -3.436563656918091  # 2 - 2e
 
@@ -48,8 +48,7 @@ def test_radial_moment_vs_quadrature():
         if rng.uniform() < 0.3:
             gam = rng.uniform(-0.4, 0.4) / rho  # force the series branch
         beta = rng.uniform(0.2, 4.0)
-        ref = quad_adaptive_1d(lambda s: np.exp(gam * s) * (s * s - beta * beta) * s ** (d - 1),
-                               0.0, rho, rtol=1e-13, atol=1e-15)
+        ref = quad(lambda s: math.exp(gam * s) * (s * s - beta * beta) * s ** (d - 1), 0.0, rho)
         assert radial_moment(d, rho, gam, beta) == pytest.approx(ref, rel=1e-10, abs=1e-13)
 
 
@@ -122,8 +121,9 @@ def test_residual_matches_raw_martin_integral(p_14, bnd_14):
         total = 0.0
         for i in range(n):
             g_ij = gamma(p_14, bnd_14.grid.nodes[i], a_dir)
-            total += (2.0 * math.pi / n) * quad_adaptive_1d(
-                lambda s: np.exp(g_ij * s) * (s * s - p_14.beta ** 2) * s, 0.0, rho[i], rtol=1e-12)
+            total += (2.0 * math.pi / n) * quad(
+                lambda s: math.exp(g_ij * s) * (s * s - p_14.beta ** 2) * s, 0.0, rho[i],
+                epsabs=1e-12)
         assert abs(total - res[j]) <= 1e-8 * scale
         assert abs(total) <= 1e-4 * scale  # solved boundary zeroes the raw integral too
 

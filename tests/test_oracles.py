@@ -2,42 +2,14 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from quadstop.kernels import KillingConfig, green_kernel_radial
-from quadstop.oracles import (Bracket, BracketError, bessel2_value_iteration_radius,
-                              brent_root, quad_adaptive_1d, resolvent_time_quadrature,
-                              symmetric_radius)
+from quadstop.problem import symmetric_radius
+from reference import bessel2_policy_iteration_radius, resolvent_time_quadrature
 
 # smooth-fit radii, frozen from the root solves (independent of the solver)
 R_SYM_2D_R1 = 1.8274465007568879
 R_SYM_3D_R05 = 2.984704585357887
-
-
-def test_brent_root_basic():
-    root = brent_root(np.cos, Bracket(1.0, 2.0))
-    assert root == pytest.approx(math.pi / 2.0, abs=1e-13)
-    root = brent_root(lambda x: x ** 3 - 2.0, Bracket(0.0, 2.0))
-    assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-13)
-
-
-def test_brent_root_bad_bracket():
-    with pytest.raises(BracketError):
-        brent_root(lambda x: x * x + 1.0, Bracket(0.0, 1.0))
-
-
-def test_quad_adaptive_polynomial_and_log():
-    assert quad_adaptive_1d(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-13)
-    # near-singular endpoint; exact antiderivative x - x log x
-    a = 1e-12
-    exact = 1.0 - (a - a * math.log(a))
-    assert quad_adaptive_1d(lambda x: np.log(1.0 / x), a, 1.0) == pytest.approx(exact, rel=1e-9)
-
-
-def test_quad_adaptive_vs_scipy_oscillatory():
-    f = lambda x: np.sin(17.0 * x) * np.exp(-x)
-    ref, _ = scipy.integrate.quad(f, 0.0, 5.0, epsabs=1e-14, epsrel=1e-14)
-    assert quad_adaptive_1d(f, 0.0, 5.0) == pytest.approx(ref, rel=1e-11)
 
 
 @pytest.mark.parametrize("d,r", [(2, 0.5), (2, 1.0), (3, 0.5), (3, 1.0)])
@@ -81,6 +53,7 @@ def test_symmetric_radius_domain():
 
 
 def test_value_iteration_agrees_with_smooth_fit():
-    # light settings; the acceptance test runs the full-resolution version
-    vi = bessel2_value_iteration_radius(1.0, n_grid=2000, dt=2e-4)
-    assert vi == pytest.approx(R_SYM_2D_R1, abs=3e-2)
+    # half the acceptance test's resolution; the discrete free boundary
+    # sits within a grid step (3.7e-3 here) of the smooth-fit radius
+    radius = bessel2_policy_iteration_radius(1.0, n_grid=2000)
+    assert radius == pytest.approx(R_SYM_2D_R1, abs=1.5e-3)

@@ -5,9 +5,8 @@ import pytest
 
 import quadstop as q
 from quadstop.grids import make_circle_grid, make_sphere_grid
-from quadstop.oracles import symmetric_radius
 from quadstop.problem import (QuadraticProblem, StarBoundary, class_membership_check,
-                              load_problem)
+                              load_problem, symmetric_radius)
 
 
 def test_reward_values():

@@ -5,15 +5,12 @@ import pytest
 from scipy import integrate, special
 
 from quadstop.kernels import KillingConfig
-from quadstop.oracles import symmetric_radius
-from quadstop.problem import QuadraticProblem, StarBoundary
+from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
 from quadstop.specfun import bessel_I, bessel_K
 from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals,
-                                   finiteness_ratio_scan,
-                                   green_measure_identity_check,
                                    green_residual_normalized, interior_scan_grid,
-                                   majorant_gap_scan, mc_value, rect_green_mass,
-                                   run_verification, value)
+                                   majorant_gap_scan, mc_value, run_verification, value)
+from reference import finiteness_ratio_scan, green_measure_identity_check, rect_green_mass
 from sweep_reference import sweep_integrals, trig_eval
 
 V0_SYM_2D_R1 = 0.9512830041392790
