@@ -147,8 +147,6 @@ def cmd_verify(args) -> int:
     boundary = load_boundary_csv(args.boundary)
     mc = MCConfig(
         paths=int(_pick(args.paths, cfg, "verify.paths", 100_000)),
-        time_step=float(_pick(args.time_step, cfg, "verify.time_step", 1e-3)),
-        horizon=float(_pick(args.horizon, cfg, "verify.horizon", 40.0)),
         seed=int(_pick(args.seed, cfg, "verify.seed", 0)),
     )
     scan_n = int(_pick(args.scan_n, cfg, "verify.scan_n", 40))
@@ -159,10 +157,10 @@ def cmd_verify(args) -> int:
                                      "verify.residual_threshold", 1e-3))
     gap_threshold = float(_pick(None, cfg, "verify.gap_threshold", 1e-4))
     mc_sigmas = float(_pick(None, cfg, "verify.mc_sigmas", 4.0))
-    bias_coeff = float(_pick(None, cfg, "verify.mc_bias_coeff", 0.5))
     residual_max = float(np.max(np.abs(report.boundary_residuals)))
-    mc_tol = (mc_sigmas * report.mc_stderr
-              + bias_coeff * np.sqrt(mc.time_step) * max(1.0, abs(report.reconstructed_value)))
+    # sampling error plus the walk's stopping-shell bias, shell * lipschitz
+    walk = report.mc_walk
+    mc_tol = mc_sigmas * report.mc_stderr + walk["shell"] * walk["lipschitz"]
     checks = {
         "class_check": bool(report.class_check.passed),
         "residual": residual_max <= residual_threshold,
@@ -180,7 +178,6 @@ def cmd_verify(args) -> int:
             "residual": residual_threshold,
             "majorant_gap": gap_threshold,
             "mc_sigmas": mc_sigmas,
-            "mc_bias_coeff": bias_coeff,
         },
         "checks": checks,
     })
@@ -272,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(s)
     s.add_argument("--boundary", required=True, help="boundary CSV to verify")
     s.add_argument("--paths", type=int, default=None)
-    s.add_argument("--time-step", dest="time_step", type=float, default=None)
-    s.add_argument("--horizon", type=float, default=None)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--scan-n", dest="scan_n", type=int, default=None)
     s.add_argument("--n-rays", dest="n_rays", type=int, default=None,

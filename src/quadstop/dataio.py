@@ -15,7 +15,7 @@ import numpy as np
 from .grids import SphereGrid, make_circle_grid, make_sphere_grid
 from .problem import QuadraticProblem, StarBoundary
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _FMT = "%.17g"
 

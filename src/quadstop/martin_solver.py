@@ -33,11 +33,8 @@ __all__ = [
     "SolveReport",
     "make_circle_grid",
     "make_sphere_grid",
-    "gamma",
     "radial_moment",
     "radial_moment_drho",
-    "assemble_residual",
-    "assemble_jacobian",
     "solve_boundary",
 ]
 
@@ -85,15 +82,6 @@ class SolveReport:
     step_inf_norm: float
     residual_scale: float
     homotopy_trace: tuple = field(default=())
-
-
-def gamma(p: QuadraticProblem, omega, omega_prime) -> float:
-    """Coupling sqrt(2r) sum_k omega_k omega'_k / sqrt(lambda_k)."""
-    omega = np.asarray(omega, dtype=float)
-    omega_prime = np.asarray(omega_prime, dtype=float)
-    if omega.shape != (p.d,) or omega_prime.shape != (p.d,):
-        raise ValueError("direction vectors must have dimension %d" % p.d)
-    return float(np.sqrt(2.0 * p.r) * (omega / p.sqrt_lam) @ omega_prime)
 
 
 def _gamma_matrix(p: QuadraticProblem, nodes, test_nodes) -> np.ndarray:
@@ -173,27 +161,6 @@ def _residual_parts(p, weights, gam_matrix, rho, series_switch):
     res = weights @ m
     scale = float(np.max(np.abs(m).T @ weights))
     return res, scale
-
-
-def assemble_residual(p: QuadraticProblem, b: StarBoundary,
-                      series_switch: float = 2.0, test_nodes=None) -> np.ndarray:
-    """R_j = sum_i w_i m_d(rho_i, gamma_ij; beta), one entry per test direction."""
-    if p.d != b.grid.d:
-        raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
-    nodes = b.grid.nodes if test_nodes is None else np.asarray(test_nodes, dtype=float)
-    gm = _gamma_matrix(p, b.grid.nodes, nodes)
-    res, _ = _residual_parts(p, b.grid.weights, gm, b.radii, series_switch)
-    return res
-
-
-def assemble_jacobian(p: QuadraticProblem, b: StarBoundary, test_nodes=None) -> np.ndarray:
-    """J[j, i] = w_i * d m_d / d rho at (rho_i, gamma_ij)."""
-    if p.d != b.grid.d:
-        raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
-    nodes = b.grid.nodes if test_nodes is None else np.asarray(test_nodes, dtype=float)
-    gm = _gamma_matrix(p, b.grid.nodes, nodes)
-    dm = radial_moment_drho(p.d, b.radii[:, None], gm, p.beta)
-    return (b.grid.weights[:, None] * dm).T
 
 
 def _lm_solve(p, grid, test_grid, rho0, cfg):

@@ -73,10 +73,6 @@ class QuadraticProblem:
         """(r - L)g at x for L = Laplacian/2: equals r (g(x) - beta^2)."""
         return self.r * (self.reward(x) - self.beta_sq)
 
-    def negative_set_contains(self, x) -> bool:
-        out = self.reward(x) <= self.beta_sq
-        return bool(out) if np.ndim(out) == 0 else out
-
     def to_cartesian(self, omega, rho):
         """Point x with x_k = rho omega_k / sqrt(lambda_k); g(x) = rho^2."""
         omega = np.asarray(omega, dtype=float)
@@ -87,24 +83,6 @@ class QuadraticProblem:
             raise ValueError("rho must be >= 0")
         out = rho[..., None] * omega / self.sqrt_lam
         return out
-
-    def to_polar(self, x):
-        """Inverse of to_cartesian: (omega, rho) with rho = sqrt(g(x)).
-
-        At x = 0 the angle is undefined; the sentinel omega = e_1 is
-        returned together with rho = 0.0 (callers detect the flag by
-        rho == 0).
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError("to_polar expects a single point of dimension %d" % self.d)
-        z = self.sqrt_lam * x
-        rho = float(np.sqrt(z @ z))
-        if rho == 0.0:
-            omega = np.zeros(self.d)
-            omega[0] = 1.0
-            return omega, 0.0
-        return z / rho, rho
 
 
 def _bracketed_root(f, a: float, b: float) -> float:

@@ -11,8 +11,9 @@ The package keeps its own names so that every caller gets the same
 contract: the order is a non-negative multiple of 1/2, the argument is
 finite and > 0 (>= 0 for I) and is checked rather than mapped to nan or
 inf, a Python scalar comes back as a float and an array keeps its
-shape.  Scaled and log variants are provided because K_nu(u) underflows
-past u ~ 745 while ratios of the kernel stay perfectly finite.
+shape.  K_nu comes only scaled, as e^u K_nu(u), because K_nu(u)
+underflows past u ~ 745 while ratios of the kernel stay perfectly
+finite.
 """
 
 from __future__ import annotations
@@ -60,50 +61,23 @@ def _as_positive_array(u, name="u"):
     return arr
 
 
-def _k_scaled(order, u):
-    """(u as a checked array, e^u K_nu(u)); orders 0 and 1 by their own Cephes routines."""
-    ho = HalfIntOrder.from_order(order)
-    arr = _as_positive_array(u)
-    if ho.twice_order == 0:
-        return arr, sps.k0e(arr)
-    if ho.twice_order == 2:
-        return arr, sps.k1e(arr)
-    return arr, sps.kve(ho.order, arr)
-
-
 def _result(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def bessel_K(order, u):
-    """Macdonald function K_nu(u) for nu a non-negative multiple of 1/2.
-
-    Parameters
-    ----------
-    order : HalfIntOrder, int or float
-        The order nu; must be an exact multiple of 1/2.
-    u : float or ndarray
-        Argument, u > 0.
-
-    Returns
-    -------
-    float or ndarray
-        K_nu(u).  Underflows to 0.0 for large u (u beyond ~745); use
-        `bessel_K_scaled` or `bessel_K_log` when ratios are needed.
-    """
-    arr, scaled = _k_scaled(order, u)
-    return _result(scaled * np.exp(-arr))
-
-
 def bessel_K_scaled(order, u):
-    """e^u K_nu(u); finite for every u > 0 representable as a double."""
-    return _result(_k_scaled(order, u)[1])
+    """e^u K_nu(u); finite for every u > 0 representable as a double.
 
-
-def bessel_K_log(order, u):
-    """log K_nu(u), stable for arguments far past the underflow point."""
-    arr, scaled = _k_scaled(order, u)
-    return _result(np.log(scaled) - arr)
+    Orders 0 and 1 go through their own Cephes routines, the others
+    through Amos's `kve`.
+    """
+    ho = HalfIntOrder.from_order(order)
+    arr = _as_positive_array(u)
+    if ho.twice_order == 0:
+        return _result(sps.k0e(arr))
+    if ho.twice_order == 2:
+        return _result(sps.k1e(arr))
+    return _result(sps.kve(ho.order, arr))
 
 
 def bessel_I(order, u):

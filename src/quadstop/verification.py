@@ -8,7 +8,9 @@ reuse the Martin-kernel discretization:
   boundary is E = 0 on the stopping set, and g - E is the value
   function everywhere, so this single integral yields the residual
   check, the reconstructed value, and the majorant scan.
-* `mc_value` prices the candidate stopping rule by direct simulation.
+* `mc_value` prices the candidate stopping rule by a walk on spheres
+  over the same curve: exact disc exits, no time step, no horizon, and
+  a stopping shell whose bias is bounded (see `_SafeBalls`).
 * `run_verification` runs all of them, plus the class membership
   checks, into one report.
 
@@ -32,9 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import i0e
 
 from .kernels import KillingConfig, green_kernel_radial, green_kernel_radial_ds
 from .problem import ClassCheckReport, QuadraticProblem, StarBoundary, class_membership_check
+from .specfun import bessel_K_scaled
 
 _GL16_X, _GL16_W = leggauss(16)
 
@@ -42,15 +46,11 @@ _GL16_X, _GL16_W = leggauss(16)
 @dataclass(frozen=True)
 class MCConfig:
     paths: int = 100_000
-    time_step: float = 1e-3
-    horizon: float = 40.0
     seed: int = 0
 
     def __post_init__(self):
         if self.paths < 100:
             raise ValueError("need at least 100 paths")
-        if not (0.0 < self.time_step <= self.horizon):
-            raise ValueError("need 0 < time_step <= horizon")
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,7 @@ class VerificationReport:
     mc_stderr: float
     reconstructed_value: float
     class_check: ClassCheckReport
+    mc_walk: dict
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +88,18 @@ class _BoundaryGeometry:
         self._coef = coeffs[:, None] * self._ik[:, None] ** np.arange(3)
 
     def _rho(self, theta, order):
-        """(..., order + 1) array of rho(theta) and its first `order` derivatives."""
-        phase = np.exp(np.multiply.outer(theta, self._ik))
-        return (phase @ self._coef[:, :order + 1]).real
+        """(..., order + 1) array of rho(theta) and its first `order` derivatives.
+
+        Horner's rule in e^{i theta}: one complex exponential per angle,
+        not one per mode.
+        """
+        phase = np.exp(1j * np.asarray(theta, dtype=float))[..., None]
+        coef = self._coef[:, :order + 1]
+        acc = np.broadcast_to(coef[-1], phase.shape[:-1] + coef.shape[1:]).copy()
+        for c in coef[-2::-1]:
+            acc *= phase
+            acc += c
+        return acc.real
 
     def rho(self, theta):
         return self._rho(theta, 0)[..., 0]
@@ -126,6 +136,23 @@ class _BoundaryGeometry:
         chord = (2.0 * np.sin(0.5 * t))[:, None] * self._frame(np.add.outer(theta, 0.5 * t))[1]
         diff = step[..., :1] * u + rho0[:, None, None] * chord
         return diff, drho[..., None] * u + rho[..., None] * du
+
+    def nearest(self, x, t, steps: int, lo=-np.inf, hi=np.inf, max_step=np.inf):
+        """Newton iterates, from t, toward the parameter of the curve point nearest each row of x.
+
+        Newton's method on f(t) = |x(t) - x|^2 / 2.  Where f'' is not
+        positive its Gauss-Newton part |x'|^2 stands in; each step is at
+        most max_step long and each iterate is kept in [lo, hi].
+        """
+        for _ in range(steps):
+            y, dy, d2y = self.curve(t)
+            d = y - x
+            slope = (d * dy).sum(axis=1)
+            speed_sq = (dy * dy).sum(axis=1)
+            curv = speed_sq + (d * d2y).sum(axis=1)
+            curv = np.where(curv > 0.0, curv, speed_sq)
+            t = np.clip(t - np.clip(slope / curv, -max_step, max_step), lo, hi)
+        return t
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
         z = pts * self.p.sqrt_lam
@@ -227,14 +254,7 @@ def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int = 72
     if near.size:
         width = 16.0 * spacing    # as many nodes per turn as the trapezoid rule
         offsets, weights = _near_panels(width)
-        t_star = theta[nearest[near]]
-        for _ in range(_NEWTON_STEPS):
-            yn, dyn, d2yn = geom.curve(t_star)
-            d = yn - x[near]
-            slope = (d * dyn).sum(axis=1)
-            curv = (dyn * dyn).sum(axis=1) + (d * d2yn).sum(axis=1)
-            curv = np.where(curv > 0.0, curv, (dyn * dyn).sum(axis=1))
-            t_star -= np.clip(slope / curv, -spacing, spacing)
+        t_star = geom.nearest(x[near], theta[nearest[near]], _NEWTON_STEPS, max_step=spacing)
         yn, dyn, _ = geom.curve(t_star)
         tau = np.sqrt(((yn - x[near]) ** 2).sum(axis=1) / (dyn * dyn).sum(axis=1))
         on = tau < width * _NEAR_FINEST
@@ -342,9 +362,151 @@ def majorant_gap_scan(p: QuadraticProblem, b: StarBoundary, scan_grid,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo pricing of the candidate rule
+# Monte Carlo pricing of the candidate rule: walk on spheres
 
 _CHUNK = 16384
+_SHELL = 1e-6            # shell width, relative to the smallest |x| on ∂C
+_WALK_SAMPLES = 1024     # curve samples behind the bounds of _SafeBalls
+_WALK_CELLS = 64         # node grid cells along the longer side of the bounding box
+_WALK_NEWTON = 2         # Newton steps toward the nearest curve point, per ball
+_WALK_MAX_BALLS = 10_000
+
+
+class _SafeBalls:
+    """Discs inside C for a walk on spheres over the curve of _BoundaryGeometry.
+
+    For x in C, `radii` returns R <= dist(x, ∂C), so the disc of radius R
+    about x lies in C, and U >= dist(x, ∂C), the distance to one curve
+    point.  Notation: z = sqrt(lambda) x = s e(phi), x(theta) =
+    rho(theta) u(theta) with u = e / sqrt(lambda), and an x-disc of
+    radius R maps into a z-disc of radius R sqrt(lambda_max).
+
+    Constants hold for every theta, not only at samples: each is its
+    extreme over _WALK_SAMPLES equispaced parameters, moved by half a
+    spacing h times a bound on its derivative, with
+    S_m = sum_k |c_k| k^m >= |rho^(m)| for the Fourier coefficients c_k
+    of rho.  They are rho_min <= rho, L >= |rho'|, M1 >= |x'|,
+    M2 >= |x''| and m1 = rho_min / sqrt(lambda_max) <= |x'| (|z'| >= rho).
+    Every curve point lies within h M1 / 2 of a sample.
+
+    R is the largest of three lower bounds, less 16 ulp of max |x| on ∂C
+    for rounding:
+
+    * star: a z-disc of radius t about z lies in the z-image of C if
+      s + t + L asin(t/s) <= rho(phi), as rho moves at most L per radian;
+      asin(t/s) <= pi t / (2 s) gives t = (rho(phi) - s) /
+      (1 + pi L / (2 s)), at most s.  So does t = rho_min - s.  This
+      bound is positive everywhere in C, so no walk stalls.
+    * grid: each node c of a grid of _WALK_CELLS cells along the longer
+      side of the curve's bounding box stores its distance to the
+      samples less h M1 / 2, a lower bound on dist(c, ∂C); x's nearest
+      node gives that less |x - c|.
+    * near, where e = |x - x(phi)| is below a = m1^2 / M2: on the window
+      |theta - phi| <= w = (a - e) / (2 M1), |x(theta) - x| <= e + w M1,
+      so f = |x(theta) - x|^2 has f'' >= mu = M2 (a - e) > 0.  Newton's
+      iterate t, kept in the window, bounds f on it below by
+      f(t) - f'(t)^2 / (2 mu).  Outside the window z and z(theta) are at
+      least w apart in angle, so |z - z(theta)| >= rho sin w.  The bound
+      is the smaller of the two; U = sqrt(f(t)).
+
+    The walk stops where U <= shell = _SHELL min |x(theta)|, which
+    biases the value by at most shell * lipschitz.  The rule's value v
+    satisfies g - v = E_x[int_0^tau e^{-rt} (r - L)g dt], at most
+    (1 - E_x[e^{-r tau}]) max(beta^2, rho_max^2 - beta^2) in size.  If
+    ∂C has an outside tangent disc of radius rho_e at the point nearest
+    x, at distance delta, a path leaves C before it reaches that disc,
+    so E_x[e^{-r tau}] >= K_0(k (rho_e + delta)) / K_0(k rho_e) >=
+    1 - delta k K_1(k rho_e) / K_0(k rho_e), k = sqrt(2r), K_0 convex.
+    Hence lipschitz = max(beta^2, rho_max^2 - beta^2) k K_1(k rho_e) /
+    K_0(k rho_e); it is k max(...) for a convex curve (rho_e infinite).
+    rho_e is the smallest, over the samples, of the largest outside
+    tangent disc that holds no other sample.
+    """
+
+    def __init__(self, geom: _BoundaryGeometry):
+        p = geom.p
+        self.geom = geom
+        h = 2.0 * np.pi / _WALK_SAMPLES
+        theta = h * np.arange(_WALK_SAMPLES)
+        rho, drho, _ = np.moveaxis(geom._rho(theta, 2), -1, 0)
+        y, dy, d2y = geom.curve(theta)
+        k = np.arange(geom._coef.shape[0])
+        s0, s1, s2, s3 = ((np.abs(geom._coef[:, 0]) * k ** m).sum() for m in range(4))
+        inv_min, inv_max = 1.0 / p.sqrt_lam.min(), 1.0 / p.sqrt_lam.max()
+        self.rho_min = rho.min() - 0.5 * h * s1
+        self.slope = np.abs(drho).max() + 0.5 * h * s2
+        self.speed = (np.sqrt((dy * dy).sum(axis=1)).max()
+                      + 0.5 * h * inv_min * (s2 + 2.0 * s1 + s0))
+        self.bend = (np.sqrt((d2y * d2y).sum(axis=1)).max()
+                     + 0.5 * h * inv_min * (s3 + 3.0 * s2 + 3.0 * s1 + s0))
+        self.inv_max = inv_max
+        self.reach = (inv_max * self.rho_min) ** 2 / self.bend
+        norms = np.sqrt((y * y).sum(axis=1))
+        self.shell = _SHELL * norms.min()
+        self.rounding = 16.0 * np.finfo(float).eps * norms.max()
+
+        lo, hi = y.min(axis=0), y.max(axis=0)
+        self.cell = (hi - lo).max() / _WALK_CELLS
+        self.lo = lo
+        axes = [lo[i] + self.cell * np.arange(int(np.ceil((hi[i] - lo[i]) / self.cell)) + 1)
+                for i in range(2)]
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        clearance = np.empty(len(nodes))
+        step = _BLOCK_ENTRIES // _WALK_SAMPLES
+        for i in range(0, len(nodes), step):
+            gx = nodes[i:i + step, :1] - y[:, 0]
+            gy = nodes[i:i + step, 1:] - y[:, 1]
+            clearance[i:i + step] = np.sqrt((gx * gx + gy * gy).min(axis=1))
+        self.clearance = clearance.reshape(len(axes[0]), len(axes[1])) - 0.5 * h * self.speed
+
+        # outward unit normals: the tangent turned clockwise
+        nx, ny = (np.stack([dy[:, 1], -dy[:, 0]]) / np.sqrt((dy * dy).sum(axis=1)))[:, :, None]
+        rho_e = np.inf
+        for i in range(0, _WALK_SAMPLES, step):
+            vx = y[:, 0] - y[i:i + step, :1]
+            vy = y[:, 1] - y[i:i + step, 1:]
+            lift = 2.0 * (vx * nx[i:i + step] + vy * ny[i:i + step])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tangent = np.where(lift > 0.0, (vx * vx + vy * vy) / lift, np.inf)
+            rho_e = min(rho_e, float(tangent.min()))
+        kappa = np.sqrt(2.0 * p.r)
+        ratio = 1.0
+        if np.isfinite(rho_e):
+            ratio = bessel_K_scaled(1, kappa * rho_e) / bessel_K_scaled(0, kappa * rho_e)
+        rho_max = rho.max() + 0.5 * h * s1
+        self.lipschitz = float(max(p.beta_sq, rho_max ** 2 - p.beta_sq) * kappa * ratio)
+
+    def radii(self, x):
+        """(R, U): R <= dist(x, ∂C) <= U at each row of x, a point of C."""
+        geom = self.geom
+        z = x * geom.p.sqrt_lam
+        s = np.sqrt((z * z).sum(axis=1))
+        phi = np.arctan2(z[:, 1], z[:, 0])
+        gap = geom.rho(phi) - s
+        star = np.minimum(gap * s / np.maximum(s + 0.5 * np.pi * self.slope, 1e-300), s)
+        radius = self.inv_max * np.maximum(star, self.rho_min - s)
+        node = np.clip(np.rint((x - self.lo) / self.cell).astype(int), 0,
+                       np.array(self.clearance.shape) - 1)
+        offset = x - (self.lo + self.cell * node)
+        radius = np.maximum(radius, self.clearance[node[:, 0], node[:, 1]]
+                            - np.sqrt((offset * offset).sum(axis=1)))
+        upper = np.full(len(x), np.inf)
+        u = geom._frame(phi)[0]
+        e = np.abs(gap) * np.sqrt((u * u).sum(axis=1))
+        near = np.flatnonzero(e < self.reach)
+        if near.size:
+            xn, phi_n, room = x[near], phi[near], self.reach - e[near]
+            w = np.minimum(0.5 * np.pi, 0.5 * room / self.speed)
+            t = geom.nearest(xn, phi_n, _WALK_NEWTON, phi_n - w, phi_n + w)
+            yn, dyn, _ = geom.curve(t)
+            d = yn - xn
+            f = (d * d).sum(axis=1)
+            df = 2.0 * (d * dyn).sum(axis=1)
+            inner = np.sqrt(np.maximum(f - df * df / (2.0 * self.bend * room), 0.0))
+            outer = self.inv_max * self.rho_min * np.sin(w)
+            radius[near] = np.maximum(radius[near], np.minimum(inner, outer))
+            upper[near] = np.sqrt(f)
+        return np.maximum(radius - self.rounding, 0.0), upper
 
 
 def _chunked_mean(paths: int, seed: int, simulate):
@@ -375,65 +537,70 @@ def _chunked_mean(paths: int, seed: int, simulate):
     return float(mean), float(np.sqrt(var / paths))
 
 
-def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
-    """Simulated value of the rule "stop on first exit from C" from x0.
+def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig, stats=None):
+    """Simulated value of the rule "stop on first exit from C" from x0, by walk on spheres.
 
-    Exact Gaussian increments of variance time_step; the boundary is the
-    linear interpolant of rho(theta) between grid angles; the payoff is
-    e^{-r t} g(X_t) at the first sampled point outside C, and paths
-    alive at the horizon contribute e^{-r horizon} g(X_horizon).
-    Counter-based RNG keyed by (seed, chunk) makes the result
-    reproducible and independent of scheduling.
+    C is the region inside the trigonometric interpolant of the radii,
+    the region the Green route certifies.  Each step jumps from x to a
+    uniform point on the circle of radius R about x, with R from
+    _SafeBalls, and multiplies the path's weight by E[e^{-r tau_R}] =
+    1 / I_0(sqrt(2r) R): exit from a disc is exact for Brownian motion,
+    with the exit point uniform and independent of the exit time.  A
+    path stops within a shell of width eps = 1e-6 min |x| of ∂C and pays
+    weight * g there.  The estimate has no time step and no horizon; its
+    bias is at most eps * lipschitz (see _SafeBalls).  Counter-based RNG
+    keyed by (seed, chunk) makes the result reproducible and independent
+    of scheduling.
 
-    Returns (estimate, stderr); (g(x0), 0.0) when x0 is already outside.
+    Returns (estimate, stderr); (g(x0), 0.0) when x0 is not inside C.
+    If `stats` is a dict it receives the walk's "paths", "mean_walk"
+    and "max_walk" (balls per path), "shell" (eps) and "lipschitz".
     """
     if p.d != 2:
         raise ValueError("mc_value simulates d = 2 problems")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,):
         raise ValueError("x0 must be a 2-d point")
-    angles = b.grid.angles
-    order = np.argsort(angles)
-    th_grid = np.concatenate([angles[order], [angles[order][0] + 2.0 * np.pi]])
-    rho_grid = np.concatenate([b.radii[order], [b.radii[order][0]]])
-
-    def rho_hat(theta):
-        return np.interp(theta, th_grid, rho_grid)
-
-    def outside(pts):
-        z = pts * p.sqrt_lam
-        rho = np.sqrt((z * z).sum(axis=1))
-        theta = np.mod(np.arctan2(z[:, 1], z[:, 0]), 2.0 * np.pi)
-        theta = np.where(theta < th_grid[0], theta + 2.0 * np.pi, theta)
-        return rho >= rho_hat(theta)
-
-    if outside(x0[None, :])[0]:
+    geom = _BoundaryGeometry(p, b)
+    balls = _SafeBalls(geom)
+    lengths = []
+    if stats is not None:
+        stats.update(paths=cfg.paths, mean_walk=0.0, max_walk=0, shell=float(balls.shell),
+                     lipschitz=balls.lipschitz)
+    if not geom.inside(x0[None, :])[0]:
         return float(p.reward(x0)), 0.0
-
-    dt = cfg.time_step
-    sq_dt = np.sqrt(dt)
-    max_steps = int(np.ceil(cfg.horizon / dt))
+    kappa = np.sqrt(2.0 * p.r)
 
     def simulate(rng, n):
         pos = np.tile(x0, (n, 1))
+        weight = np.ones(n)
         payoff = np.empty(n)
         alive = np.arange(n)
-        for step in range(1, max_steps + 1):
-            pos += sq_dt * rng.standard_normal((alive.size, 2))
-            out = outside(pos)
-            if out.any():
-                t = step * dt
-                idx = alive[out]
-                payoff[idx] = np.exp(-p.r * t) * p.reward(pos[out])
-                alive = alive[~out]
-                pos = pos[~out]
-                if alive.size == 0:
+        walked = 0
+        for longest in range(_WALK_MAX_BALLS):
+            radius, upper = balls.radii(pos)
+            done = upper <= balls.shell
+            if done.any():
+                payoff[alive[done]] = weight[done] * p.reward(pos[done])
+                alive, pos, weight, radius = (alive[~done], pos[~done], weight[~done],
+                                              radius[~done])
+                if not alive.size:
                     break
-        if alive.size:
-            payoff[alive] = np.exp(-p.r * cfg.horizon) * p.reward(pos)
+            angle = 2.0 * np.pi * rng.random(alive.size)
+            pos = pos + radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+            weight *= np.exp(-kappa * radius) / i0e(kappa * radius)
+            walked += alive.size
+        else:
+            raise RuntimeError("walk on spheres: %d paths still outside the shell after %d balls"
+                               % (alive.size, _WALK_MAX_BALLS))
+        lengths.append((walked, longest))
         return payoff
 
-    return _chunked_mean(cfg.paths, cfg.seed, simulate)
+    est = _chunked_mean(cfg.paths, cfg.seed, simulate)
+    if stats is not None:
+        stats.update(mean_walk=sum(total for total, _ in lengths) / cfg.paths,
+                     max_walk=max(longest for _, longest in lengths))
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +620,8 @@ def run_verification(p: QuadraticProblem, b: StarBoundary,
     min_gap = majorant_gap_scan(p, b, grid, n_rays=n_rays)
     origin = np.zeros(2)
     recon = value(p, b, origin, n_rays=n_rays)
-    est, err = mc_value(p, b, origin, mc)
+    walk = {}
+    est, err = mc_value(p, b, origin, mc, walk)
     return VerificationReport(
         boundary_residuals=residuals,
         majorant_min_gap=min_gap,
@@ -461,4 +629,5 @@ def run_verification(p: QuadraticProblem, b: StarBoundary,
         mc_stderr=err,
         reconstructed_value=recon,
         class_check=class_membership_check(p, b),
+        mc_walk=walk,
     )

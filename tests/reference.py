@@ -13,7 +13,10 @@ predicts:
   problem, solved by policy iteration;
 * the Green measure of a rectangle and its strong-Markov decomposition;
 * the finiteness ratio g / I_0;
-* the audit of an alternative published form of the radial moment.
+* the audit of an alternative published form of the radial moment;
+* small conveniences with no caller in the package: K_nu unscaled and
+  in log form, affine polar coordinates of a point, the negative set,
+  and the Martin residual and Jacobian of a given boundary.
 
 One-dimensional integrals go through `quad`, scipy's QUADPACK with its
 accuracy warnings raised as errors, so a reference never returns a value
@@ -30,9 +33,10 @@ from scipy.linalg import solve_banded
 
 from quadstop.kernels import (KillingConfig, MartinDirection, _point, green_kernel_radial,
                               green_kernel_radial_ds)
-from quadstop.martin_solver import radial_moment
-from quadstop.problem import QuadraticProblem, symmetric_radius
-from quadstop.specfun import bessel_I, bessel_K_log
+from quadstop.martin_solver import (_gamma_matrix, _residual_parts, radial_moment,
+                                    radial_moment_drho)
+from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
+from quadstop.specfun import bessel_I, bessel_K_scaled
 from quadstop.verification import _GL16_W, _GL16_X, MCConfig, _chunked_mean
 
 
@@ -41,6 +45,74 @@ def quad(f, a, b, epsrel=1e-12, epsabs=0.0, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         return integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, **kw)[0]
+
+
+# ---------------------------------------------------------------------------
+# conveniences with no caller in the package
+
+def bessel_K(order, u):
+    """K_nu(u) = e^{-u} (e^u K_nu(u)); underflows to 0.0 past u ~ 745."""
+    out = bessel_K_scaled(order, u) * np.exp(-np.asarray(u, dtype=float))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def bessel_K_log(order, u):
+    """log K_nu(u), finite far past the underflow point."""
+    out = np.log(bessel_K_scaled(order, u)) - np.asarray(u, dtype=float)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def to_polar(p: QuadraticProblem, x):
+    """Inverse of p.to_cartesian: (omega, rho) with rho = sqrt(g(x)).
+
+    At x = 0 the angle is undefined; omega = e_1 is returned with rho = 0.0.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p.d,):
+        raise ValueError("to_polar expects a single point of dimension %d" % p.d)
+    z = p.sqrt_lam * x
+    rho = float(np.sqrt(z @ z))
+    if rho == 0.0:
+        omega = np.zeros(p.d)
+        omega[0] = 1.0
+        return omega, 0.0
+    return z / rho, rho
+
+
+def negative_set_contains(p: QuadraticProblem, x):
+    """Whether x lies in the negative set g(x) <= beta^2 of (r - L)g."""
+    out = p.reward(x) <= p.beta_sq
+    return bool(out) if np.ndim(out) == 0 else out
+
+
+def gamma(p: QuadraticProblem, omega, omega_prime) -> float:
+    """Coupling sqrt(2r) sum_k omega_k omega'_k / sqrt(lambda_k)."""
+    omega = np.asarray(omega, dtype=float)
+    omega_prime = np.asarray(omega_prime, dtype=float)
+    if omega.shape != (p.d,) or omega_prime.shape != (p.d,):
+        raise ValueError("direction vectors must have dimension %d" % p.d)
+    return float(np.sqrt(2.0 * p.r) * (omega / p.sqrt_lam) @ omega_prime)
+
+
+def assemble_residual(p: QuadraticProblem, b: StarBoundary,
+                      series_switch: float = 2.0, test_nodes=None) -> np.ndarray:
+    """R_j = sum_i w_i m_d(rho_i, gamma_ij; beta), one entry per test direction."""
+    if p.d != b.grid.d:
+        raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
+    nodes = b.grid.nodes if test_nodes is None else np.asarray(test_nodes, dtype=float)
+    gm = _gamma_matrix(p, b.grid.nodes, nodes)
+    res, _ = _residual_parts(p, b.grid.weights, gm, b.radii, series_switch)
+    return res
+
+
+def assemble_jacobian(p: QuadraticProblem, b: StarBoundary, test_nodes=None) -> np.ndarray:
+    """J[j, i] = w_i * d m_d / d rho at (rho_i, gamma_ij)."""
+    if p.d != b.grid.d:
+        raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
+    nodes = b.grid.nodes if test_nodes is None else np.asarray(test_nodes, dtype=float)
+    gm = _gamma_matrix(p, b.grid.nodes, nodes)
+    dm = radial_moment_drho(p.d, b.radii[:, None], gm, p.beta)
+    return (b.grid.weights[:, None] * dm).T
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +424,12 @@ def rect_green_mass(cfg: KillingConfig, x, rect):
 
 
 def green_measure_identity_check(cfg: KillingConfig, rect, x, disc_radius: float,
-                                 mc: MCConfig):
+                                 mc: MCConfig, time_step: float, horizon: float):
     """Quadrature versus strong-Markov decomposition of G_r(x, rect).
 
     lhs: rect_green_mass at x.
-    rhs: Monte Carlo of E[int_0^T e^{-rs} 1_rect(X_s) ds] + E[e^{-r T} G_r(X_T, rect)],
+    rhs: Monte Carlo, over mc.paths Euler paths of step time_step, of
+         E[int_0^T e^{-rs} 1_rect(X_s) ds] + E[e^{-r T} G_r(X_T, rect)],
          T = min(tau, horizon), tau the first sampled time the path leaves
          the disc of radius disc_radius around x.  T is a bounded stopping
          time of the exactly sampled chain, so the terminal term, batched
@@ -371,13 +444,15 @@ def green_measure_identity_check(cfg: KillingConfig, rect, x, disc_radius: float
     x = np.asarray(x, dtype=float)
     if disc_radius <= 0.0:
         raise ValueError("disc_radius must be > 0")
+    if not 0.0 < time_step <= horizon:
+        raise ValueError("need 0 < time_step <= horizon")
     lhs = rect_green_mass(cfg, x, rect)
 
-    dt = mc.time_step
+    dt = time_step
     sq_dt = np.sqrt(dt)
     r = cfg.r
     w_occ = (1.0 - np.exp(-r * dt)) / r
-    max_steps = int(np.ceil(mc.horizon / dt))
+    max_steps = int(np.ceil(horizon / dt))
     (x1lo, x1hi), (x2lo, x2hi) = rect
     decay = np.exp(-r * dt)
     r_sq = disc_radius * disc_radius

@@ -13,8 +13,7 @@ from quadstop.problem import StarBoundary
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
-LIGHT_VERIFY = ["--paths", "2000", "--time-step", "4e-3", "--scan-n", "10",
-                "--n-rays", "240"]
+LIGHT_VERIFY = ["--paths", "2000", "--scan-n", "10", "--n-rays", "240"]
 
 
 def run(capsys, *argv):

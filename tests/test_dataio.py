@@ -98,7 +98,7 @@ def test_json_report_deterministic(tmp_path):
     assert doc["b"] == 1.5
     assert doc["flag"] is True
     assert doc["nested"]["x"] == 7
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert list(doc) == sorted(doc)
 
 

@@ -6,9 +6,10 @@ import pytest
 import quadstop.kernels as kernels
 from quadstop.kernels import (KillingConfig, MartinDirection, green_kernel, green_kernel_radial,
                               green_kernel_radial_ds, martin_kernel)
-from quadstop.specfun import HalfIntOrder, bessel_I, bessel_K
-from reference import (DiscreteMixture, green_kernel_log_radial, green_ratio, harmonic_mixture,
-                       hyperplane_identity, transition_density, uniform_circle_mixture)
+from quadstop.specfun import HalfIntOrder, bessel_I
+from reference import (DiscreteMixture, bessel_K, green_kernel_log_radial, green_ratio,
+                       harmonic_mixture, hyperplane_identity, transition_density,
+                       uniform_circle_mixture)
 
 E_SQRT2 = 4.1132503787829275  # e^{sqrt 2}
 GREEN_3D_R05_S1 = 0.05854983152431917  # e^{-1}/(2 pi)

@@ -5,11 +5,11 @@ import pytest
 
 import quadstop as q
 from quadstop.grids import make_circle_grid, make_sphere_grid
-from quadstop.martin_solver import (SolveConfig, assemble_jacobian, assemble_residual,
-                                    gamma, radial_moment, radial_moment_drho,
+from quadstop.martin_solver import (SolveConfig, radial_moment, radial_moment_drho,
                                     solve_boundary)
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
-from reference import alt_radial_forms, quad, radial_form_audit
+from reference import (alt_radial_forms, assemble_jacobian, assemble_residual, gamma, quad,
+                       radial_form_audit)
 
 M2_RHO1_GAM1_BETA2 = -3.436563656918091  # 2 - 2e
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from quadstop.specfun import HalfIntOrder, bessel_I, bessel_K, bessel_K_log, bessel_K_scaled
-from reference import quad
+from quadstop.specfun import HalfIntOrder, bessel_I, bessel_K_scaled
+from reference import bessel_K, bessel_K_log, quad
 
 # frozen reference values (series / closed forms evaluated once, by hand)
 K0_1 = 0.4210244382407083

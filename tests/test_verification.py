@@ -1,16 +1,22 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+import quadstop.verification as verification
+from quadstop.grids import make_circle_grid
 from quadstop.kernels import KillingConfig
+from quadstop.martin_solver import solve_boundary
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
-from quadstop.specfun import bessel_I, bessel_K
-from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals,
+from quadstop.specfun import bessel_I
+from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals, _SafeBalls,
                                    green_residual_normalized, interior_scan_grid,
                                    majorant_gap_scan, mc_value, run_verification, value)
-from reference import finiteness_ratio_scan, green_measure_identity_check, rect_green_mass
+from reference import (bessel_K, finiteness_ratio_scan, green_measure_identity_check,
+                       rect_green_mass, to_polar)
 from sweep_reference import sweep_integrals, trig_eval
 
 V0_SYM_2D_R1 = 0.9512830041392790
@@ -70,7 +76,7 @@ def test_interior_scan_grid_inside(p_14, bnd_14):
     assert pts.shape[1] == 2
     assert len(pts) > 100
     for x in pts[::7]:
-        om, rho = p_14.to_polar(x)
+        om, rho = to_polar(p_14, x)
         t = math.atan2(om[1], om[0]) % (2.0 * math.pi)
         rb = np.interp(t, bnd_14.grid.angles, bnd_14.radii, period=2.0 * math.pi)
         assert rho <= rb * (1.0 + 1e-9)
@@ -156,7 +162,7 @@ def test_green_integral_continuous_across_boundary(p_14, bnd_14):
 
 
 def test_mc_value_stopped_regions(p_sym, bnd_sym):
-    cfg = MCConfig(paths=200, time_step=1e-3, horizon=1.0, seed=1)
+    cfg = MCConfig(paths=200, seed=1)
     xb = bnd_sym.cartesian_points(p_sym)[5]
     est, err = mc_value(p_sym, bnd_sym, xb, cfg)
     assert est == pytest.approx(p_sym.reward(xb), rel=1e-12)
@@ -166,26 +172,119 @@ def test_mc_value_stopped_regions(p_sym, bnd_sym):
 
 
 def test_mc_value_deterministic(p_sym, bnd_sym):
-    cfg = MCConfig(paths=500, time_step=2e-3, horizon=5.0, seed=11)
+    cfg = MCConfig(paths=500, seed=11)
     a = mc_value(p_sym, bnd_sym, np.zeros(2), cfg)
     b = mc_value(p_sym, bnd_sym, np.zeros(2), cfg)
     assert a == b
 
 
 def test_mc_value_consistent_with_reconstruction(p_sym, bnd_sym):
-    cfg = MCConfig(paths=20000, time_step=4e-3, horizon=40.0, seed=2)
-    est, err = mc_value(p_sym, bnd_sym, np.zeros(2), cfg)
-    tol = 3.0 * err + 0.5 * math.sqrt(cfg.time_step)
+    cfg = MCConfig(paths=20000, seed=2)
+    walk = {}
+    est, err = mc_value(p_sym, bnd_sym, np.zeros(2), cfg, walk)
+    tol = 3.0 * err + walk["shell"] * walk["lipschitz"]
     assert abs(est - V0_SYM_2D_R1) <= tol
 
 
 def test_mc_config_validation():
     with pytest.raises(ValueError, match="100 paths"):
         MCConfig(paths=10)
-    with pytest.raises(ValueError, match="time_step"):
-        MCConfig(time_step=0.0)
-    with pytest.raises(ValueError, match="time_step"):
-        MCConfig(time_step=2.0, horizon=1.0)
+
+
+@pytest.fixture(scope="module")
+def bnd_14_n32(p_14):
+    return solve_boundary(p_14, make_circle_grid(32))[0]
+
+
+def test_mc_value_prices_the_trigonometric_curve(p_14, bnd_14_n32):
+    """Start points between the linear and the trigonometric interpolant of the radii."""
+    geom = _BoundaryGeometry(p_14, bnd_14_n32)
+    grid = bnd_14_n32.grid
+    theta = np.linspace(0.0, 2.0 * np.pi, 4001)[:-1]
+    trig = geom.rho(theta)
+    linear = np.interp(theta, grid.angles, bnd_14_n32.radii, period=2.0 * np.pi)
+    cfg = MCConfig(paths=200, seed=4)
+    for k in (np.argmax(linear - trig), np.argmax(trig - linear)):
+        assert abs(linear[k] - trig[k]) > 1e-4 * trig[k]
+        direction = np.array([math.cos(theta[k]), math.sin(theta[k])])
+        x0 = p_14.to_cartesian(direction, 0.5 * (linear[k] + trig[k]))
+        est, err = mc_value(p_14, bnd_14_n32, x0, cfg)
+        if geom.inside(x0[None, :])[0]:
+            # inside the certified curve only: the walk runs
+            assert err > 0.0 and est != p_14.reward(x0)
+        else:
+            assert (est, err) == (p_14.reward(x0), 0.0)
+
+
+def _reference_distance(geom, pts):
+    """Distance to the curve: nearest of 2^16 samples, refined by Newton's method."""
+    n = 2 ** 16
+    theta = 2.0 * np.pi * np.arange(n) / n
+    y = geom.curve(theta)[0]
+    nearest = np.empty(len(pts), dtype=int)
+    for i in range(0, len(pts), 32):
+        dx = pts[i:i + 32, :1] - y[:, 0]
+        dy = pts[i:i + 32, 1:] - y[:, 1]
+        nearest[i:i + 32] = np.argmin(dx * dx + dy * dy, axis=1)
+    t = geom.nearest(pts, theta[nearest], 8, max_step=2.0 * np.pi / n)
+    return np.sqrt(((geom.curve(t)[0] - pts) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("lam, petals", [((1.0, 1.0), 0), ((1.0, 4.0), 0), ((1.0, 16.0), 0),
+                                         ((1.0, 4.0), 5)])
+def test_safe_radius_never_exceeds_distance(lam, petals):
+    """Solved boundaries, and a five-petal star whose curve bends back toward itself."""
+    p = QuadraticProblem(1.0, lam)
+    if petals:
+        grid = make_circle_grid(64)
+        b = StarBoundary(grid, p.beta * (1.2 + 0.35 * np.cos(petals * grid.angles)))
+    else:
+        b = solve_boundary(p, make_circle_grid(32))[0]
+    geom = _BoundaryGeometry(p, b)
+    balls = _SafeBalls(geom)
+    rng = np.random.default_rng(17)
+    # points 1e-3 to 1e-9 inside the curve along its inward normal
+    theta = rng.uniform(0.0, 2.0 * np.pi, 1200)
+    y, dy, _ = geom.curve(theta)
+    inward = np.stack([-dy[:, 1], dy[:, 0]], axis=-1) / np.hypot(dy[:, 0], dy[:, 1])[:, None]
+    depth = 10.0 ** rng.uniform(-9.0, -3.0, len(theta))
+    shell = y + depth[:, None] * inward
+    # and points spread over the region
+    box = np.abs(y).max(axis=0)
+    spread = rng.uniform(-box, box, (3000, 2))
+    pts = np.concatenate([shell, spread[geom.inside(spread)]])
+    assert geom.inside(pts).all()
+    radius, upper = balls.radii(pts)
+    dist = _reference_distance(geom, pts)
+    assert np.all(radius <= dist)
+    assert np.all(upper >= dist - balls.rounding)
+    # no walk stalls, and next to ∂C the disc is the distance itself
+    assert np.all(radius > 0.0)
+    assert np.all(radius[:len(shell)] >= 0.999 * dist[:len(shell)])
+
+
+def test_mc_value_independent_of_workers(p_14, bnd_14_n32, monkeypatch):
+    # three chunks: one worker, the default pool, and three workers on
+    # this many cores or fewer, switching threads every 10 microseconds
+    x0 = 0.6 * bnd_14_n32.cartesian_points(p_14)[3]
+    cfg = MCConfig(paths=2 * verification._CHUNK + 500, seed=9)
+    walk = {}
+    pooled = mc_value(p_14, bnd_14_n32, x0, cfg, walk)
+    for workers in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            again = {}
+            assert mc_value(p_14, bnd_14_n32, x0, cfg, again) == pooled
+        finally:
+            sys.setswitchinterval(interval)
+        assert again == walk
+    assert walk["paths"] == cfg.paths
+    assert 1.0 < walk["mean_walk"] <= walk["max_walk"]
+    theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    y = _BoundaryGeometry(p_14, bnd_14_n32).curve(theta)[0]
+    assert walk["shell"] == pytest.approx(1e-6 * np.hypot(y[:, 0], y[:, 1]).min(), rel=1e-3)
 
 
 def test_rect_green_mass_matches_quadrature():
@@ -264,7 +363,7 @@ def test_rect_green_mass_rejects_malformed_rect():
             rect_green_mass(cfg, x, rect)
     with pytest.raises(ValueError, match="rect"):
         green_measure_identity_check(cfg, ((1.6, 0.8), (-0.3, 0.5)), x, 2.0,
-                                     MCConfig(paths=100))
+                                     MCConfig(paths=100), time_step=1e-3, horizon=1.0)
     for bad_x in (np.array([np.nan, 0.0]), np.zeros(3), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="x must"):
             rect_green_mass(cfg, bad_x, ((0.8, 1.6), (-0.3, 0.5)))
@@ -286,8 +385,9 @@ def _rect_mass_tensor(cfg, x, rect):
 def test_green_measure_identity_light():
     cfg = KillingConfig(1.0, 2)
     rect = ((0.8, 1.6), (-0.3, 0.5))
-    mc = MCConfig(paths=8000, time_step=1e-3, horizon=20.0, seed=5)
-    lhs, rhs, err = green_measure_identity_check(cfg, rect, np.zeros(2), 2.5, mc)
+    mc = MCConfig(paths=8000, seed=5)
+    lhs, rhs, err = green_measure_identity_check(cfg, rect, np.zeros(2), 2.5, mc,
+                                                 time_step=1e-3, horizon=20.0)
     assert err > 0.0
     assert abs(lhs - rhs) <= 4.0 * err
 
@@ -312,7 +412,7 @@ def test_finiteness_ratio_scan(p_14, bnd_14):
 
 
 def test_run_verification_report(p_sym, bnd_sym):
-    mc = MCConfig(paths=2000, time_step=4e-3, horizon=20.0, seed=8)
+    mc = MCConfig(paths=2000, seed=8)
     rep = run_verification(p_sym, bnd_sym, mc=mc, scan_n=16, n_rays=240)
     assert rep.boundary_residuals.shape == (64,)
     assert float(np.max(np.abs(rep.boundary_residuals))) <= 1e-3
@@ -323,10 +423,11 @@ def test_run_verification_report(p_sym, bnd_sym):
 
 
 def test_run_verification_with_mc(p_sym, bnd_sym):
-    mc = MCConfig(paths=5000, time_step=4e-3, horizon=30.0, seed=3)
+    mc = MCConfig(paths=5000, seed=3)
     rep = run_verification(p_sym, bnd_sym, mc=mc, scan_n=10, n_rays=240)
     assert rep.mc_stderr > 0.0
-    tol = 3.0 * rep.mc_stderr + 0.5 * math.sqrt(mc.time_step)
+    assert rep.mc_walk["paths"] == mc.paths
+    tol = 3.0 * rep.mc_stderr + rep.mc_walk["shell"] * rep.mc_walk["lipschitz"]
     assert abs(rep.mc_value - rep.reconstructed_value) <= tol
 
 
