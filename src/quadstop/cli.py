@@ -11,6 +11,7 @@ flags override config values, which override built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -100,8 +101,7 @@ def _grid_from(args, cfg, d):
     return make_sphere_grid(n_lat, n_lon)
 
 
-_SOLVER_FIELDS = ("max_iterations", "residual_tol", "step_tol", "damping", "init_factor",
-                  "homotopy_steps", "series_switch", "rho_cap_factor", "overdetermined")
+_SOLVER_FIELDS = tuple(f.name for f in dataclasses.fields(SolveConfig))
 
 
 def _solve_config_from(args, cfg):
@@ -257,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
     s.add_argument("--residual-tol", dest="residual_tol", type=float, default=None)
     s.add_argument("--homotopy-steps", dest="homotopy_steps", type=int, default=None)
-    s.add_argument("--init-factor", dest="init_factor", type=float, default=None)
-    s.add_argument("--overdetermined", dest="overdetermined",
-                   action=argparse.BooleanOptionalAction, default=None)
     s.add_argument("--out", default=None, help="boundary CSV path")
     s.add_argument("--report", default=None, help="solve report JSON path")
     s.set_defaults(func=cmd_solve)

@@ -23,6 +23,8 @@ import numpy as np
 from .grids import SphereGrid
 from .specfun import bessel_I
 
+RADIUS_CAP = 50.0    # admissible radii stay below RADIUS_CAP * beta
+
 
 @dataclass(frozen=True)
 class QuadraticProblem:
@@ -213,12 +215,11 @@ def _sign_flip_permutations(nodes: np.ndarray):
 
 
 def class_membership_check(p: QuadraticProblem, b: StarBoundary,
-                           tol: float = 1e-6, radius_cap_factor: float = 50.0
-                           ) -> ClassCheckReport:
+                           tol: float = 1e-6) -> ClassCheckReport:
     """Checks that a boundary describes an admissible continuation set.
 
     Verifies, up to `tol`: the region is closed and bounded (finite
-    radii under a cap), contains the negative set (rho_i >= beta),
+    radii under RADIUS_CAP * beta), contains the negative set (rho_i >= beta),
     is star-shaped (structural: the rho(omega) parametrization cannot
     express anything else), is symmetric under every coordinate
     reflection the grid supports, and, for d = 2, stays out of the
@@ -237,7 +238,7 @@ def class_membership_check(p: QuadraticProblem, b: StarBoundary,
     neg_viol = float(np.max(beta - rho))
     contains_negative_set = neg_viol <= tol
     violations.append(neg_viol)
-    cap = radius_cap_factor * beta
+    cap = RADIUS_CAP * beta
     cap_viol = float(np.max(rho - cap))
     bounded_ok = closed_ok and cap_viol <= tol
     violations.append(cap_viol)

@@ -94,23 +94,20 @@ def gamma(p: QuadraticProblem, omega, omega_prime) -> float:
     return float(np.sqrt(2.0 * p.r) * (omega / p.sqrt_lam) @ omega_prime)
 
 
-def assemble_residual(p: QuadraticProblem, b: StarBoundary,
-                      series_switch: float = 2.0, test_nodes=None) -> np.ndarray:
+def assemble_residual(p: QuadraticProblem, b: StarBoundary) -> np.ndarray:
     """R_j = sum_i w_i m_d(rho_i, gamma_ij; beta), one entry per test direction."""
     if p.d != b.grid.d:
         raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
-    nodes = b.grid.nodes if test_nodes is None else np.asarray(test_nodes, dtype=float)
-    gm = _gamma_matrix(p, b.grid.nodes, nodes)
-    res, _ = _residual_parts(p, b.grid.weights, gm, b.radii, series_switch)
+    gm = _gamma_matrix(p, b.grid.nodes)
+    res, _ = _residual_parts(p, b.grid.weights, gm, b.radii)
     return res
 
 
-def assemble_jacobian(p: QuadraticProblem, b: StarBoundary, test_nodes=None) -> np.ndarray:
+def assemble_jacobian(p: QuadraticProblem, b: StarBoundary) -> np.ndarray:
     """J[j, i] = w_i * d m_d / d rho at (rho_i, gamma_ij)."""
     if p.d != b.grid.d:
         raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
-    nodes = b.grid.nodes if test_nodes is None else np.asarray(test_nodes, dtype=float)
-    gm = _gamma_matrix(p, b.grid.nodes, nodes)
+    gm = _gamma_matrix(p, b.grid.nodes)
     dm = radial_moment_drho(p.d, b.radii[:, None], gm, p.beta)
     return (b.grid.weights[:, None] * dm).T
 

@@ -158,7 +158,7 @@ def test_criterion_05_radial_moment():
         rho = rng.uniform(0.05, 8.0)
         gam = rng.uniform(-3.0, 3.0)
         if i % 3 == 0:
-            gam = rng.uniform(-0.4, 0.4) / rho  # exercise the series branch
+            gam = rng.uniform(-0.4, 0.4) / rho  # small |gamma| rho
         beta = rng.uniform(0.2, 4.0)
         ref = quad(lambda s: math.exp(gam * s) * (s * s - beta * beta) * s ** (d - 1),
                    0.0, rho)
@@ -181,7 +181,7 @@ def test_criterion_05_radial_moment():
     deriv_ok = deriv_worst <= 1e-6
     elapsed = time.perf_counter() - t0
     ok = moment_ok and deriv_ok and elapsed < 5.0
-    assert _acc(5, ok, "closed-form radial moment vs adaptive quadrature, 500 "
+    assert _acc(5, ok, "radial moment vs adaptive quadrature, 500 "
                        "cases rel %.1e; derivative vs FD %.1e (%.2fs)"
                 % (worst, deriv_worst, elapsed))
 

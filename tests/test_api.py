@@ -1,5 +1,6 @@
 """The package's public names, and what its command line imports."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -21,6 +22,12 @@ def test_public_names_resolve():
     namespace = {}
     exec("from quadstop import *", namespace)
     assert set(PUBLIC + ["__version__"]) <= set(namespace)
+
+
+def test_solve_config_fields():
+    # the three solver settings a caller may set; everything else is a constant
+    names = [f.name for f in dataclasses.fields(quadstop.SolveConfig)]
+    assert names == ["max_iterations", "residual_tol", "homotopy_steps"]
 
 
 def test_cli_import_skips_optimize_and_integrate():

@@ -178,6 +178,21 @@ def test_config_precedence(tmp_path, capsys):
     assert load_boundary_csv(tmp_path / "flag.csv").grid.n == 16
 
 
+def test_solver_config_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = ["--out", str(tmp_path / "b.csv"), "--report", str(tmp_path / "b.json")]
+    cfg.write_text(json.dumps({"solver": {"damping": 1e-3}}))
+    code, _, err = run(capsys, "solve", "--config", str(cfg), "--r", "1", "--lambdas", "1,4",
+                       "--n", "16", *out)
+    assert code == 1
+    assert "damping" in err
+    cfg.write_text(json.dumps({"solver": {"max_iterations": 2}}))
+    code, stdout, _ = run(capsys, "solve", "--config", str(cfg), "--r", "1", "--lambdas", "1,9",
+                          "--n", "32", *out)
+    assert code == 2
+    assert "converged=False" in stdout
+
+
 def test_help_exits_zero(capsys):
     assert main(["-h"]) == 0
     assert "usage:" in capsys.readouterr().out

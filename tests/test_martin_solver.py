@@ -41,29 +41,37 @@ def test_radial_moment_frozen_value():
 
 def test_radial_moment_vs_quadrature():
     rng = np.random.default_rng(12)
+    cases = []
     for _ in range(60):
         d = int(rng.integers(2, 4))
         rho = rng.uniform(0.05, 8.0)
         gam = rng.uniform(-3.0, 3.0)
         if rng.uniform() < 0.3:
-            gam = rng.uniform(-0.4, 0.4) / rho  # force the series branch
-        beta = rng.uniform(0.2, 4.0)
-        ref = quad(lambda s: math.exp(gam * s) * (s * s - beta * beta) * s ** (d - 1), 0.0, rho)
-        assert radial_moment(d, rho, gam, beta) == pytest.approx(ref, rel=1e-10, abs=1e-13)
-
-
-def test_radial_moment_branch_continuity():
-    # closed form vs series on either side of the switch
+            gam = rng.uniform(-0.4, 0.4) / rho  # small |gamma| rho
+        cases.append((d, rho, gam, rng.uniform(0.2, 4.0)))
+    # gamma rho at the former series/closed-form switch, at and next to 0, and large
     for d in (2, 3):
-        for gam in (0.5, -0.5, 1.3):
-            rho = 2.0 / abs(gam)
-            lo = radial_moment(d, rho * (1.0 - 1e-9), gam, 1.0)
-            hi = radial_moment(d, rho * (1.0 + 1e-9), gam, 1.0)
-            assert lo == pytest.approx(hi, rel=1e-7)  # continuity of m itself
-            # and the two branches agree at the same point
-            a = radial_moment(d, rho, gam, 1.0, series_switch=1.99)
-            b = radial_moment(d, rho, gam, 1.0, series_switch=2.01)
-            assert a == pytest.approx(b, rel=1e-13)
+        for z in (2.0, -2.0):
+            for side in (1.0 - 1e-9, 1.0 + 1e-9):
+                cases.append((d, 1.7, z * side / 1.7, 1.0))
+        for z in (0.0, 1e-12, -1e-12, 25.0, -25.0, 100.0, -100.0):
+            cases.append((d, 2.5, z / 2.5, 1.3))
+    for d, rho, gam, beta in cases:
+        ref = quad(lambda s: math.exp(gam * s) * (s * s - beta * beta) * s ** (d - 1), 0.0, rho)
+        got = radial_moment(d, rho, gam, beta)
+        assert type(got) is float
+        assert got == pytest.approx(ref, rel=1e-10, abs=1e-13)
+    # an (n, 1) column of radii against an (n, m) gamma matrix, as the solver assembles it
+    rho = np.array([[0.4], [1.1], [2.9]])
+    gam = np.array([[-2.5, 0.0, 0.3, 1.9], [-0.7, 1e-12, 0.8, 2.2], [-1.4, -0.05, 0.6, 2.8]])
+    m = radial_moment(3, rho, gam, 1.2)
+    assert m.shape == (3, 4)
+    for (i, j), got in np.ndenumerate(m):
+        ref = quad(lambda s: math.exp(gam[i, j] * s) * (s * s - 1.44) * s * s, 0.0, rho[i, 0])
+        assert got == pytest.approx(ref, rel=1e-10, abs=1e-13)
+    for bad in (-1e-3, np.array([1.0, -1.0])):
+        with pytest.raises(ValueError, match="rho"):
+            radial_moment(2, bad, 0.5, 1.0)
 
 
 def test_radial_moment_derivative():
@@ -231,12 +239,6 @@ def test_solve_homotopy_consistent_with_cold(p_14, grid64, bnd_14):
     assert np.max(np.abs(b_cold.radii - bnd_14.radii)) <= 2e-3
 
 
-def test_solve_overdetermined_mode(p_14, grid64, bnd_14):
-    b, rep = solve_boundary(p_14, grid64, SolveConfig(overdetermined=True))
-    assert rep.converged
-    assert np.max(np.abs(b.radii - bnd_14.radii)) <= 2e-3
-
-
 def test_solve_non_convergence_is_reported(grid64):
     p = QuadraticProblem(1.0, (1.0, 9.0))
     b, rep = solve_boundary(p, grid64, SolveConfig(max_iterations=3, homotopy_steps=0))
@@ -280,8 +282,6 @@ def test_failed_homotopy_stage_reports_target_residual():
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(residual_tol=-1.0)
-    with pytest.raises(ValueError):
-        SolveConfig(init_factor=1.0)
     with pytest.raises(ValueError):
         SolveConfig(homotopy_steps=-1)
 

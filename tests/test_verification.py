@@ -83,11 +83,17 @@ def test_interior_scan_grid_inside(p_14, bnd_14):
 
 
 def test_green_residual_normalized_small_on_solution(p_14, bnd_14):
-    for i in (0, 21):
-        x = bnd_14.cartesian_points(p_14)[i]
-        assert green_residual_normalized(p_14, bnd_14, x, n_rays=360) <= 1e-3
-    out = bnd_14.cartesian_points(p_14)[0] * 1.5
-    assert green_residual_normalized(p_14, bnd_14, out, n_rays=360) <= 1e-3
+    nodes = bnd_14.cartesian_points(p_14)
+    pts = np.concatenate([nodes, 1.5 * nodes[:1], 0.5 * nodes[7:8]])
+    batch = green_residual_normalized(p_14, bnd_14, pts, n_rays=360)
+    assert batch.shape == (66,)
+    assert np.all(np.abs(batch[:65]) <= 1e-3)
+    # one pass over a batch gives each point's own residual, bit for bit
+    for i in (0, 21, 64, 65):
+        single = green_residual_normalized(p_14, bnd_14, pts[i], n_rays=360)
+        assert type(single) is float and single == batch[i]
+    with pytest.raises(ValueError, match="points"):
+        green_residual_normalized(p_14, bnd_14, np.zeros(3))
 
 
 def test_boundary_curve_matches_mode_loop(p_14, bnd_14):
@@ -270,6 +276,7 @@ def test_mc_value_independent_of_workers(p_14, bnd_14_n32, monkeypatch):
     cfg = MCConfig(paths=2 * verification._CHUNK + 500, seed=9)
     walk = {}
     pooled = mc_value(p_14, bnd_14_n32, x0, cfg, walk)
+    assert pooled[1] > 0.0
     for workers in (1, 8):
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
         interval = sys.getswitchinterval()
@@ -285,6 +292,28 @@ def test_mc_value_independent_of_workers(p_14, bnd_14_n32, monkeypatch):
     theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     y = _BoundaryGeometry(p_14, bnd_14_n32).curve(theta)[0]
     assert walk["shell"] == pytest.approx(1e-6 * np.hypot(y[:, 0], y[:, 1]).min(), rel=1e-3)
+
+
+def test_chunked_mean_merges_chunks_exactly():
+    paths = 2 * verification._CHUNK + 100
+    assert verification._chunked_mean(paths, 3, lambda rng, n: np.full(n, 0.75)) == (0.75, 0.0)
+    for c in (0.1, 2.4564):
+        # the mean is the plain sum over paths, exact only where the sums are
+        mean, stderr = verification._chunked_mean(paths, 3, lambda rng, n: np.full(n, c))
+        assert stderr == 0.0
+        assert mean == pytest.approx(c, rel=1e-15, abs=0.0)
+    values = []
+
+    def drawn(rng, n):
+        v = 2.5 + 0.3 * rng.standard_normal(n)
+        values.append(v)
+        return v
+
+    mean, stderr = verification._chunked_mean(paths, 3, drawn)
+    every = np.concatenate(values)
+    assert every.size == paths
+    assert mean == pytest.approx(every.mean(), rel=1e-13)
+    assert stderr == pytest.approx(every.std() / math.sqrt(paths), rel=1e-13)
 
 
 def test_rect_green_mass_matches_quadrature():
@@ -417,7 +446,9 @@ def test_run_verification_report(p_sym, bnd_sym):
     assert rep.boundary_residuals.shape == (64,)
     assert float(np.max(np.abs(rep.boundary_residuals))) <= 1e-3
     assert rep.majorant_min_gap >= -1e-4
-    assert rep.mc_value is not None and rep.mc_stderr > 0.0
+    # from the centre of the disc every walk is one disc with one payoff
+    assert rep.mc_walk["mean_walk"] == 1.0
+    assert rep.mc_stderr <= 1e-12 * rep.mc_value
     assert rep.reconstructed_value == pytest.approx(V0_SYM_2D_R1, abs=1e-3)
     assert rep.class_check.passed
 
@@ -425,7 +456,7 @@ def test_run_verification_report(p_sym, bnd_sym):
 def test_run_verification_with_mc(p_sym, bnd_sym):
     mc = MCConfig(paths=5000, seed=3)
     rep = run_verification(p_sym, bnd_sym, mc=mc, scan_n=10, n_rays=240)
-    assert rep.mc_stderr > 0.0
+    assert rep.mc_stderr <= 1e-12 * rep.mc_value
     assert rep.mc_walk["paths"] == mc.paths
     tol = 3.0 * rep.mc_stderr + rep.mc_walk["shell"] * rep.mc_walk["lipschitz"]
     assert abs(rep.mc_value - rep.reconstructed_value) <= tol
