@@ -74,6 +74,26 @@ def test_radial_moment_vs_quadrature():
             radial_moment(2, bad, 0.5, 1.0)
 
 
+def _power_moment(n, rho, gam):
+    # int_0^rho s^n e^{gam s} ds by repeated integration by parts (gam != 0)
+    t = sum((-1) ** k * math.factorial(n) / math.factorial(n - k) * rho ** (n - k) / gam ** (k + 1)
+            for k in range(n + 1))
+    return math.exp(gam * rho) * t - (-1) ** n * math.factorial(n) / gam ** (n + 1)
+
+
+def test_radial_moment_branch_continuity():
+    # across |gamma| rho = 2, where a series once handed over to the closed form
+    for d in (2, 3):
+        for gam in (0.5, -0.5, 1.3):
+            rho = 2.0 / abs(gam)
+            lo = radial_moment(d, rho * (1.0 - 1e-9), gam, 1.0)
+            hi = radial_moment(d, rho * (1.0 + 1e-9), gam, 1.0)
+            assert lo == pytest.approx(hi, rel=1e-7)  # continuity of m itself
+            # and the elementary closed form agrees at the same point
+            closed = _power_moment(d + 1, rho, gam) - _power_moment(d - 1, rho, gam)
+            assert radial_moment(d, rho, gam, 1.0) == pytest.approx(closed, rel=1e-13)
+
+
 def test_radial_moment_derivative():
     assert radial_moment_drho(2, 2.0, 0.3, 2.0) == pytest.approx(0.0, abs=1e-14)
     assert radial_moment_drho(2, 1.0, 0.0, 2.0) == pytest.approx(-3.0, rel=1e-14)
