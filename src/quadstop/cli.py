@@ -4,8 +4,10 @@ Subcommands: solve, verify, plot, kernel, oracle.  Exit codes:
 0 success, 1 usage or I/O error, 2 solver non-convergence (outputs are
 still written with diagnostics), 3 verification below thresholds.
 
-Every subcommand accepts --config pointing at a JSON file; explicit
-flags override config values, which override built-in defaults.
+Every subcommand but oracle accepts --config pointing at a JSON file;
+flags override config values, which override the library's defaults.
+verify and plot take the problem from the boundary file, never from
+flags or config; verify's verdict is `VerificationReport.passed`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .grids import make_circle_grid, make_sphere_grid
 from .kernels import KillingConfig, MartinDirection, green_kernel_radial, martin_kernel
 from .martin_solver import SolveConfig, solve_boundary
 from .problem import load_problem, symmetric_radius
-from .verification import MCConfig, run_verification
+from .verification import THRESHOLDS, MCConfig, run_verification
 
 
 class CliError(Exception):
@@ -32,6 +34,10 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no prefix matching, so verify rejects --r instead of reading it as --report
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise CliError(message)
@@ -73,23 +79,23 @@ def _parse_vec(text, name):
         raise CliError("%s: expected comma-separated numbers, got %r" % (name, text))
 
 
-def _problem_from(args, cfg, fallback_csv=None):
-    r = _pick(getattr(args, "r", None), cfg, "problem.r")
-    lambdas = getattr(args, "lambdas", None)
+def _problem_from(args, cfg):
+    r = _pick(args.r, cfg, "problem.r")
+    lambdas = args.lambdas
     if lambdas is None:
         lambdas = _cfg_get(cfg, "problem.lambdas")
-    elif isinstance(lambdas, str):
+    else:
         lambdas = _parse_vec(lambdas, "--lambdas")
-    if r is None and lambdas is None and fallback_csv is not None:
-        # boundary CSVs carry their problem line, so plot/verify run bare
-        try:
-            return read_problem_csv(fallback_csv)
-        except ValueError as exc:
-            raise CliError(str(exc))
     if r is None or lambdas is None:
-        raise CliError("a problem needs --r and --lambdas "
-                       "(flags, config problem section, or boundary metadata)")
+        raise CliError("a problem needs --r and --lambdas (flags or config problem section)")
     return load_problem({"r": r, "lambdas": lambdas})
+
+
+def _load_boundary(path):
+    """(problem, boundary) of a boundary CSV; the problem is its metadata line's."""
+    if not os.path.exists(path):
+        raise CliError("boundary file not found: %s" % path)
+    return read_problem_csv(path), load_boundary_csv(path)
 
 
 def _grid_from(args, cfg, d):
@@ -101,26 +107,34 @@ def _grid_from(args, cfg, d):
     return make_sphere_grid(n_lat, n_lon)
 
 
+def _settings(args, cfg, section, names):
+    """The `names` set by a flag or else by config `section`; other keys there are usage errors."""
+    found = _cfg_get(cfg, section) or {}
+    if not isinstance(found, dict):
+        raise CliError("%s config: expected a JSON object" % section)
+    unknown = sorted(set(found) - set(names))
+    if unknown:
+        raise CliError("%s config: unknown key %s (known: %s)"
+                       % (section, ", ".join(map(repr, unknown)), ", ".join(names)))
+    settings = {k: v for k, v in found.items() if v is not None}
+    for name in names:
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
+    return settings
+
+
 _SOLVER_FIELDS = tuple(f.name for f in dataclasses.fields(SolveConfig))
-
-
-def _solve_config_from(args, cfg):
-    kwargs = dict(_cfg_get(cfg, "solver") or {})
-    for name in _SOLVER_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    try:
-        return SolveConfig(**kwargs)
-    except TypeError as exc:
-        raise CliError("solver config: %s" % exc)
+_VERIFY_KEYS = ("paths", "seed", "scan_n", "n_rays")
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     p = _problem_from(args, cfg)
     grid = _grid_from(args, cfg, p.d)
-    solve_cfg = _solve_config_from(args, cfg)
+    try:
+        solve_cfg = SolveConfig(**_settings(args, cfg, "solver", _SOLVER_FIELDS))
+    except TypeError as exc:
+        raise CliError("solver config: %s" % exc)
     boundary, report = solve_boundary(p, grid, solve_cfg)
     out = _pick(args.out, cfg, "output.boundary_csv", "boundary.csv")
     report_path = _pick(args.report, cfg, "output.report_json",
@@ -141,58 +155,30 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    if not os.path.exists(args.boundary):
-        raise CliError("boundary file not found: %s" % args.boundary)
-    p = _problem_from(args, cfg, fallback_csv=args.boundary)
-    boundary = load_boundary_csv(args.boundary)
-    mc = MCConfig(
-        paths=int(_pick(args.paths, cfg, "verify.paths", 100_000)),
-        seed=int(_pick(args.seed, cfg, "verify.seed", 0)),
-    )
-    scan_n = int(_pick(args.scan_n, cfg, "verify.scan_n", 40))
-    n_rays = int(_pick(args.n_rays, cfg, "verify.n_rays", 720))
-    report = run_verification(p, boundary, mc, scan_n=scan_n, n_rays=n_rays)
-
-    residual_threshold = float(_pick(args.residual_threshold, cfg,
-                                     "verify.residual_threshold", 1e-3))
-    gap_threshold = float(_pick(None, cfg, "verify.gap_threshold", 1e-4))
-    mc_sigmas = float(_pick(None, cfg, "verify.mc_sigmas", 4.0))
-    residual_max = float(np.max(np.abs(report.boundary_residuals)))
-    # sampling error plus the walk's stopping-shell bias, shell * lipschitz
-    walk = report.mc_walk
-    mc_tol = mc_sigmas * report.mc_stderr + walk["shell"] * walk["lipschitz"]
-    checks = {
-        "class_check": bool(report.class_check.passed),
-        "residual": residual_max <= residual_threshold,
-        "majorant": report.majorant_min_gap >= -gap_threshold,
-        "mc_consistency": abs(report.mc_value - report.reconstructed_value) <= mc_tol,
-    }
+    settings = {k: int(v) for k, v in _settings(args, cfg, "verify", _VERIFY_KEYS).items()}
+    mc = MCConfig(**{k: settings.pop(k) for k in ("paths", "seed") if k in settings})
+    p, boundary = _load_boundary(args.boundary)
+    report = run_verification(p, boundary, mc, **settings)
     report_path = _pick(args.report, cfg, "output.report_json", "verification.report.json")
+    checks = report.checks
     write_json_report(report_path, {
         "kind": "verification_report",
         "problem": {"r": p.r, "lambdas": list(p.lam)},
         "report": report,
-        "residual_max": residual_max,
-        "mc_tolerance": float(mc_tol),
-        "thresholds": {
-            "residual": residual_threshold,
-            "majorant_gap": gap_threshold,
-            "mc_sigmas": mc_sigmas,
-        },
+        "residual_max": report.residual_max,
+        "mc_tolerance": report.mc_tolerance,
+        "thresholds": THRESHOLDS,
         "checks": checks,
     })
     for name, ok in sorted(checks.items()):
         print("%s: %s" % (name, "pass" if ok else "FAIL"))
     print("report=%s" % report_path)
-    return 0 if all(checks.values()) else 3
+    return 0 if report.passed else 3
 
 
 def cmd_plot(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    if not os.path.exists(args.boundary):
-        raise CliError("boundary file not found: %s" % args.boundary)
-    p = _problem_from(args, cfg, fallback_csv=args.boundary)
-    boundary = load_boundary_csv(args.boundary)
+    p, boundary = _load_boundary(args.boundary)
     out = _pick(args.out, cfg, "output.plot_svg", "boundary.svg")
     svg_boundary_plot(out, p, boundary)
     print("plot=%s" % out)
@@ -238,11 +224,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
 
 
-def _add_problem_flags(sub):
-    sub.add_argument("--r", type=float, default=None, help="discount rate")
-    sub.add_argument("--lambdas", default=None, help="comma-separated reward weights")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="quadstop",
                      description="optimal stopping boundaries for quadratic rewards")
@@ -250,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("solve", help="solve for the stopping boundary")
     _add_common(s)
-    _add_problem_flags(s)
+    s.add_argument("--r", type=float, default=None, help="discount rate")
+    s.add_argument("--lambdas", default=None, help="comma-separated reward weights")
     s.add_argument("--n", type=int, default=None, help="circle grid size (d = 2)")
     s.add_argument("--n-lat", dest="n_lat", type=int, default=None)
     s.add_argument("--n-lon", dest="n_lon", type=int, default=None)
@@ -263,21 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("verify", help="certify a boundary file")
     _add_common(s)
-    _add_problem_flags(s)
     s.add_argument("--boundary", required=True, help="boundary CSV to verify")
     s.add_argument("--paths", type=int, default=None)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--scan-n", dest="scan_n", type=int, default=None)
     s.add_argument("--n-rays", dest="n_rays", type=int, default=None,
                    help="trapezoid nodes on the boundary curve, at least 8 per grid node")
-    s.add_argument("--residual-threshold", dest="residual_threshold",
-                   type=float, default=None)
     s.add_argument("--report", default=None, help="verification report JSON path")
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("plot", help="render a boundary CSV to SVG")
     _add_common(s)
-    _add_problem_flags(s)
     s.add_argument("--boundary", required=True)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_plot)
@@ -293,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_kernel)
 
     s = subs.add_parser("oracle", help="evaluate an analytic oracle")
-    _add_common(s)
     s.add_argument("which", choices=("sym-radius",))
     s.add_argument("--r", type=float, default=None)
     s.add_argument("--d", type=int, default=None)

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .grids import SphereGrid, make_circle_grid, make_sphere_grid
+from .grids import make_circle_grid, make_sphere_grid
 from .problem import QuadraticProblem, StarBoundary
 
 SCHEMA_VERSION = 2
@@ -100,8 +100,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, SphereGrid):
-        return {"n": obj.n, "d": obj.d, "lat_shape": list(obj.lat_shape)}
     return obj
 
 

@@ -24,6 +24,7 @@ from .grids import SphereGrid
 from .specfun import bessel_I
 
 RADIUS_CAP = 50.0    # admissible radii stay below RADIUS_CAP * beta
+CLASS_TOL = 1e-6     # violations up to this size pass class_membership_check
 
 
 @dataclass(frozen=True)
@@ -214,11 +215,10 @@ def _sign_flip_permutations(nodes: np.ndarray):
             yield perm
 
 
-def class_membership_check(p: QuadraticProblem, b: StarBoundary,
-                           tol: float = 1e-6) -> ClassCheckReport:
+def class_membership_check(p: QuadraticProblem, b: StarBoundary) -> ClassCheckReport:
     """Checks that a boundary describes an admissible continuation set.
 
-    Verifies, up to `tol`: the region is closed and bounded (finite
+    Verifies, up to CLASS_TOL: the region is closed and bounded (finite
     radii under RADIUS_CAP * beta), contains the negative set (rho_i >= beta),
     is star-shaped (structural: the rho(omega) parametrization cannot
     express anything else), is symmetric under every coordinate
@@ -236,18 +236,18 @@ def class_membership_check(p: QuadraticProblem, b: StarBoundary,
 
     closed_ok = bool(np.all(np.isfinite(rho)))
     neg_viol = float(np.max(beta - rho))
-    contains_negative_set = neg_viol <= tol
+    contains_negative_set = neg_viol <= CLASS_TOL
     violations.append(neg_viol)
     cap = RADIUS_CAP * beta
     cap_viol = float(np.max(rho - cap))
-    bounded_ok = closed_ok and cap_viol <= tol
+    bounded_ok = closed_ok and cap_viol <= CLASS_TOL
     violations.append(cap_viol)
     star_shaped_ok = True  # structural: single-valued rho(omega) about 0
 
     sym_viol = 0.0
     for perm in _sign_flip_permutations(b.grid.nodes):
         sym_viol = max(sym_viol, float(np.max(np.abs(rho - rho[perm]))))
-    symmetry_ok = sym_viol <= tol
+    symmetry_ok = sym_viol <= CLASS_TOL
     violations.append(sym_viol)
 
     box_ok = True
@@ -260,7 +260,7 @@ def class_membership_check(p: QuadraticProblem, b: StarBoundary,
         big = 1 - small
         box_viol = float(np.max(np.minimum(pts[:, small] - alpha_sq * r_sym,
                                            pts[:, big] - r_sym)))
-        box_ok = box_viol <= tol
+        box_ok = box_viol <= CLASS_TOL
         violations.append(box_viol)
 
     return ClassCheckReport(

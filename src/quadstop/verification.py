@@ -3,16 +3,16 @@
 Everything here checks the solver's output through routes that do not
 reuse the Martin-kernel discretization:
 
-* `green_integral_over_C` evaluates E(x) = integral over C of
-  G_r(x, y) (r - L)g(y) dy.  The defining property of the optimal
-  boundary is E = 0 on the stopping set, and g - E is the value
-  function everywhere, so this single integral yields the residual
-  check, the reconstructed value, and the majorant scan.
+* E(x) = integral over C of G_r(x, y) (r - L)g(y) dy.  The defining
+  property of the optimal boundary is E = 0 on the stopping set, and
+  g - E is the value function everywhere, so this single integral
+  yields the residual check (`green_residual_normalized`), the
+  reconstructed value (`value`), and the majorant scan.
 * `mc_value` prices the candidate stopping rule by a walk on spheres
   over the same curve: exact disc exits, no time step, no horizon, and
   a stopping shell whose bias is bounded (see `_SafeBalls`).
 * `run_verification` runs all of them, plus the class membership
-  checks, into one report.
+  checks, into one report, whose `checks` and `passed` are the verdict.
 
 In d = 2, Green's second identity turns the area integral into one
 integral over ∂C, using only G_r, g and the curve:
@@ -42,6 +42,8 @@ from .specfun import bessel_K_scaled
 
 _GL16_X, _GL16_W = leggauss(16)
 
+THRESHOLDS = {"residual": 1e-3, "majorant_gap": 1e-4, "mc_sigmas": 4.0}
+
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -62,6 +64,29 @@ class VerificationReport:
     reconstructed_value: float
     class_check: ClassCheckReport
     mc_walk: dict
+
+    @property
+    def residual_max(self) -> float:
+        return float(np.max(np.abs(self.boundary_residuals)))
+
+    @property
+    def mc_tolerance(self) -> float:
+        """Sampling error plus the walk's stopping-shell bias, shell * lipschitz."""
+        return (THRESHOLDS["mc_sigmas"] * self.mc_stderr
+                + self.mc_walk["shell"] * self.mc_walk["lipschitz"])
+
+    @property
+    def checks(self) -> dict:
+        return {
+            "class_check": bool(self.class_check.passed),
+            "residual": self.residual_max <= THRESHOLDS["residual"],
+            "majorant": self.majorant_min_gap >= -THRESHOLDS["majorant_gap"],
+            "mc_consistency": abs(self.mc_value - self.reconstructed_value) <= self.mc_tolerance,
+        }
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +179,14 @@ class _BoundaryGeometry:
             t = np.clip(t - np.clip(slope / curv, -max_step, max_step), lo, hi)
         return t
 
+    def polar(self, x):
+        """(phi, s) with sqrt(lambda) x = s (cos phi, sin phi): the inverse affine-polar map."""
+        z = x * self.p.sqrt_lam
+        return np.arctan2(z[..., 1], z[..., 0]), np.sqrt((z * z).sum(axis=-1))
+
     def inside(self, pts: np.ndarray) -> np.ndarray:
-        z = pts * self.p.sqrt_lam
-        rho = np.sqrt((z * z).sum(axis=-1))
-        return rho < self.rho(np.arctan2(z[..., 1], z[..., 0]))
+        phi, s = self.polar(pts)
+        return s < self.rho(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +300,6 @@ def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int = 72
     return chi * p.reward(x) + e_layer, (chi + m_layer) / p.r
 
 
-def green_integral_over_C(p: QuadraticProblem, b: StarBoundary, x,
-                          n_rays: int = 720, mc_samples: int = 1_000_000,
-                          seed: int = 0) -> float:
-    """E(x) = integral over C of G_r(x, y) (r - L)g(y) dy.
-
-    d = 2: Green's second identity turns it into an integral over ∂C
-    (see _green_integrals).  d = 3: importance-sampled Monte Carlo
-    against the closed-form Yukawa kernel; the estimate is deterministic
-    for a fixed seed.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.d,):
-        raise ValueError("x must be a point of dimension %d" % p.d)
-    if p.d == 2:
-        return float(_green_integrals(p, b, x[None, :], n_rays)[0][0])
-    if p.d == 3:
-        return _green_integral_mc3(p, b, x, mc_samples, seed)
-    raise ValueError("green integrals are implemented for d in {2, 3}")
-
-
 def _green_integral_mc3(p: QuadraticProblem, b: StarBoundary, x,
                         n_samples: int, seed: int) -> float:
     cfg = KillingConfig(p.r, 3)
@@ -328,27 +337,39 @@ def green_residual_normalized(p: QuadraticProblem, b: StarBoundary, x,
     return float(out[0]) if x.ndim == 1 else out
 
 
-def value(p: QuadraticProblem, b: StarBoundary, x, **kw) -> float:
-    """Reconstructed value g(x) - E(x); exact for the optimal boundary."""
+def value(p: QuadraticProblem, b: StarBoundary, x, *, n_rays: int = 720,
+          mc_samples: int = 1_000_000, seed: int = 0) -> float:
+    """Reconstructed value g(x) - E(x); exact for the optimal boundary.
+
+    d = 2: E is an integral over ∂C on n_rays nodes (see _green_integrals).
+    d = 3: importance-sampled Monte Carlo, mc_samples points against the
+    closed-form Yukawa kernel, deterministic for a fixed seed.
+    """
     x = np.asarray(x, dtype=float)
-    return float(p.reward(x)) - green_integral_over_C(p, b, x, **kw)
+    if x.shape != (p.d,):
+        raise ValueError("x must be a point of dimension %d" % p.d)
+    if p.d == 2:
+        excess = float(_green_integrals(p, b, x[None, :], n_rays)[0][0])
+    elif p.d == 3:
+        excess = _green_integral_mc3(p, b, x, mc_samples, seed)
+    else:
+        raise ValueError("green integrals are implemented for d in {2, 3}")
+    return float(p.reward(x)) - excess
 
 
-def interior_scan_grid(p: QuadraticProblem, b: StarBoundary, n: int = 40,
-                       shrink: float = 0.99) -> np.ndarray:
-    """n x n bounding-box grid filtered to the (slightly shrunk) interior."""
-    if p.d != 2:
-        raise ValueError("scan grids are generated for d = 2")
+_SCAN_SHRINK = 0.99     # scan points stay inside this fraction of rho(phi)
+
+
+def interior_scan_grid(p: QuadraticProblem, b: StarBoundary, n: int = 40) -> np.ndarray:
+    """n x n bounding-box grid filtered to the interior, shrunk by _SCAN_SHRINK."""
+    geom = _BoundaryGeometry(p, b)
     pts = b.cartesian_points(p)
     mx = np.abs(pts).max(axis=0)
     xs = np.linspace(-mx[0], mx[0], n)
     ys = np.linspace(-mx[1], mx[1], n)
     grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    z = grid * p.sqrt_lam
-    rho = np.sqrt((z * z).sum(axis=1))
-    theta = np.arctan2(z[:, 1], z[:, 0])
-    keep = rho <= shrink * _BoundaryGeometry(p, b).rho(theta)
-    return grid[keep]
+    phi, s = geom.polar(grid)
+    return grid[s <= _SCAN_SHRINK * geom.rho(phi)]
 
 
 def majorant_gap_scan(p: QuadraticProblem, b: StarBoundary, scan_grid,
@@ -484,9 +505,7 @@ class _SafeBalls:
     def radii(self, x):
         """(R, U): R <= dist(x, ∂C) <= U at each row of x, a point of C."""
         geom = self.geom
-        z = x * geom.p.sqrt_lam
-        s = np.sqrt((z * z).sum(axis=1))
-        phi = np.arctan2(z[:, 1], z[:, 0])
+        phi, s = geom.polar(x)
         gap = geom.rho(phi) - s
         star = np.minimum(gap * s / np.maximum(s + 0.5 * np.pi * self.slope, 1e-300), s)
         radius = self.inv_max * np.maximum(star, self.rho_min - s)

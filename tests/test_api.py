@@ -30,6 +30,14 @@ def test_solve_config_fields():
     assert names == ["max_iterations", "residual_tol", "homotopy_steps"]
 
 
+def test_verification_report_fields():
+    # the verdict (residual_max, mc_tolerance, checks, passed) is derived, not stored,
+    # so the verify JSON's "report" keeps exactly these keys
+    names = [f.name for f in dataclasses.fields(quadstop.VerificationReport)]
+    assert names == ["boundary_residuals", "majorant_min_gap", "mc_value", "mc_stderr",
+                     "reconstructed_value", "class_check", "mc_walk"]
+
+
 def test_cli_import_skips_optimize_and_integrate():
     # scipy.optimize alone costs ~0.2 s of every CLI process
     code = ("import sys, quadstop.cli; "

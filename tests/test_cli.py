@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadstop.cli import main
+from quadstop.cli import build_parser, main
 from quadstop.dataio import load_boundary_csv, save_boundary_csv
 from quadstop.problem import StarBoundary
 
@@ -100,7 +101,7 @@ def test_solve_rejects_bad_lambda(capsys):
 def test_solve_requires_problem(capsys):
     code, _, err = run(capsys, "solve", "--n", "32")
     assert code == 1
-    assert "boundary metadata" in err
+    assert "needs --r and --lambdas" in err
 
 
 def test_verify_pass_and_shrunk_detection(tmp_path, capsys):
@@ -134,6 +135,58 @@ def test_verify_missing_file(tmp_path, capsys):
                        "--report", str(tmp_path / "v.json"))
     assert code == 1
     assert "not found" in err
+
+
+def test_verify_takes_problem_from_file(tmp_path, capsys):
+    # one config shared by every subcommand: its problem section is solve's only
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"problem": {"r": 1, "lambdas": [1, 4]},
+                               "verify": {"paths": 2000, "scan_n": 10, "n_rays": 240}}))
+    b = tmp_path / "b.csv"
+    code, _, _ = run(capsys, "solve", "--config", str(cfg), "--lambdas", "1,1", "--n", "32",
+                     "--out", str(b), "--report", str(tmp_path / "b.json"))
+    assert code == 0
+    rep = tmp_path / "v.json"
+    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--boundary", str(b),
+                       "--report", str(rep))
+    assert code == 0, out
+    doc = json.loads(rep.read_text())
+    assert doc["problem"]["lambdas"] == [1.0, 1.0]
+    assert doc["report"]["mc_walk"]["paths"] == 2000
+    assert doc["thresholds"] == {"residual": 1e-3, "majorant_gap": 1e-4, "mc_sigmas": 4.0}
+
+
+def test_removed_options_and_config_keys(tmp_path, capsys):
+    b = tmp_path / "b.csv"
+    run(capsys, "solve", "--r", "1", "--lambdas", "1,1", "--n", "16",
+        "--out", str(b), "--report", str(tmp_path / "b.json"))
+    report = ["--report", str(tmp_path / "v.json")]
+    for removed, argv in (("--r", ["verify", "--boundary", str(b), *report]),
+                          ("--residual-threshold", ["verify", "--boundary", str(b), *report]),
+                          ("--lambdas", ["plot", "--boundary", str(b),
+                                         "--out", str(tmp_path / "b.svg")]),
+                          ("--config", ["oracle", "sym-radius"])):
+        code, _, err = run(capsys, *argv, removed, "1")
+        assert code == 1
+        assert "unrecognized arguments: %s 1" % removed in err
+    cfg = tmp_path / "c.json"
+    for key in ("mc_sigmas", "gap_threshold", "residual_threshold", "pathz"):
+        cfg.write_text(json.dumps({"verify": {key: 1}}))
+        code, _, err = run(capsys, "verify", "--config", str(cfg), "--boundary", str(b), *report)
+        assert code == 1
+        assert key in err
+
+
+def _option_strings(command):
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(o for a in subs.choices[command]._actions for o in a.option_strings)
+
+
+def test_option_surface():
+    assert _option_strings("verify") == ["--boundary", "--config", "--help", "--n-rays",
+                                         "--paths", "--report", "--scan-n", "--seed", "-h"]
+    assert _option_strings("plot") == ["--boundary", "--config", "--help", "--out", "-h"]
+    assert _option_strings("oracle") == ["--d", "--help", "--r", "-h"]
 
 
 def test_plot_from_metadata(tmp_path, capsys):

@@ -147,7 +147,7 @@ def test_class_check_detects_violations(p_sym, grid64):
     # asymmetric wobble above tolerance
     radii = np.full(64, R)
     radii[1] += 1e-2
-    rep = class_membership_check(p_sym, StarBoundary(grid64, radii), tol=1e-6)
+    rep = class_membership_check(p_sym, StarBoundary(grid64, radii))
     assert not rep.symmetry_ok
     # unbounded-cap violation
     radii = np.full(64, 100.0 * p_sym.beta)

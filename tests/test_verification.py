@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -451,6 +452,9 @@ def test_run_verification_report(p_sym, bnd_sym):
     assert rep.mc_stderr <= 1e-12 * rep.mc_value
     assert rep.reconstructed_value == pytest.approx(V0_SYM_2D_R1, abs=1e-3)
     assert rep.class_check.passed
+    assert rep.checks == {"class_check": True, "residual": True, "majorant": True,
+                          "mc_consistency": True}
+    assert rep.passed
 
 
 def test_run_verification_with_mc(p_sym, bnd_sym):
@@ -462,8 +466,20 @@ def test_run_verification_with_mc(p_sym, bnd_sym):
     assert abs(rep.mc_value - rep.reconstructed_value) <= tol
 
 
+def test_run_verification_verdict_on_shrunk_boundary(p_sym, bnd_sym):
+    shrunk = run_verification(p_sym, StarBoundary(bnd_sym.grid, 0.8 * bnd_sym.radii),
+                              mc=MCConfig(paths=2000, seed=8), scan_n=10, n_rays=240)
+    assert shrunk.checks["residual"] is False
+    assert not shrunk.passed
+    # from the disc's centre the stderr is 0, so price the 4 sigma on a stand-in too
+    for r in (shrunk, dataclasses.replace(shrunk, mc_stderr=0.01)):
+        bias = r.mc_walk["shell"] * r.mc_walk["lipschitz"]
+        assert r.mc_tolerance == 4.0 * r.mc_stderr + bias
+        assert r.residual_max == float(np.max(np.abs(r.boundary_residuals)))
+
+
 def test_d3_symmetric_reconstruction(p3_sym, bnd3_sym):
-    # d = 3 reconstruction goes through the MC route inside green_integral
+    # d = 3 reconstruction goes through the MC route inside value
     xb = bnd3_sym.cartesian_points(p3_sym)[40]
     gb = p3_sym.reward(xb)
     assert value(p3_sym, bnd3_sym, xb, mc_samples=400000, seed=9) == pytest.approx(
