@@ -5,7 +5,10 @@ accurate for the smooth periodic integrands that arise here); d = 3 a
 product of Gauss-Legendre in the cosine of latitude and trapezoid in
 longitude.  Node order is the memory layout the solver and the Monte
 Carlo boundary interpolation both rely on: ascending angle for d = 2,
-latitude-major for d = 3.
+latitude-major for d = 3.  `SphereGrid.reflection_orbits` groups the
+nodes into the orbits of the coordinate flips that map the grid onto
+itself; the solver takes one unknown per orbit and the class check
+requires the radii to be constant on each.
 """
 
 from __future__ import annotations
@@ -58,6 +61,28 @@ class SphereGrid:
         if self.d != 2:
             raise ValueError("angles are defined for d = 2 grids")
         return np.mod(np.arctan2(self.nodes[:, 1], self.nodes[:, 0]), 2.0 * np.pi)
+
+    def reflection_orbits(self):
+        """Orbits of the nodes under the coordinate flips the grid supports.
+
+        A flip x_k -> -x_k is supported when it maps every node onto a
+        grid node (to 1e-9) of the same weight (to 1e-12 relative), so
+        that it maps the quadrature rule onto itself.  Returns
+        (representatives, orbit_of): the smallest node index of each
+        orbit in ascending order, and the orbit index of every node.
+        """
+        label = np.arange(self.n)
+        for axis in range(self.d):
+            flipped = self.nodes.copy()
+            flipped[:, axis] = -flipped[:, axis]
+            d2 = ((flipped[:, None, :] - self.nodes[None, :, :]) ** 2).sum(axis=2)
+            perm = np.argmin(d2, axis=1)
+            if (np.max(np.sqrt(d2[np.arange(self.n), perm])) <= 1e-9
+                    and np.allclose(self.weights[perm], self.weights, rtol=1e-12, atol=0.0)):
+                # the flips commute, so one pass over them reaches the whole group
+                label = np.minimum(label, label[perm])
+        representatives, orbit_of = np.unique(label, return_inverse=True)
+        return representatives, orbit_of
 
 
 def make_circle_grid(n: int) -> SphereGrid:

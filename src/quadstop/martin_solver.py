@@ -8,8 +8,15 @@ e^{a.y} (r - L)g over the continuation set vanishes for every a with
 
 where m_d(rho, gamma; beta) = int_0^rho e^{gamma s}(s^2 - beta^2)
 s^{d-1} ds is the radial moment and gamma couples a boundary node
-omega_i to a test direction omega'_j.  The solver assembles the square
-system on a sphere grid, with the grid's own nodes as test directions.
+omega_i to a test direction omega'_j.  The discretization takes the
+grid's own nodes as test directions.  For the diagonal reward gamma is
+invariant under every coordinate flip, and so are these equations and
+their solution; the solver therefore takes one radius per reflection
+orbit of the grid (`SphereGrid.reflection_orbits`) as unknowns and one
+representative node per orbit as test direction, with every sum over
+boundary nodes still taken over the whole grid.  The square system on
+the orbits has the nodal Levenberg-Marquardt iterates (see `_lm_solve`)
+at n x n_orbits moments per assembly instead of n^2.
 m_d is a difference of two Kummer functions,
 int_0^rho e^{gamma s} s^n ds = rho^{n+1} M(n+1, n+2, gamma rho)/(n+1)
 (DLMF 13.4.1), one formula for every sign and size of gamma rho that
@@ -77,11 +84,6 @@ class SolveReport:
     homotopy_trace: tuple = field(default=())
 
 
-def _gamma_matrix(p: QuadraticProblem, nodes) -> np.ndarray:
-    """gamma(omega_i, omega'_j): nodes in rows, the same nodes as test directions in columns."""
-    return np.sqrt(2.0 * p.r) * (nodes / p.sqrt_lam) @ nodes.T
-
-
 def radial_moment(d: int, rho, gam, beta: float):
     """m_d(rho, gamma; beta) = int_0^rho e^{gamma s}(s^2 - beta^2) s^{d-1} ds.
 
@@ -109,14 +111,64 @@ def radial_moment_drho(d: int, rho, gam, beta: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _residual_parts(p, weights, gam_matrix, rho):
-    m = radial_moment(p.d, rho[:, None], gam_matrix, p.beta)
-    res = weights @ m
-    scale = float(np.max(np.abs(m).T @ weights))
-    return res, scale
+class _OrbitSystem:
+    """The Martin equations of one problem, reduced to the grid's reflection orbits.
+
+    Unknowns are one radius per orbit and test directions one
+    representative node per orbit; every sum over boundary nodes still
+    runs over all n nodes, so one assembly costs n x n_orbits moments.
+    """
+
+    def __init__(self, p, grid, orbits):
+        reps, self.orbit_of = orbits
+        self.p = p
+        self.w = grid.weights
+        self.size = np.bincount(self.orbit_of).astype(float)
+        # members[o, i] = 1 for the nodes i of orbit o
+        self.members = np.zeros((reps.size, grid.n))
+        self.members[self.orbit_of, np.arange(grid.n)] = 1.0
+        self.w_rep = self.w[reps]
+        # row o stands for the |o| equal equations of its orbit, each of weight w_o
+        self.row_w = np.sqrt(self.size * self.w_rep)
+        # gamma(omega_i, omega'_o): all nodes in rows, representatives in columns
+        self.gam = np.sqrt(2.0 * p.r) * (grid.nodes / p.sqrt_lam) @ grid.nodes[reps].T
+
+    def residual(self, x):
+        """(R_o, scale): R at each representative and max_j sum_i w_i |m_d|."""
+        m = radial_moment(self.p.d, x[self.orbit_of][:, None], self.gam, self.p.beta)
+        return self.w @ m, float(np.max(np.abs(m).T @ self.w))
+
+    def linearization(self, x):
+        """(J, D): weighted reduced Jacobian and the nodal damping diagonal per orbit.
+
+        J[o, q] = sqrt(|o| w_o) sum_{i in q} w_i dm(i, o), the nodal
+        Jacobian's row at o's representative with the columns of q's
+        members summed.  D[q] is the nodal diag(J'J) per unit node weight
+        at any member of q; the nodal column of node i in q holds
+        w_q^2 dm(i, t')^2 w_t' for every test direction t', and summing
+        over t' in an orbit t equals |t|/|q| sum_{i in q} dm(i, t)^2.
+        """
+        dm = radial_moment_drho(self.p.d, x[self.orbit_of][:, None], self.gam, self.p.beta)
+        jac = self.row_w[:, None] * (self.members @ (self.w[:, None] * dm)).T
+        col_sq = (self.w_rep ** 2 / self.size) * ((self.members @ (dm * dm))
+                                                  @ (self.size * self.w_rep))
+        # per unit node weight (identical to diag(J'J) on uniform grids): raw
+        # column norms carry the square of the node weight, and damping against
+        # that injects 1/w_i ripple on anisotropic product grids
+        return jac, col_sq * (self.w.mean() / self.w_rep)
+
+    def step(self, res, jac, dmp, mu):
+        """Damped step: min ||J delta + sqrt(|o| w_o) R||^2 + delta' |o| (mu D + 1e-30) delta.
+
+        Solved in augmented form: the kernel smooths, so J is badly
+        conditioned and forming J'J would square that.
+        """
+        aug = np.vstack([jac, np.diag(np.sqrt(self.size * (mu * dmp + 1e-30)))])
+        rhs = np.concatenate([-(self.row_w * res), np.zeros(res.size)])
+        return lstsq(aug, rhs, lapack_driver="gelsy")[0]
 
 
-def _lm_solve(p, grid, rho0, cfg):
+def _lm_solve(p, grid, orbits, x0, cfg):
     """Levenberg-Marquardt descent of the weighted residual with projection.
 
     Each test equation carries the square root of its direction's
@@ -130,43 +182,40 @@ def _lm_solve(p, grid, rho0, cfg):
     symmetric; both reduce to the plain Levenberg-Marquardt equations on
     uniform grids.  Convergence is still judged on the unweighted
     residual against residual_tol.
+
+    The unknowns are the radii of the grid's reflection orbits, x0 and
+    the result one per orbit.  For a diagonal reward gamma is invariant
+    under every coordinate flip, so at a flip-symmetric state the
+    residual is equal across each orbit of test directions, and the
+    nodal damped step, the unique minimizer of a flip-invariant
+    problem, is itself symmetric.  Restricted to symmetric steps, the
+    nodal objective is sum_o |o| w_o R_o^2 and the nodal damping term
+    is sum_o |o| (mu D_o + 1e-30) delta_o^2.  The reduced step is
+    therefore the nodal step, iterate for iterate up to rounding, and
+    the largest residual over the representatives is the largest over
+    all test directions.
     """
-    beta = p.beta
-    lo = beta * (1.0 + 1e-6)
-    hi = RADIUS_CAP * beta
-    gm = _gamma_matrix(p, grid.nodes)
-    w = grid.weights
-    rw = np.sqrt(w)
-    rho = np.clip(np.asarray(rho0, dtype=float), lo, hi)
-    res, scale = _residual_parts(p, w, gm, rho)
+    lo = p.beta * (1.0 + 1e-6)
+    hi = RADIUS_CAP * p.beta
+    system = _OrbitSystem(p, grid, orbits)
+    rw = system.row_w
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    res, scale = system.residual(x)
     obj = (rw * res) @ (rw * res)
     mu = _DAMPING
     step_inf = np.inf
     iterations = 0
     while np.max(np.abs(res)) > cfg.residual_tol * scale and iterations < cfg.max_iterations:
         iterations += 1
-        dm = radial_moment_drho(p.d, rho[:, None], gm, beta)
-        jac = rw[:, None] * (w[:, None] * dm).T
-        col_sq = (jac * jac).sum(axis=0)
-        # damping metric: diag(J'J) per unit node weight (identical to
-        # diag(J'J) on uniform grids).  Raw column norms carry the square
-        # of the node weight, and damping against that injects 1/w_i
-        # ripple on anisotropic product grids; see _lm_solve docstring.
-        dmp = col_sq * (w.mean() / w)
-        rhs = np.concatenate([-(rw * res), np.zeros(rho.size)])
+        jac, dmp = system.linearization(x)
         accepted = False
         for _ in range(60):
-            # damped step min ||J delta + R||^2 + delta' (mu D + 1e-30 I) delta,
-            # solved in augmented form: the kernel smooths, so J is badly
-            # conditioned and forming J'J would square that
-            aug = np.vstack([jac, np.diag(np.sqrt(mu * dmp + 1e-30))])
-            delta = lstsq(aug, rhs, lapack_driver="gelsy")[0]
-            cand = np.clip(rho + delta, lo, hi)
-            res_c, scale_c = _residual_parts(p, w, gm, cand)
+            cand = np.clip(x + system.step(res, jac, dmp, mu), lo, hi)
+            res_c, scale_c = system.residual(cand)
             obj_c = (rw * res_c) @ (rw * res_c)
             if obj_c < obj:
-                step_inf = float(np.max(np.abs(cand - rho)))
-                rho, res, scale, obj = cand, res_c, scale_c, obj_c
+                step_inf = float(np.max(np.abs(cand - x)))
+                x, res, scale, obj = cand, res_c, scale_c, obj_c
                 mu = max(mu / 3.0, 1e-14)
                 accepted = True
                 break
@@ -181,7 +230,7 @@ def _lm_solve(p, grid, rho0, cfg):
         step_inf_norm=float(step_inf),
         residual_scale=scale,
     )
-    return rho, report
+    return x, report
 
 
 def solve_boundary(p: QuadraticProblem, grid: SphereGrid,
@@ -197,21 +246,23 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid,
         cfg = SolveConfig()
     if p.d != grid.d:
         raise ValueError("problem dimension %d != grid dimension %d" % (p.d, grid.d))
+    orbits = grid.reflection_orbits()
+    reps, orbit_of = orbits
     if cfg.homotopy_steps == 0:
-        rho, report = _lm_solve(p, grid, np.full(grid.n, _INIT_FACTOR * p.beta), cfg)
-        return StarBoundary(grid, rho), report
+        x, report = _lm_solve(p, grid, orbits, np.full(reps.size, _INIT_FACTOR * p.beta), cfg)
+        return StarBoundary(grid, x[orbit_of]), report
 
     lam_target = p.lam
     lam_start = np.full(p.d, lam_target.mean())
     # symmetric-problem boundary in affine polar radius: rho = sqrt(lambda) R
-    rho = np.full(grid.n, float(np.sqrt(lam_start[0]) * symmetric_radius(p.d, p.r)))
+    x = np.full(reps.size, float(np.sqrt(lam_start[0]) * symmetric_radius(p.d, p.r)))
     trace = []
     iterations = 0
     for k in range(1, cfg.homotopy_steps + 1):
         t = k / cfg.homotopy_steps
         lam_k = (1.0 - t) * lam_start + t * lam_target
         p_k = QuadraticProblem(p.r, tuple(lam_k))
-        rho, report = _lm_solve(p_k, grid, rho, cfg)
+        x, report = _lm_solve(p_k, grid, orbits, x, cfg)
         iterations += report.iterations
         trace.append((tuple(lam_k), report.residual_inf_norm))
         if not report.converged:
@@ -219,8 +270,7 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid,
     report = replace(report, iterations=iterations, homotopy_trace=tuple(trace))
     if k < cfg.homotopy_steps:
         # an intermediate stage failed: judge its radii against the target problem
-        gm = _gamma_matrix(p, grid.nodes)
-        res, scale = _residual_parts(p, grid.weights, gm, rho)
+        res, scale = _OrbitSystem(p, grid, orbits).residual(x)
         report = replace(report, residual_inf_norm=float(np.max(np.abs(res))),
                          residual_scale=scale)
-    return StarBoundary(grid, rho), report
+    return StarBoundary(grid, x[orbit_of]), report

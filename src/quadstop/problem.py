@@ -197,24 +197,6 @@ class ClassCheckReport:
                 and self.star_shaped_ok and self.symmetry_ok and self.box_ok)
 
 
-def _sign_flip_permutations(nodes: np.ndarray):
-    """Index maps sending each node to its image under coordinate flips.
-
-    Yields one permutation per single-axis reflection, provided the
-    grid is invariant under it (every flipped node matches a grid node
-    to 1e-9); non-invariant flips are skipped since there is nothing to
-    compare.
-    """
-    d = nodes.shape[1]
-    for axis in range(d):
-        flipped = nodes.copy()
-        flipped[:, axis] = -flipped[:, axis]
-        d2 = ((flipped[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2)
-        perm = np.argmin(d2, axis=1)
-        if np.max(np.sqrt(d2[np.arange(len(perm)), perm])) <= 1e-9:
-            yield perm
-
-
 def class_membership_check(p: QuadraticProblem, b: StarBoundary) -> ClassCheckReport:
     """Checks that a boundary describes an admissible continuation set.
 
@@ -222,7 +204,8 @@ def class_membership_check(p: QuadraticProblem, b: StarBoundary) -> ClassCheckRe
     radii under RADIUS_CAP * beta), contains the negative set (rho_i >= beta),
     is star-shaped (structural: the rho(omega) parametrization cannot
     express anything else), is symmetric under every coordinate
-    reflection the grid supports, and, for d = 2, stays out of the
+    reflection the grid supports (the radii are constant on each of
+    `SphereGrid.reflection_orbits`), and, for d = 2, stays out of the
     far-quadrant box {|x_small| >= alpha^2 R, |x_big| >= R} that is
     provably inside the stopping region (R the symmetric-case radius,
     alpha^2 the ratio of reward coefficients).
@@ -244,9 +227,13 @@ def class_membership_check(p: QuadraticProblem, b: StarBoundary) -> ClassCheckRe
     violations.append(cap_viol)
     star_shaped_ok = True  # structural: single-valued rho(omega) about 0
 
-    sym_viol = 0.0
-    for perm in _sign_flip_permutations(b.grid.nodes):
-        sym_viol = max(sym_viol, float(np.max(np.abs(rho - rho[perm]))))
+    # spread of the radii over each reflection orbit of the grid
+    _, orbit_of = b.grid.reflection_orbits()
+    orbit_hi = np.full(orbit_of.max() + 1, -np.inf)
+    orbit_lo = np.full(orbit_of.max() + 1, np.inf)
+    np.maximum.at(orbit_hi, orbit_of, rho)
+    np.minimum.at(orbit_lo, orbit_of, rho)
+    sym_viol = float(np.max(orbit_hi - orbit_lo))
     symmetry_ok = sym_viol <= CLASS_TOL
     violations.append(sym_viol)
 

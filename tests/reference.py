@@ -16,7 +16,8 @@ predicts:
 * the audit of an alternative published form of the radial moment;
 * small conveniences with no caller in the package: K_nu unscaled and
   in log form, affine polar coordinates of a point, the negative set,
-  and the Martin residual and Jacobian of a given boundary.
+  and the full n x n Martin residual and Jacobian of a given boundary,
+  with every grid node a test direction.
 
 One-dimensional integrals go through `quad`, scipy's QUADPACK with its
 accuracy warnings raised as errors, so a reference never returns a value
@@ -33,8 +34,7 @@ from scipy.linalg import solve_banded
 
 from quadstop.kernels import (KillingConfig, MartinDirection, _point, green_kernel_radial,
                               green_kernel_radial_ds)
-from quadstop.martin_solver import (_gamma_matrix, _residual_parts, radial_moment,
-                                    radial_moment_drho)
+from quadstop.martin_solver import radial_moment, radial_moment_drho
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
 from quadstop.specfun import bessel_I, bessel_K_scaled
 from quadstop.verification import _GL16_W, _GL16_X, MCConfig, _chunked_mean
@@ -94,21 +94,25 @@ def gamma(p: QuadraticProblem, omega, omega_prime) -> float:
     return float(np.sqrt(2.0 * p.r) * (omega / p.sqrt_lam) @ omega_prime)
 
 
+def gamma_matrix(p: QuadraticProblem, nodes) -> np.ndarray:
+    """gamma(omega_i, omega'_j) with every node both a boundary node (row) and a test direction."""
+    nodes = np.asarray(nodes, dtype=float)
+    return np.sqrt(2.0 * p.r) * (nodes / p.sqrt_lam) @ nodes.T
+
+
 def assemble_residual(p: QuadraticProblem, b: StarBoundary) -> np.ndarray:
-    """R_j = sum_i w_i m_d(rho_i, gamma_ij; beta), one entry per test direction."""
+    """R_j = sum_i w_i m_d(rho_i, gamma_ij; beta), one entry per test direction (all n nodes)."""
     if p.d != b.grid.d:
         raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
-    gm = _gamma_matrix(p, b.grid.nodes)
-    res, _ = _residual_parts(p, b.grid.weights, gm, b.radii)
-    return res
+    m = radial_moment(p.d, b.radii[:, None], gamma_matrix(p, b.grid.nodes), p.beta)
+    return b.grid.weights @ m
 
 
 def assemble_jacobian(p: QuadraticProblem, b: StarBoundary) -> np.ndarray:
-    """J[j, i] = w_i * d m_d / d rho at (rho_i, gamma_ij)."""
+    """J[j, i] = w_i * d m_d / d rho at (rho_i, gamma_ij), the full n x n matrix."""
     if p.d != b.grid.d:
         raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
-    gm = _gamma_matrix(p, b.grid.nodes)
-    dm = radial_moment_drho(p.d, b.radii[:, None], gm, p.beta)
+    dm = radial_moment_drho(p.d, b.radii[:, None], gamma_matrix(p, b.grid.nodes), p.beta)
     return (b.grid.weights[:, None] * dm).T
 
 

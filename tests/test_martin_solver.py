@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import quadstop as q
+import quadstop.martin_solver as ms
 from quadstop.grids import make_circle_grid, make_sphere_grid
 from quadstop.martin_solver import (SolveConfig, radial_moment, radial_moment_drho,
                                     solve_boundary)
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
-from reference import (alt_radial_forms, assemble_jacobian, assemble_residual, gamma, quad,
-                       radial_form_audit)
+from reference import (alt_radial_forms, assemble_jacobian, assemble_residual, gamma,
+                       gamma_matrix, quad, radial_form_audit)
 
 M2_RHO1_GAM1_BETA2 = -3.436563656918091  # 2 - 2e
 
@@ -268,7 +269,6 @@ def test_solve_non_convergence_is_reported(grid64):
 
 
 def test_solve_iterations_count_every_stage(p_14, grid64, monkeypatch):
-    import quadstop.martin_solver as ms
     calls = []
     real = ms.radial_moment_drho
 
@@ -297,6 +297,118 @@ def test_failed_homotopy_stage_reports_target_residual():
     assert rep.residual_scale == pytest.approx(np.max(np.abs(m).T @ grid.weights), rel=1e-12)
     # the failed stage's own residual is much smaller than the target's
     assert rep.homotopy_trace[0][1] < 1e-3 * rep.residual_inf_norm
+
+
+def _flip_permutations(grid):
+    # node index of every node's mirror image, one map per coordinate flip the grid has
+    perms = []
+    for axis in range(grid.d):
+        flipped = grid.nodes.copy()
+        flipped[:, axis] *= -1.0
+        dist = np.linalg.norm(flipped[:, None, :] - grid.nodes[None, :, :], axis=2)
+        if np.all(dist.min(axis=1) <= 1e-9):
+            perms.append(np.argmin(dist, axis=1))
+    return perms
+
+
+ORBIT_CASES = [  # (problem, grid, number of orbits)
+    (QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64), 17),
+    (QuadraticProblem(0.3, (1.0, 4.0)), make_circle_grid(62), 16),
+    (QuadraticProblem(1.0, (1.0, 9.0)), make_circle_grid(31), 16),   # only the y flip
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16), 20),
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(7, 12), 16),  # odd n_lat
+]
+
+
+@pytest.mark.parametrize("p, grid, n_orbits", ORBIT_CASES)
+def test_reflection_orbits(p, grid, n_orbits):
+    reps, orbit_of = grid.reflection_orbits()
+    assert reps.size == n_orbits
+    assert np.array_equal(orbit_of[reps], np.arange(n_orbits))
+    assert np.all(reps == [np.flatnonzero(orbit_of == o).min() for o in range(n_orbits)])
+    perms = _flip_permutations(grid)
+    assert len(perms) == (1 if grid.n == 31 else grid.d)
+    images = np.arange(grid.n)[:, None]   # each node's images under the group of flips
+    for perm in perms:
+        images = np.concatenate([images, perm[images]], axis=1)
+    for i in range(grid.n):
+        assert set(images[i]) == set(np.flatnonzero(orbit_of == orbit_of[i]))
+
+
+@pytest.mark.parametrize("p, grid, n_orbits", ORBIT_CASES)
+def test_orbit_system_is_the_contracted_nodal_system(p, grid, n_orbits):
+    orbits = grid.reflection_orbits()
+    reps, orbit_of = orbits
+    size = np.bincount(orbit_of)
+    x = p.beta * np.random.default_rng(grid.n).uniform(1.05, 1.6, n_orbits)
+    b = StarBoundary(grid, x[orbit_of])
+    w = grid.weights
+    system = ms._OrbitSystem(p, grid, orbits)
+
+    def close(got, ref, tol):
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+    # residual: the full one is constant on orbits of test directions
+    full_res = assemble_residual(p, b)
+    res, scale = system.residual(x)
+    close(res, full_res[reps], 1e-13)
+    close(res[orbit_of], full_res, 1e-13)
+    m = radial_moment(p.d, b.radii[:, None], gamma_matrix(p, grid.nodes), p.beta)
+    assert scale == pytest.approx(np.max(np.abs(m).T @ w), rel=1e-13)
+    # Jacobian: representatives' rows of the weighted nodal one, columns summed per orbit
+    full_jac = np.sqrt(w)[:, None] * assemble_jacobian(p, b)
+    contracted = np.zeros((n_orbits, n_orbits))
+    for q in range(n_orbits):
+        contracted[:, q] = full_jac[reps][:, orbit_of == q].sum(axis=1)
+    jac, dmp = system.linearization(x)
+    close(jac, np.sqrt(size)[:, None] * contracted, 1e-13)
+    # damping: the nodal diag(J'J) per unit node weight, equal on every orbit member
+    full_dmp = (full_jac ** 2).sum(axis=0) * (w.mean() / w)
+    close(dmp, full_dmp[reps], 1e-13)
+    close(dmp[orbit_of], full_dmp, 1e-13)
+    # one damped step equals the nodal step of the full augmented system
+    for mu in (1e-3, 1.0):
+        aug = np.vstack([full_jac, np.diag(np.sqrt(mu * full_dmp + 1e-30))])
+        rhs = np.concatenate([-np.sqrt(w) * full_res, np.zeros(grid.n)])
+        nodal = np.linalg.lstsq(aug, rhs, rcond=None)[0]
+        close(system.step(res, jac, dmp, mu)[orbit_of], nodal, 1e-10)
+
+
+@pytest.mark.parametrize("p, grid", [
+    (QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64)),
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(16, 32)),
+])
+def test_orbit_solve_is_symmetric_and_converged_everywhere(p, grid):
+    b, rep = solve_boundary(p, grid)
+    for perm in _flip_permutations(grid):
+        assert np.array_equal(b.radii[perm], b.radii)
+    assert rep.converged
+    # judged on the representatives only, yet every test direction meets the tolerance
+    full = np.max(np.abs(assemble_residual(p, b)))
+    assert full <= SolveConfig().residual_tol * rep.residual_scale * (1.0 + 1e-12)
+
+
+def test_solver_layers_go_through_module_attributes(monkeypatch):
+    # the benchmark's per-layer counters wrap these three attributes; an inlined
+    # call would silently zero radial_moment_entries or lstsq_flops
+    p, grid = QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64)
+    n_orbits = grid.reflection_orbits()[0].size
+    moment_shape = lambda a: np.broadcast(np.asarray(a[1]), np.asarray(a[2])).shape  # noqa: E731
+    shape_of = {"radial_moment": moment_shape, "radial_moment_drho": moment_shape,
+                "lstsq": lambda a: np.shape(a[0])}
+    seen = {name: [] for name in shape_of}
+    for name in shape_of:
+        def counted(*args, _real=getattr(ms, name), _name=name, **kwargs):
+            seen[_name].append(shape_of[_name](args))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(ms, name, counted)
+    _, rep = solve_boundary(p, grid)
+    assert rep.converged
+    assert len(seen["radial_moment_drho"]) == rep.iterations
+    assert len(seen["lstsq"]) >= rep.iterations
+    assert len(seen["radial_moment"]) == len(seen["lstsq"]) + len(rep.homotopy_trace)
+    assert set(seen["radial_moment"]) == set(seen["radial_moment_drho"]) == {(grid.n, n_orbits)}
+    assert set(seen["lstsq"]) == {(2 * n_orbits, n_orbits)}
 
 
 def test_solve_config_validation():
