@@ -4,16 +4,19 @@ Subcommands: solve, verify, plot, kernel, oracle.  Exit codes:
 0 success, 1 usage or I/O error, 2 solver non-convergence (outputs are
 still written with diagnostics), 3 verification below thresholds.
 
-Every subcommand but oracle accepts --config pointing at a JSON file;
-flags override config values, which override the library's defaults.
-verify and plot take the problem from the boundary file, never from
-flags or config; verify's verdict is `VerificationReport.passed`.
+Every subcommand but oracle accepts --config pointing at a JSON file.
+`_CONFIG_FLAGS` maps each config key to the flag it stands for; one
+file may serve every subcommand, and a key that no subcommand knows is
+a usage error.  The file's values are parsed as flags placed before the
+user's own, so they are checked as the flags are, flags override them,
+and they override the library's defaults.  verify and plot take the
+problem from the boundary file, never from flags or config; verify's
+verdict is `VerificationReport.passed`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -43,52 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _load_config(path):
+def _vector(text):
+    """The argparse type of --lambdas, --a and --y: comma-separated numbers."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise CliError("config: %s" % exc)
-    except json.JSONDecodeError as exc:
-        raise CliError("%s: invalid JSON (%s)" % (path, exc))
-    if not isinstance(cfg, dict):
-        raise CliError("%s: config root must be a JSON object" % path)
-    return cfg
-
-
-def _cfg_get(cfg, dotted):
-    cur = cfg
-    for part in dotted.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            return None
-        cur = cur[part]
-    return cur
-
-
-def _pick(flag_value, cfg, dotted, default=None):
-    if flag_value is not None:
-        return flag_value
-    value = _cfg_get(cfg, dotted)
-    return default if value is None else value
-
-
-def _parse_vec(text, name):
-    try:
-        return [float(v) for v in str(text).split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
-        raise CliError("%s: expected comma-separated numbers, got %r" % (name, text))
+        raise argparse.ArgumentTypeError("expected comma-separated numbers, got %r" % text)
 
 
-def _problem_from(args, cfg):
-    r = _pick(args.r, cfg, "problem.r")
-    lambdas = args.lambdas
-    if lambdas is None:
-        lambdas = _cfg_get(cfg, "problem.lambdas")
-    else:
-        lambdas = _parse_vec(lambdas, "--lambdas")
-    if r is None or lambdas is None:
-        raise CliError("a problem needs --r and --lambdas (flags or config problem section)")
-    return load_problem({"r": r, "lambdas": lambdas})
+def _given(args, *names):
+    """The named settings that a flag or the config file set; the rest keep library defaults."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
 def _load_boundary(path):
@@ -98,47 +66,15 @@ def _load_boundary(path):
     return read_problem_csv(path), load_boundary_csv(path)
 
 
-def _grid_from(args, cfg, d):
-    if d == 2:
-        n = int(_pick(getattr(args, "n", None), cfg, "grid.n", 64))
-        return make_circle_grid(n)
-    n_lat = int(_pick(getattr(args, "n_lat", None), cfg, "grid.n_lat", 16))
-    n_lon = int(_pick(getattr(args, "n_lon", None), cfg, "grid.n_lon", 32))
-    return make_sphere_grid(n_lat, n_lon)
-
-
-def _settings(args, cfg, section, names):
-    """The `names` set by a flag or else by config `section`; other keys there are usage errors."""
-    found = _cfg_get(cfg, section) or {}
-    if not isinstance(found, dict):
-        raise CliError("%s config: expected a JSON object" % section)
-    unknown = sorted(set(found) - set(names))
-    if unknown:
-        raise CliError("%s config: unknown key %s (known: %s)"
-                       % (section, ", ".join(map(repr, unknown)), ", ".join(names)))
-    settings = {k: v for k, v in found.items() if v is not None}
-    for name in names:
-        if getattr(args, name) is not None:
-            settings[name] = getattr(args, name)
-    return settings
-
-
-_SOLVER_FIELDS = tuple(f.name for f in dataclasses.fields(SolveConfig))
-_VERIFY_KEYS = ("paths", "seed", "scan_n", "n_rays")
-
-
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    p = _problem_from(args, cfg)
-    grid = _grid_from(args, cfg, p.d)
-    try:
-        solve_cfg = SolveConfig(**_settings(args, cfg, "solver", _SOLVER_FIELDS))
-    except TypeError as exc:
-        raise CliError("solver config: %s" % exc)
-    boundary, report = solve_boundary(p, grid, solve_cfg)
-    out = _pick(args.out, cfg, "output.boundary_csv", "boundary.csv")
-    report_path = _pick(args.report, cfg, "output.report_json",
-                        os.path.splitext(out)[0] + ".report.json")
+    if args.r is None or args.lambdas is None:
+        raise CliError("a problem needs --r and --lambdas (flags or config problem section)")
+    p = load_problem({"r": args.r, "lambdas": args.lambdas})
+    grid = make_circle_grid(args.n) if p.d == 2 else make_sphere_grid(args.n_lat, args.n_lon)
+    boundary, report = solve_boundary(
+        p, grid, SolveConfig(**_given(args, "max_iterations", "homotopy_steps")))
+    out = args.out
+    report_path = args.report or os.path.splitext(out)[0] + ".report.json"
     save_boundary_csv(out, p, boundary)
     write_json_report(report_path, {
         "kind": "solve_report",
@@ -154,14 +90,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    settings = {k: int(v) for k, v in _settings(args, cfg, "verify", _VERIFY_KEYS).items()}
-    mc = MCConfig(**{k: settings.pop(k) for k in ("paths", "seed") if k in settings})
+    mc = MCConfig(**_given(args, "paths", "seed"))
     p, boundary = _load_boundary(args.boundary)
-    report = run_verification(p, boundary, mc, **settings)
-    report_path = _pick(args.report, cfg, "output.report_json", "verification.report.json")
+    report = run_verification(p, boundary, mc, **_given(args, "scan_n", "n_rays"))
     checks = report.checks
-    write_json_report(report_path, {
+    write_json_report(args.report, {
         "kind": "verification_report",
         "problem": {"r": p.r, "lambdas": list(p.lam)},
         "report": report,
@@ -172,117 +105,170 @@ def cmd_verify(args) -> int:
     })
     for name, ok in sorted(checks.items()):
         print("%s: %s" % (name, "pass" if ok else "FAIL"))
-    print("report=%s" % report_path)
+    print("report=%s" % args.report)
     return 0 if report.passed else 3
 
 
 def cmd_plot(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
     p, boundary = _load_boundary(args.boundary)
-    out = _pick(args.out, cfg, "output.plot_svg", "boundary.svg")
-    svg_boundary_plot(out, p, boundary)
-    print("plot=%s" % out)
+    svg_boundary_plot(args.out, p, boundary)
+    print("plot=%s" % args.out)
     return 0
 
 
 def cmd_kernel(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
     if args.which == "green":
-        r = float(_pick(args.r, cfg, "problem.r", 1.0))
-        d = int(args.d if args.d is not None else 2)
-        dist = args.dist
-        if dist is None:
+        if args.dist is None:
             raise CliError("kernel green needs --dist")
-        kcfg = KillingConfig(r, d)
-        print("%.12g" % green_kernel_radial(kcfg, float(dist)))
+        print("%.12g" % green_kernel_radial(KillingConfig(args.r, args.d), args.dist))
         return 0
-    if args.which == "martin":
-        r = float(_pick(args.r, cfg, "problem.r", 1.0))
-        if args.a is None or args.y is None:
-            raise CliError("kernel martin needs --a and --y")
-        a_vec = np.asarray(_parse_vec(args.a, "--a"), dtype=float)
-        y = np.asarray(_parse_vec(args.y, "--y"), dtype=float)
-        if a_vec.shape != y.shape:
-            raise CliError("--a and --y must have the same dimension")
-        kcfg = KillingConfig(r, a_vec.size)
-        direction = MartinDirection.from_unit(kcfg, a_vec)
-        print("%.12g" % martin_kernel(kcfg, direction, y))
-        return 0
-    raise CliError("unknown kernel %r" % args.which)
+    if args.a is None or args.y is None:
+        raise CliError("kernel martin needs --a and --y")
+    a_vec, y = np.asarray(args.a), np.asarray(args.y)
+    if a_vec.shape != y.shape:
+        raise CliError("--a and --y must have the same dimension")
+    kcfg = KillingConfig(args.r, a_vec.size)
+    direction = MartinDirection.from_unit(kcfg, a_vec)
+    print("%.12g" % martin_kernel(kcfg, direction, y))
+    return 0
 
 
 def cmd_oracle(args) -> int:
-    if args.which == "sym-radius":
-        r = float(args.r if args.r is not None else 1.0)
-        d = int(args.d if args.d is not None else 2)
-        print("%.12g" % symmetric_radius(d, r))
-        return 0
-    raise CliError("unknown oracle %r" % args.which)
+    print("%.12g" % symmetric_radius(args.d, args.r))
+    return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its values")
+# config key section.key -> the flag it stands for, per subcommand.  One file
+# may serve every subcommand: each takes its own keys and skips the others'.
+_CONFIG_FLAGS = {
+    "solve": {"problem.r": "--r", "problem.lambdas": "--lambdas", "grid.n": "--n",
+              "grid.n_lat": "--n-lat", "grid.n_lon": "--n-lon",
+              "solver.max_iterations": "--max-iterations",
+              "solver.homotopy_steps": "--homotopy-steps",
+              "output.boundary_csv": "--out", "output.report_json": "--report"},
+    "verify": {"verify.paths": "--paths", "verify.seed": "--seed", "verify.scan_n": "--scan-n",
+               "verify.n_rays": "--n-rays", "output.report_json": "--report"},
+    "plot": {"output.plot_svg": "--out"},
+    "kernel": {"problem.r": "--r"},
+}
+
+
+def _config_tokens(path, command):
+    """[(key, "--flag=value")] for each of `command`'s keys set in the JSON file at `path`.
+
+    Keys no subcommand knows are usage errors.  null means not set, and
+    problem.lambdas, the one list, is a JSON array.
+    """
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise CliError("config: %s" % exc)
+    except json.JSONDecodeError as exc:
+        raise CliError("%s: invalid JSON (%s)" % (path, exc))
+    if not isinstance(cfg, dict):
+        raise CliError("%s: config root must be a JSON object" % path)
+    known = set().union(*_CONFIG_FLAGS.values())
+    tokens = []
+    for section, entries in cfg.items():
+        if not isinstance(entries, dict):
+            raise CliError("%s: config section %r must be a JSON object" % (path, section))
+        for name, value in entries.items():
+            key = "%s.%s" % (section, name)
+            if key not in known:
+                raise CliError("%s: unknown config key %r (known: %s)"
+                               % (path, key, ", ".join(sorted(known))))
+            if key == "problem.lambdas" and isinstance(value, list):
+                value = ",".join(map(str, value))
+            elif isinstance(value, (dict, list)):
+                raise CliError("%s: config key %r needs a single value" % (path, key))
+            if value is not None and key in _CONFIG_FLAGS[command]:
+                tokens.append((key, "%s=%s" % (_CONFIG_FLAGS[command][key], value)))
+    return tokens
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="quadstop",
                      description="optimal stopping boundaries for quadratic rewards")
     subs = parser.add_subparsers(dest="command", required=True)
+    config_help = "JSON config file; flags override its values"
 
     s = subs.add_parser("solve", help="solve for the stopping boundary")
-    _add_common(s)
-    s.add_argument("--r", type=float, default=None, help="discount rate")
-    s.add_argument("--lambdas", default=None, help="comma-separated reward weights")
-    s.add_argument("--n", type=int, default=None, help="circle grid size (d = 2)")
-    s.add_argument("--n-lat", dest="n_lat", type=int, default=None)
-    s.add_argument("--n-lon", dest="n_lon", type=int, default=None)
-    s.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
-    s.add_argument("--residual-tol", dest="residual_tol", type=float, default=None)
-    s.add_argument("--homotopy-steps", dest="homotopy_steps", type=int, default=None)
-    s.add_argument("--out", default=None, help="boundary CSV path")
-    s.add_argument("--report", default=None, help="solve report JSON path")
+    s.add_argument("--config", help=config_help)
+    s.add_argument("--r", type=float, help="discount rate")
+    s.add_argument("--lambdas", type=_vector, help="comma-separated reward weights")
+    s.add_argument("--n", type=int, default=64, help="circle grid size (d = 2)")
+    s.add_argument("--n-lat", dest="n_lat", type=int, default=16)
+    s.add_argument("--n-lon", dest="n_lon", type=int, default=32)
+    s.add_argument("--max-iterations", dest="max_iterations", type=int,
+                   help="Levenberg-Marquardt steps per homotopy stage")
+    s.add_argument("--homotopy-steps", dest="homotopy_steps", type=int)
+    s.add_argument("--out", default="boundary.csv", help="boundary CSV path")
+    s.add_argument("--report", help="solve report JSON path")
     s.set_defaults(func=cmd_solve)
 
     s = subs.add_parser("verify", help="certify a boundary file")
-    _add_common(s)
+    s.add_argument("--config", help=config_help)
     s.add_argument("--boundary", required=True, help="boundary CSV to verify")
-    s.add_argument("--paths", type=int, default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--scan-n", dest="scan_n", type=int, default=None)
-    s.add_argument("--n-rays", dest="n_rays", type=int, default=None,
+    s.add_argument("--paths", type=int)
+    s.add_argument("--seed", type=int)
+    s.add_argument("--scan-n", dest="scan_n", type=int)
+    s.add_argument("--n-rays", dest="n_rays", type=int,
                    help="trapezoid nodes on the boundary curve, at least 8 per grid node")
-    s.add_argument("--report", default=None, help="verification report JSON path")
+    s.add_argument("--report", default="verification.report.json",
+                   help="verification report JSON path")
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("plot", help="render a boundary CSV to SVG")
-    _add_common(s)
+    s.add_argument("--config", help=config_help)
     s.add_argument("--boundary", required=True)
-    s.add_argument("--out", default=None)
+    s.add_argument("--out", default="boundary.svg")
     s.set_defaults(func=cmd_plot)
 
     s = subs.add_parser("kernel", help="evaluate a kernel at a point")
-    _add_common(s)
+    s.add_argument("--config", help=config_help)
     s.add_argument("which", choices=("green", "martin"))
-    s.add_argument("--r", type=float, default=None)
-    s.add_argument("--d", type=int, default=None)
-    s.add_argument("--dist", type=float, default=None)
-    s.add_argument("--a", default=None, help="direction, auto-normalized to |a|^2 = 2r")
-    s.add_argument("--y", default=None)
+    s.add_argument("--r", type=float, default=1.0)
+    s.add_argument("--d", type=int, default=2)
+    s.add_argument("--dist", type=float)
+    s.add_argument("--a", type=_vector, help="direction, auto-normalized to |a|^2 = 2r")
+    s.add_argument("--y", type=_vector)
     s.set_defaults(func=cmd_kernel)
 
     s = subs.add_parser("oracle", help="evaluate an analytic oracle")
     s.add_argument("which", choices=("sym-radius",))
-    s.add_argument("--r", type=float, default=None)
-    s.add_argument("--d", type=int, default=None)
+    s.add_argument("--r", type=float, default=1.0)
+    s.add_argument("--d", type=int, default=2)
     s.set_defaults(func=cmd_oracle)
 
     return parser
 
 
+def _parse(parser, argv):
+    """Parse argv, with the config file's values put in front of the user's own flags.
+
+    Argparse thus converts and checks a file value as it does the flag's,
+    and a flag given on the command line overrides it.  The values are
+    added one at a time, so that an error names its config key.
+    """
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    at = argv.index(args.command) + 1
+    head, tail = argv[:at], argv[at:]
+    for key, token in _config_tokens(args.config, args.command):
+        head.append(token)
+        try:
+            args = parser.parse_args(head + tail)
+        except CliError as exc:
+            raise CliError("%s: config key %r: %s" % (args.config, key, exc))
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -7,8 +7,9 @@ longitude.  Node order is the memory layout the solver and the Monte
 Carlo boundary interpolation both rely on: ascending angle for d = 2,
 latitude-major for d = 3.  `SphereGrid.reflection_orbits` groups the
 nodes into the orbits of the coordinate flips that map the grid onto
-itself; the solver takes one unknown per orbit and the class check
-requires the radii to be constant on each.
+itself, matching nodes by sorting their rounded coordinates; the solver
+takes one unknown per orbit and the class check requires the radii to
+be constant on each.
 """
 
 from __future__ import annotations
@@ -67,17 +68,28 @@ class SphereGrid:
 
         A flip x_k -> -x_k is supported when it maps every node onto a
         grid node (to 1e-9) of the same weight (to 1e-12 relative), so
-        that it maps the quadrature rule onto itself.  Returns
+        that it maps the quadrature rule onto itself.  Nodes are matched
+        by their coordinates rounded to 1e-9, sorted once per flip, so a
+        call costs O(n log n) time and O(n) memory.  Returns
         (representatives, orbit_of): the smallest node index of each
         orbit in ascending order, and the orbit index of every node.
         """
+        key = np.rint(self.nodes * 1e9).astype(np.int64)
         label = np.arange(self.n)
         for axis in range(self.d):
-            flipped = self.nodes.copy()
+            flipped = key.copy()
             flipped[:, axis] = -flipped[:, axis]
-            d2 = ((flipped[:, None, :] - self.nodes[None, :, :]) ** 2).sum(axis=2)
-            perm = np.argmin(d2, axis=1)
-            if (np.max(np.sqrt(d2[np.arange(self.n), perm])) <= 1e-9
+            # one id per distinct rounded point: nodes first, then their mirror images
+            ids = np.unique(np.concatenate([key, flipped]), axis=0,
+                            return_inverse=True)[1].ravel()
+            node_of = np.full(2 * self.n, -1)
+            node_of[ids[:self.n]] = np.arange(self.n)
+            perm = node_of[ids[self.n:]]
+            if np.any(perm < 0):
+                continue
+            image = self.nodes.copy()
+            image[:, axis] = -image[:, axis]
+            if (np.max(np.sqrt(((image - self.nodes[perm]) ** 2).sum(axis=1))) <= 1e-9
                     and np.allclose(self.weights[perm], self.weights, rtol=1e-12, atol=0.0)):
                 # the flips commute, so one pass over them reaches the whole group
                 label = np.minimum(label, label[perm])

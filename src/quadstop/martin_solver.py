@@ -48,12 +48,12 @@ __all__ = [
 _INIT_FACTOR = 1.3    # a cold start puts every radius at _INIT_FACTOR * beta
 _DAMPING = 1e-3       # initial Levenberg parameter
 _STEP_TOL = 1e-11     # stop when an accepted step moves no radius by more
+_RESIDUAL_TOL = 1e-9  # converged when max |R| <= _RESIDUAL_TOL * max_j sum_i w_i |m_d|
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    max_iterations: int = 200
-    residual_tol: float = 1e-9      # relative to the row scale max_j sum_i w_i |m_d|
+    max_iterations: int = 200       # per homotopy stage
     # anisotropic lambda makes the cold-start crawl (exponential residual
     # curvature keeps the damping high), so continuation is the default
     homotopy_steps: int = 4
@@ -61,8 +61,6 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be > 0")
         if self.homotopy_steps < 0:
             raise ValueError("homotopy_steps must be >= 0")
 
@@ -181,7 +179,7 @@ def _lm_solve(p, grid, orbits, x0, cfg):
     the damped step of a rotation-symmetric problem stays rotation
     symmetric; both reduce to the plain Levenberg-Marquardt equations on
     uniform grids.  Convergence is still judged on the unweighted
-    residual against residual_tol.
+    residual against _RESIDUAL_TOL.
 
     The unknowns are the radii of the grid's reflection orbits, x0 and
     the result one per orbit.  For a diagonal reward gamma is invariant
@@ -205,7 +203,7 @@ def _lm_solve(p, grid, orbits, x0, cfg):
     mu = _DAMPING
     step_inf = np.inf
     iterations = 0
-    while np.max(np.abs(res)) > cfg.residual_tol * scale and iterations < cfg.max_iterations:
+    while np.max(np.abs(res)) > _RESIDUAL_TOL * scale and iterations < cfg.max_iterations:
         iterations += 1
         jac, dmp = system.linearization(x)
         accepted = False
@@ -224,7 +222,7 @@ def _lm_solve(p, grid, orbits, x0, cfg):
             break
     residual_inf = float(np.max(np.abs(res)))
     report = SolveReport(
-        converged=residual_inf <= cfg.residual_tol * scale,
+        converged=residual_inf <= _RESIDUAL_TOL * scale,
         iterations=iterations,
         residual_inf_norm=residual_inf,
         step_inf_norm=float(step_inf),

@@ -25,9 +25,10 @@ def test_public_names_resolve():
 
 
 def test_solve_config_fields():
-    # the three solver settings a caller may set; everything else is a constant
+    # the two solver settings a caller may set; everything else, the residual
+    # tolerance included, is a constant
     names = [f.name for f in dataclasses.fields(quadstop.SolveConfig)]
-    assert names == ["max_iterations", "residual_tol", "homotopy_steps"]
+    assert names == ["max_iterations", "homotopy_steps"]
 
 
 def test_verification_report_fields():

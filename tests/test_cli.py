@@ -161,6 +161,11 @@ def test_removed_options_and_config_keys(tmp_path, capsys):
     run(capsys, "solve", "--r", "1", "--lambdas", "1,1", "--n", "16",
         "--out", str(b), "--report", str(tmp_path / "b.json"))
     report = ["--report", str(tmp_path / "v.json")]
+    solve = ["solve", "--r", "1", "--lambdas", "1,1", "--n", "16",
+             "--out", str(tmp_path / "s.csv"), "--report", str(tmp_path / "s.json")]
+    code, _, err = run(capsys, *solve, "--residual-tol", "1e-6")
+    assert code == 1
+    assert "unrecognized arguments: --residual-tol 1e-6" in err
     for removed, argv in (("--r", ["verify", "--boundary", str(b), *report]),
                           ("--residual-threshold", ["verify", "--boundary", str(b), *report]),
                           ("--lambdas", ["plot", "--boundary", str(b),
@@ -175,6 +180,11 @@ def test_removed_options_and_config_keys(tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--config", str(cfg), "--boundary", str(b), *report)
         assert code == 1
         assert key in err
+    cfg.write_text(json.dumps({"solver": {"residual_tol": 1e-6}}))
+    code, _, err = run(capsys, *solve, "--config", str(cfg))
+    assert code == 1
+    assert "solver.residual_tol" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def _option_strings(command):
@@ -244,6 +254,131 @@ def test_solver_config_keys(tmp_path, capsys):
                           "--n", "32", *out)
     assert code == 2
     assert "converged=False" in stdout
+
+
+@pytest.fixture
+def boundary_16(tmp_path_factory, capsys):
+    b = tmp_path_factory.mktemp("b16") / "b.csv"
+    assert run(capsys, "solve", "--r", "1", "--lambdas", "1,1", "--n", "16",
+               "--out", str(b), "--report", str(b) + ".json")[0] == 0
+    return str(b)
+
+
+def _command_lines(boundary):
+    return {"solve": ["solve", "--r", "1", "--lambdas", "1,4", "--n", "16"],
+            "verify": ["verify", "--boundary", boundary, *LIGHT_VERIFY],
+            "plot": ["plot", "--boundary", boundary],
+            "kernel": ["kernel", "green", "--dist", "1"]}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "plot", "kernel"])
+@pytest.mark.parametrize("cfg, key", [
+    ({"problem": {"r": 1, "lambdas": [1, 4], "lamdas": [1, 9]}}, "problem.lamdas"),
+    ({"grid": {"N": 128}}, "grid.N"),
+    ({"output": {"boundary": "x.csv"}}, "output.boundary"),
+    ({"solvers": {"max_iterations": 2}}, "solvers.max_iterations"),
+])
+def test_unknown_config_key_is_usage_error(tmp_path, monkeypatch, capsys, boundary_16,
+                                           command, cfg, key):
+    # every subcommand rejects a key that no subcommand knows, also in another's section
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *_command_lines(boundary_16)[command], "--config", str(path))
+    assert code == 1
+    assert repr(key) in err
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("command, cfg, key, flag", [
+    ("solve", {"grid": {"n": 32.9}}, "grid.n", ["--n", "32.9"]),
+    ("solve", {"solver": {"max_iterations": 2.5}}, "solver.max_iterations",
+     ["--max-iterations", "2.5"]),
+    ("verify", {"verify": {"paths": 2000.9}}, "verify.paths", ["--paths", "2000.9"]),
+    ("verify", {"verify": {"seed": True}}, "verify.seed", ["--seed", "True"]),
+])
+def test_config_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, boundary_16,
+                                              command, cfg, key, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = _command_lines(boundary_16)[command]
+    code, _, flag_err = run(capsys, *argv, *flag)
+    assert code == 1
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert code == 1
+    assert repr(key) in err
+    assert out == ""
+    # the same complaint as the flag's, attributed to the key
+    assert flag_err.splitlines()[-1].replace("error: ", "") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 4]", "config root must be a JSON object"),
+    ('{"grid": 32}', "config section 'grid' must be a JSON object"),
+    ('{"grid": {"n": [32]}}', "config key 'grid.n' needs a single value"),
+    ('{"output": {"boundary_csv": {"path": "b.csv"}}}',
+     "config key 'output.boundary_csv' needs a single value"),
+    ('{"grid": {"n": 32}', "invalid JSON"),
+])
+def test_config_file_shape(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "solve", "--r", "1", "--lambdas", "1,4", "--config", str(path))
+    assert code == 1
+    assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_kernel_green_takes_r_from_config(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"problem": {"r": 0.5, "lambdas": [1, 4]}}))
+    code, out, _ = run(capsys, "kernel", "green", "--config", str(cfg), "--d", "3",
+                       "--dist", "1.0")
+    assert code == 0
+    assert out.strip() == "0.0585498315243"
+    # the flag overrides the file
+    code, out_flag, _ = run(capsys, "kernel", "green", "--config", str(cfg), "--r", "1",
+                            "--d", "3", "--dist", "1.0")
+    _, out_plain, _ = run(capsys, "kernel", "green", "--r", "1", "--d", "3", "--dist", "1.0")
+    assert code == 0
+    assert out_flag == out_plain != out
+
+
+def test_plot_takes_svg_path_from_config(tmp_path, capsys, boundary_16):
+    svg = tmp_path / "from_cfg.svg"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"output": {"plot_svg": str(svg), "boundary_csv": None}}))
+    code, out, _ = run(capsys, "plot", "--config", str(cfg), "--boundary", boundary_16)
+    assert code == 0
+    assert out.strip() == "plot=%s" % svg
+    assert svg.read_text().startswith("<svg")
+
+
+def test_benchmark_wrapped_attributes_are_called(tmp_path, monkeypatch, capsys):
+    # perfbench/tracer.py times the CLI's layers by wrapping these attributes of
+    # quadstop.cli; an import that bypasses one would drop its layer from the trace
+    import quadstop.cli as cli
+    names = ("main", "save_boundary_csv", "load_boundary_csv", "read_problem_csv",
+             "write_json_report", "solve_boundary", "run_verification")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    b = tmp_path / "b.csv"
+    assert cli.main(["solve", "--r", "1", "--lambdas", "1,1", "--n", "16", "--out", str(b),
+                     "--report", str(tmp_path / "b.json")]) == 0
+    assert cli.main(["verify", "--boundary", str(b), "--report", str(tmp_path / "v.json"),
+                     *LIGHT_VERIFY]) == 0
+    capsys.readouterr()
+    assert calls == {"main": 2, "save_boundary_csv": 1, "load_boundary_csv": 1,
+                     "read_problem_csv": 1, "write_json_report": 2, "solve_boundary": 1,
+                     "run_verification": 1}
 
 
 def test_help_exits_zero(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,8 @@ ORBIT_CASES = [  # (problem, grid, number of orbits)
     (QuadraticProblem(1.0, (1.0, 9.0)), make_circle_grid(31), 16),   # only the y flip
     (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16), 20),
     (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(7, 12), 16),  # odd n_lat
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(24, 48), 156),
+    (QuadraticProblem(0.5, (1.0, 4.0, 16.0)), make_sphere_grid(13, 25), 91),  # no x flip
 ]
 
 
@@ -327,12 +330,25 @@ def test_reflection_orbits(p, grid, n_orbits):
     assert np.array_equal(orbit_of[reps], np.arange(n_orbits))
     assert np.all(reps == [np.flatnonzero(orbit_of == o).min() for o in range(n_orbits)])
     perms = _flip_permutations(grid)
-    assert len(perms) == (1 if grid.n == 31 else grid.d)
+    # an odd number of circle nodes or of longitudes has no x flip
+    assert len(perms) == grid.d - (grid.lat_shape or (grid.n,))[-1] % 2
     images = np.arange(grid.n)[:, None]   # each node's images under the group of flips
     for perm in perms:
         images = np.concatenate([images, perm[images]], axis=1)
     for i in range(grid.n):
         assert set(images[i]) == set(np.flatnonzero(orbit_of == orbit_of[i]))
+
+
+def test_reflection_orbits_need_no_dense_distance_array():
+    # a dense n x n x d match would take 32 MB at 24 x 48
+    grid = make_sphere_grid(24, 48)
+    tracemalloc.start()
+    try:
+        grid.reflection_orbits()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("p, grid, n_orbits", ORBIT_CASES)
@@ -385,7 +401,7 @@ def test_orbit_solve_is_symmetric_and_converged_everywhere(p, grid):
     assert rep.converged
     # judged on the representatives only, yet every test direction meets the tolerance
     full = np.max(np.abs(assemble_residual(p, b)))
-    assert full <= SolveConfig().residual_tol * rep.residual_scale * (1.0 + 1e-12)
+    assert full <= ms._RESIDUAL_TOL * rep.residual_scale * (1.0 + 1e-12)
 
 
 def test_solver_layers_go_through_module_attributes(monkeypatch):
@@ -412,8 +428,6 @@ def test_solver_layers_go_through_module_attributes(monkeypatch):
 
 
 def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(residual_tol=-1.0)
     with pytest.raises(ValueError):
         SolveConfig(homotopy_steps=-1)
 
