@@ -11,14 +11,13 @@ routes.
 """
 
 from .grids import SphereGrid, make_circle_grid, make_sphere_grid
-from .kernels import KillingConfig, MartinDirection, green_kernel, martin_kernel
+from .kernels import KillingConfig, MartinDirection, martin_kernel
 from .martin_solver import SolveConfig, SolveReport, solve_boundary
 from .problem import (
     ClassCheckReport,
     QuadraticProblem,
     StarBoundary,
     class_membership_check,
-    load_problem,
     symmetric_radius,
 )
 from .verification import (
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadraticProblem",
     "StarBoundary",
-    "load_problem",
     "ClassCheckReport",
     "class_membership_check",
     "symmetric_radius",
@@ -47,7 +45,6 @@ __all__ = [
     "solve_boundary",
     "KillingConfig",
     "MartinDirection",
-    "green_kernel",
     "martin_kernel",
     "MCConfig",
     "VerificationReport",

@@ -28,7 +28,7 @@ from .dataio import (load_boundary_csv, read_problem_csv, save_boundary_csv,
 from .grids import make_circle_grid, make_sphere_grid
 from .kernels import KillingConfig, MartinDirection, green_kernel_radial, martin_kernel
 from .martin_solver import SolveConfig, solve_boundary
-from .problem import load_problem, symmetric_radius
+from .problem import QuadraticProblem, symmetric_radius
 from .verification import THRESHOLDS, MCConfig, run_verification
 
 
@@ -69,7 +69,7 @@ def _load_boundary(path):
 def cmd_solve(args) -> int:
     if args.r is None or args.lambdas is None:
         raise CliError("a problem needs --r and --lambdas (flags or config problem section)")
-    p = load_problem({"r": args.r, "lambdas": args.lambdas})
+    p = QuadraticProblem(args.r, tuple(args.lambdas))
     grid = make_circle_grid(args.n) if p.d == 2 else make_sphere_grid(args.n_lat, args.n_lon)
     boundary, report = solve_boundary(
         p, grid, SolveConfig(**_given(args, "max_iterations", "homotopy_steps")))
@@ -147,7 +147,7 @@ _CONFIG_FLAGS = {
               "solver.homotopy_steps": "--homotopy-steps",
               "output.boundary_csv": "--out", "output.report_json": "--report"},
     "verify": {"verify.paths": "--paths", "verify.seed": "--seed", "verify.scan_n": "--scan-n",
-               "verify.n_rays": "--n-rays", "output.report_json": "--report"},
+               "verify.n_rays": "--n-rays"},
     "plot": {"output.plot_svg": "--out"},
     "kernel": {"problem.r": "--r"},
 }

@@ -53,7 +53,15 @@ def read_problem_csv(path) -> QuadraticProblem:
         for ln in fh:
             ln = ln.strip()
             if ln.startswith("# problem "):
-                fields = dict(tok.split("=", 1) for tok in ln[10:].split())
+                fields = {}
+                for tok in ln[10:].split():
+                    key, eq, value = tok.partition("=")
+                    if not eq:
+                        raise ValueError("%s: problem metadata %r is not key=value" % (path, tok))
+                    fields[key] = value
+                for key in ("r", "lambdas"):
+                    if key not in fields:
+                        raise ValueError("%s: problem metadata line lacks %s=" % (path, key))
                 r = float(fields["r"])
                 lam = tuple(float(v) for v in fields["lambdas"].split(","))
                 return QuadraticProblem(r, lam)
@@ -79,13 +87,18 @@ def load_boundary_csv(path) -> StarBoundary:
         return StarBoundary(grid, vals[:, 1])
     if header[:3] == ["lat_index", "lon_index", "rho"]:
         vals = np.array([[float(v) for v in row.split(",")] for row in data])
-        n_lat = int(vals[:, 0].max()) + 1
-        n_lon = int(vals[:, 1].max()) + 1
+        idx = vals[:, :2].astype(int)
+        if not np.array_equal(idx, vals[:, :2]) or np.any(idx < 0):
+            raise ValueError("%s: lat_index and lon_index must be integers >= 0" % path)
+        n_lat, n_lon = (int(v) + 1 for v in idx.max(axis=0))
         if vals.shape[0] != n_lat * n_lon:
             raise ValueError("%s: incomplete latitude/longitude grid" % path)
-        order = np.lexsort((vals[:, 1], vals[:, 0]))
-        grid = make_sphere_grid(n_lat, n_lon)
-        return StarBoundary(grid, vals[order, 2])
+        flat = idx[:, 0] * n_lon + idx[:, 1]
+        if np.unique(flat).size != flat.size:
+            raise ValueError("%s: duplicate (lat_index, lon_index) rows" % path)
+        radii = np.empty(flat.size)
+        radii[flat] = vals[:, 2]
+        return StarBoundary(make_sphere_grid(n_lat, n_lon), radii)
     raise ValueError("%s: unrecognized boundary header %r" % (path, ",".join(header)))
 
 

@@ -8,7 +8,8 @@ The Green kernel is
     G_r(x, y) = 2 (2 pi)^{-d/2} (s^2/(2r))^{(2-d)/4} K_{(d-2)/2}(s k),
 
 with s = |x - y| and k = sqrt(2r); d = 2 gives K_0(s k)/pi and d = 3
-the Yukawa kernel e^{-s k}/(2 pi s).
+the Yukawa kernel e^{-s k}/(2 pi s).  K_nu comes from scipy.special
+scaled, as e^u K_nu(u), since K_nu(u) underflows past u ~ 745.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .specfun import HalfIntOrder, bessel_K_scaled
+import scipy.special as sps
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class KillingConfig:
     def kappa(self) -> float:
         """sqrt(2r), the decay rate of every kernel here."""
         return float(np.sqrt(2.0 * self.r))
-
-    @property
-    def bessel_order(self) -> HalfIntOrder:
-        return HalfIntOrder(abs(self.d - 2))
 
 
 @dataclass(frozen=True)
@@ -77,14 +73,16 @@ class MartinDirection:
         return vec
 
 
-def _point(x, d, name="point"):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != d or not np.all(np.isfinite(x)):
-        raise ValueError("%s must be a finite vector of dimension %d" % (name, d))
-    return x
+def bessel_K_scaled(order: float, u):
+    """e^u K_order(u) for u > 0: Cephes k0e and k1e for orders 0 and 1, Amos's kve otherwise."""
+    if order == 0:
+        return sps.k0e(u)
+    if order == 1:
+        return sps.k1e(u)
+    return sps.kve(order, u)
 
 
-def _radial(cfg: KillingConfig, s, order: HalfIntOrder, factor: float):
+def _radial(cfg: KillingConfig, s, order: float, factor: float):
     """factor * 2 (2 pi)^{-d/2} (s^2/(2r))^{(2-d)/4} K_order(s kappa)."""
     s = np.asarray(s, dtype=float)
     if s.size and (not np.all(np.isfinite(s)) or np.any(s <= 0.0)):
@@ -99,7 +97,7 @@ def _radial(cfg: KillingConfig, s, order: HalfIntOrder, factor: float):
 
 def green_kernel_radial(cfg: KillingConfig, s):
     """Green kernel as a function of the distance s = |x - y| > 0."""
-    return _radial(cfg, s, cfg.bessel_order, 1.0)
+    return _radial(cfg, s, abs(cfg.d - 2) / 2, 1.0)
 
 
 def green_kernel_radial_ds(cfg: KillingConfig, s):
@@ -108,19 +106,7 @@ def green_kernel_radial_ds(cfg: KillingConfig, s):
     From d/du (u^{-nu} K_nu(u)) = -u^{-nu} K_{nu+1}(u) with nu = (d-2)/2;
     d = 2 gives -kappa K_1(s kappa)/pi.
     """
-    return _radial(cfg, s, HalfIntOrder(cfg.d), -cfg.kappa)
-
-
-def green_kernel(cfg: KillingConfig, x, y):
-    """Resolvent kernel G_r(x, y); y may be a batch with points in rows."""
-    x = _point(x, cfg.d, "x")
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != cfg.d:
-        raise ValueError("y has dimension %d, expected %d" % (y.shape[-1], cfg.d))
-    s = np.sqrt(((y - x) ** 2).sum(axis=-1))
-    if cfg.d >= 2 and np.any(s == 0.0):
-        raise ValueError("green_kernel is singular on the diagonal for d >= 2")
-    return green_kernel_radial(cfg, s)
+    return _radial(cfg, s, cfg.d / 2, -cfg.kappa)
 
 
 def martin_kernel(cfg: KillingConfig, a, y):

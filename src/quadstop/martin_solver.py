@@ -102,7 +102,7 @@ def radial_moment(d: int, rho, gam, beta: float):
 def radial_moment_drho(d: int, rho, gam, beta: float):
     """d m_d / d rho = e^{gamma rho} (rho^2 - beta^2) rho^{d-1}."""
     if d not in (2, 3):
-        raise ValueError("radial_moment supports d in {2, 3}")
+        raise ValueError("radial_moment_drho supports d in {2, 3}")
     rho = np.asarray(rho, dtype=float)
     gam = np.asarray(gam, dtype=float)
     out = np.exp(gam * rho) * (rho * rho - beta * beta) * rho ** (d - 1)

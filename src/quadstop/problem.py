@@ -14,14 +14,12 @@ and the solver's homotopy starts from it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+import scipy.special as sps
 
 from .grids import SphereGrid
-from .specfun import bessel_I
 
 RADIUS_CAP = 50.0    # admissible radii stay below RADIUS_CAP * beta
 CLASS_TOL = 1e-6     # violations up to this size pass class_membership_check
@@ -115,42 +113,12 @@ def symmetric_radius(d: int, r: float) -> float:
     if r <= 0.0:
         raise ValueError("discount r must be > 0")
     if d == 2:
-        w = _bracketed_root(lambda t: t * bessel_I(1, t) - 2.0 * bessel_I(0, t), 1.0, 5.0)
+        w = _bracketed_root(lambda t: t * sps.i1(t) - 2.0 * sps.i0(t), 1.0, 5.0)
     elif d == 3:
         w = _bracketed_root(lambda t: np.tanh(t) - t / 3.0, 2.0, 3.0)
     else:
         raise ValueError("symmetric_radius is implemented for d in {2, 3}")
     return w / np.sqrt(2.0 * r)
-
-
-def load_problem(source) -> QuadraticProblem:
-    """Problem from a JSON file path or an already-parsed mapping.
-
-    Expected keys: `r` (positive number) and `lambdas` (array of >= 2
-    positive numbers).  Errors name the offending key.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                source = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError("problem config is not valid JSON: %s" % exc) from exc
-    if not isinstance(source, dict):
-        raise ValueError("problem config must be a JSON object")
-    if "r" not in source:
-        raise ValueError("problem config is missing key 'r'")
-    if "lambdas" not in source:
-        raise ValueError("problem config is missing key 'lambdas'")
-    r = source["r"]
-    if not isinstance(r, (int, float)) or isinstance(r, bool) or not np.isfinite(r) or r <= 0:
-        raise ValueError("key 'r' must be a positive number, got %r" % (r,))
-    lams = source["lambdas"]
-    if (not isinstance(lams, (list, tuple)) or len(lams) < 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in lams)):
-        raise ValueError("key 'lambdas' must be an array of >= 2 numbers, got %r" % (lams,))
-    if any(not np.isfinite(v) or v <= 0 for v in lams):
-        raise ValueError("key 'lambdas' must contain only positive finite numbers")
-    return QuadraticProblem(float(r), tuple(float(v) for v in lams))
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import i0e
 
-from .kernels import KillingConfig, green_kernel_radial, green_kernel_radial_ds
+from .kernels import KillingConfig, bessel_K_scaled, green_kernel_radial, green_kernel_radial_ds
 from .problem import ClassCheckReport, QuadraticProblem, StarBoundary, class_membership_check
-from .specfun import bessel_K_scaled
 
 _GL16_X, _GL16_W = leggauss(16)
 

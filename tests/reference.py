@@ -29,14 +29,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special as sps
 from scipy import integrate
 from scipy.linalg import solve_banded
 
-from quadstop.kernels import (KillingConfig, MartinDirection, _point, green_kernel_radial,
-                              green_kernel_radial_ds)
+from quadstop.kernels import (KillingConfig, MartinDirection, bessel_K_scaled,
+                              green_kernel_radial, green_kernel_radial_ds)
 from quadstop.martin_solver import radial_moment, radial_moment_drho
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
-from quadstop.specfun import bessel_I, bessel_K_scaled
 from quadstop.verification import _GL16_W, _GL16_X, MCConfig, _chunked_mean
 
 
@@ -60,6 +60,13 @@ def bessel_K_log(order, u):
     """log K_nu(u), finite far past the underflow point."""
     out = np.log(bessel_K_scaled(order, u)) - np.asarray(u, dtype=float)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _point(x, d, name="point"):
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size != d or not np.all(np.isfinite(x)):
+        raise ValueError("%s must be a finite vector of dimension %d" % (name, d))
+    return x
 
 
 def to_polar(p: QuadraticProblem, x):
@@ -163,7 +170,7 @@ def green_kernel_log_radial(cfg: KillingConfig, s):
     s = np.atleast_1d(s)
     lg = (np.log(2.0) - 0.5 * cfg.d * np.log(2.0 * np.pi)
           + 0.5 * (2 - cfg.d) * (np.log(s) - 0.5 * np.log(2.0 * cfg.r))
-          + bessel_K_log(cfg.bessel_order, s * cfg.kappa))
+          + bessel_K_log(abs(cfg.d - 2) / 2, s * cfg.kappa))
     return float(lg[0]) if scalar else lg
 
 
@@ -514,7 +521,7 @@ def finiteness_ratio_scan(p: QuadraticProblem, radii, reward_fn=None,
         if rad == 0.0:
             out.append(0.0)
             continue
-        vals = reward_fn(rad * ring) / bessel_I(0, kappa * rad)
+        vals = reward_fn(rad * ring) / sps.i0(kappa * rad)
         out.append(float(np.max(vals)))
     return out
 

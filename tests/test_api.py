@@ -7,11 +7,11 @@ import sys
 import quadstop
 
 PUBLIC = [
-    "QuadraticProblem", "StarBoundary", "load_problem", "ClassCheckReport",
+    "QuadraticProblem", "StarBoundary", "ClassCheckReport",
     "class_membership_check", "symmetric_radius",
     "SphereGrid", "make_circle_grid", "make_sphere_grid",
     "SolveConfig", "SolveReport", "solve_boundary",
-    "KillingConfig", "MartinDirection", "green_kernel", "martin_kernel",
+    "KillingConfig", "MartinDirection", "martin_kernel",
     "MCConfig", "VerificationReport", "run_verification", "value", "mc_value",
     "majorant_gap_scan",
 ]

@@ -137,6 +137,34 @@ def test_verify_missing_file(tmp_path, capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("field, broken", [("r=1 ", ""), (" lambdas=1,1", ""), ("r=1", "r1")])
+@pytest.mark.parametrize("command", ["verify", "plot"])
+def test_malformed_problem_line_is_an_error(tmp_path, capsys, boundary_16, command, field,
+                                            broken):
+    # a "# problem" line that lacks r= or lambdas=, or has a token without "="
+    text = Path(boundary_16).read_text()
+    assert "# problem r=1 lambdas=1,1\n" in text
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text.replace(field, broken, 1))
+    code, _, err = run(capsys, command, "--boundary", str(bad),
+                       "--out" if command == "plot" else "--report", str(tmp_path / "out"))
+    assert code == 1
+    assert "error:" in err and str(bad) in err and "Traceback" not in err
+
+
+def test_verify_keeps_solve_report_of_shared_config(tmp_path, monkeypatch, capsys):
+    # output.report_json names the solve report only; verify keeps its own default
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"problem": {"r": 1, "lambdas": [1, 1]}, "grid": {"n": 16},
+                               "output": {"report_json": "solve.json"},
+                               "verify": {"paths": 2000, "scan_n": 10, "n_rays": 240}}))
+    assert run(capsys, "solve", "--config", str(cfg))[0] == 0
+    assert run(capsys, "verify", "--config", str(cfg), "--boundary", "boundary.csv")[0] == 0
+    assert json.loads((tmp_path / "solve.json").read_text())["kind"] == "solve_report"
+    assert (tmp_path / "verification.report.json").exists()
+
+
 def test_verify_takes_problem_from_file(tmp_path, capsys):
     # one config shared by every subcommand: its problem section is solve's only
     cfg = tmp_path / "c.json"

@@ -86,6 +86,22 @@ def test_load_incomplete_3d_grid(tmp_path, p3_sym, bnd3_sym):
         load_boundary_csv(f)
 
 
+def test_load_duplicate_3d_rows(tmp_path, p3_sym, bnd3_sym):
+    # (0, 0) written twice in place of the last node: the row count still matches
+    f = tmp_path / "b3.csv"
+    save_boundary_csv(f, p3_sym, bnd3_sym)
+    lines = f.read_text().splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("0,0,"))
+    f.write_text("\n".join(lines[:-1] + [lines[first]]) + "\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        load_boundary_csv(f)
+    # a fractional or negative index is no node of the grid
+    for bad in ("0.5,0,", "-1,0,"):
+        f.write_text("\n".join(lines[:first] + [bad + lines[first][4:]] + lines[first + 1:]) + "\n")
+        with pytest.raises(ValueError, match="integers >= 0"):
+            load_boundary_csv(f)
+
+
 def test_json_report_deterministic(tmp_path):
     payload = {"b": np.float64(1.5), "a": np.arange(3), "flag": np.bool_(True),
                "nested": {"x": np.int64(7)}}

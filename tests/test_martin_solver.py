@@ -427,6 +427,12 @@ def test_solver_layers_go_through_module_attributes(monkeypatch):
     assert set(seen["lstsq"]) == {(2 * n_orbits, n_orbits)}
 
 
+def test_radial_moment_rejects_other_dimensions():
+    for fn in (radial_moment, radial_moment_drho):
+        with pytest.raises(ValueError, match=r"^%s supports d in \{2, 3\}" % fn.__name__):
+            fn(4, 1.0, 0.5, 1.0)
+
+
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(homotopy_steps=-1)

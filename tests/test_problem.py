@@ -6,7 +6,7 @@ import pytest
 import quadstop as q
 from quadstop.grids import make_circle_grid, make_sphere_grid
 from quadstop.problem import (QuadraticProblem, StarBoundary, class_membership_check,
-                              load_problem, symmetric_radius)
+                              symmetric_radius)
 from reference import negative_set_contains, to_polar
 
 
@@ -83,19 +83,16 @@ def test_even_symmetry():
             assert p.excess_generator(x * sigma) == pytest.approx(p.excess_generator(x), rel=1e-14)
 
 
-def test_load_problem_validation():
-    p = load_problem({"r": 0.5, "lambdas": [1, 4]})
-    assert p.r == 0.5 and tuple(p.lam) == (1.0, 4.0) and p.d == 2
-    for bad in ({"r": 0.0, "lambdas": [1, 4]},
-                {"r": 1.0, "lambdas": [1.0]},
-                {"r": 1.0, "lambdas": [1.0, -4.0]},
-                {"r": 1.0, "lambdas": []},
-                {"lambdas": [1, 4]},
-                {"r": 1.0},
-                [1, 2],
-                {"r": float("nan"), "lambdas": [1, 4]}):
+def test_problem_validation():
+    p = QuadraticProblem(0.5, (1, 4))
+    assert p.r == 0.5 and p.lambdas == (1.0, 4.0) and p.d == 2
+    for r, lambdas in ((0.0, (1, 4)),
+                       (1.0, (1.0,)),
+                       (1.0, (1.0, -4.0)),
+                       (1.0, ()),
+                       (float("nan"), (1, 4))):
         with pytest.raises(ValueError):
-            load_problem(bad)
+            QuadraticProblem(r, lambdas)
 
 
 def test_circle_grid():
