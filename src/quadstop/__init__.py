@@ -11,7 +11,7 @@ routes.
 """
 
 from .grids import SphereGrid, make_circle_grid, make_sphere_grid
-from .kernels import KillingConfig, MartinDirection, martin_kernel
+from .kernels import KillingConfig, martin_kernel
 from .martin_solver import SolveConfig, SolveReport, solve_boundary
 from .problem import (
     ClassCheckReport,
@@ -44,7 +44,6 @@ __all__ = [
     "SolveReport",
     "solve_boundary",
     "KillingConfig",
-    "MartinDirection",
     "martin_kernel",
     "MCConfig",
     "VerificationReport",

@@ -26,7 +26,7 @@ import numpy as np
 from .dataio import (load_boundary_csv, read_problem_csv, save_boundary_csv,
                      svg_boundary_plot, write_json_report)
 from .grids import make_circle_grid, make_sphere_grid
-from .kernels import KillingConfig, MartinDirection, green_kernel_radial, martin_kernel
+from .kernels import KillingConfig, green_kernel_radial, martin_kernel
 from .martin_solver import SolveConfig, solve_boundary
 from .problem import QuadraticProblem, symmetric_radius
 from .verification import THRESHOLDS, MCConfig, run_verification
@@ -128,8 +128,10 @@ def cmd_kernel(args) -> int:
     if a_vec.shape != y.shape:
         raise CliError("--a and --y must have the same dimension")
     kcfg = KillingConfig(args.r, a_vec.size)
-    direction = MartinDirection.from_unit(kcfg, a_vec)
-    print("%.12g" % martin_kernel(kcfg, direction, y))
+    norm = np.linalg.norm(a_vec)
+    if norm == 0.0:
+        raise CliError("zero vector has no direction")
+    print("%.12g" % martin_kernel(kcfg, kcfg.kappa * a_vec / norm, y))
     return 0
 
 

@@ -103,17 +103,12 @@ def load_boundary_csv(path) -> StarBoundary:
 
 
 def _jsonable(obj):
+    """json.dump's default hook: a dataclass as its field dict, numpy values as Python ones."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def write_json_report(path, payload: dict) -> None:
@@ -121,7 +116,7 @@ def write_json_report(path, payload: dict) -> None:
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
     with open(path, "w") as fh:
-        json.dump(_jsonable(body), fh, indent=2, sort_keys=True)
+        json.dump(body, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
 

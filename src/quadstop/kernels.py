@@ -39,40 +39,6 @@ class KillingConfig:
         return float(np.sqrt(2.0 * self.r))
 
 
-@dataclass(frozen=True)
-class MartinDirection:
-    """A point a on the sphere |a|^2 = 2r indexing a Martin kernel."""
-
-    a: tuple
-
-    def __post_init__(self):
-        vec = np.asarray(self.a, dtype=float)
-        if vec.ndim != 1 or vec.size < 1 or not np.all(np.isfinite(vec)):
-            raise ValueError("direction must be a finite vector")
-        object.__setattr__(self, "a", tuple(float(v) for v in vec))
-
-    @classmethod
-    def from_unit(cls, cfg: KillingConfig, omega) -> "MartinDirection":
-        omega = np.asarray(omega, dtype=float)
-        n = np.linalg.norm(omega)
-        if n == 0.0:
-            raise ValueError("zero vector has no direction")
-        return cls(tuple(cfg.kappa * omega / n))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.a, dtype=float)
-
-    def validate(self, cfg: KillingConfig):
-        vec = self.vector
-        if vec.size != cfg.d:
-            raise ValueError("direction has dimension %d, expected %d" % (vec.size, cfg.d))
-        nsq = float(vec @ vec)
-        if abs(nsq - 2.0 * cfg.r) > 1e-12 * 2.0 * cfg.r:
-            raise ValueError("|a|^2 = %.17g is not 2r = %.17g" % (nsq, 2.0 * cfg.r))
-        return vec
-
-
 def bessel_K_scaled(order: float, u):
     """e^u K_order(u) for u > 0: Cephes k0e and k1e for orders 0 and 1, Amos's kve otherwise."""
     if order == 0:
@@ -110,12 +76,17 @@ def green_kernel_radial_ds(cfg: KillingConfig, s):
 
 
 def martin_kernel(cfg: KillingConfig, a, y):
-    """Martin kernel exp(a . y) for a on the sphere |a|^2 = 2r."""
-    if not isinstance(a, MartinDirection):
-        a = MartinDirection(tuple(np.asarray(a, dtype=float)))
-    vec = a.validate(cfg)
+    """Martin kernel exp(a . y) for a vector a on the sphere |a|^2 = 2r."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1 or not np.all(np.isfinite(a)):
+        raise ValueError("direction must be a finite vector")
+    if a.size != cfg.d:
+        raise ValueError("direction has dimension %d, expected %d" % (a.size, cfg.d))
+    nsq = float(a @ a)
+    if abs(nsq - 2.0 * cfg.r) > 1e-12 * 2.0 * cfg.r:
+        raise ValueError("|a|^2 = %.17g is not 2r = %.17g" % (nsq, 2.0 * cfg.r))
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != cfg.d:
         raise ValueError("y has dimension %d, expected %d" % (y.shape[-1], cfg.d))
-    out = np.exp(y @ vec)
+    out = np.exp(y @ a)
     return float(out) if np.ndim(out) == 0 else out

@@ -52,6 +52,8 @@ class MCConfig:
     def __post_init__(self):
         if self.paths < 100:
             raise ValueError("need at least 100 paths")
+        if not 0 <= self.seed < 2 ** 63:
+            raise ValueError("seed must be in [0, 2**63), got %d" % self.seed)
 
 
 @dataclass(frozen=True)
@@ -305,8 +307,12 @@ def _green_integral_mc3(p: QuadraticProblem, b: StarBoundary, x,
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     z = rng.standard_normal((n_samples, 3))
     omega = z / np.sqrt((z * z).sum(axis=1))[:, None]
-    # piecewise-constant boundary radius: nearest grid node by angle
-    nearest = np.argmax(omega @ b.grid.nodes.T, axis=1)
+    # piecewise-constant boundary radius: nearest grid node by angle,
+    # in row blocks so that no samples x nodes matrix is formed
+    nearest = np.empty(n_samples, dtype=int)
+    step = max(1, _BLOCK_ENTRIES // b.grid.n)
+    for i in range(0, n_samples, step):
+        nearest[i:i + step] = np.argmax(omega[i:i + step] @ b.grid.nodes.T, axis=1)
     rho_hat = b.radii[nearest]
     rho = rho_hat * rng.random(n_samples) ** (1.0 / 3.0)
     y = p.to_cartesian(omega, rho)
@@ -360,7 +366,12 @@ _SCAN_SHRINK = 0.99     # scan points stay inside this fraction of rho(phi)
 
 
 def interior_scan_grid(p: QuadraticProblem, b: StarBoundary, n: int = 40) -> np.ndarray:
-    """n x n bounding-box grid filtered to the interior, shrunk by _SCAN_SHRINK."""
+    """n x n bounding-box grid filtered to the interior, shrunk by _SCAN_SHRINK.
+
+    A grid with no point inside C is an error: the scan would check nothing.
+    """
+    if n < 1:
+        raise ValueError("majorant scan size must be >= 1, got %d" % n)
     geom = _BoundaryGeometry(p, b)
     pts = b.cartesian_points(p)
     mx = np.abs(pts).max(axis=0)
@@ -368,7 +379,10 @@ def interior_scan_grid(p: QuadraticProblem, b: StarBoundary, n: int = 40) -> np.
     ys = np.linspace(-mx[1], mx[1], n)
     grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     phi, s = geom.polar(grid)
-    return grid[s <= _SCAN_SHRINK * geom.rho(phi)]
+    inside = grid[s <= _SCAN_SHRINK * geom.rho(phi)]
+    if not len(inside):
+        raise ValueError("majorant scan of size %d has no point inside the boundary" % n)
+    return inside
 
 
 def majorant_gap_scan(p: QuadraticProblem, b: StarBoundary, scan_grid,
@@ -379,10 +393,8 @@ def majorant_gap_scan(p: QuadraticProblem, b: StarBoundary, scan_grid,
     inside C flags a boundary that stops too late or too early.
     """
     scan_grid = np.asarray(scan_grid, dtype=float)
-    if scan_grid.ndim != 2 or scan_grid.shape[1] != p.d:
-        raise ValueError("scan grid must be (n, d) points")
-    if not len(scan_grid):
-        return float(np.inf)
+    if scan_grid.ndim != 2 or scan_grid.shape[1] != p.d or not len(scan_grid):
+        raise ValueError("scan grid must be (n, d) points with n >= 1")
     return float(np.min(-_green_integrals(p, b, scan_grid, n_rays)[0]))
 
 
@@ -539,33 +551,22 @@ def _chunked_mean(paths: int, seed: int, simulate):
     stream keyed (seed, chunk).  The chunks are independent, so they run
     on a thread pool (numpy releases the GIL inside its array loops);
     their sums are added in chunk order, so the result is bit-identical
-    to a serial run whatever the scheduling.  Each chunk sums its values
-    less its first one, and the chunks' centred second moments are
-    merged pairwise (Chan, Golub & LeVeque), so the variance carries no
-    cancellation: identical values give a stderr of exactly 0.0.
+    to a serial run whatever the scheduling.  The variance is taken in
+    two passes, about the first value and then about the mean, so it
+    carries no cancellation: identical values give a stderr of exactly 0.0.
     """
     starts = range(0, paths, _CHUNK)
 
     def run(start):
         rng = np.random.Generator(np.random.Philox(key=[seed, start // _CHUNK]))
-        values = simulate(rng, min(_CHUNK, paths - start))
-        dev = values - values[0]
-        return values.sum(), values.size, values[0], dev.sum(), (dev * dev).sum()
+        return simulate(rng, min(_CHUNK, paths - start))
 
     with ThreadPoolExecutor(max_workers=min(len(starts), os.cpu_count() or 1)) as pool:
-        sums = list(pool.map(run, starts))
-    total = 0.0
-    count = 0
-    centre = 0.0     # mean of the chunks merged so far
-    sq_dev = 0.0     # their sum of squared deviations from centre
-    for chunk_sum, n, shift, dev_sum, dev_sq in sums:
-        total += chunk_sum
-        delta = shift + dev_sum / n - centre
-        count += n
-        centre += delta * (n / count)
-        sq_dev += dev_sq - dev_sum * (dev_sum / n) + delta * delta * (n * (count - n) / count)
-    mean = total / paths
-    return float(mean), float(np.sqrt(max(sq_dev, 0.0)) / paths)
+        chunks = list(pool.map(run, starts))
+    mean = sum(values.sum() for values in chunks) / paths
+    dev = np.concatenate(chunks) - chunks[0][0]
+    dev -= dev.mean()
+    return float(mean), float(np.sqrt((dev * dev).sum()) / paths)
 
 
 def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig, stats=None):
@@ -645,8 +646,8 @@ def run_verification(p: QuadraticProblem, b: StarBoundary,
         raise ValueError("run_verification supports d = 2 boundaries")
     if mc is None:
         mc = MCConfig()
-    residuals = green_residual_normalized(p, b, b.cartesian_points(p), n_rays=n_rays)
     grid = interior_scan_grid(p, b, n=scan_n)
+    residuals = green_residual_normalized(p, b, b.cartesian_points(p), n_rays=n_rays)
     min_gap = majorant_gap_scan(p, b, grid, n_rays=n_rays)
     origin = np.zeros(2)
     recon = value(p, b, origin, n_rays=n_rays)

@@ -33,8 +33,8 @@ import scipy.special as sps
 from scipy import integrate
 from scipy.linalg import solve_banded
 
-from quadstop.kernels import (KillingConfig, MartinDirection, bessel_K_scaled,
-                              green_kernel_radial, green_kernel_radial_ds)
+from quadstop.kernels import (KillingConfig, bessel_K_scaled, green_kernel_radial,
+                              green_kernel_radial_ds, martin_kernel)
 from quadstop.martin_solver import radial_moment, radial_moment_drho
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
 from quadstop.verification import _GL16_W, _GL16_X, MCConfig, _chunked_mean
@@ -130,7 +130,7 @@ def assemble_jacobian(p: QuadraticProblem, b: StarBoundary) -> np.ndarray:
 class DiscreteMixture:
     """Finite nonnegative mixture of Martin directions."""
 
-    atoms: tuple  # of (MartinDirection, weight)
+    atoms: tuple  # of (direction vector a, weight)
 
     def __post_init__(self):
         norm = []
@@ -138,9 +138,7 @@ class DiscreteMixture:
             w = float(weight)
             if not (np.isfinite(w) and w >= 0.0):
                 raise ValueError("mixture weights must be finite and >= 0")
-            if not isinstance(direction, MartinDirection):
-                direction = MartinDirection(tuple(np.asarray(direction, dtype=float)))
-            norm.append((direction, w))
+            norm.append((np.asarray(direction, dtype=float), w))
         object.__setattr__(self, "atoms", tuple(norm))
 
     @property
@@ -206,9 +204,8 @@ def harmonic_mixture(cfg: KillingConfig, mu: DiscreteMixture, x):
         raise ValueError("x has dimension %d, expected %d" % (x.shape[-1], cfg.d))
     out = 0.0
     for direction, weight in mu.atoms:
-        vec = direction.validate(cfg)
-        out = out + weight * np.exp(x @ vec)
-    return float(out) if np.ndim(out) == 0 else out
+        out = out + weight * martin_kernel(cfg, direction, x)
+    return out
 
 
 def uniform_circle_mixture(cfg: KillingConfig, n_atoms: int,
@@ -225,8 +222,7 @@ def uniform_circle_mixture(cfg: KillingConfig, n_atoms: int,
         raise ValueError("need at least one atom")
     th = 2.0 * np.pi * np.arange(n_atoms) / n_atoms
     w = total_weight / n_atoms
-    atoms = tuple((MartinDirection((cfg.kappa * np.cos(t), cfg.kappa * np.sin(t))), w)
-                  for t in th)
+    atoms = tuple(((cfg.kappa * np.cos(t), cfg.kappa * np.sin(t)), w) for t in th)
     return DiscreteMixture(atoms)
 
 
@@ -247,9 +243,8 @@ def hyperplane_identity(cfg: KillingConfig, a, b: float, x):
     """
     if cfg.d != 2:
         raise ValueError("hyperplane_identity is implemented for d = 2 line integrals")
-    if not isinstance(a, MartinDirection):
-        a = MartinDirection(tuple(np.asarray(a, dtype=float)))
-    vec = a.validate(cfg)
+    martin_kernel(cfg, a, np.zeros(cfg.d))  # checks |a|^2 = 2r
+    vec = np.asarray(a, dtype=float)
     x = _point(x, cfg.d, "x")
     b = float(b)
     k = cfg.kappa

@@ -18,8 +18,7 @@ import pytest
 
 from quadstop.dataio import write_json_report
 from quadstop.grids import make_circle_grid, make_sphere_grid
-from quadstop.kernels import (KillingConfig, MartinDirection, bessel_K_scaled, green_kernel_radial,
-                              martin_kernel)
+from quadstop.kernels import KillingConfig, bessel_K_scaled, green_kernel_radial, martin_kernel
 from quadstop.martin_solver import (SolveConfig, radial_moment, radial_moment_drho,
                                     solve_boundary)
 from quadstop.problem import QuadraticProblem, class_membership_check, symmetric_radius
@@ -93,7 +92,7 @@ def test_criterion_03_martin_limit():
     t0 = time.perf_counter()
     cfg = KillingConfig(1.0, 2)
     x = np.array([1e4, 0.0])
-    a = MartinDirection((cfg.kappa, 0.0))
+    a = (cfg.kappa, 0.0)
     worst = 0.0
     for i in range(5):
         for j in range(5):
@@ -116,7 +115,7 @@ def test_criterion_04_hyperplane_identity():
         r = 0.5 if i % 2 else 1.0
         cfg = KillingConfig(r, 2)
         th = rng.uniform(0.0, 2.0 * math.pi)
-        a = MartinDirection((cfg.kappa * math.cos(th), cfg.kappa * math.sin(th)))
+        a = (cfg.kappa * math.cos(th), cfg.kappa * math.sin(th))
         b = rng.uniform(-1.5, 1.5)
         x = rng.uniform(-2.0, 2.0, size=2)
         lhs, rhs = hyperplane_identity(cfg, a, b, x)
@@ -140,7 +139,7 @@ def test_criterion_04_prefactor_4r_literal():
         r = 0.5 if i % 2 else 1.0
         cfg = KillingConfig(r, 2)
         th = rng.uniform(0.0, 2.0 * math.pi)
-        a = MartinDirection((cfg.kappa * math.cos(th), cfg.kappa * math.sin(th)))
+        a = (cfg.kappa * math.cos(th), cfg.kappa * math.sin(th))
         b = rng.uniform(-1.5, 1.5)
         x = rng.uniform(-2.0, 2.0, size=2)
         lhs, rhs = hyperplane_identity(cfg, a, b, x)

@@ -11,7 +11,7 @@ PUBLIC = [
     "class_membership_check", "symmetric_radius",
     "SphereGrid", "make_circle_grid", "make_sphere_grid",
     "SolveConfig", "SolveReport", "solve_boundary",
-    "KillingConfig", "MartinDirection", "martin_kernel",
+    "KillingConfig", "martin_kernel",
     "MCConfig", "VerificationReport", "run_verification", "value", "mc_value",
     "majorant_gap_scan",
 ]

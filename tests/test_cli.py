@@ -37,6 +37,13 @@ def test_kernel_martin_value(capsys):
     assert out.strip() == "%.12g" % np.exp(np.sqrt(2.0) * 2.0)
 
 
+def test_kernel_martin_zero_direction(capsys):
+    code, out, err = run(capsys, "kernel", "martin", "--a", "0,0", "--y", "1,0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: zero vector has no direction\n"
+
+
 def test_oracle_sym_radius(capsys):
     code, out, _ = run(capsys, "oracle", "sym-radius", "--r", "0.5", "--d", "3")
     assert code == 0
@@ -135,6 +142,26 @@ def test_verify_missing_file(tmp_path, capsys):
                        "--report", str(tmp_path / "v.json"))
     assert code == 1
     assert "not found" in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--scan-n", "0", "majorant scan size must be >= 1, got 0"),
+    ("--scan-n", "2", "majorant scan of size 2 has no point inside the boundary"),
+    ("--scan-n", "-1", "majorant scan size must be >= 1, got -1"),
+    ("--seed", str(2 ** 70), "seed must be in [0, 2**63), got %d" % 2 ** 70),
+    ("--seed", str(2 ** 63), "seed must be in [0, 2**63)"),
+    ("--seed", "-1", "seed must be in [0, 2**63), got -1"),
+])
+def test_verify_rejects_empty_scan_and_out_of_range_seed(tmp_path, capsys, boundary_16, flag,
+                                                         value, message):
+    rep = tmp_path / "v.json"
+    code, out, err = run(capsys, "verify", "--boundary", boundary_16, "--report", str(rep),
+                         *LIGHT_VERIFY, flag, value)
+    assert code == 1
+    assert err.startswith("error: " + message)
+    assert "Traceback" not in err
+    assert "pass" not in out
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize("field, broken", [("r=1 ", ""), (" lambdas=1,1", ""), ("r=1", "r1")])

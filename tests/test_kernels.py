@@ -5,8 +5,8 @@ import pytest
 import scipy.special as sps
 
 import quadstop.kernels as kernels
-from quadstop.kernels import (KillingConfig, MartinDirection, green_kernel_radial,
-                              green_kernel_radial_ds, martin_kernel)
+from quadstop.kernels import (KillingConfig, green_kernel_radial, green_kernel_radial_ds,
+                              martin_kernel)
 from reference import (DiscreteMixture, bessel_K, green_kernel_log_radial, green_ratio,
                        harmonic_mixture, hyperplane_identity, transition_density,
                        uniform_circle_mixture)
@@ -124,24 +124,27 @@ def test_green_kernel_errors():
         KillingConfig(r=-1.0, d=2)
 
 
-def test_martin_direction_validation():
+def test_martin_kernel_validation():
     cfg = _cfg(r=1.0, d=2)
-    md = MartinDirection.from_unit(cfg, (1.0, 0.0))
-    assert sum(v * v for v in md.a) == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        MartinDirection((1.0, 0.0)).validate(cfg)  # |a|^2 = 1 != 2r
+    y = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="dimension 3, expected 2"):
+        martin_kernel(cfg, (math.sqrt(2.0), 0.0, 0.0), y)
+    with pytest.raises(ValueError, match="finite vector"):
+        martin_kernel(cfg, (math.nan, math.sqrt(2.0)), y)
+    with pytest.raises(ValueError, match="is not 2r"):
+        martin_kernel(cfg, (1.0, 0.0), y)  # |a|^2 = 1 != 2r
 
 
 def test_martin_kernel_values():
     cfg = _cfg(r=1.0, d=2)
-    a = MartinDirection((math.sqrt(2.0), 0.0))
+    a = (math.sqrt(2.0), 0.0)
     assert martin_kernel(cfg, a, np.array([0.0, 3.7])) == pytest.approx(1.0, rel=1e-14)
     assert martin_kernel(cfg, a, np.array([1.0, 0.0])) == pytest.approx(E_SQRT2, rel=1e-13)
 
 
 def test_martin_kernel_is_green_ratio_limit():
     cfg = _cfg(r=1.0, d=2)
-    a = MartinDirection((math.sqrt(2.0), 0.0))
+    a = (math.sqrt(2.0), 0.0)
     y = np.array([1.0, 1.0])
     ref = martin_kernel(cfg, a, y)
     errs = []
@@ -178,11 +181,11 @@ def test_green_ratio_bound():
 
 def test_harmonic_mixture_atoms():
     cfg = _cfg(r=1.0, d=2)
-    a = MartinDirection((math.sqrt(2.0), 0.0))
+    a = (math.sqrt(2.0), 0.0)
     mu = DiscreteMixture(((a, 1.0),))
     x = np.array([0.4, -1.2])
     assert harmonic_mixture(cfg, mu, x) == pytest.approx(math.exp(math.sqrt(2.0) * 0.4), rel=1e-14)
-    mu3 = DiscreteMixture(((a, 0.25), (MartinDirection((0.0, math.sqrt(2.0))), 0.5)))
+    mu3 = DiscreteMixture(((a, 0.25), ((0.0, math.sqrt(2.0)), 0.5)))
     assert harmonic_mixture(cfg, mu3, np.zeros(2)) == pytest.approx(0.75, rel=1e-14)
     with pytest.raises(ValueError):
         harmonic_mixture(cfg, DiscreteMixture(()), x)
@@ -221,14 +224,14 @@ def test_hyperplane_identity_contract():
         cfg = _cfg(r=r, d=2)
         for _ in range(10):
             ang = rng.uniform(0.0, 2.0 * math.pi)
-            a = MartinDirection.from_unit(cfg, (math.cos(ang), math.sin(ang)))
+            a = (cfg.kappa * math.cos(ang), cfg.kappa * math.sin(ang))
             b = rng.uniform(-1.5, 1.5)
             x = rng.normal(size=2)
             lhs, rhs = hyperplane_identity(cfg, a, b, x)
             assert abs(lhs - rhs) <= 1e-6
     # x on H: rhs = 1
     cfg = _cfg(r=1.0, d=2)
-    a = MartinDirection((math.sqrt(2.0), 0.0))
+    a = (math.sqrt(2.0), 0.0)
     lhs, rhs = hyperplane_identity(cfg, a, 0.0, np.array([0.0, 2.0]))
     assert rhs == 1.0
     assert lhs == pytest.approx(1.0, abs=1e-6)
@@ -239,6 +242,6 @@ def test_hyperplane_identity_contract():
 
 def test_hyperplane_identity_d3_unsupported():
     cfg = _cfg(r=1.0, d=3)
-    a = MartinDirection((math.sqrt(2.0), 0.0, 0.0))
+    a = (math.sqrt(2.0), 0.0, 0.0)
     with pytest.raises(ValueError):
         hyperplane_identity(cfg, a, 0.0, np.zeros(3))

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,8 @@ def test_interior_scan_grid_inside(p_14, bnd_14):
         t = math.atan2(om[1], om[0]) % (2.0 * math.pi)
         rb = np.interp(t, bnd_14.grid.angles, bnd_14.radii, period=2.0 * math.pi)
         assert rho <= rb * (1.0 + 1e-9)
+    with pytest.raises(ValueError, match="n >= 1"):
+        majorant_gap_scan(p_14, bnd_14, np.empty((0, 2)))
 
 
 def test_green_residual_normalized_small_on_solution(p_14, bnd_14):
@@ -195,6 +198,10 @@ def test_mc_value_consistent_with_reconstruction(p_sym, bnd_sym):
 def test_mc_config_validation():
     with pytest.raises(ValueError, match="100 paths"):
         MCConfig(paths=10)
+    for seed in (-1, 2 ** 63, 2 ** 70):
+        with pytest.raises(ValueError, match="seed must be in"):
+            MCConfig(seed=seed)
+    assert MCConfig(seed=2 ** 63 - 1).seed == 2 ** 63 - 1
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +515,17 @@ def test_d3_symmetric_reconstruction(p3_sym, bnd3_sym):
     k = 1.0
     exact = k * R ** 3 / math.sinh(k * R)
     assert v0 == pytest.approx(exact, abs=2e-2 * exact)
+
+
+def test_d3_value_forms_no_samples_by_nodes_matrix(p3_sym, bnd3_sym):
+    # a 100k x 512 cosine matrix alone would take 410 MB
+    tracemalloc.start()
+    try:
+        value(p3_sym, bnd3_sym, np.zeros(3), mc_samples=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_box_confinement_of_values(p_14, bnd_14):
