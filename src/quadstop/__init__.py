@@ -12,7 +12,7 @@ routes.
 
 from .grids import SphereGrid, make_circle_grid, make_sphere_grid
 from .kernels import KillingConfig, martin_kernel
-from .martin_solver import SolveConfig, SolveReport, solve_boundary
+from .martin_solver import SolveReport, solve_boundary
 from .problem import (
     ClassCheckReport,
     QuadraticProblem,
@@ -40,7 +40,6 @@ __all__ = [
     "SphereGrid",
     "make_circle_grid",
     "make_sphere_grid",
-    "SolveConfig",
     "SolveReport",
     "solve_boundary",
     "KillingConfig",

@@ -27,7 +27,7 @@ from .dataio import (load_boundary_csv, read_problem_csv, save_boundary_csv,
                      svg_boundary_plot, write_json_report)
 from .grids import make_circle_grid, make_sphere_grid
 from .kernels import KillingConfig, green_kernel_radial, martin_kernel
-from .martin_solver import SolveConfig, solve_boundary
+from .martin_solver import solve_boundary
 from .problem import QuadraticProblem, symmetric_radius
 from .verification import THRESHOLDS, MCConfig, run_verification
 
@@ -71,8 +71,7 @@ def cmd_solve(args) -> int:
         raise CliError("a problem needs --r and --lambdas (flags or config problem section)")
     p = QuadraticProblem(args.r, tuple(args.lambdas))
     grid = make_circle_grid(args.n) if p.d == 2 else make_sphere_grid(args.n_lat, args.n_lon)
-    boundary, report = solve_boundary(
-        p, grid, SolveConfig(**_given(args, "max_iterations", "homotopy_steps")))
+    boundary, report = solve_boundary(p, grid, **_given(args, "homotopy_steps"))
     out = args.out
     report_path = args.report or os.path.splitext(out)[0] + ".report.json"
     save_boundary_csv(out, p, boundary)
@@ -120,13 +119,16 @@ def cmd_kernel(args) -> int:
     if args.which == "green":
         if args.dist is None:
             raise CliError("kernel green needs --dist")
-        print("%.12g" % green_kernel_radial(KillingConfig(args.r, args.d), args.dist))
+        d = 2 if args.d is None else args.d
+        print("%.12g" % green_kernel_radial(KillingConfig(args.r, d), args.dist))
         return 0
     if args.a is None or args.y is None:
         raise CliError("kernel martin needs --a and --y")
     a_vec, y = np.asarray(args.a), np.asarray(args.y)
     if a_vec.shape != y.shape:
         raise CliError("--a and --y must have the same dimension")
+    if args.d is not None and args.d != a_vec.size:
+        raise CliError("--d %d does not match the dimension %d of --a" % (args.d, a_vec.size))
     kcfg = KillingConfig(args.r, a_vec.size)
     norm = np.linalg.norm(a_vec)
     if norm == 0.0:
@@ -145,7 +147,6 @@ def cmd_oracle(args) -> int:
 _CONFIG_FLAGS = {
     "solve": {"problem.r": "--r", "problem.lambdas": "--lambdas", "grid.n": "--n",
               "grid.n_lat": "--n-lat", "grid.n_lon": "--n-lon",
-              "solver.max_iterations": "--max-iterations",
               "solver.homotopy_steps": "--homotopy-steps",
               "output.boundary_csv": "--out", "output.report_json": "--report"},
     "verify": {"verify.paths": "--paths", "verify.seed": "--seed", "verify.scan_n": "--scan-n",
@@ -202,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, default=64, help="circle grid size (d = 2)")
     s.add_argument("--n-lat", dest="n_lat", type=int, default=16)
     s.add_argument("--n-lon", dest="n_lon", type=int, default=32)
-    s.add_argument("--max-iterations", dest="max_iterations", type=int,
-                   help="Levenberg-Marquardt steps per homotopy stage")
     s.add_argument("--homotopy-steps", dest="homotopy_steps", type=int)
     s.add_argument("--out", default="boundary.csv", help="boundary CSV path")
     s.add_argument("--report", help="solve report JSON path")
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", help=config_help)
     s.add_argument("which", choices=("green", "martin"))
     s.add_argument("--r", type=float, default=1.0)
-    s.add_argument("--d", type=int, default=2)
+    s.add_argument("--d", type=int, help="dimension (default 2; martin takes it from --a)")
     s.add_argument("--dist", type=float)
     s.add_argument("--a", type=_vector, help="direction, auto-normalized to |a|^2 = 2r")
     s.add_argument("--y", type=_vector)

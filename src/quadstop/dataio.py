@@ -82,7 +82,7 @@ def load_boundary_csv(path) -> StarBoundary:
         vals = np.array([[float(v) for v in row.split(",")] for row in data])
         n = vals.shape[0]
         grid = make_circle_grid(n)
-        if not np.allclose(vals[:, 0], grid.angles, atol=1e-9):
+        if not np.allclose(vals[:, 0], grid.angles, rtol=0.0, atol=1e-9):
             raise ValueError("%s: theta column is not the expected equispaced grid" % path)
         return StarBoundary(grid, vals[:, 1])
     if header[:3] == ["lat_index", "lon_index", "rho"]:

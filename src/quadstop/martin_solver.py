@@ -28,7 +28,7 @@ RADIUS_CAP the bound `class_membership_check` holds the radii to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lstsq
@@ -38,7 +38,6 @@ from .grids import SphereGrid
 from .problem import RADIUS_CAP, QuadraticProblem, StarBoundary, symmetric_radius
 
 __all__ = [
-    "SolveConfig",
     "SolveReport",
     "radial_moment",
     "radial_moment_drho",
@@ -46,23 +45,10 @@ __all__ = [
 ]
 
 _INIT_FACTOR = 1.3    # a cold start puts every radius at _INIT_FACTOR * beta
+_MAX_ITERATIONS = 200  # Levenberg-Marquardt steps per stage
 _DAMPING = 1e-3       # initial Levenberg parameter
 _STEP_TOL = 1e-11     # stop when an accepted step moves no radius by more
 _RESIDUAL_TOL = 1e-9  # converged when max |R| <= _RESIDUAL_TOL * max_j sum_i w_i |m_d|
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    max_iterations: int = 200       # per homotopy stage
-    # anisotropic lambda makes the cold-start crawl (exponential residual
-    # curvature keeps the damping high), so continuation is the default
-    homotopy_steps: int = 4
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.homotopy_steps < 0:
-            raise ValueError("homotopy_steps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -70,8 +56,10 @@ class SolveReport:
     """Outcome of a solve.
 
     iterations counts Levenberg-Marquardt steps (Jacobian evaluations),
-    summed over the homotopy stages.  The residual is always that of
-    the target problem, also when an intermediate stage failed.
+    summed over the stages.  homotopy_trace holds (lambdas, residual
+    inf-norm) of every stage run, the cold start's one stage included.
+    converged and step_inf_norm are the last stage's; the residual is
+    always that of the target problem, also when an earlier stage failed.
     """
 
     converged: bool
@@ -79,7 +67,7 @@ class SolveReport:
     residual_inf_norm: float
     step_inf_norm: float
     residual_scale: float
-    homotopy_trace: tuple = field(default=())
+    homotopy_trace: tuple
 
 
 def radial_moment(d: int, rho, gam, beta: float):
@@ -166,7 +154,7 @@ class _OrbitSystem:
         return lstsq(aug, rhs, lapack_driver="gelsy")[0]
 
 
-def _lm_solve(p, grid, orbits, x0, cfg):
+def _lm_solve(p, grid, orbits, x0):
     """Levenberg-Marquardt descent of the weighted residual with projection.
 
     Each test equation carries the square root of its direction's
@@ -192,6 +180,10 @@ def _lm_solve(p, grid, orbits, x0, cfg):
     therefore the nodal step, iterate for iterate up to rounding, and
     the largest residual over the representatives is the largest over
     all test directions.
+
+    Returns (x, R, scale, iterations, step_inf): the radii, the residual
+    and its scale there, the steps taken (at most _MAX_ITERATIONS) and
+    the inf-norm of the last accepted step (inf if none was).
     """
     lo = p.beta * (1.0 + 1e-6)
     hi = RADIUS_CAP * p.beta
@@ -203,7 +195,7 @@ def _lm_solve(p, grid, orbits, x0, cfg):
     mu = _DAMPING
     step_inf = np.inf
     iterations = 0
-    while np.max(np.abs(res)) > _RESIDUAL_TOL * scale and iterations < cfg.max_iterations:
+    while np.max(np.abs(res)) > _RESIDUAL_TOL * scale and iterations < _MAX_ITERATIONS:
         iterations += 1
         jac, dmp = system.linearization(x)
         accepted = False
@@ -220,55 +212,58 @@ def _lm_solve(p, grid, orbits, x0, cfg):
             mu *= 4.0
         if not accepted or step_inf <= _STEP_TOL:
             break
-    residual_inf = float(np.max(np.abs(res)))
-    report = SolveReport(
-        converged=residual_inf <= _RESIDUAL_TOL * scale,
-        iterations=iterations,
-        residual_inf_norm=residual_inf,
-        step_inf_norm=float(step_inf),
-        residual_scale=scale,
-    )
-    return x, report
+    return x, res, scale, iterations, float(step_inf)
 
 
-def solve_boundary(p: QuadraticProblem, grid: SphereGrid,
-                   cfg: SolveConfig | None = None):
+def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int = 4):
     """Solve the discrete boundary equations; returns (StarBoundary, SolveReport).
 
-    Cold start at _INIT_FACTOR * beta, or, with homotopy_steps > 0, a
-    warm-started continuation from the symmetric problem with the same
-    coefficient sum (beta is invariant along that path) to the target
-    coefficients.  Non-convergence is reported, never raised.
+    Runs _lm_solve once per stage, each warm-started from the last, and
+    stops after the first stage that does not converge.  With
+    homotopy_steps = 0 the one stage is the target problem, started cold
+    at _INIT_FACTOR * beta.  Otherwise the stages continue in
+    homotopy_steps equal steps from the symmetric problem with the same
+    coefficient sum (beta is invariant along that path), started at its
+    analytic radius, to the target, whose coefficients the last stage
+    hits exactly; anisotropic lambda makes the cold start crawl
+    (exponential residual curvature keeps the damping high), so
+    continuation is the default.  Non-convergence is reported, never
+    raised.
     """
-    if cfg is None:
-        cfg = SolveConfig()
+    if homotopy_steps < 0:
+        raise ValueError("homotopy_steps must be >= 0")
     if p.d != grid.d:
         raise ValueError("problem dimension %d != grid dimension %d" % (p.d, grid.d))
     orbits = grid.reflection_orbits()
     reps, orbit_of = orbits
-    if cfg.homotopy_steps == 0:
-        x, report = _lm_solve(p, grid, orbits, np.full(reps.size, _INIT_FACTOR * p.beta), cfg)
-        return StarBoundary(grid, x[orbit_of]), report
-
-    lam_target = p.lam
-    lam_start = np.full(p.d, lam_target.mean())
-    # symmetric-problem boundary in affine polar radius: rho = sqrt(lambda) R
-    x = np.full(reps.size, float(np.sqrt(lam_start[0]) * symmetric_radius(p.d, p.r)))
+    if homotopy_steps == 0:
+        stages = [p]
+        x = np.full(reps.size, _INIT_FACTOR * p.beta)
+    else:
+        lam_start = np.full(p.d, p.lam.mean())
+        # built one at a time, so a large stage count costs no memory up front
+        ts = (k / homotopy_steps for k in range(1, homotopy_steps + 1))
+        stages = (QuadraticProblem(p.r, tuple((1.0 - t) * lam_start + t * p.lam)) for t in ts)
+        # symmetric-problem boundary in affine polar radius: rho = sqrt(lambda) R
+        x = np.full(reps.size, float(np.sqrt(lam_start[0]) * symmetric_radius(p.d, p.r)))
     trace = []
     iterations = 0
-    for k in range(1, cfg.homotopy_steps + 1):
-        t = k / cfg.homotopy_steps
-        lam_k = (1.0 - t) * lam_start + t * lam_target
-        p_k = QuadraticProblem(p.r, tuple(lam_k))
-        x, report = _lm_solve(p_k, grid, orbits, x, cfg)
-        iterations += report.iterations
-        trace.append((tuple(lam_k), report.residual_inf_norm))
-        if not report.converged:
+    for p_k in stages:
+        x, res, scale, stage_iterations, step_inf = _lm_solve(p_k, grid, orbits, x)
+        iterations += stage_iterations
+        trace.append((p_k.lambdas, float(np.max(np.abs(res)))))
+        converged = trace[-1][1] <= _RESIDUAL_TOL * scale
+        if not converged:
             break
-    report = replace(report, iterations=iterations, homotopy_trace=tuple(trace))
-    if k < cfg.homotopy_steps:
-        # an intermediate stage failed: judge its radii against the target problem
+    if p_k.lambdas != p.lambdas:
+        # a stage before the target failed: judge its radii against the target
         res, scale = _OrbitSystem(p, grid, orbits).residual(x)
-        report = replace(report, residual_inf_norm=float(np.max(np.abs(res))),
-                         residual_scale=scale)
+    report = SolveReport(
+        converged=converged,
+        iterations=iterations,
+        residual_inf_norm=float(np.max(np.abs(res))),
+        step_inf_norm=step_inf,
+        residual_scale=scale,
+        homotopy_trace=tuple(trace),
+    )
     return StarBoundary(grid, x[orbit_of]), report

@@ -303,6 +303,10 @@ def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int = 72
 
 def _green_integral_mc3(p: QuadraticProblem, b: StarBoundary, x,
                         n_samples: int, seed: int) -> float:
+    if n_samples < 1:
+        raise ValueError("mc_samples must be >= 1, got %d" % n_samples)
+    if not 0 <= seed < 2 ** 63:
+        raise ValueError("seed must be in [0, 2**63), got %d" % seed)
     cfg = KillingConfig(p.r, 3)
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     z = rng.standard_normal((n_samples, 3))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import quadstop as q
-from quadstop.martin_solver import SolveConfig
 
 # verdict lines recorded by the acceptance tests; printed after the run so
 # they survive pytest's fd-level output capture
@@ -54,7 +53,7 @@ def sphere_grid():
 
 
 def _solved(p, grid, **kw):
-    b, rep = q.solve_boundary(p, grid, SolveConfig(**kw) if kw else None)
+    b, rep = q.solve_boundary(p, grid, **kw)
     assert rep.converged, "fixture solve failed: %r" % (rep,)
     return b
 

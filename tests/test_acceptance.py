@@ -19,8 +19,7 @@ import pytest
 from quadstop.dataio import write_json_report
 from quadstop.grids import make_circle_grid, make_sphere_grid
 from quadstop.kernels import KillingConfig, bessel_K_scaled, green_kernel_radial, martin_kernel
-from quadstop.martin_solver import (SolveConfig, radial_moment, radial_moment_drho,
-                                    solve_boundary)
+from quadstop.martin_solver import radial_moment, radial_moment_drho, solve_boundary
 from quadstop.problem import QuadraticProblem, class_membership_check, symmetric_radius
 from quadstop.verification import (MCConfig, green_residual_normalized,
                                    interior_scan_grid, majorant_gap_scan,
@@ -189,7 +188,7 @@ def test_criterion_06_symmetric_2d_solve():
     p = QuadraticProblem(1.0, (1.0, 1.0))
     # cold start from the generic inflated ellipse, so the solve is
     # independent of the oracle it is compared against
-    b, rep = solve_boundary(p, make_circle_grid(64), SolveConfig(homotopy_steps=0))
+    b, rep = solve_boundary(p, make_circle_grid(64), homotopy_steps=0)
     R = symmetric_radius(2, 1.0)
     rp = bessel2_policy_iteration_radius(1.0)
     spread = float(np.ptp(b.radii))
@@ -206,8 +205,7 @@ def test_criterion_06_symmetric_2d_solve():
 def test_criterion_07_symmetric_3d_solve():
     t0 = time.perf_counter()
     p = QuadraticProblem(0.5, (1.0, 1.0, 1.0))
-    b, rep = solve_boundary(p, make_sphere_grid(16, 32),
-                            SolveConfig(homotopy_steps=0))
+    b, rep = solve_boundary(p, make_sphere_grid(16, 32), homotopy_steps=0)
     w = symmetric_radius(3, 0.5)
     root_ok = abs(math.tanh(w) - w / 3.0) <= 1e-12
     worst = float(np.max(np.abs(b.radii - w)))

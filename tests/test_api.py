@@ -1,6 +1,7 @@
 """The package's public names, and what its command line imports."""
 
 import dataclasses
+import inspect
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ PUBLIC = [
     "QuadraticProblem", "StarBoundary", "ClassCheckReport",
     "class_membership_check", "symmetric_radius",
     "SphereGrid", "make_circle_grid", "make_sphere_grid",
-    "SolveConfig", "SolveReport", "solve_boundary",
+    "SolveReport", "solve_boundary",
     "KillingConfig", "martin_kernel",
     "MCConfig", "VerificationReport", "run_verification", "value", "mc_value",
     "majorant_gap_scan",
@@ -25,10 +26,13 @@ def test_public_names_resolve():
 
 
 def test_solve_config_fields():
-    # the two solver settings a caller may set; everything else, the residual
-    # tolerance included, is a constant
-    names = [f.name for f in dataclasses.fields(quadstop.SolveConfig)]
-    assert names == ["max_iterations", "homotopy_steps"]
+    # the one solver setting a caller may set; everything else, the residual
+    # tolerance and the iteration cap included, is a constant
+    params = inspect.signature(quadstop.solve_boundary).parameters.values()
+    assert [(a.name, a.kind) for a in params] == [
+        ("p", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("grid", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("homotopy_steps", inspect.Parameter.KEYWORD_ONLY)]
 
 
 def test_verification_report_fields():

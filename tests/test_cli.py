@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quadstop.martin_solver as ms
 from quadstop.cli import build_parser, main
 from quadstop.dataio import load_boundary_csv, save_boundary_csv
 from quadstop.problem import StarBoundary
@@ -44,6 +45,21 @@ def test_kernel_martin_zero_direction(capsys):
     assert err == "error: zero vector has no direction\n"
 
 
+def test_kernel_martin_dimension_from_a(capsys):
+    # --d may be left out or agree with --a; a --d that disagrees is a usage error
+    code, out, _ = run(capsys, "kernel", "martin", "--a", "1,0,0", "--y", "1,0,0")
+    assert code == 0
+    assert out.strip() == "%.12g" % np.exp(np.sqrt(2.0))
+    code, out_d, _ = run(capsys, "kernel", "martin", "--d", "3", "--a", "1,0,0", "--y", "1,0,0")
+    assert code == 0 and out_d == out
+    for d, a in (("3", "1,0"), ("2", "1,0,0")):
+        code, out, err = run(capsys, "kernel", "martin", "--d", d, "--a", a, "--y", a)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --d %s does not match" % d)
+        assert "Traceback" not in err
+
+
 def test_oracle_sym_radius(capsys):
     code, out, _ = run(capsys, "oracle", "sym-radius", "--r", "0.5", "--d", "3")
     assert code == 0
@@ -75,23 +91,23 @@ def test_solve_reruns_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_solve_non_convergence_exit_2(tmp_path, capsys):
+def test_solve_non_convergence_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ms, "_MAX_ITERATIONS", 2)
     out_csv = tmp_path / "b.csv"
     code, out, _ = run(capsys, "solve", "--r", "1", "--lambdas", "1,9",
-                       "--n", "32", "--max-iterations", "2",
-                       "--homotopy-steps", "0",
+                       "--n", "32", "--homotopy-steps", "0",
                        "--out", str(out_csv), "--report", str(out_csv) + ".json")
     assert code == 2
     assert "converged=False" in out
     assert out_csv.exists()  # partial result still written for inspection
 
 
-def test_solve_failed_stage_exit_2(tmp_path, capsys):
+def test_solve_failed_stage_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ms, "_MAX_ITERATIONS", 2)
     out_csv = tmp_path / "b.csv"
     rep_json = tmp_path / "b.json"
     code, out, _ = run(capsys, "solve", "--r", "1", "--lambdas", "1,9", "--n", "32",
-                       "--max-iterations", "2", "--out", str(out_csv),
-                       "--report", str(rep_json))
+                       "--out", str(out_csv), "--report", str(rep_json))
     assert code == 2
     assert "converged=False" in out
     rep = json.loads(rep_json.read_text())["solve_report"]
@@ -218,9 +234,10 @@ def test_removed_options_and_config_keys(tmp_path, capsys):
     report = ["--report", str(tmp_path / "v.json")]
     solve = ["solve", "--r", "1", "--lambdas", "1,1", "--n", "16",
              "--out", str(tmp_path / "s.csv"), "--report", str(tmp_path / "s.json")]
-    code, _, err = run(capsys, *solve, "--residual-tol", "1e-6")
-    assert code == 1
-    assert "unrecognized arguments: --residual-tol 1e-6" in err
+    for removed in ("--residual-tol", "--max-iterations"):
+        code, _, err = run(capsys, *solve, removed, "5")
+        assert code == 1
+        assert "unrecognized arguments: %s 5" % removed in err
     for removed, argv in (("--r", ["verify", "--boundary", str(b), *report]),
                           ("--residual-threshold", ["verify", "--boundary", str(b), *report]),
                           ("--lambdas", ["plot", "--boundary", str(b),
@@ -235,10 +252,11 @@ def test_removed_options_and_config_keys(tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--config", str(cfg), "--boundary", str(b), *report)
         assert code == 1
         assert key in err
-    cfg.write_text(json.dumps({"solver": {"residual_tol": 1e-6}}))
-    code, _, err = run(capsys, *solve, "--config", str(cfg))
-    assert code == 1
-    assert "solver.residual_tol" in err
+    for key in ("residual_tol", "max_iterations"):
+        cfg.write_text(json.dumps({"solver": {key: 5}}))
+        code, _, err = run(capsys, *solve, "--config", str(cfg))
+        assert code == 1
+        assert "unknown config key 'solver.%s'" % key in err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -304,11 +322,12 @@ def test_solver_config_keys(tmp_path, capsys):
                        "--n", "16", *out)
     assert code == 1
     assert "damping" in err
-    cfg.write_text(json.dumps({"solver": {"max_iterations": 2}}))
-    code, stdout, _ = run(capsys, "solve", "--config", str(cfg), "--r", "1", "--lambdas", "1,9",
-                          "--n", "32", *out)
-    assert code == 2
-    assert "converged=False" in stdout
+    cfg.write_text(json.dumps({"solver": {"homotopy_steps": 0}}))
+    code, _, _ = run(capsys, "solve", "--config", str(cfg), "--r", "1", "--lambdas", "1,4",
+                     "--n", "16", *out)
+    assert code == 0
+    assert len(json.loads((tmp_path / "b.json").read_text())
+               ["solve_report"]["homotopy_trace"]) == 1
 
 
 @pytest.fixture
@@ -348,8 +367,8 @@ def test_unknown_config_key_is_usage_error(tmp_path, monkeypatch, capsys, bounda
 
 @pytest.mark.parametrize("command, cfg, key, flag", [
     ("solve", {"grid": {"n": 32.9}}, "grid.n", ["--n", "32.9"]),
-    ("solve", {"solver": {"max_iterations": 2.5}}, "solver.max_iterations",
-     ["--max-iterations", "2.5"]),
+    ("solve", {"solver": {"homotopy_steps": 2.5}}, "solver.homotopy_steps",
+     ["--homotopy-steps", "2.5"]),
     ("verify", {"verify": {"paths": 2000.9}}, "verify.paths", ["--paths", "2000.9"]),
     ("verify", {"verify": {"seed": True}}, "verify.seed", ["--seed", "True"]),
 ])

@@ -75,6 +75,12 @@ def test_load_errors(tmp_path):
     skew.write_text("theta,rho\n" + rows)
     with pytest.raises(ValueError, match="equispaced"):
         load_boundary_csv(skew)
+    # one row 5e-5 rad off on an otherwise exact grid: the tolerance is an absolute 1e-9
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    theta[-1] += 5e-5  # within numpy's default rtol=1e-5 of 6.2 rad
+    skew.write_text("theta,rho\n" + "".join("%.17g,1.0\n" % t for t in theta))
+    with pytest.raises(ValueError, match="equispaced"):
+        load_boundary_csv(skew)
 
 
 def test_load_incomplete_3d_grid(tmp_path, p3_sym, bnd3_sym):

@@ -7,8 +7,7 @@ import pytest
 import quadstop as q
 import quadstop.martin_solver as ms
 from quadstop.grids import make_circle_grid, make_sphere_grid
-from quadstop.martin_solver import (SolveConfig, radial_moment, radial_moment_drho,
-                                    solve_boundary)
+from quadstop.martin_solver import radial_moment, radial_moment_drho, solve_boundary
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
 from reference import (alt_radial_forms, assemble_jacobian, assemble_residual, gamma,
                        gamma_matrix, quad, radial_form_audit)
@@ -254,16 +253,17 @@ def test_solve_reward_scaling(grid64):
 
 
 def test_solve_homotopy_consistent_with_cold(p_14, grid64, bnd_14):
-    b_cold, rep = solve_boundary(p_14, grid64, SolveConfig(homotopy_steps=0))
+    b_cold, rep = solve_boundary(p_14, grid64, homotopy_steps=0)
     assert rep.converged
     # the discrete system determines rho only up to the residual-tol null
     # modes of a smoothing kernel; both routes land in that set
     assert np.max(np.abs(b_cold.radii - bnd_14.radii)) <= 2e-3
 
 
-def test_solve_non_convergence_is_reported(grid64):
+def test_solve_non_convergence_is_reported(grid64, monkeypatch):
+    monkeypatch.setattr(ms, "_MAX_ITERATIONS", 3)
     p = QuadraticProblem(1.0, (1.0, 9.0))
-    b, rep = solve_boundary(p, grid64, SolveConfig(max_iterations=3, homotopy_steps=0))
+    b, rep = solve_boundary(p, grid64, homotopy_steps=0)
     assert not rep.converged
     assert rep.residual_inf_norm > 1e-9 * rep.residual_scale
     assert np.all(np.isfinite(b.radii))
@@ -278,17 +278,18 @@ def test_solve_iterations_count_every_stage(p_14, grid64, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(ms, "radial_moment_drho", counted)
-    for cfg, stages in ((None, 4), (SolveConfig(homotopy_steps=0), 0)):
+    for steps, stages in ((4, 4), (0, 1)):
         calls.clear()
-        _, rep = solve_boundary(p_14, grid64, cfg)
+        _, rep = solve_boundary(p_14, grid64, homotopy_steps=steps)
         assert rep.converged and len(rep.homotopy_trace) == stages
         assert rep.iterations == len(calls)
 
 
-def test_failed_homotopy_stage_reports_target_residual():
+def test_failed_homotopy_stage_reports_target_residual(monkeypatch):
+    monkeypatch.setattr(ms, "_MAX_ITERATIONS", 2)
     p = QuadraticProblem(1.0, (1.0, 9.0))
     grid = make_circle_grid(32)
-    b, rep = solve_boundary(p, grid, SolveConfig(max_iterations=2))
+    b, rep = solve_boundary(p, grid)
     assert not rep.converged
     assert len(rep.homotopy_trace) == 1   # stage 1 of 4 failed
     gm = math.sqrt(2.0 * p.r) * (grid.nodes / p.sqrt_lam) @ grid.nodes.T
@@ -418,13 +419,19 @@ def test_solver_layers_go_through_module_attributes(monkeypatch):
             seen[_name].append(shape_of[_name](args))
             return _real(*args, **kwargs)
         monkeypatch.setattr(ms, name, counted)
-    _, rep = solve_boundary(p, grid)
-    assert rep.converged
-    assert len(seen["radial_moment_drho"]) == rep.iterations
-    assert len(seen["lstsq"]) >= rep.iterations
-    assert len(seen["radial_moment"]) == len(seen["lstsq"]) + len(rep.homotopy_trace)
-    assert set(seen["radial_moment"]) == set(seen["radial_moment_drho"]) == {(grid.n, n_orbits)}
-    assert set(seen["lstsq"]) == {(2 * n_orbits, n_orbits)}
+    # continuation and cold start run the same stage loop: one residual per
+    # stage start and one per trial step
+    for steps in (4, 0):
+        for calls in seen.values():
+            calls.clear()
+        _, rep = solve_boundary(p, grid, homotopy_steps=steps)
+        assert rep.converged
+        assert len(seen["radial_moment_drho"]) == rep.iterations
+        assert len(seen["lstsq"]) >= rep.iterations
+        assert len(seen["radial_moment"]) == len(seen["lstsq"]) + len(rep.homotopy_trace)
+        assert (set(seen["radial_moment"]) == set(seen["radial_moment_drho"])
+                == {(grid.n, n_orbits)})
+        assert set(seen["lstsq"]) == {(2 * n_orbits, n_orbits)}
 
 
 def test_radial_moment_rejects_other_dimensions():
@@ -433,9 +440,9 @@ def test_radial_moment_rejects_other_dimensions():
             fn(4, 1.0, 0.5, 1.0)
 
 
-def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(homotopy_steps=-1)
+def test_solve_config_validation(p_14, grid64):
+    with pytest.raises(ValueError, match="homotopy_steps must be >= 0"):
+        solve_boundary(p_14, grid64, homotopy_steps=-1)
 
 
 def test_radial_form_audit_structure():

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, special
 
 import quadstop.verification as verification
-from quadstop.grids import make_circle_grid
+from quadstop.grids import make_circle_grid, make_sphere_grid
 from quadstop.kernels import KillingConfig, green_kernel_radial
 from quadstop.martin_solver import solve_boundary
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
@@ -526,6 +526,18 @@ def test_d3_value_forms_no_samples_by_nodes_matrix(p3_sym, bnd3_sym):
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_d3_value_rejects_bad_seed_and_sample_count():
+    p = QuadraticProblem(0.5, (1.0, 1.0, 1.0))
+    grid = make_sphere_grid(4, 8)
+    b = StarBoundary(grid, np.full(grid.n, 1.5 * p.beta))
+    for seed in (-1, 2 ** 63, 2 ** 64):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*63\)"):
+            value(p, b, np.zeros(3), mc_samples=100, seed=seed)
+    with pytest.raises(ValueError, match="mc_samples must be >= 1"):
+        value(p, b, np.zeros(3), mc_samples=0)
+    assert np.isfinite(value(p, b, np.zeros(3), mc_samples=100, seed=2 ** 63 - 1))
 
 
 def test_box_confinement_of_values(p_14, bnd_14):
