@@ -60,10 +60,14 @@ def _given(args, *names):
 
 
 def _load_boundary(path):
-    """(problem, boundary) of a boundary CSV; the problem is its metadata line's."""
+    """(problem, boundary) of a boundary CSV; the problem is its metadata line's, of the rows' d."""
     if not os.path.exists(path):
         raise CliError("boundary file not found: %s" % path)
-    return read_problem_csv(path), load_boundary_csv(path)
+    p, boundary = read_problem_csv(path), load_boundary_csv(path)
+    if p.d != boundary.grid.d:
+        raise CliError("%s: the problem line has d = %d but the rows form a d = %d grid"
+                       % (path, p.d, boundary.grid.d))
+    return p, boundary
 
 
 def cmd_solve(args) -> int:
@@ -116,6 +120,9 @@ def cmd_plot(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    for flag in ("a", "y") if args.which == "green" else ("dist",):
+        if getattr(args, flag) is not None:
+            raise CliError("kernel %s does not take --%s" % (args.which, flag))
     if args.which == "green":
         if args.dist is None:
             raise CliError("kernel green needs --dist")

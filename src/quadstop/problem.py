@@ -110,8 +110,8 @@ def symmetric_radius(d: int, r: float) -> float:
     factor on all reward weights rescales the value, not the boundary,
     so this covers every symmetric instance.
     """
-    if r <= 0.0:
-        raise ValueError("discount r must be > 0")
+    if not (np.isfinite(r) and r > 0.0):
+        raise ValueError("discount rate r must be finite and > 0, got %r" % (r,))
     if d == 2:
         w = _bracketed_root(lambda t: t * sps.i1(t) - 2.0 * sps.i0(t), 1.0, 5.0)
     elif d == 3:

@@ -11,6 +11,7 @@ reuse the Martin-kernel discretization:
 * `mc_value` prices the candidate stopping rule by a walk on spheres
   over the same curve: exact disc exits, no time step, no horizon, and
   a stopping shell whose bias is bounded (see `_SafeBalls`).
+* `_chunked_mean`, the one Monte Carlo engine, draws the walk and d = 3 `value`.
 * `run_verification` runs all of them, plus the class membership
   checks, into one report, whose `checks` and `passed` are the verdict.
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 from scipy.special import i0e
 
 from .kernels import KillingConfig, bessel_K_scaled, green_kernel_radial, green_kernel_radial_ds
@@ -119,13 +121,8 @@ class _BoundaryGeometry:
         Horner's rule in e^{i theta}: one complex exponential per angle,
         not one per mode.
         """
-        phase = np.exp(1j * np.asarray(theta, dtype=float))[..., None]
-        coef = self._coef[:, :order + 1]
-        acc = np.broadcast_to(coef[-1], phase.shape[:-1] + coef.shape[1:]).copy()
-        for c in coef[-2::-1]:
-            acc *= phase
-            acc += c
-        return acc.real
+        phase = np.exp(1j * np.asarray(theta, dtype=float))
+        return np.moveaxis(polyval(phase, self._coef[:, :order + 1]), 0, -1).real
 
     def rho(self, theta):
         return self._rho(theta, 0)[..., 0]
@@ -198,6 +195,7 @@ _NEAR_LEVELS = 12       # graded panels on each side of the nearest parameter
 _NEAR_FINEST = 1e-9     # the finest of them, relative to a plain panel
 _NEWTON_STEPS = 6
 _BLOCK_ENTRIES = 2 ** 14
+_MC3_SAMPLES = 1_000_000    # d = 3: points of E's volume integral in value, drawn with seed 0
 
 
 def _layer_sums(p: QuadraticProblem, cfg: KillingConfig, d, y, dy, w):
@@ -301,30 +299,26 @@ def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int = 72
     return chi * p.reward(x) + e_layer, (chi + m_layer) / p.r
 
 
-def _green_integral_mc3(p: QuadraticProblem, b: StarBoundary, x,
-                        n_samples: int, seed: int) -> float:
-    if n_samples < 1:
-        raise ValueError("mc_samples must be >= 1, got %d" % n_samples)
-    if not 0 <= seed < 2 ** 63:
-        raise ValueError("seed must be in [0, 2**63), got %d" % seed)
+def _green_integral_mc3(p: QuadraticProblem, b: StarBoundary, x) -> float:
     cfg = KillingConfig(p.r, 3)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    z = rng.standard_normal((n_samples, 3))
-    omega = z / np.sqrt((z * z).sum(axis=1))[:, None]
-    # piecewise-constant boundary radius: nearest grid node by angle,
-    # in row blocks so that no samples x nodes matrix is formed
-    nearest = np.empty(n_samples, dtype=int)
     step = max(1, _BLOCK_ENTRIES // b.grid.n)
-    for i in range(0, n_samples, step):
-        nearest[i:i + step] = np.argmax(omega[i:i + step] @ b.grid.nodes.T, axis=1)
-    rho_hat = b.radii[nearest]
-    rho = rho_hat * rng.random(n_samples) ** (1.0 / 3.0)
-    y = p.to_cartesian(omega, rho)
-    s = np.sqrt(((y - x) ** 2).sum(axis=1))
-    s = np.maximum(s, 1e-300)
-    dens = 3.0 * np.prod(p.sqrt_lam) / (4.0 * np.pi * rho_hat ** 3)
-    vals = green_kernel_radial(cfg, s) * p.excess_generator(y) / dens
-    return float(vals.mean())
+
+    def simulate(rng, n):
+        z = rng.standard_normal((n, 3))
+        omega = z / np.sqrt((z * z).sum(axis=1))[:, None]
+        # piecewise-constant boundary radius: nearest grid node by angle,
+        # in row blocks so that no samples x nodes matrix is formed
+        nearest = np.empty(n, dtype=int)
+        for i in range(0, n, step):
+            nearest[i:i + step] = np.argmax(omega[i:i + step] @ b.grid.nodes.T, axis=1)
+        rho_hat = b.radii[nearest]
+        rho = rho_hat * rng.random(n) ** (1.0 / 3.0)
+        y = p.to_cartesian(omega, rho)
+        s = np.maximum(np.sqrt(((y - x) ** 2).sum(axis=1)), 1e-300)
+        dens = 3.0 * np.prod(p.sqrt_lam) / (4.0 * np.pi * rho_hat ** 3)
+        return green_kernel_radial(cfg, s) * p.excess_generator(y) / dens
+
+    return _chunked_mean(_MC3_SAMPLES, 0, simulate)[0]
 
 
 def green_residual_normalized(p: QuadraticProblem, b: StarBoundary, x,
@@ -346,13 +340,12 @@ def green_residual_normalized(p: QuadraticProblem, b: StarBoundary, x,
     return float(out[0]) if x.ndim == 1 else out
 
 
-def value(p: QuadraticProblem, b: StarBoundary, x, *, n_rays: int = 720,
-          mc_samples: int = 1_000_000, seed: int = 0) -> float:
+def value(p: QuadraticProblem, b: StarBoundary, x, *, n_rays: int = 720) -> float:
     """Reconstructed value g(x) - E(x); exact for the optimal boundary.
 
     d = 2: E is an integral over ∂C on n_rays nodes (see _green_integrals).
-    d = 3: importance-sampled Monte Carlo, mc_samples points against the
-    closed-form Yukawa kernel, deterministic for a fixed seed.
+    d = 3: importance-sampled Monte Carlo, _MC3_SAMPLES points with seed 0
+    through _chunked_mean against the closed-form Yukawa kernel.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (p.d,):
@@ -360,7 +353,7 @@ def value(p: QuadraticProblem, b: StarBoundary, x, *, n_rays: int = 720,
     if p.d == 2:
         excess = float(_green_integrals(p, b, x[None, :], n_rays)[0][0])
     elif p.d == 3:
-        excess = _green_integral_mc3(p, b, x, mc_samples, seed)
+        excess = _green_integral_mc3(p, b, x)
     else:
         raise ValueError("green integrals are implemented for d in {2, 3}")
     return float(p.reward(x)) - excess
@@ -573,7 +566,7 @@ def _chunked_mean(paths: int, seed: int, simulate):
     return float(mean), float(np.sqrt((dev * dev).sum()) / paths)
 
 
-def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig, stats=None):
+def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
     """Simulated value of the rule "stop on first exit from C" from x0, by walk on spheres.
 
     C is the region inside the trigonometric interpolant of the radii,
@@ -588,9 +581,9 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig, stats=None
     keyed by (seed, chunk) makes the result reproducible and independent
     of scheduling.
 
-    Returns (estimate, stderr); (g(x0), 0.0) when x0 is not inside C.
-    If `stats` is a dict it receives the walk's "paths", "mean_walk"
-    and "max_walk" (balls per path), "shell" (eps) and "lipschitz".
+    Returns (estimate, stderr, walk), with the walk's "paths",
+    "mean_walk" and "max_walk" (balls per path), "shell" (eps) and
+    "lipschitz"; (g(x0), 0.0, walk) when x0 is not inside C.
     """
     if p.d != 2:
         raise ValueError("mc_value simulates d = 2 problems")
@@ -600,11 +593,10 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig, stats=None
     geom = _BoundaryGeometry(p, b)
     balls = _SafeBalls(geom)
     lengths = []
-    if stats is not None:
-        stats.update(paths=cfg.paths, mean_walk=0.0, max_walk=0, shell=float(balls.shell),
-                     lipschitz=balls.lipschitz)
+    walk = dict(paths=cfg.paths, mean_walk=0.0, max_walk=0, shell=float(balls.shell),
+                lipschitz=balls.lipschitz)
     if not geom.inside(x0[None, :])[0]:
-        return float(p.reward(x0)), 0.0
+        return float(p.reward(x0)), 0.0, walk
     kappa = np.sqrt(2.0 * p.r)
 
     def simulate(rng, n):
@@ -632,11 +624,10 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig, stats=None
         lengths.append((walked, longest))
         return payoff
 
-    est = _chunked_mean(cfg.paths, cfg.seed, simulate)
-    if stats is not None:
-        stats.update(mean_walk=sum(total for total, _ in lengths) / cfg.paths,
-                     max_walk=max(longest for _, longest in lengths))
-    return est
+    est, err = _chunked_mean(cfg.paths, cfg.seed, simulate)
+    walk.update(mean_walk=sum(total for total, _ in lengths) / cfg.paths,
+                max_walk=max(longest for _, longest in lengths))
+    return est, err, walk
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +646,7 @@ def run_verification(p: QuadraticProblem, b: StarBoundary,
     min_gap = majorant_gap_scan(p, b, grid, n_rays=n_rays)
     origin = np.zeros(2)
     recon = value(p, b, origin, n_rays=n_rays)
-    walk = {}
-    est, err = mc_value(p, b, origin, mc, walk)
+    est, err, walk = mc_value(p, b, origin, mc)
     return VerificationReport(
         boundary_residuals=residuals,
         majorant_min_gap=min_gap,

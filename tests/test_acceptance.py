@@ -270,8 +270,7 @@ def test_criterion_10_value_consistency():
         b, rep = solve_boundary(p, grid)
         assert rep.converged
         recon = value(p, b, np.zeros(2))
-        walk = {}
-        est, err = mc_value(p, b, np.zeros(2), mc, walk)
+        est, err, walk = mc_value(p, b, np.zeros(2), mc)
         tol = 3.0 * err + walk["shell"] * walk["lipschitz"]
         ok = ok and abs(recon - est) <= tol
         gap = majorant_gap_scan(p, b, interior_scan_grid(p, b, n=40))

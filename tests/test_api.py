@@ -35,6 +35,19 @@ def test_solve_config_fields():
         ("homotopy_steps", inspect.Parameter.KEYWORD_ONLY)]
 
 
+def test_value_and_mc_value_signatures():
+    # d = 3 value draws a fixed sample count with a fixed seed, and mc_value
+    # returns its walk statistics instead of filling a caller's dict
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    params = inspect.signature(quadstop.value).parameters.values()
+    assert [(a.name, a.kind) for a in params] == [
+        ("p", positional), ("b", positional), ("x", positional),
+        ("n_rays", inspect.Parameter.KEYWORD_ONLY)]
+    params = inspect.signature(quadstop.mc_value).parameters.values()
+    assert [(a.name, a.kind) for a in params] == [
+        ("p", positional), ("b", positional), ("x0", positional), ("cfg", positional)]
+
+
 def test_verification_report_fields():
     # the verdict (residual_max, mc_tolerance, checks, passed) is derived, not stored,
     # so the verify JSON's "report" keeps exactly these keys

@@ -11,7 +11,8 @@ import pytest
 import quadstop.martin_solver as ms
 from quadstop.cli import build_parser, main
 from quadstop.dataio import load_boundary_csv, save_boundary_csv
-from quadstop.problem import StarBoundary
+from quadstop.grids import make_sphere_grid
+from quadstop.problem import QuadraticProblem, StarBoundary
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -64,6 +65,27 @@ def test_oracle_sym_radius(capsys):
     code, out, _ = run(capsys, "oracle", "sym-radius", "--r", "0.5", "--d", "3")
     assert code == 0
     assert out.strip() == "2.98470458536"
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "0", "-1"])
+def test_oracle_sym_radius_rejects_non_finite_r(capsys, r):
+    code, out, err = run(capsys, "oracle", "sym-radius", "--r", r)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: discount rate r must be finite and > 0, got")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["green", "--dist", "1", "--a", "1,0,0"], "--a"),
+    (["green", "--dist", "1", "--y", "1,0"], "--y"),
+    (["martin", "--a", "1,0", "--y", "1,0", "--dist", "3"], "--dist"),
+])
+def test_kernel_rejects_the_other_kernels_flags(capsys, argv, flag):
+    code, out, err = run(capsys, "kernel", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: kernel %s does not take %s\n" % (argv[0], flag)
 
 
 def test_solve_writes_outputs(tmp_path, capsys):
@@ -430,6 +452,27 @@ def test_plot_takes_svg_path_from_config(tmp_path, capsys, boundary_16):
     assert code == 0
     assert out.strip() == "plot=%s" % svg
     assert svg.read_text().startswith("<svg")
+
+
+def test_problem_line_of_another_dimension_is_an_error(tmp_path, capsys, boundary_16):
+    # d = 3 rows under a d = 2 problem line, and d = 2 rows under a d = 3 one
+    rows3 = tmp_path / "rows3.csv"
+    save_boundary_csv(rows3, QuadraticProblem(0.5, (1.0, 1.0, 1.0)),
+                      StarBoundary(make_sphere_grid(4, 8), np.full(32, 2.0)))
+    text = rows3.read_text()
+    assert "lambdas=1,1,1\n" in text
+    rows3.write_text(text.replace("lambdas=1,1,1\n", "lambdas=1,1\n", 1))
+    rows2 = tmp_path / "rows2.csv"
+    rows2.write_text(Path(boundary_16).read_text().replace("lambdas=1,1\n", "lambdas=1,4,2\n", 1))
+    for path, dims in ((rows3, "d = 2 but the rows form a d = 3"),
+                       (rows2, "d = 3 but the rows form a d = 2")):
+        for command, flag in (("verify", "--report"), ("plot", "--out")):
+            out = tmp_path / ("out." + command)
+            code, _, err = run(capsys, command, "--boundary", str(path), flag, str(out))
+            assert code == 1
+            assert err.startswith("error: %s: the problem line has %s grid" % (path, dims))
+            assert "Traceback" not in err
+            assert not out.exists()
 
 
 def test_benchmark_wrapped_attributes_are_called(tmp_path, monkeypatch, capsys):

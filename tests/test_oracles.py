@@ -52,6 +52,12 @@ def test_symmetric_radius_domain():
         symmetric_radius(2, 0.0)
 
 
+def test_symmetric_radius_rejects_non_finite_r():
+    for r in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="discount rate r must be finite and > 0, got"):
+            symmetric_radius(2, r)
+
+
 def test_value_iteration_agrees_with_smooth_fit():
     # half the acceptance test's resolution; the discrete free boundary
     # sits within a grid step (3.7e-3 here) of the smooth-fit radius

@@ -173,10 +173,10 @@ def test_green_integral_continuous_across_boundary(p_14, bnd_14):
 def test_mc_value_stopped_regions(p_sym, bnd_sym):
     cfg = MCConfig(paths=200, seed=1)
     xb = bnd_sym.cartesian_points(p_sym)[5]
-    est, err = mc_value(p_sym, bnd_sym, xb, cfg)
+    est, err, _ = mc_value(p_sym, bnd_sym, xb, cfg)
     assert est == pytest.approx(p_sym.reward(xb), rel=1e-12)
     assert err == 0.0
-    est_out, err_out = mc_value(p_sym, bnd_sym, 1.5 * xb, cfg)
+    est_out, err_out, _ = mc_value(p_sym, bnd_sym, 1.5 * xb, cfg)
     assert est_out == pytest.approx(p_sym.reward(1.5 * xb), rel=1e-12)
 
 
@@ -189,8 +189,7 @@ def test_mc_value_deterministic(p_sym, bnd_sym):
 
 def test_mc_value_consistent_with_reconstruction(p_sym, bnd_sym):
     cfg = MCConfig(paths=20000, seed=2)
-    walk = {}
-    est, err = mc_value(p_sym, bnd_sym, np.zeros(2), cfg, walk)
+    est, err, walk = mc_value(p_sym, bnd_sym, np.zeros(2), cfg)
     tol = 3.0 * err + walk["shell"] * walk["lipschitz"]
     assert abs(est - V0_SYM_2D_R1) <= tol
 
@@ -221,7 +220,7 @@ def test_mc_value_prices_the_trigonometric_curve(p_14, bnd_14_n32):
         assert abs(linear[k] - trig[k]) > 1e-4 * trig[k]
         direction = np.array([math.cos(theta[k]), math.sin(theta[k])])
         x0 = p_14.to_cartesian(direction, 0.5 * (linear[k] + trig[k]))
-        est, err = mc_value(p_14, bnd_14_n32, x0, cfg)
+        est, err, _ = mc_value(p_14, bnd_14_n32, x0, cfg)
         if geom.inside(x0[None, :])[0]:
             # inside the certified curve only: the walk runs
             assert err > 0.0 and est != p_14.reward(x0)
@@ -281,19 +280,17 @@ def test_mc_value_independent_of_workers(p_14, bnd_14_n32, monkeypatch):
     # this many cores or fewer, switching threads every 10 microseconds
     x0 = 0.6 * bnd_14_n32.cartesian_points(p_14)[3]
     cfg = MCConfig(paths=2 * verification._CHUNK + 500, seed=9)
-    walk = {}
-    pooled = mc_value(p_14, bnd_14_n32, x0, cfg, walk)
+    pooled = mc_value(p_14, bnd_14_n32, x0, cfg)
     assert pooled[1] > 0.0
     for workers in (1, 8):
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            again = {}
-            assert mc_value(p_14, bnd_14_n32, x0, cfg, again) == pooled
+            assert mc_value(p_14, bnd_14_n32, x0, cfg) == pooled
         finally:
             sys.setswitchinterval(interval)
-        assert again == walk
+    walk = pooled[2]
     assert walk["paths"] == cfg.paths
     assert 1.0 < walk["mean_walk"] <= walk["max_walk"]
     theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
@@ -508,9 +505,8 @@ def test_d3_symmetric_reconstruction(p3_sym, bnd3_sym):
     # d = 3 reconstruction goes through the MC route inside value
     xb = bnd3_sym.cartesian_points(p3_sym)[40]
     gb = p3_sym.reward(xb)
-    assert value(p3_sym, bnd3_sym, xb, mc_samples=400000, seed=9) == pytest.approx(
-        gb, abs=2e-2 * max(1.0, gb))
-    v0 = value(p3_sym, bnd3_sym, np.zeros(3), mc_samples=400000, seed=9)
+    assert value(p3_sym, bnd3_sym, xb) == pytest.approx(gb, abs=2e-2 * max(1.0, gb))
+    v0 = value(p3_sym, bnd3_sym, np.zeros(3))
     R = symmetric_radius(3, 0.5)
     k = 1.0
     exact = k * R ** 3 / math.sinh(k * R)
@@ -518,26 +514,14 @@ def test_d3_symmetric_reconstruction(p3_sym, bnd3_sym):
 
 
 def test_d3_value_forms_no_samples_by_nodes_matrix(p3_sym, bnd3_sym):
-    # a 100k x 512 cosine matrix alone would take 410 MB
+    # a 1M x 512 cosine matrix alone would take 4.1 GB
     tracemalloc.start()
     try:
-        value(p3_sym, bnd3_sym, np.zeros(3), mc_samples=100_000, seed=1)
+        value(p3_sym, bnd3_sym, np.zeros(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 40e6
-
-
-def test_d3_value_rejects_bad_seed_and_sample_count():
-    p = QuadraticProblem(0.5, (1.0, 1.0, 1.0))
-    grid = make_sphere_grid(4, 8)
-    b = StarBoundary(grid, np.full(grid.n, 1.5 * p.beta))
-    for seed in (-1, 2 ** 63, 2 ** 64):
-        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*63\)"):
-            value(p, b, np.zeros(3), mc_samples=100, seed=seed)
-    with pytest.raises(ValueError, match="mc_samples must be >= 1"):
-        value(p, b, np.zeros(3), mc_samples=0)
-    assert np.isfinite(value(p, b, np.zeros(3), mc_samples=100, seed=2 ** 63 - 1))
 
 
 def test_box_confinement_of_values(p_14, bnd_14):
