@@ -54,6 +54,17 @@ def _vector(text):
         raise argparse.ArgumentTypeError("expected comma-separated numbers, got %r" % text)
 
 
+def _positive_int(text):
+    """The argparse type of --n-rays: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def _given(args, *names):
     """The named settings that a flag or the config file set; the rest keep library defaults."""
     return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
@@ -221,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--paths", type=int)
     s.add_argument("--seed", type=int)
     s.add_argument("--scan-n", dest="scan_n", type=int)
-    s.add_argument("--n-rays", dest="n_rays", type=int,
-                   help="trapezoid nodes on the boundary curve, at least 8 per grid node")
+    s.add_argument("--n-rays", dest="n_rays", type=_positive_int,
+                   help="trapezoid nodes on the boundary curve (>= 1); fewer than 8 per "
+                        "grid node are raised to that")
     s.add_argument("--report", default="verification.report.json",
                    help="verification report JSON path")
     s.set_defaults(func=cmd_verify)

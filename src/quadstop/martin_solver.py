@@ -17,10 +17,13 @@ representative node per orbit as test direction, with every sum over
 boundary nodes still taken over the whole grid.  The square system on
 the orbits has the nodal Levenberg-Marquardt iterates (see `_lm_solve`)
 at n x n_orbits moments per assembly instead of n^2.
-m_d is a difference of two Kummer functions,
-int_0^rho e^{gamma s} s^n ds = rho^{n+1} M(n+1, n+2, gamma rho)/(n+1)
-(DLMF 13.4.1), one formula for every sign and size of gamma rho that
-does not cancel near gamma = 0; its rho-derivative is the integrand.
+With z = gamma rho, m_d = rho^{d+2} F_{d+1}(z) - beta^2 rho^d F_{d-1}(z)
+for the integer-order moments F_k(z) = int_0^1 e^{zt} t^k dt, which are
+elementary: one e^z gives both, through a Taylor series and a downward
+recurrence for |z| <= 2.5 and through the closed form with the
+truncated exponential series beyond (see _power_moments).  Neither
+regime cancels near gamma = 0; the rho-derivative of m_d is the
+integrand.
 Levenberg-Marquardt on that analytic Jacobian drives the radii,
 projecting onto [beta(1+1e-6), RADIUS_CAP beta] after every step, with
 RADIUS_CAP the bound `class_membership_check` holds the radii to.
@@ -28,11 +31,11 @@ RADIUS_CAP the bound `class_membership_check` holds the radii to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lstsq
-from scipy.special import hyp1f1
 
 from .grids import SphereGrid
 from .problem import RADIUS_CAP, QuadraticProblem, StarBoundary, symmetric_radius
@@ -49,6 +52,11 @@ _MAX_ITERATIONS = 200  # Levenberg-Marquardt steps per stage
 _DAMPING = 1e-3       # initial Levenberg parameter
 _STEP_TOL = 1e-11     # stop when an accepted step moves no radius by more
 _RESIDUAL_TOL = 1e-9  # converged when max |R| <= _RESIDUAL_TOL * max_j sum_i w_i |m_d|
+_SERIES_MAX = 2.5     # |gamma rho| up to which the radial moments take the Taylor series
+_SERIES_TERMS = 27    # the first term left out is below 1e-17 of F_{d+1} at |z| = 2.5
+# Taylor coefficients 1/(n! (n+d+2)) of F_{d+1}, highest power first
+_SERIES = {d: np.array([1.0 / (math.factorial(n) * (n + d + 2))
+                        for n in reversed(range(_SERIES_TERMS))]) for d in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -73,18 +81,78 @@ class SolveReport:
 def radial_moment(d: int, rho, gam, beta: float):
     """m_d(rho, gamma; beta) = int_0^rho e^{gamma s}(s^2 - beta^2) s^{d-1} ds.
 
-    rho^{d+2} M(d+2, d+3, gamma rho)/(d+2) - beta^2 rho^d M(d, d+1, gamma rho)/d
-    with M Kummer's function.  Arrays broadcast; scalars give a float.
+    rho^{d+2} F_{d+1}(z) - beta^2 rho^d F_{d-1}(z) with z = gamma rho and
+    F_k(z) = int_0^1 e^{zt} t^k dt (see _power_moments).  Arrays
+    broadcast; scalars give a float.  Where a term overflows, and past
+    z ~ 709.78, where e^z does, m is inf or nan.
     """
     if d not in (2, 3):
         raise ValueError("radial_moment supports d in {2, 3}")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0.0):
         raise ValueError("rho must be >= 0")
-    z = rho * np.asarray(gam, dtype=float)
-    out = (rho ** (d + 2) * hyp1f1(d + 2, d + 3, z) / (d + 2)
-           - beta * beta * rho ** d * hyp1f1(d, d + 1, z) / d)
+    f_lo, out = _power_moments(d, rho * np.asarray(gam, dtype=float))
+    rho_d = rho * rho if d == 2 else rho * rho * rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        out *= rho_d * rho * rho
+        f_lo *= beta * beta * rho_d
+        out -= f_lo
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _power_moments(d: int, z):
+    """(F_{d-1}(z), F_{d+1}(z)) with F_k(z) = int_0^1 e^{zt} t^k dt = M(k+1, k+2, z)/(k+1).
+
+    One e^z per entry serves both.  For |z| > _SERIES_MAX it is the closed
+    form F_k = (k! - e^z S_k(x))/x^{k+1} with x = -z and
+    S_k(x) = k! e_k(x) = sum_{j<=k} k!/j! x^j, e_k the exponential series
+    cut after x^k (DLMF 8.4.7, 13.6.5).  It is evaluated as
+    k!/x^{k+1} - e^z (S_k/x^{k+1}), finite wherever e^z is, and the
+    rounding of the common factor 1/x^{k+1} is not amplified where the
+    two terms cancel (z just below -_SERIES_MAX).  S_{d-1} is a Horner
+    sum and S_{k+1} = (k+1) S_k + x^{k+1} gives S_{d+1}.  For
+    |z| <= _SERIES_MAX, F_{d+1} is its Taylor series
+    sum_n z^n/(n! (n+d+2)) and F_{d-1} follows by two steps of
+    F_{k-1} = (e^z - z F_k)/k, which scale the error of F_{d+1} by
+    |z|^2/(d(d+1)) <= 1.05.
+    """
+    shape = np.shape(z)
+    z = np.ravel(z)
+    f_lo = np.empty(z.size)
+    f_hi = np.empty(z.size)
+    # integer indices: applying a mixed boolean mask is several times slower
+    series = np.abs(z) <= _SERIES_MAX
+    at_s = np.flatnonzero(series)
+    at_c = np.flatnonzero(~series)
+    zs = z[at_s]
+    f = np.full(zs.shape, _SERIES[d][0])
+    for c in _SERIES[d][1:]:
+        f *= zs
+        f += c
+    f_hi[at_s] = f
+    e = np.exp(zs)
+    f *= zs
+    np.subtract(e, f, out=f)
+    f *= zs / (d + 1)
+    np.subtract(e, f, out=f)
+    f /= d
+    f_lo[at_s] = f
+    zc = z[at_c]
+    x = -zc
+    xx = x * x
+    x_d = xx if d == 2 else xx * x
+    s = x + 1.0 if d == 2 else (x + 2.0) * x + 2.0  # S_{d-1}
+    with np.errstate(over="ignore"):
+        e = np.exp(zc)
+    r = 1.0 / x_d
+    f_lo[at_c] = math.factorial(d - 1) * r - e * (s * r)
+    s *= d
+    s += x_d
+    s *= d + 1
+    s += x_d * x  # S_{d+1}
+    r /= xx
+    f_hi[at_c] = math.factorial(d + 1) * r - e * (s * r)
+    return f_lo.reshape(shape), f_hi.reshape(shape)
 
 
 def radial_moment_drho(d: int, rho, gam, beta: float):
@@ -181,6 +249,9 @@ def _lm_solve(p, grid, orbits, x0):
     the largest residual over the representatives is the largest over
     all test directions.
 
+    A trial step whose objective overflows (e^{gamma rho} past the
+    largest double) is rejected like one that does not descend.
+
     Returns (x, R, scale, iterations, step_inf): the radii, the residual
     and its scale there, the steps taken (at most _MAX_ITERATIONS) and
     the inf-norm of the last accepted step (inf if none was).
@@ -202,8 +273,9 @@ def _lm_solve(p, grid, orbits, x0):
         for _ in range(60):
             cand = np.clip(x + system.step(res, jac, dmp, mu), lo, hi)
             res_c, scale_c = system.residual(cand)
-            obj_c = (rw * res_c) @ (rw * res_c)
-            if obj_c < obj:
+            with np.errstate(over="ignore"):
+                obj_c = (rw * res_c) @ (rw * res_c)
+            if np.isfinite(obj_c) and obj_c < obj:
                 step_inf = float(np.max(np.abs(cand - x)))
                 x, res, scale, obj = cand, res_c, scale_c, obj_c
                 mu = max(mu / 3.0, 1e-14)

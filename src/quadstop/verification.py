@@ -232,6 +232,11 @@ def _near_panels(width: float):
     return np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
 
 
+def _check_n_rays(n_rays):
+    if n_rays < 1:
+        raise ValueError("n_rays must be >= 1, got %d" % n_rays)
+
+
 def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int = 720):
     """(E, M) at each row of pts: E = integral over C of G_r(x, y) (r - L)g(y) dy, M of G_r.
 
@@ -251,6 +256,7 @@ def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int = 72
     there and the double layer bounded, which the same panels integrate.
     Points are processed in blocks of about _BLOCK_ENTRIES kernel entries.
     """
+    _check_n_rays(n_rays)
     pts = np.asarray(pts, dtype=float)
     geom = _BoundaryGeometry(p, b)
     cfg = KillingConfig(p.r, 2)
@@ -343,10 +349,11 @@ def green_residual_normalized(p: QuadraticProblem, b: StarBoundary, x,
 def value(p: QuadraticProblem, b: StarBoundary, x, *, n_rays: int = 720) -> float:
     """Reconstructed value g(x) - E(x); exact for the optimal boundary.
 
-    d = 2: E is an integral over ∂C on n_rays nodes (see _green_integrals).
+    d = 2: E is an integral over ∂C on n_rays >= 1 nodes (see _green_integrals).
     d = 3: importance-sampled Monte Carlo, _MC3_SAMPLES points with seed 0
     through _chunked_mean against the closed-form Yukawa kernel.
     """
+    _check_n_rays(n_rays)
     x = np.asarray(x, dtype=float)
     if x.shape != (p.d,):
         raise ValueError("x must be a point of dimension %d" % p.d)
@@ -639,6 +646,7 @@ def run_verification(p: QuadraticProblem, b: StarBoundary,
     """All certification checks for a d = 2 boundary in one report."""
     if p.d != 2:
         raise ValueError("run_verification supports d = 2 boundaries")
+    _check_n_rays(n_rays)
     if mc is None:
         mc = MCConfig()
     grid = interior_scan_grid(p, b, n=scan_n)

@@ -13,7 +13,8 @@ predicts:
   problem, solved by policy iteration;
 * the Green measure of a rectangle and its strong-Markov decomposition;
 * the finiteness ratio g / I_0;
-* the audit of an alternative published form of the radial moment;
+* the radial moment through Kummer's function, and the audit of an
+  alternative published form of it;
 * small conveniences with no caller in the package: K_nu unscaled and
   in log form, affine polar coordinates of a point, the negative set,
   and the full n x n Martin residual and Jacobian of a given boundary,
@@ -519,6 +520,25 @@ def finiteness_ratio_scan(p: QuadraticProblem, radii, reward_fn=None,
         vals = reward_fn(rad * ring) / sps.i0(kappa * rad)
         out.append(float(np.max(vals)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the radial moment in Kummer form
+
+def kummer_moment_terms(d: int, rho, gam, beta: float):
+    """(rho^{d+2} F_{d+1}(z), beta^2 rho^d F_{d-1}(z)) at z = gamma rho, by Kummer's function.
+
+    F_k(z) = int_0^1 e^{zt} t^k dt = M(k+1, k+2, z)/(k+1) (DLMF 13.4.1),
+    through scipy.special.hyp1f1, so the radial moment m_d is the first
+    term minus the second: an independent route to
+    martin_solver.radial_moment, which takes F_k in elementary form.  A
+    term past the largest double is inf.
+    """
+    rho = np.asarray(rho, dtype=float)
+    z = rho * np.asarray(gam, dtype=float)
+    with np.errstate(over="ignore"):
+        return (rho ** (d + 2) * (sps.hyp1f1(d + 2, d + 3, z) / (d + 2)),
+                beta * beta * rho ** d * (sps.hyp1f1(d, d + 1, z) / d))
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,17 @@ def test_verify_rejects_empty_scan_and_out_of_range_seed(tmp_path, capsys, bound
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_verify_rejects_n_rays_below_one(tmp_path, capsys, boundary_16, value):
+    rep = tmp_path / "v.json"
+    code, out, err = run(capsys, "verify", "--boundary", boundary_16, "--report", str(rep),
+                         *LIGHT_VERIFY, "--n-rays", value)
+    assert code == 1
+    assert err.splitlines()[-1] == "error: argument --n-rays: must be >= 1, got %s" % value
+    assert out == ""
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("field, broken", [("r=1 ", ""), (" lambdas=1,1", ""), ("r=1", "r1")])
 @pytest.mark.parametrize("command", ["verify", "plot"])
 def test_malformed_problem_line_is_an_error(tmp_path, capsys, boundary_16, command, field,
@@ -393,6 +404,7 @@ def test_unknown_config_key_is_usage_error(tmp_path, monkeypatch, capsys, bounda
      ["--homotopy-steps", "2.5"]),
     ("verify", {"verify": {"paths": 2000.9}}, "verify.paths", ["--paths", "2000.9"]),
     ("verify", {"verify": {"seed": True}}, "verify.seed", ["--seed", "True"]),
+    ("verify", {"verify": {"n_rays": 0}}, "verify.n_rays", ["--n-rays", "0"]),
 ])
 def test_config_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, boundary_16,
                                               command, cfg, key, flag):

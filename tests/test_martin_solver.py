@@ -1,8 +1,11 @@
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 import quadstop as q
 import quadstop.martin_solver as ms
@@ -10,7 +13,7 @@ from quadstop.grids import make_circle_grid, make_sphere_grid
 from quadstop.martin_solver import radial_moment, radial_moment_drho, solve_boundary
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
 from reference import (alt_radial_forms, assemble_jacobian, assemble_residual, gamma,
-                       gamma_matrix, quad, radial_form_audit)
+                       gamma_matrix, kummer_moment_terms, quad, radial_form_audit)
 
 M2_RHO1_GAM1_BETA2 = -3.436563656918091  # 2 - 2e
 
@@ -83,16 +86,84 @@ def _power_moment(n, rho, gam):
 
 
 def test_radial_moment_branch_continuity():
-    # across |gamma| rho = 2, where a series once handed over to the closed form
+    # across |gamma| rho = 2, where a series once handed over to the closed form,
+    # and across the switch between the Taylor series and the closed form today
     for d in (2, 3):
-        for gam in (0.5, -0.5, 1.3):
-            rho = 2.0 / abs(gam)
-            lo = radial_moment(d, rho * (1.0 - 1e-9), gam, 1.0)
-            hi = radial_moment(d, rho * (1.0 + 1e-9), gam, 1.0)
-            assert lo == pytest.approx(hi, rel=1e-7)  # continuity of m itself
-            # and the elementary closed form agrees at the same point
-            closed = _power_moment(d + 1, rho, gam) - _power_moment(d - 1, rho, gam)
-            assert radial_moment(d, rho, gam, 1.0) == pytest.approx(closed, rel=1e-13)
+        for z0 in (2.0, ms._SERIES_MAX):
+            for gam in (0.5, -0.5, 1.3):
+                rho = z0 / abs(gam)
+                lo = radial_moment(d, rho * (1.0 - 1e-9), gam, 1.0)
+                hi = radial_moment(d, rho * (1.0 + 1e-9), gam, 1.0)
+                assert lo == pytest.approx(hi, rel=1e-7)  # continuity of m itself
+                # and the elementary closed form agrees at the same point
+                closed = _power_moment(d + 1, rho, gam) - _power_moment(d - 1, rho, gam)
+                assert radial_moment(d, rho, gam, 1.0) == pytest.approx(closed, rel=1e-13)
+
+
+def _switch_points():
+    # 1e-9 either side of the series switch and of |z| = 2, and on them
+    return [sign * z0 * (1.0 + eps) for z0 in (ms._SERIES_MAX, 2.0)
+            for sign in (1.0, -1.0) for eps in (-1e-9, 0.0, 1e-9)]
+
+
+def test_radial_moment_matches_kummer_form():
+    z = np.concatenate([np.linspace(-700.0, 700.0, 14001),
+                        [0.0, 1e-300, -1e-300, 1e-12, -1e-12], _switch_points()])
+    # rho = 60 takes rho^{d+2} F_{d+1}(z) past the largest double below z = 700
+    for d in (2, 3):
+        overflowed = 0
+        for rho, beta in ((0.5, 0.9), (1.3, 1.1), (3.0, 2.0), (60.0, 40.0)):
+            gam = z / rho
+            got = radial_moment(d, rho, gam, beta)
+            hi, lo = kummer_moment_terms(d, rho, gam, beta)
+            with np.errstate(invalid="ignore"):
+                ref = hi - lo
+            finite = np.isfinite(ref)
+            overflowed += np.count_nonzero(~finite)
+            assert not np.any(np.isfinite(got[~finite]))
+            # halved, as |hi| + |lo| may pass the largest double where hi - lo does not
+            half_err = np.abs(got[finite] - ref[finite]) / 2.0
+            half_scale = np.abs(hi[finite]) / 2.0 + np.abs(lo[finite]) / 2.0
+            assert np.all(half_err <= 1e-13 * half_scale)
+        assert overflowed > 0
+
+
+def test_power_moments_match_high_precision():
+    # each F_k(z) = M(k+1, k+2, z)/(k+1) against 40-digit Kummer functions
+    mpmath = pytest.importorskip("mpmath")
+    z = np.concatenate([np.linspace(-40.0, 40.0, 801), [0.0, 1e-12, -1e-12], _switch_points()])
+    with mpmath.workdps(40):
+        for d in (2, 3):
+            for k, got in zip((d - 1, d + 1), ms._power_moments(d, z)):
+                ref = np.array([float(mpmath.hyp1f1(k + 1, k + 2, mpmath.mpf(x)) / (k + 1))
+                                for x in z])
+                assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+
+def test_trial_overflow_is_rejected_without_warnings():
+    # at lambda-ratio 1000 trial steps push e^{gamma rho} past the largest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, rep = solve_boundary(QuadraticProblem(1.0, (1.0, 1000.0)), make_circle_grid(64))
+    assert rep.iterations == 309
+    assert not rep.converged
+
+
+def test_solve_never_calls_hyp1f1(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hyp1f1 called")
+
+    real = scipy.special.hyp1f1
+    monkeypatch.setattr(scipy.special, "hyp1f1", refuse)
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("quadstop"):
+            for name, obj in list(vars(module).items()):
+                if obj is real:
+                    monkeypatch.setattr(module, name, refuse)
+    for p, grid, steps in ((QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64), 4),
+                           (QuadraticProblem(1.0, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16), 0)):
+        _, rep = solve_boundary(p, grid, homotopy_steps=steps)
+        assert rep.iterations > 0
 
 
 def test_radial_moment_derivative():

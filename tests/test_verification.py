@@ -480,6 +480,19 @@ def test_verify_layers_go_through_module_attributes(monkeypatch):
     assert all(calls.values()), calls
 
 
+@pytest.mark.parametrize("n_rays", [0, -5])
+def test_n_rays_below_one_is_rejected(p_sym, bnd_sym, p3_sym, bnd3_sym, n_rays):
+    x = np.zeros(2)
+    for call in (lambda: run_verification(p_sym, bnd_sym, n_rays=n_rays),
+                 lambda: value(p_sym, bnd_sym, x, n_rays=n_rays),
+                 lambda: value(p3_sym, bnd3_sym, np.zeros(3), n_rays=n_rays),
+                 lambda: green_residual_normalized(p_sym, bnd_sym, x, n_rays=n_rays),
+                 lambda: majorant_gap_scan(p_sym, bnd_sym, x[None, :], n_rays=n_rays),
+                 lambda: _green_integrals(p_sym, bnd_sym, x[None, :], n_rays)):
+        with pytest.raises(ValueError, match="^n_rays must be >= 1, got %d$" % n_rays):
+            call()
+
+
 def test_run_verification_with_mc(p_sym, bnd_sym):
     mc = MCConfig(paths=5000, seed=3)
     rep = run_verification(p_sym, bnd_sym, mc=mc, scan_n=10, n_rays=240)
