@@ -161,7 +161,7 @@ def radial_moment_drho(d: int, rho, gam, beta: float):
         raise ValueError("radial_moment_drho supports d in {2, 3}")
     rho = np.asarray(rho, dtype=float)
     gam = np.asarray(gam, dtype=float)
-    out = np.exp(gam * rho) * (rho * rho - beta * beta) * rho ** (d - 1)
+    out = np.exp(gam * rho) * (rho * rho - beta * beta) * (rho if d == 2 else rho * rho)
     return float(out) if np.ndim(out) == 0 else out
 
 

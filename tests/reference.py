@@ -15,6 +15,8 @@ predicts:
 * the finiteness ratio g / I_0;
 * the radial moment through Kummer's function, and the audit of an
   alternative published form of it;
+* the walk-on-spheres radii of `_SafeBalls` with the curve evaluated by
+  numpy's polyval;
 * small conveniences with no caller in the package: K_nu unscaled and
   in log form, affine polar coordinates of a point, the negative set,
   and the full n x n Martin residual and Jacobian of a given boundary,
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sps
+from numpy.polynomial.polynomial import polyval
 from scipy import integrate
 from scipy.linalg import solve_banded
 
@@ -38,7 +41,7 @@ from quadstop.kernels import (KillingConfig, bessel_K_scaled, green_kernel_radia
                               green_kernel_radial_ds, martin_kernel)
 from quadstop.martin_solver import radial_moment, radial_moment_drho
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
-from quadstop.verification import _GL16_W, _GL16_X, MCConfig, _chunked_mean
+from quadstop.verification import _GL16_W, _GL16_X, _WALK_NEWTON, MCConfig, _chunked_mean
 
 
 def quad(f, a, b, epsrel=1e-12, epsabs=0.0, **kw):
@@ -520,6 +523,74 @@ def finiteness_ratio_scan(p: QuadraticProblem, radii, reward_fn=None,
         vals = reward_fn(rad * ring) / sps.i0(kappa * rad)
         out.append(float(np.max(vals)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# walk-on-spheres radii by numpy's polyval
+
+def safe_radii_reference(balls, x):
+    """(R, U) of `_SafeBalls.radii` at the rows of x, with the curve by polyval.
+
+    The same bounds, formulas and operation order as the package, but
+    evaluated the plain way: rho and its derivatives by
+    numpy.polynomial.polynomial.polyval in e^{i theta}, the frame u, u'
+    by np.cos and np.sin, points stacked on a trailing axis of 2, and a
+    fresh order-2 evaluation at every Newton iterate and at the last.
+    The package's in-place route must agree with it bit for bit.
+    """
+    geom = balls.geom
+    sqrt_lam = geom.p.sqrt_lam
+
+    def rho(theta, order):
+        phase = np.exp(1j * np.asarray(theta, dtype=float))
+        return np.moveaxis(polyval(phase, geom._coef[:, :order + 1]), 0, -1).real
+
+    def frame(theta):
+        cos, sin = np.cos(theta), np.sin(theta)
+        return (np.stack([cos, sin], axis=-1) / sqrt_lam,
+                np.stack([-sin, cos], axis=-1) / sqrt_lam)
+
+    def curve(theta):
+        r, d1, d2 = np.moveaxis(rho(theta, 2), -1, 0)
+        u, du = frame(theta)
+        return (r[..., None] * u, d1[..., None] * u + r[..., None] * du,
+                (d2 - r)[..., None] * u + 2.0 * d1[..., None] * du)
+
+    z = x * sqrt_lam
+    phi, s = np.arctan2(z[..., 1], z[..., 0]), np.sqrt((z * z).sum(axis=-1))
+    gap = rho(phi, 0)[..., 0] - s
+    star = np.minimum(gap * s / np.maximum(s + 0.5 * np.pi * balls.slope, 1e-300), s)
+    radius = balls.inv_max * np.maximum(star, balls.rho_min - s)
+    node = np.clip(np.rint((x - balls.lo) / balls.cell).astype(int), 0,
+                   np.array(balls.clearance.shape) - 1)
+    offset = x - (balls.lo + balls.cell * node)
+    radius = np.maximum(radius, balls.clearance[node[:, 0], node[:, 1]]
+                        - np.sqrt((offset * offset).sum(axis=1)))
+    upper = np.full(len(x), np.inf)
+    u = frame(phi)[0]
+    e = np.abs(gap) * np.sqrt((u * u).sum(axis=1))
+    near = np.flatnonzero(e < balls.reach)
+    if near.size:
+        xn, phi_n, room = x[near], phi[near], balls.reach - e[near]
+        w = np.minimum(0.5 * np.pi, 0.5 * room / balls.speed)
+        t = phi_n
+        for _ in range(_WALK_NEWTON):
+            y, dy, d2y = curve(t)
+            d = y - xn
+            slope = (d * dy).sum(axis=1)
+            speed_sq = (dy * dy).sum(axis=1)
+            curv = speed_sq + (d * d2y).sum(axis=1)
+            curv = np.where(curv > 0.0, curv, speed_sq)
+            t = np.clip(t - slope / curv, phi_n - w, phi_n + w)
+        yn, dyn, _ = curve(t)
+        d = yn - xn
+        f = (d * d).sum(axis=1)
+        df = 2.0 * (d * dyn).sum(axis=1)
+        inner = np.sqrt(np.maximum(f - df * df / (2.0 * balls.bend * room), 0.0))
+        outer = balls.inv_max * balls.rho_min * np.sin(w)
+        radius[near] = np.maximum(radius[near], np.minimum(inner, outer))
+        upper[near] = np.sqrt(f)
+    return np.maximum(radius - balls.rounding, 0.0), upper
 
 
 # ---------------------------------------------------------------------------

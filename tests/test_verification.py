@@ -17,7 +17,7 @@ from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals
                                    green_residual_normalized, interior_scan_grid,
                                    majorant_gap_scan, mc_value, run_verification, value)
 from reference import (bessel_K, finiteness_ratio_scan, green_measure_identity_check,
-                       rect_green_mass, to_polar)
+                       rect_green_mass, safe_radii_reference, to_polar)
 from sweep_reference import sweep_integrals, trig_eval
 
 V0_SYM_2D_R1 = 0.9512830041392790
@@ -232,14 +232,16 @@ def _reference_distance(geom, pts):
     """Distance to the curve: nearest of 2^16 samples, refined by Newton's method."""
     n = 2 ** 16
     theta = 2.0 * np.pi * np.arange(n) / n
-    y = geom.curve(theta)[0]
+    at = geom.evaluate(theta, 2)
+    yx, yy = geom.points(at[:3])[0]
     nearest = np.empty(len(pts), dtype=int)
     for i in range(0, len(pts), 32):
-        dx = pts[i:i + 32, :1] - y[:, 0]
-        dy = pts[i:i + 32, 1:] - y[:, 1]
+        dx = pts[i:i + 32, :1] - yx
+        dy = pts[i:i + 32, 1:] - yy
         nearest[i:i + 32] = np.argmin(dx * dx + dy * dy, axis=1)
-    t = geom.nearest(pts, theta[nearest], 8, max_step=2.0 * np.pi / n)
-    return np.sqrt(((geom.curve(t)[0] - pts) ** 2).sum(axis=1))
+    _, ((cx, cy), _) = geom.nearest(pts[:, 0], pts[:, 1], theta[nearest],
+                                    tuple(a[nearest] for a in at), 8, max_step=2.0 * np.pi / n)
+    return np.sqrt((cx - pts[:, 0]) ** 2 + (cy - pts[:, 1]) ** 2)
 
 
 @pytest.mark.parametrize("lam, petals", [((1.0, 1.0), 0), ((1.0, 4.0), 0), ((1.0, 16.0), 0),
@@ -273,6 +275,74 @@ def test_safe_radius_never_exceeds_distance(lam, petals):
     # no walk stalls, and next to ∂C the disc is the distance itself
     assert np.all(radius > 0.0)
     assert np.all(radius[:len(shell)] >= 0.999 * dist[:len(shell)])
+    # and the in-place curve evaluation changes no bit
+    ref_radius, ref_upper = safe_radii_reference(balls, pts)
+    np.testing.assert_array_equal(radius, ref_radius, strict=True)
+    np.testing.assert_array_equal(upper, ref_upper, strict=True)
+
+
+@pytest.fixture(scope="module")
+def bnd_14_r03_n32(p_14_r03):
+    return solve_boundary(p_14_r03, make_circle_grid(32))[0]
+
+
+def test_safe_radii_match_polyval_reference_along_walks(p_14_r03, bnd_14_r03_n32):
+    """Every position of 500 walks from the origin, as mc_value draws them."""
+    balls = _SafeBalls(_BoundaryGeometry(p_14_r03, bnd_14_r03_n32))
+    rng = np.random.default_rng(3)
+    pos = np.zeros((500, 2))
+    seen = []
+    while len(pos):
+        seen.append(pos)
+        radius, upper = balls.radii(pos)
+        keep = upper > balls.shell
+        angle = 2.0 * np.pi * rng.random(keep.sum())
+        pos = pos[keep] + radius[keep, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    pts = np.concatenate(seen)
+    assert len(seen) > 20 and len(pts) > 5000
+    radius, upper = balls.radii(pts)
+    ref_radius, ref_upper = safe_radii_reference(balls, pts)
+    np.testing.assert_array_equal(radius, ref_radius, strict=True)
+    np.testing.assert_array_equal(upper, ref_upper, strict=True)
+    assert np.isfinite(upper).sum() > len(pts) // 2
+
+
+def test_safe_radii_evaluate_the_curve_once_per_newton_iterate(p_14_r03, bnd_14_r03_n32):
+    """One evaluation at the polar angles, then one per Newton iterate; the last is of order 1."""
+    geom = _BoundaryGeometry(p_14_r03, bnd_14_r03_n32)
+    balls = _SafeBalls(geom)
+    near = 0.999 * bnd_14_r03_n32.cartesian_points(p_14_r03)
+    orders = []
+    evaluate = geom.evaluate
+
+    def counted(theta, order):
+        orders.append(order)
+        return evaluate(theta, order)
+
+    geom.evaluate = counted
+    for x in (near, np.concatenate([near, np.zeros((5, 2))]), near[:1]):
+        orders.clear()
+        balls.radii(x)
+        assert orders == [2] * verification._WALK_NEWTON + [1]
+    orders.clear()
+    balls.radii(np.zeros((3, 2)))     # no row near ∂C: no Newton iterate
+    assert orders == [2]
+
+
+def test_mc_value_memory_peak(p_14_r03, bnd_14_r03_n32):
+    """Traced allocations of a warm 8,000-path walk, as in perfbench's verify-r0.3.
+
+    Evaluating the curve by polyval, with stacked (N, 2) temporaries, took 3.7 MB.
+    """
+    cfg = MCConfig(paths=8000, seed=3)
+    mc_value(p_14_r03, bnd_14_r03_n32, np.zeros(2), cfg)
+    tracemalloc.start()
+    try:
+        mc_value(p_14_r03, bnd_14_r03_n32, np.zeros(2), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6e6
 
 
 def test_mc_value_independent_of_workers(p_14, bnd_14_n32, monkeypatch):
