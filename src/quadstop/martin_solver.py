@@ -27,6 +27,9 @@ integrand.
 Levenberg-Marquardt on that analytic Jacobian drives the radii,
 projecting onto [beta(1+1e-6), RADIUS_CAP beta] after every step, with
 RADIUS_CAP the bound `class_membership_check` holds the radii to.
+`solve_boundary` continues in lambda over equal stages, each started
+at the secant prediction from the two before it; only the target
+stage is solved to _RESIDUAL_TOL, the stages before it to _STAGE_TOL.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ _MAX_ITERATIONS = 200  # Levenberg-Marquardt steps per stage
 _DAMPING = 1e-3       # initial Levenberg parameter
 _STEP_TOL = 1e-11     # stop when an accepted step moves no radius by more
 _RESIDUAL_TOL = 1e-9  # converged when max |R| <= _RESIDUAL_TOL * max_j sum_i w_i |m_d|
+_STAGE_TOL = 1e-6     # the same test for a homotopy stage before the target
 _SERIES_MAX = 2.5     # |gamma rho| up to which the radial moments take the Taylor series
 _SERIES_TERMS = 27    # the first term left out is below 1e-17 of F_{d+1} at |z| = 2.5
 # Taylor coefficients 1/(n! (n+d+2)) of F_{d+1}, highest power first
@@ -66,8 +70,10 @@ class SolveReport:
     iterations counts Levenberg-Marquardt steps (Jacobian evaluations),
     summed over the stages.  homotopy_trace holds (lambdas, residual
     inf-norm) of every stage run, the cold start's one stage included.
-    converged and step_inf_norm are the last stage's; the residual is
-    always that of the target problem, also when an earlier stage failed.
+    converged and step_inf_norm are the last stage's, converged judged
+    against _STAGE_TOL for a stage before the target and _RESIDUAL_TOL
+    for the target; the residual is always that of the target problem,
+    also when an earlier stage failed.
     """
 
     converged: bool
@@ -222,7 +228,7 @@ class _OrbitSystem:
         return lstsq(aug, rhs, lapack_driver="gelsy")[0]
 
 
-def _lm_solve(p, grid, orbits, x0):
+def _lm_solve(p, grid, orbits, x0, tol):
     """Levenberg-Marquardt descent of the weighted residual with projection.
 
     Each test equation carries the square root of its direction's
@@ -235,7 +241,9 @@ def _lm_solve(p, grid, orbits, x0):
     the damped step of a rotation-symmetric problem stays rotation
     symmetric; both reduce to the plain Levenberg-Marquardt equations on
     uniform grids.  Convergence is still judged on the unweighted
-    residual against _RESIDUAL_TOL.
+    residual: it stops once max |R| <= tol * scale, with tol
+    _RESIDUAL_TOL for the target problem and _STAGE_TOL for a homotopy
+    stage before it.
 
     The unknowns are the radii of the grid's reflection orbits, x0 and
     the result one per orbit.  For a diagonal reward gamma is invariant
@@ -266,7 +274,7 @@ def _lm_solve(p, grid, orbits, x0):
     mu = _DAMPING
     step_inf = np.inf
     iterations = 0
-    while np.max(np.abs(res)) > _RESIDUAL_TOL * scale and iterations < _MAX_ITERATIONS:
+    while np.max(np.abs(res)) > tol * scale and iterations < _MAX_ITERATIONS:
         iterations += 1
         jac, dmp = system.linearization(x)
         accepted = False
@@ -290,17 +298,22 @@ def _lm_solve(p, grid, orbits, x0):
 def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int = 4):
     """Solve the discrete boundary equations; returns (StarBoundary, SolveReport).
 
-    Runs _lm_solve once per stage, each warm-started from the last, and
-    stops after the first stage that does not converge.  With
-    homotopy_steps = 0 the one stage is the target problem, started cold
-    at _INIT_FACTOR * beta.  Otherwise the stages continue in
-    homotopy_steps equal steps from the symmetric problem with the same
-    coefficient sum (beta is invariant along that path), started at its
-    analytic radius, to the target, whose coefficients the last stage
-    hits exactly; anisotropic lambda makes the cold start crawl
-    (exponential residual curvature keeps the damping high), so
-    continuation is the default.  Non-convergence is reported, never
-    raised.
+    Runs _lm_solve once per stage and stops after the first stage that
+    does not converge.  With homotopy_steps = 0 the one stage is the
+    target problem, started cold at _INIT_FACTOR * beta.  Otherwise the
+    stages continue in homotopy_steps equal steps from the symmetric
+    problem with the same coefficient sum (beta is invariant along that
+    path), started at its analytic radius, to the target, whose
+    coefficients the last stage hits exactly; anisotropic lambda makes
+    the cold start crawl (exponential residual curvature keeps the
+    damping high), so continuation is the default.  The steps being
+    equal, stage k+1 starts at the secant prediction 2 x_k - x_{k-1}
+    from the radii of the two stages before it (the first stage at the
+    starting radii themselves).  Only the target's radii are returned,
+    so the stages before it stop at _STAGE_TOL and only the target is
+    solved to _RESIDUAL_TOL: past about 1e-7 the Levenberg-Marquardt
+    steps crawl through the ill-posed modes of the smoothing kernel.
+    Non-convergence is reported, never raised.
     """
     if homotopy_steps < 0:
         raise ValueError("homotopy_steps must be >= 0")
@@ -318,16 +331,22 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
         stages = (QuadraticProblem(p.r, tuple((1.0 - t) * lam_start + t * p.lam)) for t in ts)
         # symmetric-problem boundary in affine polar radius: rho = sqrt(lambda) R
         x = np.full(reps.size, float(np.sqrt(lam_start[0]) * symmetric_radius(p.d, p.r)))
+    n_stages = max(homotopy_steps, 1)
     trace = []
     iterations = 0
-    for p_k in stages:
-        x, res, scale, stage_iterations, step_inf = _lm_solve(p_k, grid, orbits, x)
+    x_prev = x  # 2x - x is x exactly: stage 1 starts at x itself
+    for k, p_k in enumerate(stages, 1):
+        tol = _RESIDUAL_TOL if k == n_stages else _STAGE_TOL
+        # secant predictor: the stages are equal steps in t
+        x_start = 2.0 * x - x_prev
+        x_prev = x
+        x, res, scale, stage_iterations, step_inf = _lm_solve(p_k, grid, orbits, x_start, tol)
         iterations += stage_iterations
         trace.append((p_k.lambdas, float(np.max(np.abs(res)))))
-        converged = trace[-1][1] <= _RESIDUAL_TOL * scale
+        converged = trace[-1][1] <= tol * scale
         if not converged:
             break
-    if p_k.lambdas != p.lambdas:
+    if k < n_stages:
         # a stage before the target failed: judge its radii against the target
         res, scale = _OrbitSystem(p, grid, orbits).residual(x)
     report = SolveReport(

@@ -12,6 +12,7 @@ import quadstop.martin_solver as ms
 from quadstop.grids import make_circle_grid, make_sphere_grid
 from quadstop.martin_solver import radial_moment, radial_moment_drho, solve_boundary
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
+from quadstop.verification import green_residual_normalized
 from reference import (alt_radial_forms, assemble_jacobian, assemble_residual, gamma,
                        gamma_matrix, kummer_moment_terms, quad, radial_form_audit)
 
@@ -145,7 +146,7 @@ def test_trial_overflow_is_rejected_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _, rep = solve_boundary(QuadraticProblem(1.0, (1.0, 1000.0)), make_circle_grid(64))
-    assert rep.iterations == 309
+    assert rep.iterations == 221
     assert not rep.converged
 
 
@@ -370,6 +371,78 @@ def test_failed_homotopy_stage_reports_target_residual(monkeypatch):
     assert rep.residual_scale == pytest.approx(np.max(np.abs(m).T @ grid.weights), rel=1e-12)
     # the failed stage's own residual is much smaller than the target's
     assert rep.homotopy_trace[0][1] < 1e-3 * rep.residual_inf_norm
+
+
+@pytest.mark.parametrize("p, grid, max_steps", [
+    (QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(128), 25),
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(16, 32), 20),
+])
+def test_continuation_step_count(p, grid, max_steps):
+    # predicted stages solved to _STAGE_TOL take 19 and 16 steps; stages each solved
+    # to _RESIDUAL_TOL from the last stage's radii take 59 and 40
+    _, rep = solve_boundary(p, grid)
+    assert rep.converged and rep.iterations <= max_steps
+
+
+def test_stages_meet_their_own_tolerance(monkeypatch):
+    p, grid = QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64)
+    stage_radii = []
+    real = ms._lm_solve
+
+    def recorded(*args):
+        out = real(*args)
+        stage_radii.append(out[0])
+        return out
+
+    monkeypatch.setattr(ms, "_lm_solve", recorded)
+    _, rep = solve_boundary(p, grid)
+    assert rep.converged and len(rep.homotopy_trace) == 4
+    orbits = grid.reflection_orbits()
+    for k, ((lam, res_inf), x) in enumerate(zip(rep.homotopy_trace, stage_radii), 1):
+        _, scale = ms._OrbitSystem(QuadraticProblem(p.r, lam), grid, orbits).residual(x)
+        tol = ms._RESIDUAL_TOL if k == 4 else ms._STAGE_TOL
+        assert res_inf <= tol * scale
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_single_stage_is_one_target_solve(steps):
+    # the secant predictor 2x - x of the first stage is x itself
+    p, grid = QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64)
+    orbits = grid.reflection_orbits()
+    reps, orbit_of = orbits
+    start = (ms._INIT_FACTOR * p.beta if steps == 0
+             else math.sqrt(p.lam.mean()) * symmetric_radius(p.d, p.r))
+    x = ms._lm_solve(p, grid, orbits, np.full(reps.size, start), ms._RESIDUAL_TOL)[0]
+    b, rep = solve_boundary(p, grid, homotopy_steps=steps)
+    assert rep.converged and len(rep.homotopy_trace) == 1
+    assert np.array_equal(b.radii, x[orbit_of])
+
+
+def test_failed_target_stage_reports_its_own_residual():
+    # stages 1-3 reach _STAGE_TOL; the target stage itself stops short of _RESIDUAL_TOL
+    p = QuadraticProblem(0.5, (1.0, 2.0, 3.0))
+    _, rep = solve_boundary(p, make_sphere_grid(8, 16))
+    assert not rep.converged
+    assert len(rep.homotopy_trace) == 4
+    assert rep.homotopy_trace[-1] == (p.lambdas, rep.residual_inf_norm)
+    assert rep.residual_inf_norm < 1e-7 * rep.residual_scale
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0])
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+@pytest.mark.parametrize("lambdas", [(1.0, 1.0), (1.0, 2.0), (1.0, 4.0), (1.0, 9.0),
+                                     (2.0, 5.0)])
+def test_default_solve_converges(lambdas, n, r):
+    _, rep = solve_boundary(QuadraticProblem(r, lambdas), make_circle_grid(n))
+    assert rep.converged
+
+
+def test_solved_boundary_green_residual():
+    # 2.9e-5; solving every stage to _RESIDUAL_TOL from the last radii gives 1.4e-4
+    p = QuadraticProblem(1.0, (1.0, 9.0))
+    b, rep = solve_boundary(p, make_circle_grid(64))
+    assert rep.converged
+    assert np.max(np.abs(green_residual_normalized(p, b, b.cartesian_points(p)))) <= 5e-5
 
 
 def _flip_permutations(grid):
