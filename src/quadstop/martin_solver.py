@@ -26,7 +26,10 @@ regime cancels near gamma = 0; the rho-derivative of m_d is the
 integrand.
 Levenberg-Marquardt on that analytic Jacobian drives the radii,
 projecting onto [beta(1+1e-6), RADIUS_CAP beta] after every step, with
-RADIUS_CAP the bound `class_membership_check` holds the radii to.
+RADIUS_CAP the bound `class_membership_check` holds the radii to.  The
+damping follows the gain ratio of each accepted step (Nielsen's rule,
+Madsen, Nielsen & Tingleff 2004, section 3.2), so the steps that crawl
+through the ill-posed modes are nearly all accepted at the first trial.
 `solve_boundary` continues in lambda over equal stages, each started
 at the secant prediction from the two before it; only the target
 stage is solved to _RESIDUAL_TOL, the stages before it to _STAGE_TOL.
@@ -257,8 +260,21 @@ def _lm_solve(p, grid, orbits, x0, tol):
     the largest residual over the representatives is the largest over
     all test directions.
 
-    A trial step whose objective overflows (e^{gamma rho} past the
-    largest double) is rejected like one that does not descend.
+    The damping mu follows Nielsen's gain-ratio rule (H. B. Nielsen,
+    IMM-REP-1999-05; Madsen, Nielsen & Tingleff 2004, section 3.2).
+    With b the weighted residual, F = |b|^2 the objective and h the
+    projected step, the gain ratio is the actual fall over the fall
+    F - |J h + b|^2 the linear model predicts (1 where that is not
+    positive).  An accepted step scales mu by
+    max(1/3, 1 - (2 gain - 1)^3), down to a floor of 1e-14; a rejected
+    trial multiplies mu by nu, which starts at 2 for every step and
+    doubles with each rejection.  A trial is accepted when its
+    objective is finite and below F.  A trial step whose objective
+    overflows (e^{gamma rho} past the largest double) is therefore
+    rejected like one that does not descend.  A trial whose step rounds
+    away, leaving the radii unchanged, ends the step unaccepted: a
+    larger mu only shrinks it, and mu would overflow within the 60
+    trials a step may take.
 
     Returns (x, R, scale, iterations, step_inf): the radii, the residual
     and its scale there, the steps taken (at most _MAX_ITERATIONS) and
@@ -278,18 +294,28 @@ def _lm_solve(p, grid, orbits, x0, tol):
         iterations += 1
         jac, dmp = system.linearization(x)
         accepted = False
+        nu = 2.0
         for _ in range(60):
-            cand = np.clip(x + system.step(res, jac, dmp, mu), lo, hi)
+            cand = x + system.step(res, jac, dmp, mu)
+            if np.array_equal(cand, x):
+                break  # the step rounds away, and a larger mu only shrinks it
+            cand = np.clip(cand, lo, hi)
             res_c, scale_c = system.residual(cand)
             with np.errstate(over="ignore"):
                 obj_c = (rw * res_c) @ (rw * res_c)
             if np.isfinite(obj_c) and obj_c < obj:
-                step_inf = float(np.max(np.abs(cand - x)))
+                h = cand - x
+                lin = jac @ h + rw * res
+                predicted = obj - lin @ lin
+                # gain ratio of the actual to the predicted fall; past 1 the rule is flat
+                gain = min((obj - obj_c) / predicted, 1.0) if predicted > 0.0 else 1.0
+                step_inf = float(np.max(np.abs(h)))
                 x, res, scale, obj = cand, res_c, scale_c, obj_c
-                mu = max(mu / 3.0, 1e-14)
+                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-14)
                 accepted = True
                 break
-            mu *= 4.0
+            mu *= nu
+            nu *= 2.0
         if not accepted or step_inf <= _STEP_TOL:
             break
     return x, res, scale, iterations, float(step_inf)

@@ -527,18 +527,17 @@ class _SafeBalls:
         self.lo = lo
         axes = [lo[i] + self.cell * np.arange(int(np.ceil((hi[i] - lo[i]) / self.cell)) + 1)
                 for i in range(2)]
-        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-        clearance = np.empty(len(nodes))
-        step = _BLOCK_ENTRIES // _WALK_SAMPLES
-        for i in range(0, len(nodes), step):
-            gx = nodes[i:i + step, :1] - y[:, 0]
-            gy = nodes[i:i + step, 1:] - y[:, 1]
-            clearance[i:i + step] = np.sqrt((gx * gx + gy * gy).min(axis=1))
-        self.clearance = clearance.reshape(len(axes[0]), len(axes[1])) - 0.5 * h * self.speed
+        # squared offsets of each node coordinate from each sample's, one table per axis
+        gx, gy = (axes[i][:, None] - y[:, i] for i in range(2))
+        gx *= gx
+        gy *= gy
+        clearance = np.sqrt([(row + gy).min(axis=1) for row in gx])
+        self.clearance = clearance - 0.5 * h * self.speed
 
         # outward unit normals: the tangent turned clockwise
         nx, ny = (np.stack([dy[:, 1], -dy[:, 0]]) / np.sqrt((dy * dy).sum(axis=1)))[:, :, None]
         rho_e = np.inf
+        step = _BLOCK_ENTRIES // _WALK_SAMPLES
         for i in range(0, _WALK_SAMPLES, step):
             vx = y[:, 0] - y[i:i + step, :1]
             vy = y[:, 1] - y[i:i + step, 1:]

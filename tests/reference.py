@@ -16,7 +16,7 @@ predicts:
 * the radial moment through Kummer's function, and the audit of an
   alternative published form of it;
 * the walk-on-spheres radii of `_SafeBalls` with the curve evaluated by
-  numpy's polyval;
+  numpy's polyval, and its clearance grid node by node;
 * small conveniences with no caller in the package: K_nu unscaled and
   in log form, affine polar coordinates of a point, the negative set,
   and the full n x n Martin residual and Jacobian of a given boundary,
@@ -41,7 +41,8 @@ from quadstop.kernels import (KillingConfig, bessel_K_scaled, green_kernel_radia
                               green_kernel_radial_ds, martin_kernel)
 from quadstop.martin_solver import radial_moment, radial_moment_drho
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
-from quadstop.verification import _GL16_W, _GL16_X, _WALK_NEWTON, MCConfig, _chunked_mean
+from quadstop.verification import (_GL16_W, _GL16_X, _WALK_NEWTON, _WALK_SAMPLES, MCConfig,
+                                   _chunked_mean)
 
 
 def quad(f, a, b, epsrel=1e-12, epsabs=0.0, **kw):
@@ -591,6 +592,23 @@ def safe_radii_reference(balls, x):
         radius[near] = np.maximum(radius[near], np.minimum(inner, outer))
         upper[near] = np.sqrt(f)
     return np.maximum(radius - balls.rounding, 0.0), upper
+
+
+def clearance_reference(balls):
+    """`_SafeBalls.clearance` node by node.
+
+    Each node's distance to the nearest of the _WALK_SAMPLES curve
+    samples, by one difference per sample, less half a sample spacing
+    times the speed bound.  The package's separable tables must agree
+    with it bit for bit.
+    """
+    h = 2.0 * np.pi / _WALK_SAMPLES
+    y = balls.geom.curve(h * np.arange(_WALK_SAMPLES))[0]
+    out = np.empty(balls.clearance.shape)
+    for i, j in np.ndindex(out.shape):
+        d = balls.lo + balls.cell * np.array([i, j]) - y
+        out[i, j] = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]).min())
+    return out - 0.5 * h * balls.speed
 
 
 # ---------------------------------------------------------------------------

@@ -141,13 +141,45 @@ def test_power_moments_match_high_precision():
                 assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
 
-def test_trial_overflow_is_rejected_without_warnings():
+def test_trial_overflow_is_rejected_without_warnings(monkeypatch):
     # at lambda-ratio 1000 trial steps push e^{gamma rho} past the largest double
+    overflowed = []
+    real = ms.radial_moment
+
+    def recorded(*args):
+        m = real(*args)
+        overflowed.append(not np.all(np.isfinite(m)))
+        return m
+
+    monkeypatch.setattr(ms, "radial_moment", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _, rep = solve_boundary(QuadraticProblem(1.0, (1.0, 1000.0)), make_circle_grid(64))
-    assert rep.iterations == 221
+    assert any(overflowed)
+    assert rep.iterations == 220
     assert not rep.converged
+
+
+def test_lm_solve_ends_when_no_trial_descends(monkeypatch):
+    # every trial's objective exceeds the start's: mu grows until the step rounds
+    # away, and the stage ends without an accepted step and with finite damping
+    p, grid = QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64)
+    orbits = grid.reflection_orbits()
+    x0 = np.full(orbits[0].size, ms._INIT_FACTOR * p.beta)
+    real = ms._OrbitSystem.residual
+    trials = []
+
+    def worse_away_from_x0(self, x):
+        res, scale = real(self, x)
+        trials.append(1)
+        return (res, scale) if np.array_equal(x, x0) else (res + scale, scale)
+
+    monkeypatch.setattr(ms._OrbitSystem, "residual", worse_away_from_x0)
+    x, _, _, iterations, step_inf = ms._lm_solve(p, grid, orbits, x0, ms._RESIDUAL_TOL)
+    assert np.array_equal(x, x0)
+    assert iterations == 1 and step_inf == np.inf
+    # one residual at the start, then fewer trials than the cap of 60
+    assert 1 < len(trials) < 61
 
 
 def test_solve_never_calls_hyp1f1(monkeypatch):
@@ -416,6 +448,28 @@ def test_single_stage_is_one_target_solve(steps):
     b, rep = solve_boundary(p, grid, homotopy_steps=steps)
     assert rep.converged and len(rep.homotopy_trace) == 1
     assert np.array_equal(b.radii, x[orbit_of])
+
+
+@pytest.mark.parametrize("p, grid", [
+    (QuadraticProblem(1.0, (1.0, 16.0)), make_circle_grid(64)),
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16)),
+])
+def test_crawling_solves_reject_few_trials(p, grid, monkeypatch):
+    # the two solves that run into _MAX_ITERATIONS: with the gain-ratio damping
+    # nearly every trial is accepted, so the residuals are about one per step
+    # plus one per stage start (219 and 213; dividing mu by 3 on every accepted
+    # step and multiplying it by 4 on every rejection took 367 and 359)
+    calls = []
+    real = ms.radial_moment
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ms, "radial_moment", counted)
+    _, rep = solve_boundary(p, grid)
+    assert not rep.converged and rep.iterations > 200
+    assert len(calls) <= 1.02 * (rep.iterations + len(rep.homotopy_trace))
 
 
 def test_failed_target_stage_reports_its_own_residual():

@@ -16,8 +16,9 @@ from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
 from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals, _SafeBalls,
                                    green_residual_normalized, interior_scan_grid,
                                    majorant_gap_scan, mc_value, run_verification, value)
-from reference import (bessel_K, finiteness_ratio_scan, green_measure_identity_check,
-                       rect_green_mass, safe_radii_reference, to_polar)
+from reference import (bessel_K, clearance_reference, finiteness_ratio_scan,
+                       green_measure_identity_check, rect_green_mass, safe_radii_reference,
+                       to_polar)
 from sweep_reference import sweep_integrals, trig_eval
 
 V0_SYM_2D_R1 = 0.9512830041392790
@@ -275,10 +276,11 @@ def test_safe_radius_never_exceeds_distance(lam, petals):
     # no walk stalls, and next to ∂C the disc is the distance itself
     assert np.all(radius > 0.0)
     assert np.all(radius[:len(shell)] >= 0.999 * dist[:len(shell)])
-    # and the in-place curve evaluation changes no bit
+    # and the in-place curve evaluation and the separable clearance tables change no bit
     ref_radius, ref_upper = safe_radii_reference(balls, pts)
     np.testing.assert_array_equal(radius, ref_radius, strict=True)
     np.testing.assert_array_equal(upper, ref_upper, strict=True)
+    np.testing.assert_array_equal(balls.clearance, clearance_reference(balls), strict=True)
 
 
 @pytest.fixture(scope="module")
