@@ -27,6 +27,8 @@ integrand.
 Levenberg-Marquardt on that analytic Jacobian drives the radii,
 projecting onto [beta(1+1e-6), RADIUS_CAP beta] after every step, with
 RADIUS_CAP the bound `class_membership_check` holds the radii to.  The
+step is damped in the quadrature metric sum_i w_i delta_i^2 of the
+unknowns, the L^2 regularizer of this first-kind equation.  The
 damping follows the gain ratio of each accepted step (Nielsen's rule,
 Madsen, Nielsen & Tingleff 2004, section 3.2), so the steps that crawl
 through the ill-posed modes are nearly all accepted at the first trial.
@@ -190,9 +192,8 @@ class _OrbitSystem:
         # members[o, i] = 1 for the nodes i of orbit o
         self.members = np.zeros((reps.size, grid.n))
         self.members[self.orbit_of, np.arange(grid.n)] = 1.0
-        self.w_rep = self.w[reps]
         # row o stands for the |o| equal equations of its orbit, each of weight w_o
-        self.row_w = np.sqrt(self.size * self.w_rep)
+        self.row_w = np.sqrt(self.size * self.w[reps])
         # gamma(omega_i, omega'_o): all nodes in rows, representatives in columns
         self.gam = np.sqrt(2.0 * p.r) * (grid.nodes / p.sqrt_lam) @ grid.nodes[reps].T
 
@@ -202,31 +203,25 @@ class _OrbitSystem:
         return self.w @ m, float(np.max(np.abs(m).T @ self.w))
 
     def linearization(self, x):
-        """(J, D): weighted reduced Jacobian and the nodal damping diagonal per orbit.
+        """Weighted reduced Jacobian J.
 
         J[o, q] = sqrt(|o| w_o) sum_{i in q} w_i dm(i, o), the nodal
         Jacobian's row at o's representative with the columns of q's
-        members summed.  D[q] is the nodal diag(J'J) per unit node weight
-        at any member of q; the nodal column of node i in q holds
-        w_q^2 dm(i, t')^2 w_t' for every test direction t', and summing
-        over t' in an orbit t equals |t|/|q| sum_{i in q} dm(i, t)^2.
+        members summed.
         """
         dm = radial_moment_drho(self.p.d, x[self.orbit_of][:, None], self.gam, self.p.beta)
-        jac = self.row_w[:, None] * (self.members @ (self.w[:, None] * dm)).T
-        col_sq = (self.w_rep ** 2 / self.size) * ((self.members @ (dm * dm))
-                                                  @ (self.size * self.w_rep))
-        # per unit node weight (identical to diag(J'J) on uniform grids): raw
-        # column norms carry the square of the node weight, and damping against
-        # that injects 1/w_i ripple on anisotropic product grids
-        return jac, col_sq * (self.w.mean() / self.w_rep)
+        return self.row_w[:, None] * (self.members @ (self.w[:, None] * dm)).T
 
-    def step(self, res, jac, dmp, mu):
-        """Damped step: min ||J delta + sqrt(|o| w_o) R||^2 + delta' |o| (mu D + 1e-30) delta.
+    def step(self, res, jac, mu):
+        """Damped step: min ||J delta + sqrt(|o| w_o) R||^2 + mu s sum_o |o| w_o delta_o^2.
 
-        Solved in augmented form: the kernel smooths, so J is badly
-        conditioned and forming J'J would square that.
+        s = |J|_F^2 / sum_i w_i makes the damping scale with J'J, so the
+        step scales with the radii when lambda or r is rescaled.  Solved
+        in augmented form: the kernel smooths, so J is badly conditioned
+        and forming J'J would square that.
         """
-        aug = np.vstack([jac, np.diag(np.sqrt(self.size * (mu * dmp + 1e-30)))])
+        damp = math.sqrt(mu * float((jac * jac).sum()) / self.w.sum())
+        aug = np.vstack([jac, np.diag(damp * self.row_w)])
         rhs = np.concatenate([-(self.row_w * res), np.zeros(res.size)])
         return lstsq(aug, rhs, lapack_driver="gelsy")[0]
 
@@ -239,11 +234,11 @@ def _lm_solve(p, grid, orbits, x0, tol):
     continuous family of conditions over the direction sphere.  Without
     the weights the anisotropy of a product grid makes J'R rough even
     for smooth residuals, and the (rank-deficient, smoothing) system
-    cannot remove the injected high-frequency content.  The damping
-    metric is likewise taken per unit node weight so that, at finite mu,
-    the damped step of a rotation-symmetric problem stays rotation
-    symmetric; both reduce to the plain Levenberg-Marquardt equations on
-    uniform grids.  Convergence is still judged on the unweighted
+    cannot remove the injected high-frequency content.  The step is
+    damped in the same quadrature metric, by mu |J|_F^2 / sum_i w_i
+    times sum_i w_i delta_i^2 (Hansen 1998, the L^2 regularizer of a
+    first-kind equation); both reduce to the plain Levenberg equations
+    on uniform grids.  Convergence is still judged on the unweighted
     residual: it stops once max |R| <= tol * scale, with tol
     _RESIDUAL_TOL for the target problem and _STAGE_TOL for a homotopy
     stage before it.
@@ -255,10 +250,10 @@ def _lm_solve(p, grid, orbits, x0, tol):
     nodal damped step, the unique minimizer of a flip-invariant
     problem, is itself symmetric.  Restricted to symmetric steps, the
     nodal objective is sum_o |o| w_o R_o^2 and the nodal damping term
-    is sum_o |o| (mu D_o + 1e-30) delta_o^2.  The reduced step is
-    therefore the nodal step, iterate for iterate up to rounding, and
-    the largest residual over the representatives is the largest over
-    all test directions.
+    is mu s sum_o |o| w_o delta_o^2 (s as in _OrbitSystem.step).  The
+    reduced step is therefore the nodal step, iterate for iterate up to
+    rounding, and the largest residual over the representatives is the
+    largest over all test directions.
 
     The damping mu follows Nielsen's gain-ratio rule (H. B. Nielsen,
     IMM-REP-1999-05; Madsen, Nielsen & Tingleff 2004, section 3.2).
@@ -292,11 +287,11 @@ def _lm_solve(p, grid, orbits, x0, tol):
     iterations = 0
     while np.max(np.abs(res)) > tol * scale and iterations < _MAX_ITERATIONS:
         iterations += 1
-        jac, dmp = system.linearization(x)
+        jac = system.linearization(x)
         accepted = False
         nu = 2.0
         for _ in range(60):
-            cand = x + system.step(res, jac, dmp, mu)
+            cand = x + system.step(res, jac, mu)
             if np.array_equal(cand, x):
                 break  # the step rounds away, and a larger mu only shrinks it
             cand = np.clip(cand, lo, hi)

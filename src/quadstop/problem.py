@@ -151,32 +151,30 @@ class StarBoundary:
 
 @dataclass(frozen=True)
 class ClassCheckReport:
-    closed_ok: bool
     contains_negative_set: bool
     bounded_ok: bool
-    star_shaped_ok: bool
     symmetry_ok: bool
     box_ok: bool
     worst_violation: float
 
     @property
     def passed(self) -> bool:
-        return (self.closed_ok and self.contains_negative_set and self.bounded_ok
-                and self.star_shaped_ok and self.symmetry_ok and self.box_ok)
+        return (self.contains_negative_set and self.bounded_ok
+                and self.symmetry_ok and self.box_ok)
 
 
 def class_membership_check(p: QuadraticProblem, b: StarBoundary) -> ClassCheckReport:
     """Checks that a boundary describes an admissible continuation set.
 
-    Verifies, up to CLASS_TOL: the region is closed and bounded (finite
-    radii under RADIUS_CAP * beta), contains the negative set (rho_i >= beta),
-    is star-shaped (structural: the rho(omega) parametrization cannot
-    express anything else), is symmetric under every coordinate
-    reflection the grid supports (the radii are constant on each of
-    `SphereGrid.reflection_orbits`), and, for d = 2, stays out of the
-    far-quadrant box {|x_small| >= alpha^2 R, |x_big| >= R} that is
-    provably inside the stopping region (R the symmetric-case radius,
-    alpha^2 the ratio of reward coefficients).
+    Verifies, up to CLASS_TOL: the region is bounded (radii under
+    RADIUS_CAP * beta), contains the negative set (rho_i >= beta), is
+    symmetric under every coordinate reflection the grid supports (the
+    radii are constant on each of `SphereGrid.reflection_orbits`), and,
+    for d = 2, stays out of the far-quadrant box
+    {|x_small| >= alpha^2 R, |x_big| >= R} that is provably inside the
+    stopping region (R the symmetric-case radius, alpha^2 the ratio of
+    reward coefficients).  Closed and star-shaped need no check: a
+    StarBoundary holds one finite radius per direction.
 
     Never raises: violations are reported through the flags and the
     magnitude of the worst one.
@@ -185,15 +183,13 @@ def class_membership_check(p: QuadraticProblem, b: StarBoundary) -> ClassCheckRe
     beta = p.beta
     violations = [0.0]
 
-    closed_ok = bool(np.all(np.isfinite(rho)))
     neg_viol = float(np.max(beta - rho))
     contains_negative_set = neg_viol <= CLASS_TOL
     violations.append(neg_viol)
     cap = RADIUS_CAP * beta
     cap_viol = float(np.max(rho - cap))
-    bounded_ok = closed_ok and cap_viol <= CLASS_TOL
+    bounded_ok = cap_viol <= CLASS_TOL
     violations.append(cap_viol)
-    star_shaped_ok = True  # structural: single-valued rho(omega) about 0
 
     # spread of the radii over each reflection orbit of the grid
     _, orbit_of = b.grid.reflection_orbits()
@@ -219,10 +215,8 @@ def class_membership_check(p: QuadraticProblem, b: StarBoundary) -> ClassCheckRe
         violations.append(box_viol)
 
     return ClassCheckReport(
-        closed_ok=closed_ok,
         contains_negative_set=contains_negative_set,
         bounded_ok=bounded_ok,
-        star_shaped_ok=star_shaped_ok,
         symmetry_ok=symmetry_ok,
         box_ok=box_ok,
         worst_violation=float(max(violations)),

@@ -120,14 +120,14 @@ def test_json_report_deterministic(tmp_path):
     assert doc["b"] == 1.5
     assert doc["flag"] is True
     assert doc["nested"]["x"] == 7
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert list(doc) == sorted(doc)
 
 
 def test_json_report_keeps_explicit_schema(tmp_path):
     f = tmp_path / "r.json"
-    write_json_report(f, {"schema_version": 3})
-    assert json.loads(f.read_text())["schema_version"] == 3
+    write_json_report(f, {"schema_version": 2})
+    assert json.loads(f.read_text())["schema_version"] == 2
 
 
 def test_svg_plot(tmp_path, p_14, bnd_14):

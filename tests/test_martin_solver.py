@@ -12,7 +12,8 @@ import quadstop.martin_solver as ms
 from quadstop.grids import make_circle_grid, make_sphere_grid
 from quadstop.martin_solver import radial_moment, radial_moment_drho, solve_boundary
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
-from quadstop.verification import green_residual_normalized
+from quadstop.verification import (THRESHOLDS, green_residual_normalized, interior_scan_grid,
+                                   majorant_gap_scan)
 from reference import (alt_radial_forms, assemble_jacobian, assemble_residual, gamma,
                        gamma_matrix, kummer_moment_terms, quad, radial_form_audit)
 
@@ -142,26 +143,36 @@ def test_power_moments_match_high_precision():
 
 
 def test_trial_overflow_is_rejected_without_warnings(monkeypatch):
-    # at lambda-ratio 1000 trial steps push e^{gamma rho} past the largest double
+    # the first trial step is pushed to the radius cap, where e^{gamma rho} passes the
+    # largest double at lambda-ratio 1000; the unforced steps stay below that
     overflowed = []
-    real = ms.radial_moment
+    real_moment, real_step = ms.radial_moment, ms._OrbitSystem.step
+    forced = []
 
     def recorded(*args):
-        m = real(*args)
+        m = real_moment(*args)
         overflowed.append(not np.all(np.isfinite(m)))
         return m
 
+    def overshoot_once(self, res, jac, mu):
+        h = real_step(self, res, jac, mu)
+        if not forced:
+            forced.append(1)
+            h = h + ms.RADIUS_CAP * self.p.beta
+        return h
+
     monkeypatch.setattr(ms, "radial_moment", recorded)
+    monkeypatch.setattr(ms._OrbitSystem, "step", overshoot_once)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _, rep = solve_boundary(QuadraticProblem(1.0, (1.0, 1000.0)), make_circle_grid(64))
+        _, rep = solve_boundary(QuadraticProblem(1.0, (1.0, 1000.0)), make_circle_grid(64),
+                                homotopy_steps=0)
     assert any(overflowed)
-    assert rep.iterations == 220
     assert not rep.converged
 
 
 def test_lm_solve_ends_when_no_trial_descends(monkeypatch):
-    # every trial's objective exceeds the start's: mu grows until the step rounds
+    # every trial's objective is 4 times the start's: mu grows until the step rounds
     # away, and the stage ends without an accepted step and with finite damping
     p, grid = QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64)
     orbits = grid.reflection_orbits()
@@ -169,12 +180,12 @@ def test_lm_solve_ends_when_no_trial_descends(monkeypatch):
     real = ms._OrbitSystem.residual
     trials = []
 
-    def worse_away_from_x0(self, x):
-        res, scale = real(self, x)
+    def doubled_away_from_x0(self, x):
+        res, scale = real(self, x0)
         trials.append(1)
-        return (res, scale) if np.array_equal(x, x0) else (res + scale, scale)
+        return (res, scale) if np.array_equal(x, x0) else (2.0 * res, scale)
 
-    monkeypatch.setattr(ms._OrbitSystem, "residual", worse_away_from_x0)
+    monkeypatch.setattr(ms._OrbitSystem, "residual", doubled_away_from_x0)
     x, _, _, iterations, step_inf = ms._lm_solve(p, grid, orbits, x0, ms._RESIDUAL_TOL)
     assert np.array_equal(x, x0)
     assert iterations == 1 and step_inf == np.inf
@@ -350,10 +361,15 @@ def test_solve_permutation_equivariance(grid64):
 
 
 def test_solve_reward_scaling(grid64):
-    # scaling lambda by c scales g by c and the polar radii by sqrt(c)
+    # scaling lambda by c scales g by c and the polar radii by sqrt(c); x -> x / sqrt(r)
+    # with time scaled by r maps the problem at r to the one at r = 1, so the polar
+    # radii scale as 1 / sqrt(r).  The damping scales with J'J, so every iterate does too
     b1, _ = solve_boundary(QuadraticProblem(1.0, (1.0, 4.0)), grid64)
     b2, _ = solve_boundary(QuadraticProblem(1.0, (2.0, 8.0)), grid64)
-    assert np.max(np.abs(b2.radii - math.sqrt(2.0) * b1.radii)) <= 1e-6
+    assert np.max(np.abs(b2.radii - math.sqrt(2.0) * b1.radii)) <= 1e-12
+    for r in (0.1, 0.25, 4.0, 10.0):
+        b_r, _ = solve_boundary(QuadraticProblem(r, (1.0, 4.0)), grid64)
+        assert np.max(np.abs(math.sqrt(r) * b_r.radii - b1.radii)) <= 1e-12
 
 
 def test_solve_homotopy_consistent_with_cold(p_14, grid64, bnd_14):
@@ -450,15 +466,12 @@ def test_single_stage_is_one_target_solve(steps):
     assert np.array_equal(b.radii, x[orbit_of])
 
 
-@pytest.mark.parametrize("p, grid", [
-    (QuadraticProblem(1.0, (1.0, 16.0)), make_circle_grid(64)),
-    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16)),
-])
-def test_crawling_solves_reject_few_trials(p, grid, monkeypatch):
-    # the two solves that run into _MAX_ITERATIONS: with the gain-ratio damping
-    # nearly every trial is accepted, so the residuals are about one per step
-    # plus one per stage start (219 and 213; dividing mu by 3 on every accepted
-    # step and multiplying it by 4 on every rejection took 367 and 359)
+def test_crawling_solves_reject_few_trials(monkeypatch):
+    # a solve that runs into _MAX_ITERATIONS: with the gain-ratio damping nearly
+    # every trial is accepted, so the residuals are about one per step plus one
+    # per stage start (215 for 210 steps; dividing mu by 3 on every accepted step
+    # and multiplying it by 4 on every rejection took 359 for 208)
+    p, grid = QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16)
     calls = []
     real = ms.radial_moment
 
@@ -497,6 +510,23 @@ def test_solved_boundary_green_residual():
     b, rep = solve_boundary(p, make_circle_grid(64))
     assert rep.converged
     assert np.max(np.abs(green_residual_normalized(p, b, b.cartesian_points(p)))) <= 5e-5
+
+
+def test_anisotropic_default_solves_converge():
+    # lambda-ratio 16 at default settings: Green residual 6.5-7.1e-5 at every n; a
+    # Marquardt damping diag(J'J) per unit node weight ends n >= 64 at the step cap
+    # with 3.7-4.4e-4
+    p = QuadraticProblem(1.0, (1.0, 16.0))
+    for n in (32, 64, 128, 256):
+        b, rep = solve_boundary(p, make_circle_grid(n))
+        assert rep.converged
+        assert np.max(np.abs(green_residual_normalized(p, b, b.cartesian_points(p)))) <= 2e-4
+        if n == 64:
+            gap = majorant_gap_scan(p, b, interior_scan_grid(p, b, n=20))
+            assert gap >= -THRESHOLDS["majorant_gap"]
+    # 48 steps; the Marquardt damping stops at the step cap after 213
+    _, rep = solve_boundary(QuadraticProblem(0.5, (1.0, 4.0, 16.0)), make_sphere_grid(12, 24))
+    assert rep.converged
 
 
 def _flip_permutations(grid):
@@ -575,18 +605,16 @@ def test_orbit_system_is_the_contracted_nodal_system(p, grid, n_orbits):
     contracted = np.zeros((n_orbits, n_orbits))
     for q in range(n_orbits):
         contracted[:, q] = full_jac[reps][:, orbit_of == q].sum(axis=1)
-    jac, dmp = system.linearization(x)
+    jac = system.linearization(x)
     close(jac, np.sqrt(size)[:, None] * contracted, 1e-13)
-    # damping: the nodal diag(J'J) per unit node weight, equal on every orbit member
-    full_dmp = (full_jac ** 2).sum(axis=0) * (w.mean() / w)
-    close(dmp, full_dmp[reps], 1e-13)
-    close(dmp[orbit_of], full_dmp, 1e-13)
-    # one damped step equals the nodal step of the full augmented system
+    # one damped step equals the nodal step of the full augmented system, damped
+    # in the quadrature metric mu (|J|_F^2 / |S|) diag(w) with J the reduced Jacobian
     for mu in (1e-3, 1.0):
-        aug = np.vstack([full_jac, np.diag(np.sqrt(mu * full_dmp + 1e-30))])
+        metric = mu * (jac * jac).sum() / w.sum() * w
+        aug = np.vstack([full_jac, np.diag(np.sqrt(metric))])
         rhs = np.concatenate([-np.sqrt(w) * full_res, np.zeros(grid.n)])
         nodal = np.linalg.lstsq(aug, rhs, rcond=None)[0]
-        close(system.step(res, jac, dmp, mu)[orbit_of], nodal, 1e-10)
+        close(system.step(res, jac, mu)[orbit_of], nodal, 1e-10)
 
 
 @pytest.mark.parametrize("p, grid", [
