@@ -2,7 +2,8 @@
 
 Subcommands: solve, verify, plot, kernel, oracle.  Exit codes:
 0 success, 1 usage or I/O error, 2 solver non-convergence (outputs are
-still written with diagnostics), 3 verification below thresholds.
+still written with diagnostics, and a `stop:` line names why the last
+stage ended), 3 verification below thresholds.
 
 Every subcommand but oracle accepts --config pointing at a JSON file.
 `_CONFIG_FLAGS` maps each config key to the flag it stands for; one
@@ -100,6 +101,8 @@ def cmd_solve(args) -> int:
     })
     print("converged=%s iterations=%d residual_inf=%.3e boundary=%s report=%s"
           % (report.converged, report.iterations, report.residual_inf_norm, out, report_path))
+    if not report.converged:
+        print("stop: %s" % report.stop)
     return 0 if report.converged else 2
 
 

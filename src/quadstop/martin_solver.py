@@ -30,8 +30,16 @@ RADIUS_CAP the bound `class_membership_check` holds the radii to.  The
 step is damped in the quadrature metric sum_i w_i delta_i^2 of the
 unknowns, the L^2 regularizer of this first-kind equation.  The
 damping follows the gain ratio of each accepted step (Nielsen's rule,
-Madsen, Nielsen & Tingleff 2004, section 3.2), so the steps that crawl
-through the ill-posed modes are nearly all accepted at the first trial.
+Madsen, Nielsen & Tingleff 2004, section 3.2).  Each trial adds to the
+damped velocity v the geodesic acceleration a/2 (Transtrum, Machta &
+Sethna 2011; Transtrum & Sethna 2012) while 2|a| <= 0.75 |v| in the same
+metric: a solves the damped system again with the residual's second
+derivative along v on the right, which is exact and cheap here because
+each radius enters the equations through its own nodes only, so the
+Hessian is diagonal and d^2 m_d/d rho^2 is the integrand times its
+log-derivative.  Without it the steps crawl through the ill-posed modes
+of the smoothing kernel; with it they follow the curved valley.  The
+damped systems are solved by `lstsq`, one LAPACK gelsy call each.
 `solve_boundary` continues in lambda over equal stages, each started
 at the secant prediction from the two before it; only the target
 stage is solved to _RESIDUAL_TOL, the stages before it to _STAGE_TOL.
@@ -43,7 +51,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lstsq
+from scipy.linalg import get_lapack_funcs
 
 from .grids import SphereGrid
 from .problem import RADIUS_CAP, QuadraticProblem, StarBoundary, symmetric_radius
@@ -55,12 +63,16 @@ __all__ = [
     "solve_boundary",
 ]
 
+_GELSY, _GELSY_LWORK = get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.float64)
+_EPS = float(np.finfo(np.float64).eps)
+
 _INIT_FACTOR = 1.3    # a cold start puts every radius at _INIT_FACTOR * beta
 _MAX_ITERATIONS = 200  # Levenberg-Marquardt steps per stage
 _DAMPING = 1e-3       # initial Levenberg parameter
 _STEP_TOL = 1e-11     # stop when an accepted step moves no radius by more
 _RESIDUAL_TOL = 1e-9  # converged when max |R| <= _RESIDUAL_TOL * max_j sum_i w_i |m_d|
 _STAGE_TOL = 1e-6     # the same test for a homotopy stage before the target
+_ACCEL_RATIO = 0.75   # a trial takes v + a/2 while 2|a| <= _ACCEL_RATIO |v|
 _SERIES_MAX = 2.5     # |gamma rho| up to which the radial moments take the Taylor series
 _SERIES_TERMS = 27    # the first term left out is below 1e-17 of F_{d+1} at |z| = 2.5
 # Taylor coefficients 1/(n! (n+d+2)) of F_{d+1}, highest power first
@@ -73,20 +85,29 @@ class SolveReport:
     """Outcome of a solve.
 
     iterations counts Levenberg-Marquardt steps (Jacobian evaluations),
-    summed over the stages.  homotopy_trace holds (lambdas, residual
-    inf-norm) of every stage run, the cold start's one stage included.
-    converged and step_inf_norm are the last stage's, converged judged
-    against _STAGE_TOL for a stage before the target and _RESIDUAL_TOL
-    for the target; the residual is always that of the target problem,
-    also when an earlier stage failed.
+    summed over the stages, and accelerated_steps those of them whose
+    accepted step carried the geodesic acceleration.  homotopy_trace
+    holds (lambdas, residual inf-norm) of every stage run, the cold
+    start's one stage included.  converged, stop and step_inf_norm are
+    the last stage's, converged judged against _STAGE_TOL for a stage
+    before the target and _RESIDUAL_TOL for the target; stop is why that
+    stage ended, one of STOP_REASONS.  The residual is always that of
+    the target problem, also when an earlier stage failed.
     """
 
     converged: bool
+    stop: str
     iterations: int
+    accelerated_steps: int
     residual_inf_norm: float
     step_inf_norm: float
     residual_scale: float
     homotopy_trace: tuple
+
+
+# why a stage ended: its tolerance met, _MAX_ITERATIONS steps taken, no trial of a
+# step descending, or an accepted step moving no radius by more than _STEP_TOL
+STOP_REASONS = ("converged", "step cap", "no descending trial", "step below tolerance")
 
 
 def radial_moment(d: int, rho, gam, beta: float):
@@ -176,6 +197,24 @@ def radial_moment_drho(d: int, rho, gam, beta: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def lstsq(a, b):
+    """Least-squares solution of a x = b by LAPACK gelsy with rcond = eps.
+
+    The same driver, condition and workspace as
+    scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0], and the same
+    result bit for bit, without its validation of every call.  a is a
+    finite real m x n array with m >= n and b a finite vector of length
+    m.  Raises LinAlgError when gelsy reports info != 0.
+    """
+    m, n = a.shape
+    work, info = _GELSY_LWORK(m, n, 1, _EPS)
+    if info == 0:
+        _, x, _, _, info = _GELSY(a, b, np.zeros(n, dtype=np.int32), _EPS, int(work))
+    if info != 0:
+        raise np.linalg.LinAlgError("LAPACK gelsy returned info = %d" % info)
+    return x[:n]
+
+
 class _OrbitSystem:
     """The Martin equations of one problem, reduced to the grid's reflection orbits.
 
@@ -203,27 +242,49 @@ class _OrbitSystem:
         return self.w @ m, float(np.max(np.abs(m).T @ self.w))
 
     def linearization(self, x):
-        """Weighted reduced Jacobian J.
+        """(J, K): the weighted reduced Jacobian and second derivative.
 
         J[o, q] = sqrt(|o| w_o) sum_{i in q} w_i dm(i, o), the nodal
         Jacobian's row at o's representative with the columns of q's
-        members summed.
+        members summed.  Each radius enters R through its own nodes
+        only, so the Hessian of every R_o is diagonal, and
+        K[o, q] = sqrt(|o| w_o) sum_{i in q} w_i d2m(i, o) holds it: the
+        weighted second derivative of R along v is K v^2.  The rho-
+        derivative of dm = e^{gamma rho}(rho^2 - beta^2) rho^{d-1} is
+        d2m = dm (gamma + 2 rho/(rho^2 - beta^2) + (d - 1)/rho), so K
+        costs no exp beyond J's.
         """
-        dm = radial_moment_drho(self.p.d, x[self.orbit_of][:, None], self.gam, self.p.beta)
-        return self.row_w[:, None] * (self.members @ (self.w[:, None] * dm)).T
+        d, beta = self.p.d, self.p.beta
+        rho = x[self.orbit_of][:, None]
+        wdm = self.w[:, None] * radial_moment_drho(d, rho, self.gam, beta)
+        jac = self.row_w[:, None] * (self.members @ wdm).T
+        wdm *= self.gam + (2.0 * rho / (rho * rho - beta * beta) + (d - 1) / rho)
+        return jac, self.row_w[:, None] * (self.members @ wdm).T
 
-    def step(self, res, jac, mu):
-        """Damped step: min ||J delta + sqrt(|o| w_o) R||^2 + mu s sum_o |o| w_o delta_o^2.
+    def step(self, res, jac, curv, mu):
+        """(h, accelerated): the trial step of damping mu and whether it is accelerated.
 
-        s = |J|_F^2 / sum_i w_i makes the damping scale with J'J, so the
-        step scales with the radii when lambda or r is rescaled.  Solved
-        in augmented form: the kernel smooths, so J is badly conditioned
-        and forming J'J would square that.
+        The velocity v minimizes
+        ||J v + sqrt(|o| w_o) R||^2 + mu s sum_o |o| w_o v_o^2, with
+        s = |J|_F^2 / sum_i w_i making the damping scale with J'J, so the
+        step scales with the radii when lambda or r is rescaled.  The
+        geodesic acceleration a solves the same damped problem with
+        K v^2, the second derivative of the weighted residual along v,
+        in place of the residual (Transtrum & Sethna 2012).  The step is
+        v + a/2 when 2|a| <= _ACCEL_RATIO |v| in the metric of the
+        damping, and v otherwise.  Both are solved in augmented form:
+        the kernel smooths, so J is badly conditioned and forming J'J
+        would square that.
         """
         damp = math.sqrt(mu * float((jac * jac).sum()) / self.w.sum())
         aug = np.vstack([jac, np.diag(damp * self.row_w)])
-        rhs = np.concatenate([-(self.row_w * res), np.zeros(res.size)])
-        return lstsq(aug, rhs, lapack_driver="gelsy")[0]
+        zeros = np.zeros(res.size)
+        v = lstsq(aug, np.concatenate([-(self.row_w * res), zeros]))
+        a = lstsq(aug, np.concatenate([-(curv @ (v * v)), zeros]))
+        wa, wv = self.row_w * a, self.row_w * v
+        if 4.0 * (wa @ wa) <= _ACCEL_RATIO ** 2 * (wv @ wv):
+            return v + 0.5 * a, True
+        return v, False
 
 
 def _lm_solve(p, grid, orbits, x0, tol):
@@ -255,6 +316,17 @@ def _lm_solve(p, grid, orbits, x0, tol):
     rounding, and the largest residual over the representatives is the
     largest over all test directions.
 
+    Every trial adds to the damped velocity v the second-order
+    correction a/2 of geodesic acceleration (Transtrum, Machta & Sethna
+    2011; Transtrum & Sethna 2012), while 2|a| <= _ACCEL_RATIO |v| (see
+    _OrbitSystem.step), and takes v alone otherwise.  a is computed on
+    every trial, from the same damped matrix as v.  The velocity alone
+    follows the linear model and crawls along the curved valley of the
+    ill-posed modes; the correction follows the valley's curvature,
+    which the exact second derivative K gives at no extra residual
+    evaluation.  Each trial thus costs one residual and two damped
+    solves.
+
     The damping mu follows Nielsen's gain-ratio rule (H. B. Nielsen,
     IMM-REP-1999-05; Madsen, Nielsen & Tingleff 2004, section 3.2).
     With b the weighted residual, F = |b|^2 the objective and h the
@@ -271,9 +343,11 @@ def _lm_solve(p, grid, orbits, x0, tol):
     larger mu only shrinks it, and mu would overflow within the 60
     trials a step may take.
 
-    Returns (x, R, scale, iterations, step_inf): the radii, the residual
-    and its scale there, the steps taken (at most _MAX_ITERATIONS) and
-    the inf-norm of the last accepted step (inf if none was).
+    Returns (x, R, scale, iterations, step_inf, stop, accelerated): the
+    radii, the residual and its scale there, the steps taken (at most
+    _MAX_ITERATIONS), the inf-norm of the last accepted step (inf if
+    none was), why the stage stopped (one of STOP_REASONS) and the
+    number of accepted steps that were accelerated.
     """
     lo = p.beta * (1.0 + 1e-6)
     hi = RADIUS_CAP * p.beta
@@ -284,14 +358,24 @@ def _lm_solve(p, grid, orbits, x0, tol):
     obj = (rw * res) @ (rw * res)
     mu = _DAMPING
     step_inf = np.inf
-    iterations = 0
-    while np.max(np.abs(res)) > tol * scale and iterations < _MAX_ITERATIONS:
+    iterations = accelerated = 0
+    while True:
+        if np.max(np.abs(res)) <= tol * scale:
+            stop = "converged"
+            break
+        if step_inf <= _STEP_TOL:
+            stop = "step below tolerance"
+            break
+        if iterations == _MAX_ITERATIONS:
+            stop = "step cap"
+            break
         iterations += 1
-        jac = system.linearization(x)
+        jac, curv = system.linearization(x)
         accepted = False
         nu = 2.0
         for _ in range(60):
-            cand = x + system.step(res, jac, mu)
+            h, fast = system.step(res, jac, curv, mu)
+            cand = x + h
             if np.array_equal(cand, x):
                 break  # the step rounds away, and a larger mu only shrinks it
             cand = np.clip(cand, lo, hi)
@@ -308,12 +392,14 @@ def _lm_solve(p, grid, orbits, x0, tol):
                 x, res, scale, obj = cand, res_c, scale_c, obj_c
                 mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-14)
                 accepted = True
+                accelerated += fast
                 break
             mu *= nu
             nu *= 2.0
-        if not accepted or step_inf <= _STEP_TOL:
+        if not accepted:
+            stop = "no descending trial"
             break
-    return x, res, scale, iterations, float(step_inf)
+    return x, res, scale, iterations, float(step_inf), stop, accelerated
 
 
 def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int = 4):
@@ -354,25 +440,28 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
         x = np.full(reps.size, float(np.sqrt(lam_start[0]) * symmetric_radius(p.d, p.r)))
     n_stages = max(homotopy_steps, 1)
     trace = []
-    iterations = 0
+    iterations = accelerated = 0
     x_prev = x  # 2x - x is x exactly: stage 1 starts at x itself
     for k, p_k in enumerate(stages, 1):
         tol = _RESIDUAL_TOL if k == n_stages else _STAGE_TOL
         # secant predictor: the stages are equal steps in t
         x_start = 2.0 * x - x_prev
         x_prev = x
-        x, res, scale, stage_iterations, step_inf = _lm_solve(p_k, grid, orbits, x_start, tol)
+        x, res, scale, stage_iterations, step_inf, stop, stage_accelerated = _lm_solve(
+            p_k, grid, orbits, x_start, tol)
         iterations += stage_iterations
+        accelerated += stage_accelerated
         trace.append((p_k.lambdas, float(np.max(np.abs(res)))))
-        converged = trace[-1][1] <= tol * scale
-        if not converged:
+        if stop != "converged":
             break
     if k < n_stages:
         # a stage before the target failed: judge its radii against the target
         res, scale = _OrbitSystem(p, grid, orbits).residual(x)
     report = SolveReport(
-        converged=converged,
+        converged=stop == "converged",
+        stop=stop,
         iterations=iterations,
+        accelerated_steps=accelerated,
         residual_inf_norm=float(np.max(np.abs(res))),
         step_inf_norm=step_inf,
         residual_scale=scale,

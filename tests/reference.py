@@ -128,6 +128,21 @@ def assemble_jacobian(p: QuadraticProblem, b: StarBoundary) -> np.ndarray:
     return (b.grid.weights[:, None] * dm).T
 
 
+def assemble_second_derivative(p: QuadraticProblem, b: StarBoundary, v) -> np.ndarray:
+    """R_vv[j] = sum_i w_i v_i^2 d^2 m_d / d rho^2 at (rho_i, gamma_ij), the nodal one.
+
+    The rho-derivative of e^{gamma rho}(rho^2 - beta^2) rho^{d-1} term by
+    term: gamma (rho^2 - beta^2) rho^{d-1} + 2 rho^d + (d-1)(rho^2 - beta^2) rho^{d-2}.
+    """
+    if p.d != b.grid.d:
+        raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
+    d, rho, gm = p.d, b.radii[:, None], gamma_matrix(p, b.grid.nodes)
+    q = rho * rho - p.beta ** 2
+    d2m = np.exp(gm * rho) * (gm * q * rho ** (d - 1) + 2.0 * rho ** d
+                              + (d - 1) * q * rho ** (d - 2))
+    return (b.grid.weights * np.asarray(v, dtype=float) ** 2) @ d2m
+
+
 # ---------------------------------------------------------------------------
 # kernel constructions
 

@@ -94,7 +94,7 @@ def test_solve_writes_outputs(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--r", "1", "--lambdas", "1,4",
                        "--n", "32", "--out", str(out_csv), "--report", str(rep_json))
     assert code == 0
-    assert "converged=True" in out
+    assert "converged=True" in out and "stop:" not in out
     b = load_boundary_csv(out_csv)
     assert b.grid.n == 32
     doc = json.loads(rep_json.read_text())
@@ -121,6 +121,7 @@ def test_solve_non_convergence_exit_2(tmp_path, monkeypatch, capsys):
                        "--out", str(out_csv), "--report", str(out_csv) + ".json")
     assert code == 2
     assert "converged=False" in out
+    assert out.endswith("\nstop: step cap\n")
     assert out_csv.exists()  # partial result still written for inspection
 
 
@@ -131,9 +132,10 @@ def test_solve_failed_stage_exit_2(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "solve", "--r", "1", "--lambdas", "1,9", "--n", "32",
                        "--out", str(out_csv), "--report", str(rep_json))
     assert code == 2
-    assert "converged=False" in out
+    assert "converged=False" in out and "\nstop: step cap\n" in out
     rep = json.loads(rep_json.read_text())["solve_report"]
     assert len(rep["homotopy_trace"]) == 1
+    assert rep["stop"] == "step cap" and 0 <= rep["accelerated_steps"] <= rep["iterations"]
     assert rep["residual_inf_norm"] > 0.1 * rep["residual_scale"]
 
 

@@ -14,8 +14,9 @@ from quadstop.martin_solver import radial_moment, radial_moment_drho, solve_boun
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
 from quadstop.verification import (THRESHOLDS, green_residual_normalized, interior_scan_grid,
                                    majorant_gap_scan)
-from reference import (alt_radial_forms, assemble_jacobian, assemble_residual, gamma,
-                       gamma_matrix, kummer_moment_terms, quad, radial_form_audit)
+from reference import (alt_radial_forms, assemble_jacobian, assemble_residual,
+                       assemble_second_derivative, gamma, gamma_matrix, kummer_moment_terms,
+                       quad, radial_form_audit)
 
 M2_RHO1_GAM1_BETA2 = -3.436563656918091  # 2 - 2e
 
@@ -154,12 +155,12 @@ def test_trial_overflow_is_rejected_without_warnings(monkeypatch):
         overflowed.append(not np.all(np.isfinite(m)))
         return m
 
-    def overshoot_once(self, res, jac, mu):
-        h = real_step(self, res, jac, mu)
+    def overshoot_once(self, *args):
+        h, accelerated = real_step(self, *args)
         if not forced:
             forced.append(1)
             h = h + ms.RADIUS_CAP * self.p.beta
-        return h
+        return h, accelerated
 
     monkeypatch.setattr(ms, "radial_moment", recorded)
     monkeypatch.setattr(ms._OrbitSystem, "step", overshoot_once)
@@ -186,9 +187,11 @@ def test_lm_solve_ends_when_no_trial_descends(monkeypatch):
         return (res, scale) if np.array_equal(x, x0) else (2.0 * res, scale)
 
     monkeypatch.setattr(ms._OrbitSystem, "residual", doubled_away_from_x0)
-    x, _, _, iterations, step_inf = ms._lm_solve(p, grid, orbits, x0, ms._RESIDUAL_TOL)
+    x, _, _, iterations, step_inf, stop, accelerated = ms._lm_solve(p, grid, orbits, x0,
+                                                                   ms._RESIDUAL_TOL)
     assert np.array_equal(x, x0)
     assert iterations == 1 and step_inf == np.inf
+    assert stop == "no descending trial" and accelerated == 0
     # one residual at the start, then fewer trials than the cap of 60
     assert 1 < len(trials) < 61
 
@@ -384,9 +387,58 @@ def test_solve_non_convergence_is_reported(grid64, monkeypatch):
     monkeypatch.setattr(ms, "_MAX_ITERATIONS", 3)
     p = QuadraticProblem(1.0, (1.0, 9.0))
     b, rep = solve_boundary(p, grid64, homotopy_steps=0)
-    assert not rep.converged
+    assert not rep.converged and rep.stop == "step cap" and rep.iterations == 3
     assert rep.residual_inf_norm > 1e-9 * rep.residual_scale
     assert np.all(np.isfinite(b.radii))
+
+
+def test_solve_reports_a_step_below_tolerance(grid64, monkeypatch):
+    # every accepted step moves the radii by less than 1e3: the stage ends after one
+    monkeypatch.setattr(ms, "_STEP_TOL", 1e3)
+    _, rep = solve_boundary(QuadraticProblem(1.0, (1.0, 9.0)), grid64, homotopy_steps=0)
+    assert not rep.converged and rep.stop == "step below tolerance"
+    assert rep.iterations == 1 and rep.step_inf_norm < np.inf
+
+
+@pytest.mark.parametrize("p, grid, steps", [
+    (QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64), 4),
+    (QuadraticProblem(0.5, (1.0, 1.0, 1.0)), make_sphere_grid(16, 32), 0),
+])
+def test_converged_solve_reports_its_stop_and_accelerated_steps(p, grid, steps):
+    _, rep = solve_boundary(p, grid, homotopy_steps=steps)
+    assert rep.converged and rep.stop == "converged" and rep.stop in ms.STOP_REASONS
+    assert 0 < rep.accelerated_steps <= rep.iterations
+
+
+def test_benchmark_anisotropic_solve_converges_with_margin():
+    # the benchmark's lambda = (1, 16), n = 64 solve ends at 6.5e-10 of its row scale
+    # after 29 steps; the velocity steps alone crawled to 9.984e-10 in 104
+    _, rep = solve_boundary(QuadraticProblem(1.0, (1.0, 16.0)), make_circle_grid(64))
+    assert rep.converged
+    assert rep.residual_inf_norm <= 0.8 * ms._RESIDUAL_TOL * rep.residual_scale
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("lambdas", [(1.0, 64.0), (1.0, 100.0)])
+def test_high_ratio_default_solves_pass_verify_checks(lambdas, n):
+    # the velocity steps alone stopped at the step cap here at 1.1-1.8e-9 of the row scale
+    p = QuadraticProblem(1.0, lambdas)
+    b, rep = solve_boundary(p, make_circle_grid(n))
+    assert rep.converged
+    # run_verification's residual and majorant checks, at its default settings
+    residuals = green_residual_normalized(p, b, b.cartesian_points(p))
+    assert np.max(np.abs(residuals)) <= THRESHOLDS["residual"]
+    gap = majorant_gap_scan(p, b, interior_scan_grid(p, b, n=40))
+    assert gap >= -THRESHOLDS["majorant_gap"]
+
+
+@pytest.mark.parametrize("lambdas, shape", [
+    ((1.0, 2.0, 3.0), (8, 16)), ((1.0, 2.0, 4.0), (8, 16)), ((1.0, 8.0, 64.0), (12, 24)),
+])
+def test_d3_default_solves_converge(lambdas, shape):
+    # the velocity steps alone stopped at the step cap after 210-215 steps
+    _, rep = solve_boundary(QuadraticProblem(0.5, lambdas), make_sphere_grid(*shape))
+    assert rep.converged
 
 
 def test_solve_iterations_count_every_stage(p_14, grid64, monkeypatch):
@@ -467,10 +519,13 @@ def test_single_stage_is_one_target_solve(steps):
 
 
 def test_crawling_solves_reject_few_trials(monkeypatch):
-    # a solve that runs into _MAX_ITERATIONS: with the gain-ratio damping nearly
-    # every trial is accepted, so the residuals are about one per step plus one
-    # per stage start (215 for 210 steps; dividing mu by 3 on every accepted step
-    # and multiplying it by 4 on every rejection took 359 for 208)
+    # a solve that crawls through the ill-posed modes into _MAX_ITERATIONS: with the
+    # gain-ratio damping nearly every trial is accepted, so the residuals are about
+    # one per step plus one per stage start (215 for 210 steps; dividing mu by 3 on
+    # every accepted step and multiplying it by 4 on every rejection took 359 for
+    # 208).  The geodesic acceleration removes the crawl, and this solve then
+    # converges in 37 steps, so the crawl is run on the velocity steps alone
+    monkeypatch.setattr(ms, "_ACCEL_RATIO", 0.0)
     p, grid = QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16)
     calls = []
     real = ms.radial_moment
@@ -481,15 +536,16 @@ def test_crawling_solves_reject_few_trials(monkeypatch):
 
     monkeypatch.setattr(ms, "radial_moment", counted)
     _, rep = solve_boundary(p, grid)
+    assert rep.accelerated_steps == 0
     assert not rep.converged and rep.iterations > 200
     assert len(calls) <= 1.02 * (rep.iterations + len(rep.homotopy_trace))
 
 
 def test_failed_target_stage_reports_its_own_residual():
     # stages 1-3 reach _STAGE_TOL; the target stage itself stops short of _RESIDUAL_TOL
-    p = QuadraticProblem(0.5, (1.0, 2.0, 3.0))
+    p = QuadraticProblem(0.5, (1.0, 8.0, 64.0))
     _, rep = solve_boundary(p, make_sphere_grid(8, 16))
-    assert not rep.converged
+    assert not rep.converged and rep.stop == "step cap"
     assert len(rep.homotopy_trace) == 4
     assert rep.homotopy_trace[-1] == (p.lambdas, rep.residual_inf_norm)
     assert rep.residual_inf_norm < 1e-7 * rep.residual_scale
@@ -585,7 +641,8 @@ def test_orbit_system_is_the_contracted_nodal_system(p, grid, n_orbits):
     orbits = grid.reflection_orbits()
     reps, orbit_of = orbits
     size = np.bincount(orbit_of)
-    x = p.beta * np.random.default_rng(grid.n).uniform(1.05, 1.6, n_orbits)
+    rng = np.random.default_rng(grid.n)
+    x = p.beta * rng.uniform(1.05, 1.6, n_orbits)
     b = StarBoundary(grid, x[orbit_of])
     w = grid.weights
     system = ms._OrbitSystem(p, grid, orbits)
@@ -605,16 +662,84 @@ def test_orbit_system_is_the_contracted_nodal_system(p, grid, n_orbits):
     contracted = np.zeros((n_orbits, n_orbits))
     for q in range(n_orbits):
         contracted[:, q] = full_jac[reps][:, orbit_of == q].sum(axis=1)
-    jac = system.linearization(x)
+    jac, curv = system.linearization(x)
     close(jac, np.sqrt(size)[:, None] * contracted, 1e-13)
-    # one damped step equals the nodal step of the full augmented system, damped
-    # in the quadrature metric mu (|J|_F^2 / |S|) diag(w) with J the reduced Jacobian
-    for mu in (1e-3, 1.0):
+    # second derivative along a flip-symmetric v: the nodal R_vv, constant on orbits
+    v = p.beta * rng.uniform(-0.1, 0.1, n_orbits)
+    full_vv = assemble_second_derivative(p, b, v[orbit_of])
+    vv = curv @ (v * v) / system.row_w
+    close(vv, full_vv[reps], 1e-13)
+    close(vv[orbit_of], full_vv, 1e-13)
+    # one damped trial equals the nodal trial of the full augmented system, damped in
+    # the quadrature metric mu (|J|_F^2 / |S|) diag(w) with J the reduced Jacobian: the
+    # velocity, the acceleration along it, and the same test between v and v + a/2
+    accelerated = set()
+    for mu in (1e-3, 1.0, 1e2):
         metric = mu * (jac * jac).sum() / w.sum() * w
         aug = np.vstack([full_jac, np.diag(np.sqrt(metric))])
-        rhs = np.concatenate([-np.sqrt(w) * full_res, np.zeros(grid.n)])
-        nodal = np.linalg.lstsq(aug, rhs, rcond=None)[0]
-        close(system.step(res, jac, mu)[orbit_of], nodal, 1e-10)
+        zeros = np.zeros(grid.n)
+        vel = np.linalg.lstsq(aug, np.concatenate([-np.sqrt(w) * full_res, zeros]),
+                              rcond=None)[0]
+        acc = np.linalg.lstsq(
+            aug, np.concatenate([-np.sqrt(w) * assemble_second_derivative(p, b, vel), zeros]),
+            rcond=None)[0]
+        fast = 2.0 * math.sqrt(w @ acc ** 2) <= ms._ACCEL_RATIO * math.sqrt(w @ vel ** 2)
+        h, fast_reduced = system.step(res, jac, curv, mu)
+        assert fast_reduced == fast
+        close(h[orbit_of], vel + 0.5 * acc if fast else vel, 1e-10)
+        accelerated.add(fast)
+    # at these radii far from the solution the test takes v alone at mu <= 1, v + a/2 at 100
+    assert accelerated == {False, True}
+
+
+@pytest.mark.parametrize("p, grid", [
+    (QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64)),
+    (QuadraticProblem(1.0, (1.0, 100.0)), make_circle_grid(31)),
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16)),
+    (QuadraticProblem(0.5, (1.0, 4.0, 16.0)), make_sphere_grid(13, 25)),
+])
+def test_second_derivative_is_the_central_difference(p, grid):
+    # (R(x + t v) - 2 R(x) + R(x - t v)) / t^2 = R_vv + O(t^2), along v of size beta;
+    # the difference is 1.6-6.4e-8 of max |R_vv| here, and 100 times that at t = 1e-3
+    orbits = grid.reflection_orbits()
+    rng = np.random.default_rng(grid.n)
+    x = p.beta * rng.uniform(1.05, 1.6, orbits[0].size)
+    v = p.beta * rng.uniform(-1.0, 1.0, orbits[0].size)
+    system = ms._OrbitSystem(p, grid, orbits)
+    vv = system.linearization(x)[1] @ (v * v) / system.row_w
+    t = 1e-4
+    diff = (system.residual(x + t * v)[0] - 2.0 * system.residual(x)[0]
+            + system.residual(x - t * v)[0]) / (t * t)
+    assert np.max(np.abs(diff - vv)) <= 1e-6 * np.max(np.abs(vv))
+
+
+def test_lstsq_is_scipy_gelsy_bit_for_bit(monkeypatch):
+    # every damped system of two solves, velocity and acceleration, in d = 2 and 3
+    systems = []
+    real = ms.lstsq
+
+    def recorded(a, b):
+        systems.append((a.copy(), b.copy()))
+        return real(a, b)
+
+    monkeypatch.setattr(ms, "lstsq", recorded)
+    for p, grid in ((QuadraticProblem(1.0, (1.0, 16.0)), make_circle_grid(64)),
+                    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16))):
+        solve_boundary(p, grid)
+    assert len(systems) > 100
+    for a, b in systems:
+        ref = scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0]
+        assert np.array_equal(real(a, b), ref)
+
+
+def test_lstsq_raises_on_lapack_info(monkeypatch):
+    a, b = np.vstack([np.eye(3), np.eye(3)]), np.ones(6)
+    monkeypatch.setattr(ms, "_GELSY", lambda *args: (a, b, None, 3, -4))
+    with pytest.raises(np.linalg.LinAlgError, match=r"gelsy returned info = -4$"):
+        ms.lstsq(a, b)
+    monkeypatch.setattr(ms, "_GELSY_LWORK", lambda *args: (0.0, -1))
+    with pytest.raises(np.linalg.LinAlgError, match=r"gelsy returned info = -1$"):
+        ms.lstsq(a, b)
 
 
 @pytest.mark.parametrize("p, grid", [
@@ -646,15 +771,17 @@ def test_solver_layers_go_through_module_attributes(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(ms, name, counted)
     # continuation and cold start run the same stage loop: one residual per
-    # stage start and one per trial step
+    # stage start, and one residual and two damped solves (velocity and
+    # acceleration) per trial step
     for steps in (4, 0):
         for calls in seen.values():
             calls.clear()
         _, rep = solve_boundary(p, grid, homotopy_steps=steps)
         assert rep.converged
         assert len(seen["radial_moment_drho"]) == rep.iterations
-        assert len(seen["lstsq"]) >= rep.iterations
-        assert len(seen["radial_moment"]) == len(seen["lstsq"]) + len(rep.homotopy_trace)
+        trials = len(seen["radial_moment"]) - len(rep.homotopy_trace)
+        assert trials >= rep.iterations
+        assert len(seen["lstsq"]) == 2 * trials
         assert (set(seen["radial_moment"]) == set(seen["radial_moment_drho"])
                 == {(grid.n, n_orbits)})
         assert set(seen["lstsq"]) == {(2 * n_orbits, n_orbits)}
