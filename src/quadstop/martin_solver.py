@@ -30,7 +30,9 @@ RADIUS_CAP the bound `class_membership_check` holds the radii to.  The
 step is damped in the quadrature metric sum_i w_i delta_i^2 of the
 unknowns, the L^2 regularizer of this first-kind equation.  The
 damping follows the gain ratio of each accepted step (Nielsen's rule,
-Madsen, Nielsen & Tingleff 2004, section 3.2).  Each trial adds to the
+Madsen, Nielsen & Tingleff 2004, section 3.2) against the second-order
+model of the residual, and a trial that model predicts to rise is
+refused before its residual is evaluated.  Each trial adds to the
 damped velocity v the geodesic acceleration a/2 (Transtrum, Machta &
 Sethna 2011; Transtrum & Sethna 2012) while 2|a| <= 0.75 |v| in the same
 metric: a solves the damped system again with the residual's second
@@ -324,24 +326,32 @@ def _lm_solve(p, grid, orbits, x0, tol):
     follows the linear model and crawls along the curved valley of the
     ill-posed modes; the correction follows the valley's curvature,
     which the exact second derivative K gives at no extra residual
-    evaluation.  Each trial thus costs one residual and two damped
-    solves.
+    evaluation.  Each trial thus costs two damped solves, and one
+    residual unless the model refuses it.
 
     The damping mu follows Nielsen's gain-ratio rule (H. B. Nielsen,
-    IMM-REP-1999-05; Madsen, Nielsen & Tingleff 2004, section 3.2).
-    With b the weighted residual, F = |b|^2 the objective and h the
-    projected step, the gain ratio is the actual fall over the fall
-    F - |J h + b|^2 the linear model predicts (1 where that is not
-    positive).  An accepted step scales mu by
-    max(1/3, 1 - (2 gain - 1)^3), down to a floor of 1e-14; a rejected
-    trial multiplies mu by nu, which starts at 2 for every step and
-    doubles with each rejection.  A trial is accepted when its
-    objective is finite and below F.  A trial step whose objective
-    overflows (e^{gamma rho} past the largest double) is therefore
-    rejected like one that does not descend.  A trial whose step rounds
-    away, leaving the radii unchanged, ends the step unaccepted: a
-    larger mu only shrinks it, and mu would overflow within the 60
-    trials a step may take.
+    IMM-REP-1999-05; Madsen, Nielsen & Tingleff 2004, section 3.2),
+    with the model the accelerated step is built from.  With b the
+    weighted residual, F = |b|^2 the objective and h the projected
+    step, the second-order model predicts the fall
+    F - |b + J h + K h^2 / 2|^2.  A trial whose predicted fall is not
+    positive is refused without evaluating its residual; otherwise it is
+    accepted when its objective is finite and below F.  The gain ratio g
+    is the actual fall over the predicted one, folded at 1 to
+    gain = max(1 - |1 - g|, 0): a fall well past the predicted one
+    shows a model as far off as one well short of it, and after an
+    accelerated step the linear model's prediction is off by the
+    curvature the correction follows, so judging by it (or leaving
+    g > 1 unfolded) divides mu by 3 into trials the model no longer
+    describes.  An accepted step scales mu by
+    max(1/3, 1 - (2 gain - 1)^3), down to a floor of 1e-14; a refused or
+    rejected trial multiplies mu by nu, which starts at 2 for every step
+    and doubles with each rejection.  A trial step whose objective
+    overflows (e^{gamma rho} past the largest double) is rejected like
+    one that does not descend.  A trial whose step rounds away, leaving
+    the radii unchanged, ends the step unaccepted: a larger mu only
+    shrinks it, and mu would overflow within the 60 trials a step may
+    take.
 
     Returns (x, R, scale, iterations, step_inf, stop, accelerated): the
     radii, the residual and its scale there, the steps taken (at most
@@ -379,21 +389,23 @@ def _lm_solve(p, grid, orbits, x0, tol):
             if np.array_equal(cand, x):
                 break  # the step rounds away, and a larger mu only shrinks it
             cand = np.clip(cand, lo, hi)
-            res_c, scale_c = system.residual(cand)
-            with np.errstate(over="ignore"):
-                obj_c = (rw * res_c) @ (rw * res_c)
-            if np.isfinite(obj_c) and obj_c < obj:
-                h = cand - x
-                lin = jac @ h + rw * res
-                predicted = obj - lin @ lin
-                # gain ratio of the actual to the predicted fall; past 1 the rule is flat
-                gain = min((obj - obj_c) / predicted, 1.0) if predicted > 0.0 else 1.0
-                step_inf = float(np.max(np.abs(h)))
-                x, res, scale, obj = cand, res_c, scale_c, obj_c
-                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-14)
-                accepted = True
-                accelerated += fast
-                break
+            h = cand - x
+            model = rw * res + jac @ h + 0.5 * (curv @ (h * h))
+            predicted = obj - model @ model
+            if predicted > 0.0:
+                res_c, scale_c = system.residual(cand)
+                with np.errstate(over="ignore"):
+                    obj_c = (rw * res_c) @ (rw * res_c)
+                if np.isfinite(obj_c) and obj_c < obj:
+                    # the gain ratio, folded at 1: a fall past the predicted one
+                    # misjudges the step as much as one that falls short of it
+                    gain = max(1.0 - abs(1.0 - (obj - obj_c) / predicted), 0.0)
+                    step_inf = float(np.max(np.abs(h)))
+                    x, res, scale, obj = cand, res_c, scale_c, obj_c
+                    mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-14)
+                    accepted = True
+                    accelerated += fast
+                    break
             mu *= nu
             nu *= 2.0
         if not accepted:

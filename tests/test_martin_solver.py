@@ -143,11 +143,17 @@ def test_power_moments_match_high_precision():
                 assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
 
-def test_trial_overflow_is_rejected_without_warnings(monkeypatch):
-    # the first trial step is pushed to the radius cap, where e^{gamma rho} passes the
-    # largest double at lambda-ratio 1000; the unforced steps stay below that
+def _solve_with_overshoot(monkeypatch, blind_model):
+    """Solve lambda = (1, 1000) cold with its first trial pushed to the radius cap.
+
+    e^{gamma rho} passes the largest double there; the unforced steps stay
+    below that.  With blind_model the first step's K puts the second-order
+    model at 0 for that trial, so the model predicts the whole objective to
+    fall.  Returns (report, whether a radial_moment call overflowed).
+    """
     overflowed = []
     real_moment, real_step = ms.radial_moment, ms._OrbitSystem.step
+    real_linearization = ms._OrbitSystem.linearization
     forced = []
 
     def recorded(*args):
@@ -162,13 +168,37 @@ def test_trial_overflow_is_rejected_without_warnings(monkeypatch):
             h = h + ms.RADIUS_CAP * self.p.beta
         return h, accelerated
 
+    def blind_once(self, x):
+        jac, curv = real_linearization(self, x)
+        if not forced:
+            h = ms.RADIUS_CAP * self.p.beta - x
+            miss = self.row_w * self.residual(x)[0] + jac @ h
+            curv = -2.0 * np.outer(miss, 1.0 / (h * h)) / x.size
+        return jac, curv
+
     monkeypatch.setattr(ms, "radial_moment", recorded)
     monkeypatch.setattr(ms._OrbitSystem, "step", overshoot_once)
+    if blind_model:
+        monkeypatch.setattr(ms._OrbitSystem, "linearization", blind_once)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _, rep = solve_boundary(QuadraticProblem(1.0, (1.0, 1000.0)), make_circle_grid(64),
                                 homotopy_steps=0)
-    assert any(overflowed)
+    assert forced
+    return rep, any(overflowed)
+
+
+def test_trial_overflow_is_rejected_without_warnings(monkeypatch):
+    # a trial the model passes but whose residual overflows is rejected
+    rep, overflowed = _solve_with_overshoot(monkeypatch, blind_model=True)
+    assert overflowed
+    assert not rep.converged
+
+
+def test_second_order_model_refuses_the_overshoot(monkeypatch):
+    # the model predicts a rise at the cap: the trial is refused before its residual
+    rep, overflowed = _solve_with_overshoot(monkeypatch, blind_model=False)
+    assert not overflowed
     assert not rep.converged
 
 
@@ -519,26 +549,28 @@ def test_single_stage_is_one_target_solve(steps):
 
 
 def test_crawling_solves_reject_few_trials(monkeypatch):
-    # a solve that crawls through the ill-posed modes into _MAX_ITERATIONS: with the
-    # gain-ratio damping nearly every trial is accepted, so the residuals are about
-    # one per step plus one per stage start (215 for 210 steps; dividing mu by 3 on
-    # every accepted step and multiplying it by 4 on every rejection took 359 for
-    # 208).  The geodesic acceleration removes the crawl, and this solve then
-    # converges in 37 steps, so the crawl is run on the velocity steps alone
-    monkeypatch.setattr(ms, "_ACCEL_RATIO", 0.0)
-    p, grid = QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16)
-    calls = []
-    real = ms.radial_moment
+    # a solve that runs into _MAX_ITERATIONS: nearly every trial is accepted, so the
+    # residuals are about one per step plus one per stage start (225 for 220 steps
+    # and 4 stages).  The trials the second-order model predicts to rise are refused
+    # before their residual, at two damped solves each (252 trials here)
+    p, grid = QuadraticProblem(0.5, (1.0, 8.0, 64.0)), make_sphere_grid(8, 16)
+    calls, solves = [], []
+    real, real_lstsq = ms.radial_moment, ms.lstsq
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
+    def counted_lstsq(*args):
+        solves.append(1)
+        return real_lstsq(*args)
+
     monkeypatch.setattr(ms, "radial_moment", counted)
+    monkeypatch.setattr(ms, "lstsq", counted_lstsq)
     _, rep = solve_boundary(p, grid)
-    assert rep.accelerated_steps == 0
     assert not rep.converged and rep.iterations > 200
     assert len(calls) <= 1.02 * (rep.iterations + len(rep.homotopy_trace))
+    assert len(solves) <= 2 * 1.2 * rep.iterations
 
 
 def test_failed_target_stage_reports_its_own_residual():
@@ -772,7 +804,7 @@ def test_solver_layers_go_through_module_attributes(monkeypatch):
         monkeypatch.setattr(ms, name, counted)
     # continuation and cold start run the same stage loop: one residual per
     # stage start, and one residual and two damped solves (velocity and
-    # acceleration) per trial step
+    # acceleration) per trial step; the second-order model refuses none here
     for steps in (4, 0):
         for calls in seen.values():
             calls.clear()
