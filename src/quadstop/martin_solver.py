@@ -41,10 +41,13 @@ each radius enters the equations through its own nodes only, so the
 Hessian is diagonal and d^2 m_d/d rho^2 is the integrand times its
 log-derivative.  Without it the steps crawl through the ill-posed modes
 of the smoothing kernel; with it they follow the curved valley.  The
-damped systems are solved by `lstsq`, one LAPACK gelsy call each.
-`solve_boundary` continues in lambda over equal stages, each started
-at the secant prediction from the two before it; only the target
-stage is solved to _RESIDUAL_TOL, the stages before it to _STAGE_TOL.
+damped systems are solved by `lstsq`, LAPACK gelsy through scipy.
+`solve_boundary` solves the canonical problem of `QuadraticProblem.canonical`
+(r = 1/2, mean lambda 1), whose stopping set is the target's up to a
+dilation, and maps its radii and residuals back.  It continues in lambda
+over equal stages, each started at the secant prediction from the two
+before it; only the target stage is solved to _RESIDUAL_TOL, the stages
+before it to _STAGE_TOL.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy.linalg
 
 from .grids import SphereGrid
 from .problem import RADIUS_CAP, QuadraticProblem, StarBoundary, symmetric_radius
@@ -65,13 +68,11 @@ __all__ = [
     "solve_boundary",
 ]
 
-_GELSY, _GELSY_LWORK = get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.float64)
-_EPS = float(np.finfo(np.float64).eps)
-
 _INIT_FACTOR = 1.3    # a cold start puts every radius at _INIT_FACTOR * beta
 _MAX_ITERATIONS = 200  # Levenberg-Marquardt steps per stage
 _DAMPING = 1e-3       # initial Levenberg parameter
-_STEP_TOL = 1e-11     # stop when an accepted step moves no radius by more
+# the tolerances act on the canonical problem, the same at every r and scale of lambda
+_STEP_TOL = 1e-11     # stop when an accepted step moves no canonical radius by more
 _RESIDUAL_TOL = 1e-9  # converged when max |R| <= _RESIDUAL_TOL * max_j sum_i w_i |m_d|
 _STAGE_TOL = 1e-6     # the same test for a homotopy stage before the target
 _ACCEL_RATIO = 0.75   # a trial takes v + a/2 while 2|a| <= _ACCEL_RATIO |v|
@@ -108,7 +109,7 @@ class SolveReport:
 
 
 # why a stage ended: its tolerance met, _MAX_ITERATIONS steps taken, no trial of a
-# step descending, or an accepted step moving no radius by more than _STEP_TOL
+# step descending, or an accepted step moving no canonical radius by more than _STEP_TOL
 STOP_REASONS = ("converged", "step cap", "no descending trial", "step below tolerance")
 
 
@@ -200,21 +201,8 @@ def radial_moment_drho(d: int, rho, gam, beta: float):
 
 
 def lstsq(a, b):
-    """Least-squares solution of a x = b by LAPACK gelsy with rcond = eps.
-
-    The same driver, condition and workspace as
-    scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0], and the same
-    result bit for bit, without its validation of every call.  a is a
-    finite real m x n array with m >= n and b a finite vector of length
-    m.  Raises LinAlgError when gelsy reports info != 0.
-    """
-    m, n = a.shape
-    work, info = _GELSY_LWORK(m, n, 1, _EPS)
-    if info == 0:
-        _, x, _, _, info = _GELSY(a, b, np.zeros(n, dtype=np.int32), _EPS, int(work))
-    if info != 0:
-        raise np.linalg.LinAlgError("LAPACK gelsy returned info = %d" % info)
-    return x[:n]
+    """Least-squares solution of a x = b by LAPACK gelsy with rcond = eps."""
+    return scipy.linalg.lstsq(a, b, lapack_driver="gelsy", check_finite=False)[0]
 
 
 class _OrbitSystem:
@@ -268,8 +256,7 @@ class _OrbitSystem:
 
         The velocity v minimizes
         ||J v + sqrt(|o| w_o) R||^2 + mu s sum_o |o| w_o v_o^2, with
-        s = |J|_F^2 / sum_i w_i making the damping scale with J'J, so the
-        step scales with the radii when lambda or r is rescaled.  The
+        s = |J|_F^2 / sum_i w_i making the damping scale with J'J.  The
         geodesic acceleration a solves the same damped problem with
         K v^2, the second derivative of the weighted residual along v,
         in place of the residual (Transtrum & Sethna 2012).  The step is
@@ -417,21 +404,26 @@ def _lm_solve(p, grid, orbits, x0, tol):
 def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int = 4):
     """Solve the discrete boundary equations; returns (StarBoundary, SolveReport).
 
-    Runs _lm_solve once per stage and stops after the first stage that
-    does not converge.  With homotopy_steps = 0 the one stage is the
-    target problem, started cold at _INIT_FACTOR * beta.  Otherwise the
-    stages continue in homotopy_steps equal steps from the symmetric
-    problem with the same coefficient sum (beta is invariant along that
-    path), started at its analytic radius, to the target, whose
-    coefficients the last stage hits exactly; anisotropic lambda makes
-    the cold start crawl (exponential residual curvature keeps the
-    damping high), so continuation is the default.  The steps being
-    equal, stage k+1 starts at the secant prediction 2 x_k - x_{k-1}
-    from the radii of the two stages before it (the first stage at the
-    starting radii themselves).  Only the target's radii are returned,
-    so the stages before it stop at _STAGE_TOL and only the target is
-    solved to _RESIDUAL_TOL: past about 1e-7 the Levenberg-Marquardt
-    steps crawl through the ill-posed modes of the smoothing kernel.
+    Solves the canonical problem (q, c) = p.canonical() and maps the
+    result back: radii and step times c, residuals and their scale
+    times c^(d+2), so the solve takes the same steps at every r and
+    every scale of lambda.  Runs _lm_solve once per stage and stops
+    after the first stage that does not converge.  With
+    homotopy_steps = 0 the one stage is q, started cold at
+    _INIT_FACTOR * beta.  Otherwise the stages continue in
+    homotopy_steps equal steps t from the symmetric problem along
+    lambda = 1 - t + t lambda_q (beta is invariant along that path),
+    started at its analytic radius, to q, whose coefficients the last
+    stage hits exactly; anisotropic lambda makes the cold start crawl
+    (exponential residual curvature keeps the damping high), so
+    continuation is the default.  The trace gives each stage's
+    coefficients in p's units.  The steps being equal, stage k+1
+    starts at the secant prediction 2 x_k - x_{k-1} from the radii of
+    the two stages before it (the first stage at the starting radii
+    themselves).  Only the target's radii are returned, so the stages
+    before it stop at _STAGE_TOL and only the target is solved to
+    _RESIDUAL_TOL: past about 1e-7 the Levenberg-Marquardt steps crawl
+    through the ill-posed modes of the smoothing kernel.
     Non-convergence is reported, never raised.
     """
     if homotopy_steps < 0:
@@ -440,43 +432,44 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
         raise ValueError("problem dimension %d != grid dimension %d" % (p.d, grid.d))
     orbits = grid.reflection_orbits()
     reps, orbit_of = orbits
+    q, c = p.canonical()
+    unit = c ** (p.d + 2)  # of the radial moments, residuals and their scale
     if homotopy_steps == 0:
-        stages = [p]
-        x = np.full(reps.size, _INIT_FACTOR * p.beta)
+        ts = (1.0,)
+        x = np.full(reps.size, _INIT_FACTOR * q.beta)
     else:
-        lam_start = np.full(p.d, p.lam.mean())
         # built one at a time, so a large stage count costs no memory up front
         ts = (k / homotopy_steps for k in range(1, homotopy_steps + 1))
-        stages = (QuadraticProblem(p.r, tuple((1.0 - t) * lam_start + t * p.lam)) for t in ts)
-        # symmetric-problem boundary in affine polar radius: rho = sqrt(lambda) R
-        x = np.full(reps.size, float(np.sqrt(lam_start[0]) * symmetric_radius(p.d, p.r)))
+        x = np.full(reps.size, symmetric_radius(p.d, 0.5))
     n_stages = max(homotopy_steps, 1)
     trace = []
     iterations = accelerated = 0
     x_prev = x  # 2x - x is x exactly: stage 1 starts at x itself
-    for k, p_k in enumerate(stages, 1):
+    for k, t in enumerate(ts, 1):
         tol = _RESIDUAL_TOL if k == n_stages else _STAGE_TOL
         # secant predictor: the stages are equal steps in t
         x_start = 2.0 * x - x_prev
         x_prev = x
+        q_t = QuadraticProblem(0.5, tuple((1.0 - t) + t * q.lam))
         x, res, scale, stage_iterations, step_inf, stop, stage_accelerated = _lm_solve(
-            p_k, grid, orbits, x_start, tol)
+            q_t, grid, orbits, x_start, tol)
         iterations += stage_iterations
         accelerated += stage_accelerated
-        trace.append((p_k.lambdas, float(np.max(np.abs(res)))))
+        trace.append((tuple(((1.0 - t) * p.lam.mean() + t * p.lam).tolist()),
+                      unit * float(np.max(np.abs(res)))))
         if stop != "converged":
             break
     if k < n_stages:
         # a stage before the target failed: judge its radii against the target
-        res, scale = _OrbitSystem(p, grid, orbits).residual(x)
+        res, scale = _OrbitSystem(q, grid, orbits).residual(x)
     report = SolveReport(
         converged=stop == "converged",
         stop=stop,
         iterations=iterations,
         accelerated_steps=accelerated,
-        residual_inf_norm=float(np.max(np.abs(res))),
-        step_inf_norm=step_inf,
-        residual_scale=scale,
+        residual_inf_norm=unit * float(np.max(np.abs(res))),
+        step_inf_norm=c * step_inf,
+        residual_scale=unit * scale,
         homotopy_trace=tuple(trace),
     )
-    return StarBoundary(grid, x[orbit_of]), report
+    return StarBoundary(grid, c * x[orbit_of]), report

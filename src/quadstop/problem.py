@@ -9,20 +9,22 @@ class of candidate continuation regions (closed, bounded, containing
 the negative set, star-shaped, reflection-symmetric, and excluded from
 the far-quadrant box).  `symmetric_radius` is the analytic boundary
 radius of the symmetric problem: the far-quadrant box is built from it,
-and the solver's homotopy starts from it.
+and the solver's homotopy starts from it.  The solver solves the
+equivalent problem of `QuadraticProblem.canonical`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sps
 
 from .grids import SphereGrid
 
 RADIUS_CAP = 50.0    # admissible radii stay below RADIUS_CAP * beta
 CLASS_TOL = 1e-6     # violations up to this size pass class_membership_check
+_SYMMETRIC_W = {2: 2.584399625881649, 3: 2.984704585357887}  # symmetric_radius(d, 1/2)
 
 
 @dataclass(frozen=True)
@@ -85,40 +87,33 @@ class QuadraticProblem:
         out = rho[..., None] * omega / self.sqrt_lam
         return out
 
+    def canonical(self):
+        """(q, c): the problem q with r = 1/2 and lambda / mean(lambda), and c.
 
-def _bracketed_root(f, a: float, b: float) -> float:
-    """Root of f in [a, b], where f changes sign, by the Illinois variant of regula falsi."""
-    fa, fb = f(a), f(b)
-    for _ in range(100):
-        c = b - fb * (b - a) / (fb - fa)
-        fc = f(c)
-        if fc == 0.0 or abs(c - b) <= 1e-15 * abs(c):
-            return c
-        # new bracket [a, c] or [b, c]; keeping a again halves f(a), so a cannot stall
-        a, fa = (a, 0.5 * fa) if (fc < 0.0) == (fb < 0.0) else (b, fb)
-        b, fb = c, fc
-    raise RuntimeError("no root in [%g, %g] after 100 steps" % (a, b))
+        The stopping set is invariant under lambda -> s lambda, and
+        x -> x sqrt(2r) maps discount r to 1/2, so this problem's affine
+        polar radii are c = sqrt(mean(lambda) / (2r)) times q's, and its
+        radial moments, Martin residuals and their scales c^(d+2) times q's.
+        """
+        mean = float(self.lam.mean())
+        return QuadraticProblem(0.5, tuple(self.lam / mean)), math.sqrt(mean / (2.0 * self.r))
 
 
 def symmetric_radius(d: int, r: float) -> float:
     """Boundary radius of the symmetric problem (all weights equal).
 
     For reward |x|^2 in dimension d with discount r the continuation
-    region is a centered ball; its radius is w*/sqrt(2r) where w* solves
-    a scalar equation in the rescaled variable.  In d = 2 the condition
-    is w I1(w) = 2 I0(w) and in d = 3 it is tanh(w) = w / 3.  A common
-    factor on all reward weights rescales the value, not the boundary,
-    so this covers every symmetric instance.
+    region is a centered ball of radius w*/sqrt(2r), with w* the radius
+    at r = 1/2, a constant: the root of w I1(w) = 2 I0(w) in d = 2 and
+    of tanh(w) = w / 3 in d = 3.  A common factor on all reward weights
+    rescales the value, not the boundary, so this covers every
+    symmetric instance.
     """
     if not (np.isfinite(r) and r > 0.0):
         raise ValueError("discount rate r must be finite and > 0, got %r" % (r,))
-    if d == 2:
-        w = _bracketed_root(lambda t: t * sps.i1(t) - 2.0 * sps.i0(t), 1.0, 5.0)
-    elif d == 3:
-        w = _bracketed_root(lambda t: np.tanh(t) - t / 3.0, 2.0, 3.0)
-    else:
+    if d not in _SYMMETRIC_W:
         raise ValueError("symmetric_radius is implemented for d in {2, 3}")
-    return w / np.sqrt(2.0 * r)
+    return _SYMMETRIC_W[d] / np.sqrt(2.0 * r)
 
 
 @dataclass(frozen=True)

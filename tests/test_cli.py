@@ -113,6 +113,16 @@ def test_solve_reruns_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_solve_converges_at_any_discount_scale(tmp_path, capsys):
+    # the solver's step tolerance acts on the canonical problem; at r = 1e12 the radii
+    # are 1e-6 times those at r = 1, and the solve still takes the same steps
+    out_csv = tmp_path / "b.csv"
+    code, out, _ = run(capsys, "solve", "--r", "1e12", "--lambdas", "1,4", "--n", "64",
+                       "--out", str(out_csv), "--report", str(out_csv) + ".json")
+    assert code == 0
+    assert out.startswith("converged=True iterations=22 ") and "stop:" not in out
+
+
 def test_solve_non_convergence_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ms, "_MAX_ITERATIONS", 2)
     out_csv = tmp_path / "b.csv"

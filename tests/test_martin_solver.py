@@ -394,15 +394,26 @@ def test_solve_permutation_equivariance(grid64):
 
 
 def test_solve_reward_scaling(grid64):
-    # scaling lambda by c scales g by c and the polar radii by sqrt(c); x -> x / sqrt(r)
-    # with time scaled by r maps the problem at r to the one at r = 1, so the polar
-    # radii scale as 1 / sqrt(r).  The damping scales with J'J, so every iterate does too
-    b1, _ = solve_boundary(QuadraticProblem(1.0, (1.0, 4.0)), grid64)
-    b2, _ = solve_boundary(QuadraticProblem(1.0, (2.0, 8.0)), grid64)
-    assert np.max(np.abs(b2.radii - math.sqrt(2.0) * b1.radii)) <= 1e-12
-    for r in (0.1, 0.25, 4.0, 10.0):
-        b_r, _ = solve_boundary(QuadraticProblem(r, (1.0, 4.0)), grid64)
-        assert np.max(np.abs(math.sqrt(r) * b_r.radii - b1.radii)) <= 1e-12
+    # scaling lambda by s scales g by s and the polar radii by sqrt(s); x -> x sqrt(2r)
+    # with time scaled by 2r maps the problem at r to the one at r = 1/2, so the polar
+    # radii scale as 1 / sqrt(r).  Every problem is solved as its canonical one, so
+    # every scale out to 1e12 either way with the same canonical problem takes the
+    # same steps to radii equal up to the rounding of the scale factor
+    for p, grid, rs in ((QuadraticProblem(1.0, (1.0, 4.0)), grid64,
+                         (0.1, 0.25, 4.0, 10.0, 1e-12, 1e12)),
+                        (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(16, 32),
+                         (1e-12, 1e12))):
+        b1, rep1 = solve_boundary(p, grid)
+        assert rep1.converged
+        cases = [(p.r, s, math.sqrt(s)) for s in (2.0, 1e-12, 1e12)]
+        cases += [(r, 1.0, math.sqrt(p.r / r)) for r in rs]
+        for r, s, factor in cases:
+            p_s = QuadraticProblem(r, tuple(s * p.lam))
+            assert p_s.canonical()[0] == p.canonical()[0]
+            b, rep = solve_boundary(p_s, grid)
+            assert rep.converged and rep.iterations == rep1.iterations
+            scaled = factor * b1.radii
+            assert np.max(np.abs(b.radii - scaled) / scaled) <= 4 * np.finfo(float).eps
 
 
 def test_solve_homotopy_consistent_with_cold(p_14, grid64, bnd_14):
@@ -528,24 +539,27 @@ def test_stages_meet_their_own_tolerance(monkeypatch):
     _, rep = solve_boundary(p, grid)
     assert rep.converged and len(rep.homotopy_trace) == 4
     orbits = grid.reflection_orbits()
+    c = p.canonical()[1]  # the stages run on canonical radii
     for k, ((lam, res_inf), x) in enumerate(zip(rep.homotopy_trace, stage_radii), 1):
-        _, scale = ms._OrbitSystem(QuadraticProblem(p.r, lam), grid, orbits).residual(x)
+        _, scale = ms._OrbitSystem(QuadraticProblem(p.r, lam), grid, orbits).residual(c * x)
         tol = ms._RESIDUAL_TOL if k == 4 else ms._STAGE_TOL
         assert res_inf <= tol * scale
 
 
 @pytest.mark.parametrize("steps", [0, 1])
 def test_single_stage_is_one_target_solve(steps):
-    # the secant predictor 2x - x of the first stage is x itself
+    # the secant predictor 2x - x of the first stage is x itself; the solve runs on
+    # the canonical problem and scales its radii back by c
     p, grid = QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64)
+    canon, c = p.canonical()
     orbits = grid.reflection_orbits()
     reps, orbit_of = orbits
-    start = (ms._INIT_FACTOR * p.beta if steps == 0
-             else math.sqrt(p.lam.mean()) * symmetric_radius(p.d, p.r))
-    x = ms._lm_solve(p, grid, orbits, np.full(reps.size, start), ms._RESIDUAL_TOL)[0]
+    start = ms._INIT_FACTOR * canon.beta if steps == 0 else symmetric_radius(p.d, 0.5)
+    x = ms._lm_solve(canon, grid, orbits, np.full(reps.size, start), ms._RESIDUAL_TOL)[0]
     b, rep = solve_boundary(p, grid, homotopy_steps=steps)
     assert rep.converged and len(rep.homotopy_trace) == 1
-    assert np.array_equal(b.radii, x[orbit_of])
+    assert rep.homotopy_trace[0][0] == p.lambdas
+    assert np.array_equal(b.radii, c * x[orbit_of])
 
 
 def test_crawling_solves_reject_few_trials(monkeypatch):
@@ -743,35 +757,6 @@ def test_second_derivative_is_the_central_difference(p, grid):
     diff = (system.residual(x + t * v)[0] - 2.0 * system.residual(x)[0]
             + system.residual(x - t * v)[0]) / (t * t)
     assert np.max(np.abs(diff - vv)) <= 1e-6 * np.max(np.abs(vv))
-
-
-def test_lstsq_is_scipy_gelsy_bit_for_bit(monkeypatch):
-    # every damped system of two solves, velocity and acceleration, in d = 2 and 3
-    systems = []
-    real = ms.lstsq
-
-    def recorded(a, b):
-        systems.append((a.copy(), b.copy()))
-        return real(a, b)
-
-    monkeypatch.setattr(ms, "lstsq", recorded)
-    for p, grid in ((QuadraticProblem(1.0, (1.0, 16.0)), make_circle_grid(64)),
-                    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16))):
-        solve_boundary(p, grid)
-    assert len(systems) > 100
-    for a, b in systems:
-        ref = scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0]
-        assert np.array_equal(real(a, b), ref)
-
-
-def test_lstsq_raises_on_lapack_info(monkeypatch):
-    a, b = np.vstack([np.eye(3), np.eye(3)]), np.ones(6)
-    monkeypatch.setattr(ms, "_GELSY", lambda *args: (a, b, None, 3, -4))
-    with pytest.raises(np.linalg.LinAlgError, match=r"gelsy returned info = -4$"):
-        ms.lstsq(a, b)
-    monkeypatch.setattr(ms, "_GELSY_LWORK", lambda *args: (0.0, -1))
-    with pytest.raises(np.linalg.LinAlgError, match=r"gelsy returned info = -1$"):
-        ms.lstsq(a, b)
 
 
 @pytest.mark.parametrize("p, grid", [

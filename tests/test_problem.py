@@ -45,6 +45,26 @@ def test_beta_values():
     assert QuadraticProblem(5.0, (1.0, 4.0)).beta == 1.0
 
 
+@pytest.mark.parametrize("r, lam", [
+    (1.0, (1.0, 4.0)), (0.3, (2.0, 5.0)), (1e12, (1.0, 16.0)), (0.5, (1.0, 2.0, 3.0)),
+    (0.5, (1.0, 8.0, 64.0)), (1e-12, (1e-12, 3e-12, 7e-12)),
+])
+def test_canonical_problem(r, lam):
+    eps = np.finfo(float).eps
+    p = QuadraticProblem(r, lam)
+    canon, c = p.canonical()
+    assert canon.r == 0.5 and canon.d == p.d
+    # lambda / mean(lambda) has mean 1 up to the rounding of the division
+    assert abs(canon.lam.mean() - 1.0) <= eps
+    assert c * canon.beta == pytest.approx(p.beta, rel=eps)
+    if canon.lam.mean() == 1.0:
+        assert canon.canonical() == (canon, 1.0)
+    # neither r nor a factor of two on lambda changes the canonical problem; both
+    # together leave c as it is
+    assert QuadraticProblem(r, tuple(2.0 * p.lam)).canonical()[0] == canon
+    assert QuadraticProblem(2.0 * r, tuple(2.0 * p.lam)).canonical() == (canon, c)
+
+
 def test_polar_round_trip():
     p = QuadraticProblem(1.0, (1.0, 4.0))
     om, rho = to_polar(p, np.array([1.0, 1.0]))

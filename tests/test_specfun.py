@@ -1,5 +1,6 @@
 """The modified Bessel functions behind the kernels: `kernels.bessel_K_scaled`
-and the I_0, I_1 of `symmetric_radius`, both from scipy.special."""
+and the I_0, I_1 of the equation w I1(w) = 2 I0(w) whose root `symmetric_radius`
+holds for d = 2, both from scipy.special."""
 
 import math
 
