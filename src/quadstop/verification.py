@@ -179,25 +179,33 @@ class _BoundaryGeometry:
         diff = step[..., :1] * u + rho0[:, None, None] * chord
         return diff, drho[..., None] * u + rho[..., None] * du
 
+    @staticmethod
+    def newton_step(px, py, point, tangent, bend):
+        """Newton's step f'/f'' on f(t) = |x(t) - x|^2 / 2 toward each (px, py).
+
+        point, tangent and bend are x(t), x'(t) and x''(t) by components.
+        Where f'' is not positive its Gauss-Newton part |x'|^2 stands in.
+        """
+        cx, cy = point[0] - px, point[1] - py
+        dx, dy = tangent
+        slope = cx * dx + cy * dy
+        speed_sq = dx * dx + dy * dy
+        curv = speed_sq + (cx * bend[0] + cy * bend[1])
+        return slope / np.where(curv > 0.0, curv, speed_sq)
+
     def nearest(self, px, py, t, at, steps: int, lo=-np.inf, hi=np.inf, max_step=np.inf):
         """Newton iterates, from t, toward the parameter of the curve point nearest each (px, py).
 
-        Newton's method on f(t) = |x(t) - x|^2 / 2, with `at` the
-        evaluation of order 2 at the starting t.  Where f'' is not
-        positive its Gauss-Newton part |x'|^2 stands in; each step is at
-        most max_step long and each iterate is kept in [lo, hi].  Returns
-        the last iterate and its curve point and tangent, ((x, y), (x', y')):
-        one evaluation per step, the last of order 1 as f and f' need no x''.
+        Newton's method on f(t) = |x(t) - x|^2 / 2 (see `newton_step`),
+        with `at` the evaluation of order 2 at the starting t.  Each step
+        is at most max_step long and each iterate is kept in [lo, hi].
+        Returns the last iterate and its curve point and tangent,
+        ((x, y), (x', y')): one evaluation per step, the last of order 1
+        as f and f' need no x''.
         """
         for i in range(steps):
-            (cx, cy), (dx, dy), (ex, ey) = self.points(at)
-            cx -= px
-            cy -= py
-            slope = cx * dx + cy * dy
-            speed_sq = dx * dx + dy * dy
-            curv = speed_sq + (cx * ex + cy * ey)
-            curv = np.where(curv > 0.0, curv, speed_sq)
-            t = np.clip(t - np.clip(slope / curv, -max_step, max_step), lo, hi)
+            step = self.newton_step(px, py, *self.points(at))
+            t = np.clip(t - np.clip(step, -max_step, max_step), lo, hi)
             at = self.evaluate(t, 2 if i + 1 < steps else 1)
         return t, self.points(at)[:2]
 
@@ -437,8 +445,35 @@ _CHUNK = 16384
 _SHELL = 1e-6            # shell width, relative to the smallest |x| on ∂C
 _WALK_SAMPLES = 1024     # curve samples behind the bounds of _SafeBalls
 _WALK_CELLS = 64         # node grid cells along the longer side of the bounding box
-_WALK_NEWTON = 2         # Newton steps toward the nearest curve point, per ball
+_WALK_NEWTON = 2         # Newton steps toward the nearest curve point in `radii`'s cold start
 _WALK_MAX_BALLS = 10_000
+
+
+def _strictly_convex(dy, d2y, margin) -> bool:
+    """Whether x' x x'' exceeds margin at every sample, from the tangents dy and bends d2y there."""
+    return bool((dy[:, 0] * d2y[:, 1] - dy[:, 1] * d2y[:, 0]).min() > margin)
+
+
+def _outside_tangent_radius(y, dy):
+    """The smallest, over the curve samples y, of the largest outside tangent disc holding no other sample.
+
+    dy are the tangents at y.  The disc of radius t touching y_i from
+    outside, its centre along the outward normal n_i, holds y_j where
+    |y_j - y_i|^2 < 2 t (y_j - y_i) . n_i.  Infinite when every sample
+    lies inside every other's tangent line.
+    """
+    # outward unit normals: the tangent turned clockwise
+    nx, ny = (np.stack([dy[:, 1], -dy[:, 0]]) / np.sqrt((dy * dy).sum(axis=1)))[:, :, None]
+    rho_e = np.inf
+    step = _BLOCK_ENTRIES // len(y)
+    for i in range(0, len(y), step):
+        vx = y[:, 0] - y[i:i + step, :1]
+        vy = y[:, 1] - y[i:i + step, 1:]
+        lift = 2.0 * (vx * nx[i:i + step] + vy * ny[i:i + step])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tangent = np.where(lift > 0.0, (vx * vx + vy * vy) / lift, np.inf)
+        rho_e = min(rho_e, float(tangent.min()))
+    return rho_e
 
 
 class _SafeBalls:
@@ -455,8 +490,10 @@ class _SafeBalls:
     spacing h times a bound on its derivative, with
     S_m = sum_k |c_k| k^m >= |rho^(m)| for the Fourier coefficients c_k
     of rho.  They are rho_min <= rho, L >= |rho'|, M1 >= |x'|,
-    M2 >= |x''| and m1 = rho_min / sqrt(lambda_max) <= |x'| (|z'| >= rho).
-    Every curve point lies within h M1 / 2 of a sample.
+    M2 >= |x''| and m1 = rho_min / sqrt(lambda_max) <= |x'| (|z'| >= rho);
+    M2 and the convexity test below move the samples' values by
+    M3 = (S3 + 3 S2 + 3 S1 + S0) / sqrt(lambda_min) >= |x'''|.  Every
+    curve point lies within h M1 / 2 of a sample.
 
     R is the largest of three lower bounds, less 16 ulp of max |x| on ∂C
     for rounding:
@@ -472,18 +509,32 @@ class _SafeBalls:
       node gives that less |x - c|.
     * near, where e = |x - x(phi)| is below a = m1^2 / M2: on the window
       |theta - phi| <= w = (a - e) / (2 M1), |x(theta) - x| <= e + w M1,
-      so f = |x(theta) - x|^2 has f'' >= mu = M2 (a - e) > 0.  Newton's
-      iterate t, kept in the window, bounds f on it below by
-      f(t) - f'(t)^2 / (2 mu).  Outside the window z and z(theta) are at
-      least w apart in angle, so |z - z(theta)| >= rho sin w.  The bound
-      is the smaller of the two; U = sqrt(f(t)).
+      so f = |x(theta) - x|^2 has f'' >= mu = M2 (a - e) > 0.  So any
+      parameter t kept in the window bounds f on it below by
+      f(t) - f'(t)^2 / (2 mu), the least of f's quadratic minorant
+      about t; Newton's iterates toward the nearest curve point only
+      make it tight.  Outside the window z and z(theta) are at least w
+      apart in angle, so |z - z(theta)| >= rho sin w.  The bound is the
+      smaller of the two; U = sqrt(f(t)), at least the distance for any t.
 
-    One disc costs _WALK_NEWTON + 1 curve evaluations: one of order 2 at
+    `radii` starts cold.  It evaluates the curve once with order 2 at
     phi, which gives the star bound's rho(phi) and Newton's first
-    iterate, one of order 2 per further iterate, and one of order 1 at
-    the last, where f and f' need only x and x'.  _WALK_NEWTON stays 2:
-    with 1 step, R falls below 0.999 dist(x, ∂C) at points 1e-3 to 1e-9
-    inside the five-petal star of the tests, as low as 0.9988.
+    iterate, once with order 2 per further iterate, and once with
+    order 1 at the last of _WALK_NEWTON, where f and f' need only x and
+    x'.  _WALK_NEWTON stays 2: with 1 step from phi, R falls below
+    0.999 dist(x, ∂C) at points 1e-3 to 1e-9 inside the five-petal star
+    of the tests, as low as 0.9988.
+
+    A walk knows more: a disc moves the path by its radius, at most the
+    distance to ∂C, so the nearest-point iterate of its last disc is a
+    close start for this one.  `walk_radii` carries that parameter t
+    and x(t), x'(t), x''(t), none of which depends on the position,
+    from one disc to the next.  A disc then evaluates the
+    curve twice: rho(phi) alone (order 0) for the star bound and the
+    near test, and order 2 at one Newton iterate from the carried
+    point, kept in the window, for the near bound and the next disc's
+    carried point.  A row with no carried point, on its first disc or
+    after a disc outside the near zone, takes phi itself, with no step.
 
     The walk stops where U <= shell = _SHELL min |x(theta)|, which
     biases the value by at most shell * lipschitz.  The rule's value v
@@ -495,8 +546,12 @@ class _SafeBalls:
     1 - delta k K_1(k rho_e) / K_0(k rho_e), k = sqrt(2r), K_0 convex.
     Hence lipschitz = max(beta^2, rho_max^2 - beta^2) k K_1(k rho_e) /
     K_0(k rho_e); it is k max(...) for a convex curve (rho_e infinite).
-    rho_e is the smallest, over the samples, of the largest outside
-    tangent disc that holds no other sample.
+    The curve is strictly convex where x' x x'' > h M1 M3 / 2 at every
+    sample, as x' x x'' then stays positive between samples (its
+    derivative is x' x x'''): every other point of a simple closed
+    curve of positive curvature, as this star-shaped one then is, lies
+    inside each tangent line, so rho_e is infinite with no search.
+    Otherwise rho_e is `_outside_tangent_radius` of the samples.
     """
 
     def __init__(self, geom: _BoundaryGeometry):
@@ -510,12 +565,12 @@ class _SafeBalls:
         k = np.arange(geom._coef.shape[0])
         s0, s1, s2, s3 = ((np.abs(geom._coef[:, 0]) * k ** m).sum() for m in range(4))
         inv_min, inv_max = 1.0 / p.sqrt_lam.min(), 1.0 / p.sqrt_lam.max()
+        jerk = inv_min * (s3 + 3.0 * s2 + 3.0 * s1 + s0)
         self.rho_min = rho.min() - 0.5 * h * s1
         self.slope = np.abs(drho).max() + 0.5 * h * s2
         self.speed = (np.sqrt((dy * dy).sum(axis=1)).max()
                       + 0.5 * h * inv_min * (s2 + 2.0 * s1 + s0))
-        self.bend = (np.sqrt((d2y * d2y).sum(axis=1)).max()
-                     + 0.5 * h * inv_min * (s3 + 3.0 * s2 + 3.0 * s1 + s0))
+        self.bend = np.sqrt((d2y * d2y).sum(axis=1)).max() + 0.5 * h * jerk
         self.inv_max = inv_max
         self.reach = (inv_max * self.rho_min) ** 2 / self.bend
         norms = np.sqrt((y * y).sum(axis=1))
@@ -534,17 +589,8 @@ class _SafeBalls:
         clearance = np.sqrt([(row + gy).min(axis=1) for row in gx])
         self.clearance = clearance - 0.5 * h * self.speed
 
-        # outward unit normals: the tangent turned clockwise
-        nx, ny = (np.stack([dy[:, 1], -dy[:, 0]]) / np.sqrt((dy * dy).sum(axis=1)))[:, :, None]
-        rho_e = np.inf
-        step = _BLOCK_ENTRIES // _WALK_SAMPLES
-        for i in range(0, _WALK_SAMPLES, step):
-            vx = y[:, 0] - y[i:i + step, :1]
-            vy = y[:, 1] - y[i:i + step, 1:]
-            lift = 2.0 * (vx * nx[i:i + step] + vy * ny[i:i + step])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tangent = np.where(lift > 0.0, (vx * vx + vy * vy) / lift, np.inf)
-            rho_e = min(rho_e, float(tangent.min()))
+        convex = _strictly_convex(dy, d2y, 0.5 * h * self.speed * jerk)
+        rho_e = np.inf if convex else _outside_tangent_radius(y, dy)
         kappa = np.sqrt(2.0 * p.r)
         ratio = 1.0
         if np.isfinite(rho_e):
@@ -552,19 +598,19 @@ class _SafeBalls:
         rho_max = rho.max() + 0.5 * h * s1
         self.lipschitz = float(max(p.beta_sq, rho_max ** 2 - p.beta_sq) * kappa * ratio)
 
-    def _star_and_grid(self, x):
+    def _star_and_grid(self, x, order):
         """The star and grid bounds at each row of x, and the rows where the near bound applies.
 
-        Returns (R, near, phi, a - e, at): R from the star and grid bounds,
-        the indices of the rows with e < a, and at those rows the polar
-        angle, a - e and the order-2 evaluation at the angle, which
-        Newton's method starts from.  Nothing else of all rows outlives
-        the call, so the all-row evaluation is freed before Newton's
-        iterates allocate theirs.
+        Returns (R, near, phi, a - e, w, at): R from the star and grid
+        bounds, the indices of the rows with e < a, at those rows the
+        polar angle, a - e and the window's half-width w, and the
+        evaluation of the given order at the polar angles of all rows.
+        Nothing else of all rows outlives the call, so a caller that drops
+        the evaluation frees every all-row array before its Newton step.
         """
         geom = self.geom
         phi, s = geom.polar(x)
-        at = geom.evaluate(phi, 2)
+        at = geom.evaluate(phi, order)
         gap = at[2] - s
         star = np.minimum(gap * s / np.maximum(s + 0.5 * np.pi * self.slope, 1e-300), s)
         radius = self.inv_max * np.maximum(star, self.rho_min - s)
@@ -578,25 +624,61 @@ class _SafeBalls:
         ux, uy = geom._frame(*at[:2])[0]
         room = self.reach - np.abs(gap) * np.sqrt(ux * ux + uy * uy)
         near = np.flatnonzero(room > 0.0)
-        return radius, near, phi[near], room[near], tuple(a[near] for a in at)
+        room = room[near]
+        w = np.minimum(0.5 * np.pi, 0.5 * room / self.speed)
+        return radius, near, phi[near], room, w, at
+
+    def _near_bound(self, x, near, room, w, point, tangent, radius, upper):
+        """Raise R to the near bound and set U at the rows `near` of x, in place.
+
+        point and tangent are x(t) and x'(t) by components, at a
+        parameter t in each row's window.
+        """
+        cx, cy = point[0] - x[near, 0], point[1] - x[near, 1]
+        dx, dy = tangent
+        f = cx * cx + cy * cy
+        df = 2.0 * (cx * dx + cy * dy)
+        inner = np.sqrt(np.maximum(f - df * df / (2.0 * self.bend * room), 0.0))
+        outer = self.inv_max * self.rho_min * np.sin(w)
+        radius[near] = np.maximum(radius[near], np.minimum(inner, outer))
+        upper[near] = np.sqrt(f)
 
     def radii(self, x):
         """(R, U): R <= dist(x, ∂C) <= U at each row of x, a point of C."""
-        radius, near, phi, room, at = self._star_and_grid(x)
+        radius, near, phi, room, w, at = self._star_and_grid(x, 2)
+        at = tuple(a[near] for a in at)     # frees the all-row evaluation before Newton's
         upper = np.full(len(x), np.inf)
         if near.size:
-            xn, yn = x[near, 0], x[near, 1]
-            w = np.minimum(0.5 * np.pi, 0.5 * room / self.speed)
-            _, ((cx, cy), (dx, dy)) = self.geom.nearest(xn, yn, phi, at, _WALK_NEWTON,
-                                                        phi - w, phi + w)
-            cx -= xn
-            cy -= yn
-            f = cx * cx + cy * cy
-            df = 2.0 * (cx * dx + cy * dy)
-            inner = np.sqrt(np.maximum(f - df * df / (2.0 * self.bend * room), 0.0))
-            outer = self.inv_max * self.rho_min * np.sin(w)
-            radius[near] = np.maximum(radius[near], np.minimum(inner, outer))
-            upper[near] = np.sqrt(f)
+            _, ends = self.geom.nearest(x[near, 0], x[near, 1], phi, at, _WALK_NEWTON,
+                                        phi - w, phi + w)
+            self._near_bound(x, near, room, w, *ends, radius, upper)
+        return np.maximum(radius - self.rounding, 0.0), upper
+
+    def walk_radii(self, x, carried):
+        """(R, U) as `radii` bounds them, from the points the rows' last discs carried.
+
+        carried is a (7, len(x)) array, started all NaN and updated in
+        place to this disc's: per row the parameter t and x(t), x'(t),
+        x''(t) by components, with t NaN where the row carries no point.
+        """
+        radius, near, phi, room, w = self._star_and_grid(x, 0)[:5]
+        upper = np.full(len(x), np.inf)
+        start = carried[:, near]
+        carried[0] = np.nan
+        if near.size:
+            # Newton's iterate as an offset from phi, which may lie a whole turn from t
+            offset = start[0] - self.geom.newton_step(x[near, 0], x[near, 1], start[1:3],
+                                                      start[3:5], start[5:])
+            del start
+            offset -= phi
+            offset -= 2.0 * np.pi * np.rint(offset / (2.0 * np.pi))
+            np.clip(offset, -w, w, out=offset)
+            offset[np.isnan(offset)] = 0.0     # no carried point: phi itself
+            t = phi + offset
+            point, tangent, bend = self.geom.points(self.geom.evaluate(t, 2))
+            self._near_bound(x, near, room, w, point, tangent, radius, upper)
+            for row, value in enumerate((t, *point, *tangent, *bend)):
+                carried[row, near] = value
         return np.maximum(radius - self.rounding, 0.0), upper
 
 
@@ -607,7 +689,10 @@ def _chunked_mean(paths: int, seed: int, simulate):
     stream keyed (seed, chunk).  The chunks are independent, so they run
     on a thread pool (numpy releases the GIL inside its array loops);
     their sums are added in chunk order, so the result is bit-identical
-    to a serial run whatever the scheduling.  The variance is taken in
+    to a serial run whatever the scheduling.  A single chunk runs in the
+    calling thread: a worker would gain nothing, and the heap of its own
+    malloc arena stays resident after the chunk, on top of the caller's
+    next peak.  The variance is taken in
     two passes, about the first value and then about the mean, so it
     carries no cancellation: identical values give a stderr of exactly 0.0.
     """
@@ -617,8 +702,11 @@ def _chunked_mean(paths: int, seed: int, simulate):
         rng = np.random.Generator(np.random.Philox(key=[seed, start // _CHUNK]))
         return simulate(rng, min(_CHUNK, paths - start))
 
-    with ThreadPoolExecutor(max_workers=min(len(starts), os.cpu_count() or 1)) as pool:
-        chunks = list(pool.map(run, starts))
+    if len(starts) == 1:
+        chunks = [run(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=min(len(starts), os.cpu_count() or 1)) as pool:
+            chunks = list(pool.map(run, starts))
     mean = sum(values.sum() for values in chunks) / paths
     dev = np.concatenate(chunks) - chunks[0][0]
     dev -= dev.mean()
@@ -638,9 +726,10 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
     weight * g there.  The estimate has no time step and no horizon; its
     bias is at most eps * lipschitz (see _SafeBalls).  Counter-based RNG
     keyed by (seed, chunk) makes the result reproducible and independent
-    of scheduling.  Each disc evaluates the curve once at the polar
-    angle of x and once per Newton iterate, _WALK_NEWTON + 1 = 3 times,
-    and only at the rows near ∂C after the first (see _SafeBalls).
+    of scheduling.  Each path carries its last nearest-point iterate
+    from disc to disc, so a disc evaluates the curve twice: rho alone at
+    the polar angle of x, and, at the rows near ∂C, the curve at one
+    Newton iterate from the carried point (see _SafeBalls.walk_radii).
 
     Returns (estimate, stderr, walk), with the walk's "paths",
     "mean_walk" and "max_walk" (balls per path), "shell" (eps) and
@@ -662,17 +751,19 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
 
     def simulate(rng, n):
         pos = np.tile(x0, (n, 1))
+        carried = np.full((7, n), np.nan)
         weight = np.ones(n)
         payoff = np.empty(n)
         alive = np.arange(n)
         walked = 0
         for longest in range(_WALK_MAX_BALLS):
-            radius, upper = balls.radii(pos)
+            radius, upper = balls.walk_radii(pos, carried)
             done = upper <= balls.shell
             if done.any():
                 payoff[alive[done]] = weight[done] * p.reward(pos[done])
-                alive, pos, weight, radius = (alive[~done], pos[~done], weight[~done],
-                                              radius[~done])
+                keep = ~done
+                alive, pos, weight, radius = alive[keep], pos[keep], weight[keep], radius[keep]
+                carried = carried[:, keep]
                 if not alive.size:
                     break
             angle = 2.0 * np.pi * rng.random(alive.size)

@@ -18,7 +18,7 @@ from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals
                                    majorant_gap_scan, mc_value, run_verification, value)
 from reference import (bessel_K, clearance_reference, finiteness_ratio_scan,
                        green_measure_identity_check, rect_green_mass, safe_radii_reference,
-                       to_polar)
+                       to_polar, walk_radii_reference)
 from sweep_reference import sweep_integrals, trig_eval
 
 V0_SYM_2D_R1 = 0.9512830041392790
@@ -329,6 +329,138 @@ def test_safe_radii_evaluate_the_curve_once_per_newton_iterate(p_14_r03, bnd_14_
     orders.clear()
     balls.radii(np.zeros((3, 2)))     # no row near ∂C: no Newton iterate
     assert orders == [2]
+
+
+def _five_petal_star():
+    """A boundary whose curve bends back toward itself: not convex."""
+    p = QuadraticProblem(1.0, (1.0, 4.0))
+    grid = make_circle_grid(64)
+    return p, StarBoundary(grid, p.beta * (1.2 + 0.35 * np.cos(5 * grid.angles)))
+
+
+@pytest.fixture(scope="module")
+def walk_boundaries(p_14_r03, bnd_14_r03_n32):
+    """The r = 0.3 benchmark boundary, lambda = (1, 16) on 64 nodes and the five-petal star."""
+    p_16 = QuadraticProblem(1.0, (1.0, 16.0))
+    return {"l14-r0.3-n32": (p_14_r03, bnd_14_r03_n32),
+            "l1_16-r1-n64": (p_16, solve_boundary(p_16, make_circle_grid(64))[0]),
+            "star5": _five_petal_star()}
+
+
+def _carried_walks(balls, paths, seed):
+    """Every disc of walks from the origin by `walk_radii`, as mc_value draws them.
+
+    Returns one (positions, carried points before the disc, carried
+    points after it, R, U) per disc, over the paths still walking.
+    """
+    rng = np.random.default_rng(seed)
+    pos = np.zeros((paths, 2))
+    carried = np.full((7, paths), np.nan)
+    discs = []
+    while len(pos):
+        before = carried.copy()
+        radius, upper = balls.walk_radii(pos, carried)
+        discs.append((pos, before, carried.copy(), radius, upper))
+        keep = upper > balls.shell
+        angle = 2.0 * np.pi * rng.random(keep.sum())
+        pos = pos[keep] + radius[keep, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        carried = carried[:, keep]
+    return discs
+
+
+@pytest.mark.parametrize("name", ["l14-r0.3-n32", "l1_16-r1-n64", "star5"])
+def test_carried_radii_bound_the_distance_along_walks(walk_boundaries, name):
+    """R <= dist <= U at every disc of 100 walks, tight next to ∂C, and as the polyval reference."""
+    geom = _BoundaryGeometry(*walk_boundaries[name])
+    balls = _SafeBalls(geom)
+    discs = _carried_walks(balls, 100, 7)
+    for pos, before, after, radius, upper in discs:
+        # disc by disc: numpy rounds a complex product of one element apart
+        # from the same product inside a longer array, so batches matter
+        ref_radius, ref_upper, ref_after = walk_radii_reference(balls, pos, before)
+        np.testing.assert_array_equal(radius, ref_radius, strict=True)
+        np.testing.assert_array_equal(upper, ref_upper, strict=True)
+        np.testing.assert_array_equal(after, ref_after, strict=True)
+    pos, before, _, radius, upper = zip(*discs)
+    pts, radius, upper = np.concatenate(pos), np.concatenate(radius), np.concatenate(upper)
+    dist = _reference_distance(geom, pts)
+    assert np.all(radius <= dist)
+    assert np.all(upper >= dist - balls.rounding)
+    assert np.all(radius > 0.0)
+    # rows that took their Newton iterate from a carried point, within 1e-3 of ∂C
+    warm = np.isfinite(np.concatenate([b[0] for b in before])) & (dist < 1e-3)
+    assert warm.sum() > 500
+    ratio = radius[warm] / dist[warm]
+    assert np.median(ratio) >= 0.9999
+    assert np.mean(ratio < 0.999) <= 0.02
+
+
+def test_carried_radii_evaluate_the_curve_twice_per_disc(p_14_r03, bnd_14_r03_n32):
+    """rho alone at the polar angles, then order 2 at the one Newton iterate of the near rows."""
+    geom = _BoundaryGeometry(p_14_r03, bnd_14_r03_n32)
+    balls = _SafeBalls(geom)
+    near = 0.999 * bnd_14_r03_n32.cartesian_points(p_14_r03)
+    orders = []
+    evaluate = geom.evaluate
+
+    def counted(theta, order):
+        orders.append(order)
+        return evaluate(theta, order)
+
+    geom.evaluate = counted
+    carried = np.full((7, len(near)), np.nan)
+    for _ in range(2):      # cold, then from the carried points
+        orders.clear()
+        balls.walk_radii(near, carried)
+        assert orders == [0, 2]
+        assert np.isfinite(carried).all()
+    orders.clear()
+    carried = np.full((7, 3), np.nan)
+    balls.walk_radii(np.zeros((3, 2)), carried)     # no row near ∂C: no iterate, nothing carried
+    assert orders == [0]
+    assert np.isnan(carried).all()
+
+
+def test_convex_curves_skip_the_tangent_disc_search(walk_boundaries, p_sym, bnd_sym, p_14,
+                                                     bnd_14_n32, monkeypatch):
+    search = verification._outside_tangent_radius
+    calls = []
+    monkeypatch.setattr(verification, "_outside_tangent_radius",
+                        lambda y, dy: calls.append(len(y)) or search(y, dy))
+    convex = [(p_sym, bnd_sym), (p_14, bnd_14_n32), walk_boundaries["l14-r0.3-n32"],
+              walk_boundaries["l1_16-r1-n64"]]
+    certified = [_SafeBalls(_BoundaryGeometry(p, b)).lipschitz for p, b in convex]
+    assert calls == []
+    monkeypatch.setattr(verification, "_strictly_convex", lambda *args: False)
+    searched = [_SafeBalls(_BoundaryGeometry(p, b)).lipschitz for p, b in convex]
+    assert len(calls) == len(convex)
+    assert certified == searched
+
+
+def test_five_petal_star_runs_the_tangent_disc_search(monkeypatch):
+    search = verification._outside_tangent_radius
+    found = []
+    monkeypatch.setattr(verification, "_outside_tangent_radius",
+                        lambda y, dy: found.append(search(y, dy)) or found[-1])
+    balls = _SafeBalls(_BoundaryGeometry(*_five_petal_star()))
+    assert len(found) == 1 and np.isfinite(found[0])
+    # the lipschitz bound the full search gave before convex curves skipped it
+    assert balls.lipschitz == pytest.approx(float.fromhex("0x1.8fb1cce60f020p+5"), rel=1e-12)
+
+
+def test_mc_value_consistent_over_seeds(p_14_r03, bnd_14_r03_n32):
+    """20 seeds x 2,000 paths on the r = 0.3 benchmark boundary: each within mc_tolerance, no bias."""
+    recon = value(p_14_r03, bnd_14_r03_n32, np.zeros(2))
+    z = []
+    for seed in range(20):
+        est, err, walk = mc_value(p_14_r03, bnd_14_r03_n32, np.zeros(2),
+                                  MCConfig(paths=2000, seed=seed))
+        rep = verification.VerificationReport(
+            boundary_residuals=np.zeros(1), majorant_min_gap=0.0, mc_value=est, mc_stderr=err,
+            reconstructed_value=recon, class_check=None, mc_walk=walk)
+        assert abs(est - recon) <= rep.mc_tolerance
+        z.append((est - recon) / err)
+    assert abs(np.mean(z)) <= 3.0 / math.sqrt(len(z))
 
 
 def test_mc_value_memory_peak(p_14_r03, bnd_14_r03_n32):
