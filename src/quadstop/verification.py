@@ -445,17 +445,16 @@ _CHUNK = 16384
 _SHELL = 1e-6            # shell width, relative to the smallest |x| on ∂C
 _WALK_SAMPLES = 1024     # curve samples behind the bounds of _SafeBalls
 _WALK_CELLS = 64         # node grid cells along the longer side of the bounding box
-_WALK_NEWTON = 2         # Newton steps toward the nearest curve point in `radii`'s cold start
 _WALK_MAX_BALLS = 10_000
 
 
 def _strictly_convex(dy, d2y, margin) -> bool:
-    """Whether x' x x'' exceeds margin at every sample, from the tangents dy and bends d2y there."""
+    """Whether x' x x'' exceeds margin at every sample, from its tangent dy and bend d2y."""
     return bool((dy[:, 0] * d2y[:, 1] - dy[:, 1] * d2y[:, 0]).min() > margin)
 
 
 def _outside_tangent_radius(y, dy):
-    """The smallest, over the curve samples y, of the largest outside tangent disc holding no other sample.
+    """The least, over the curve samples y, of the largest outside tangent disc holding no sample.
 
     dy are the tangents at y.  The disc of radius t touching y_i from
     outside, its centre along the outward normal n_i, holds y_j where
@@ -479,7 +478,7 @@ def _outside_tangent_radius(y, dy):
 class _SafeBalls:
     """Discs inside C for a walk on spheres over the curve of _BoundaryGeometry.
 
-    For x in C, `radii` returns R <= dist(x, ∂C), so the disc of radius R
+    For x in C, `walk_radii` returns R <= dist(x, ∂C), so the disc of radius R
     about x lies in C, and U >= dist(x, ∂C), the distance to one curve
     point.  Notation: z = sqrt(lambda) x = s e(phi), x(theta) =
     rho(theta) u(theta) with u = e / sqrt(lambda), and an x-disc of
@@ -517,24 +516,18 @@ class _SafeBalls:
       apart in angle, so |z - z(theta)| >= rho sin w.  The bound is the
       smaller of the two; U = sqrt(f(t)), at least the distance for any t.
 
-    `radii` starts cold.  It evaluates the curve once with order 2 at
-    phi, which gives the star bound's rho(phi) and Newton's first
-    iterate, once with order 2 per further iterate, and once with
-    order 1 at the last of _WALK_NEWTON, where f and f' need only x and
-    x'.  _WALK_NEWTON stays 2: with 1 step from phi, R falls below
-    0.999 dist(x, ∂C) at points 1e-3 to 1e-9 inside the five-petal star
-    of the tests, as low as 0.9988.
-
-    A walk knows more: a disc moves the path by its radius, at most the
-    distance to ∂C, so the nearest-point iterate of its last disc is a
-    close start for this one.  `walk_radii` carries that parameter t
-    and x(t), x'(t), x''(t), none of which depends on the position,
-    from one disc to the next.  A disc then evaluates the
-    curve twice: rho(phi) alone (order 0) for the star bound and the
-    near test, and order 2 at one Newton iterate from the carried
-    point, kept in the window, for the near bound and the next disc's
-    carried point.  A row with no carried point, on its first disc or
-    after a disc outside the near zone, takes phi itself, with no step.
+    A disc moves the path by its radius, at most the distance to ∂C,
+    so the nearest-point iterate of its last disc is a close start for
+    this one.  `walk_radii` carries that parameter t and x(t), x'(t),
+    x''(t), none of which depends on the position, from one disc to the
+    next.  A disc evaluates the curve twice: rho(phi) alone (order 0)
+    for the star bound and the near test, and order 2 at one Newton
+    iterate from the carried point, kept in the window, for the near
+    bound and the next disc's carried point.  A row with no carried
+    point, on its first disc or after a disc outside the near zone,
+    takes phi itself, with no step; so does the first of repeated calls
+    at a fixed point, and the iterates of the later calls converge to
+    the nearest point.
 
     The walk stops where U <= shell = _SHELL min |x(theta)|, which
     biases the value by at most shell * lipschitz.  The rule's value v
@@ -598,20 +591,19 @@ class _SafeBalls:
         rho_max = rho.max() + 0.5 * h * s1
         self.lipschitz = float(max(p.beta_sq, rho_max ** 2 - p.beta_sq) * kappa * ratio)
 
-    def _star_and_grid(self, x, order):
+    def _star_and_grid(self, x):
         """The star and grid bounds at each row of x, and the rows where the near bound applies.
 
-        Returns (R, near, phi, a - e, w, at): R from the star and grid
-        bounds, the indices of the rows with e < a, at those rows the
-        polar angle, a - e and the window's half-width w, and the
-        evaluation of the given order at the polar angles of all rows.
-        Nothing else of all rows outlives the call, so a caller that drops
-        the evaluation frees every all-row array before its Newton step.
+        Returns (R, near, phi, a - e, w): R from the star and grid
+        bounds, the indices of the rows with e < a, and at those rows the
+        polar angle, a - e and the window's half-width w.  Nothing else
+        of all rows outlives the call, so every all-row temporary is
+        freed before the Newton step.
         """
         geom = self.geom
         phi, s = geom.polar(x)
-        at = geom.evaluate(phi, order)
-        gap = at[2] - s
+        cos, sin, rho = geom.evaluate(phi, 0)
+        gap = rho - s
         star = np.minimum(gap * s / np.maximum(s + 0.5 * np.pi * self.slope, 1e-300), s)
         radius = self.inv_max * np.maximum(star, self.rho_min - s)
         px, py = x[:, 0], x[:, 1]
@@ -621,18 +613,19 @@ class _SafeBalls:
         ox = px - (self.lo[0] + self.cell * ix)
         oy = py - (self.lo[1] + self.cell * iy)
         radius = np.maximum(radius, self.clearance[ix, iy] - np.sqrt(ox * ox + oy * oy))
-        ux, uy = geom._frame(*at[:2])[0]
+        ux, uy = geom._frame(cos, sin)[0]
         room = self.reach - np.abs(gap) * np.sqrt(ux * ux + uy * uy)
         near = np.flatnonzero(room > 0.0)
         room = room[near]
         w = np.minimum(0.5 * np.pi, 0.5 * room / self.speed)
-        return radius, near, phi[near], room, w, at
+        return radius, near, phi[near], room, w
 
     def _near_bound(self, x, near, room, w, point, tangent, radius, upper):
         """Raise R to the near bound and set U at the rows `near` of x, in place.
 
         point and tangent are x(t) and x'(t) by components, at a
-        parameter t in each row's window.
+        parameter t in each row's window.  Its temporaries are freed on
+        return, before the caller stores the carried points.
         """
         cx, cy = point[0] - x[near, 0], point[1] - x[near, 1]
         dx, dy = tangent
@@ -643,25 +636,14 @@ class _SafeBalls:
         radius[near] = np.maximum(radius[near], np.minimum(inner, outer))
         upper[near] = np.sqrt(f)
 
-    def radii(self, x):
-        """(R, U): R <= dist(x, ∂C) <= U at each row of x, a point of C."""
-        radius, near, phi, room, w, at = self._star_and_grid(x, 2)
-        at = tuple(a[near] for a in at)     # frees the all-row evaluation before Newton's
-        upper = np.full(len(x), np.inf)
-        if near.size:
-            _, ends = self.geom.nearest(x[near, 0], x[near, 1], phi, at, _WALK_NEWTON,
-                                        phi - w, phi + w)
-            self._near_bound(x, near, room, w, *ends, radius, upper)
-        return np.maximum(radius - self.rounding, 0.0), upper
-
     def walk_radii(self, x, carried):
-        """(R, U) as `radii` bounds them, from the points the rows' last discs carried.
+        """(R, U): R <= dist(x, ∂C) <= U at each row of x, a point of C.
 
         carried is a (7, len(x)) array, started all NaN and updated in
         place to this disc's: per row the parameter t and x(t), x'(t),
         x''(t) by components, with t NaN where the row carries no point.
         """
-        radius, near, phi, room, w = self._star_and_grid(x, 0)[:5]
+        radius, near, phi, room, w = self._star_and_grid(x)
         upper = np.full(len(x), np.inf)
         start = carried[:, near]
         carried[0] = np.nan

@@ -15,9 +15,9 @@ predicts:
 * the finiteness ratio g / I_0;
 * the radial moment through Kummer's function, and the audit of an
   alternative published form of it;
-* the walk-on-spheres radii of `_SafeBalls`, cold and carried from disc
-  to disc, with the curve evaluated by numpy's polyval, and its
-  clearance grid node by node;
+* the walk-on-spheres radii of `_SafeBalls`, carried from disc to disc,
+  with the curve evaluated by numpy's polyval, and its clearance grid
+  node by node;
 * small conveniences with no caller in the package: K_nu unscaled and
   in log form, affine polar coordinates of a point, the negative set,
   and the full n x n Martin residual and Jacobian of a given boundary,
@@ -42,7 +42,7 @@ from quadstop.kernels import (KillingConfig, bessel_K_scaled, green_kernel_radia
                               green_kernel_radial_ds, martin_kernel)
 from quadstop.martin_solver import radial_moment, radial_moment_drho
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
-from quadstop.verification import (_GL16_W, _GL16_X, _WALK_NEWTON, _WALK_SAMPLES, MCConfig,
+from quadstop.verification import (_GL16_W, _GL16_X, _WALK_SAMPLES, MCConfig,
                                    _chunked_mean)
 
 
@@ -545,13 +545,20 @@ def finiteness_ratio_scan(p: QuadraticProblem, radii, reward_fn=None,
 # ---------------------------------------------------------------------------
 # walk-on-spheres radii by numpy's polyval
 
-def _polyval_curve(geom):
-    """rho(theta, order), the frame u, u' and the curve x, x', x'' of geom, the plain way.
+def walk_radii_reference(balls, x, carried):
+    """(R, U, carried) of `_SafeBalls.walk_radii` at the rows of x, with the curve by polyval.
 
-    rho and its derivatives by numpy.polynomial.polynomial.polyval in
-    e^{i theta}, the frame by np.cos and np.sin, points stacked on a
-    trailing axis of 2.
+    The same bounds, formulas and operation order as the package, but
+    evaluated the plain way: rho and its derivatives by
+    numpy.polynomial.polynomial.polyval in e^{i theta}, the frame u, u'
+    by np.cos and np.sin, points stacked on a trailing axis of 2.  A near
+    row takes one Newton step from its carried point (t and x, x', x''
+    at t), as an offset from phi reduced to within half a turn and kept
+    in the window, or stays at phi where t is NaN.  carried is left as
+    it is; the returned one is the package's after the call, which must
+    agree with it bit for bit.
     """
+    geom = balls.geom
     sqrt_lam = geom.p.sqrt_lam
 
     def rho(theta, order):
@@ -569,12 +576,7 @@ def _polyval_curve(geom):
         return (r[..., None] * u, d1[..., None] * u + r[..., None] * du,
                 (d2 - r)[..., None] * u + 2.0 * d1[..., None] * du)
 
-    return rho, frame, curve
-
-
-def _star_and_grid_reference(balls, x, rho, frame):
-    """R of the star and grid bounds, and the near rows with their phi, a - e and window w."""
-    z = x * balls.geom.p.sqrt_lam
+    z = x * sqrt_lam
     phi, s = np.arctan2(z[..., 1], z[..., 0]), np.sqrt((z * z).sum(axis=-1))
     gap = rho(phi, 0)[..., 0] - s
     star = np.minimum(gap * s / np.maximum(s + 0.5 * np.pi * balls.slope, 1e-300), s)
@@ -584,77 +586,32 @@ def _star_and_grid_reference(balls, x, rho, frame):
     offset = x - (balls.lo + balls.cell * node)
     radius = np.maximum(radius, balls.clearance[node[:, 0], node[:, 1]]
                         - np.sqrt((offset * offset).sum(axis=1)))
-    u = frame(phi)[0]
-    e = np.abs(gap) * np.sqrt((u * u).sum(axis=1))
-    near = np.flatnonzero(e < balls.reach)
-    room = balls.reach - e[near]
-    return radius, near, phi[near], room, np.minimum(0.5 * np.pi, 0.5 * room / balls.speed)
-
-
-def _newton_step_reference(d, dy, d2y):
-    """f'/f'' of f = |x(t) - x|^2 / 2, from d = x(t) - x, x'(t) and x''(t)."""
-    slope = (d * dy).sum(axis=1)
-    speed_sq = (dy * dy).sum(axis=1)
-    curv = speed_sq + (d * d2y).sum(axis=1)
-    return slope / np.where(curv > 0.0, curv, speed_sq)
-
-
-def _near_bound_reference(balls, d, dy, room, w):
-    """(min(inner, outer), U) from d = x(t) - x and x'(t) at a parameter t in the window."""
-    f = (d * d).sum(axis=1)
-    df = 2.0 * (d * dy).sum(axis=1)
-    inner = np.sqrt(np.maximum(f - df * df / (2.0 * balls.bend * room), 0.0))
-    outer = balls.inv_max * balls.rho_min * np.sin(w)
-    return np.minimum(inner, outer), np.sqrt(f)
-
-
-def safe_radii_reference(balls, x):
-    """(R, U) of `_SafeBalls.radii` at the rows of x, with the curve by polyval.
-
-    The same bounds, formulas and operation order as the package, but
-    evaluated the plain way (see `_polyval_curve`), with a fresh order-2
-    evaluation at every Newton iterate and at the last.  The package's
-    in-place route must agree with it bit for bit.
-    """
-    rho, frame, curve = _polyval_curve(balls.geom)
-    radius, near, phi, room, w = _star_and_grid_reference(balls, x, rho, frame)
-    upper = np.full(len(x), np.inf)
-    if near.size:
-        xn = x[near]
-        t = phi
-        for _ in range(_WALK_NEWTON):
-            y, dy, d2y = curve(t)
-            t = np.clip(t - _newton_step_reference(y - xn, dy, d2y), phi - w, phi + w)
-        yn, dyn, _ = curve(t)
-        bound, upper[near] = _near_bound_reference(balls, yn - xn, dyn, room, w)
-        radius[near] = np.maximum(radius[near], bound)
-    return np.maximum(radius - balls.rounding, 0.0), upper
-
-
-def walk_radii_reference(balls, x, carried):
-    """(R, U, carried) of `_SafeBalls.walk_radii` at the rows of x, with the curve by polyval.
-
-    carried is left as it is; the returned one is the package's after
-    the call.  A near row takes one Newton step from its carried point
-    (t and x, x', x'' at t), as an offset from phi reduced to within
-    half a turn and kept in the window, or stays at phi where t is NaN.
-    """
-    rho, frame, curve = _polyval_curve(balls.geom)
-    radius, near, phi, room, w = _star_and_grid_reference(balls, x, rho, frame)
     upper = np.full(len(x), np.inf)
     out = carried.copy()
     out[0] = np.nan
+    u = frame(phi)[0]
+    e = np.abs(gap) * np.sqrt((u * u).sum(axis=1))
+    near = np.flatnonzero(e < balls.reach)
     if near.size:
-        xn = x[near]
-        t = carried[0, near]
+        xn, phi_n, room = x[near], phi[near], balls.reach - e[near]
+        w = np.minimum(0.5 * np.pi, 0.5 * room / balls.speed)
         y, dy, d2y = (carried[k:k + 2, near].T for k in (1, 3, 5))
-        offset = t - _newton_step_reference(y - xn, dy, d2y) - phi
+        d = y - xn
+        slope = (d * dy).sum(axis=1)
+        speed_sq = (dy * dy).sum(axis=1)
+        curv = speed_sq + (d * d2y).sum(axis=1)
+        offset = carried[0, near] - slope / np.where(curv > 0.0, curv, speed_sq) - phi_n
         offset = offset - 2.0 * np.pi * np.rint(offset / (2.0 * np.pi))
         offset = np.clip(offset, -w, w)
-        t = phi + np.where(np.isnan(offset), 0.0, offset)
+        t = phi_n + np.where(np.isnan(offset), 0.0, offset)
         yn, dyn, d2yn = curve(t)
-        bound, upper[near] = _near_bound_reference(balls, yn - xn, dyn, room, w)
-        radius[near] = np.maximum(radius[near], bound)
+        d = yn - xn
+        f = (d * d).sum(axis=1)
+        df = 2.0 * (d * dyn).sum(axis=1)
+        inner = np.sqrt(np.maximum(f - df * df / (2.0 * balls.bend * room), 0.0))
+        outer = balls.inv_max * balls.rho_min * np.sin(w)
+        radius[near] = np.maximum(radius[near], np.minimum(inner, outer))
+        upper[near] = np.sqrt(f)
         out[:, near] = np.concatenate([t[None], yn.T, dyn.T, d2yn.T])
     return np.maximum(radius - balls.rounding, 0.0), upper, out
 

@@ -17,8 +17,8 @@ from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals
                                    green_residual_normalized, interior_scan_grid,
                                    majorant_gap_scan, mc_value, run_verification, value)
 from reference import (bessel_K, clearance_reference, finiteness_ratio_scan,
-                       green_measure_identity_check, rect_green_mass, safe_radii_reference,
-                       to_polar, walk_radii_reference)
+                       green_measure_identity_check, rect_green_mass, to_polar,
+                       walk_radii_reference)
 from sweep_reference import sweep_integrals, trig_eval
 
 V0_SYM_2D_R1 = 0.9512830041392790
@@ -245,90 +245,9 @@ def _reference_distance(geom, pts):
     return np.sqrt((cx - pts[:, 0]) ** 2 + (cy - pts[:, 1]) ** 2)
 
 
-@pytest.mark.parametrize("lam, petals", [((1.0, 1.0), 0), ((1.0, 4.0), 0), ((1.0, 16.0), 0),
-                                         ((1.0, 4.0), 5)])
-def test_safe_radius_never_exceeds_distance(lam, petals):
-    """Solved boundaries, and a five-petal star whose curve bends back toward itself."""
-    p = QuadraticProblem(1.0, lam)
-    if petals:
-        grid = make_circle_grid(64)
-        b = StarBoundary(grid, p.beta * (1.2 + 0.35 * np.cos(petals * grid.angles)))
-    else:
-        b = solve_boundary(p, make_circle_grid(32))[0]
-    geom = _BoundaryGeometry(p, b)
-    balls = _SafeBalls(geom)
-    rng = np.random.default_rng(17)
-    # points 1e-3 to 1e-9 inside the curve along its inward normal
-    theta = rng.uniform(0.0, 2.0 * np.pi, 1200)
-    y, dy, _ = geom.curve(theta)
-    inward = np.stack([-dy[:, 1], dy[:, 0]], axis=-1) / np.hypot(dy[:, 0], dy[:, 1])[:, None]
-    depth = 10.0 ** rng.uniform(-9.0, -3.0, len(theta))
-    shell = y + depth[:, None] * inward
-    # and points spread over the region
-    box = np.abs(y).max(axis=0)
-    spread = rng.uniform(-box, box, (3000, 2))
-    pts = np.concatenate([shell, spread[geom.inside(spread)]])
-    assert geom.inside(pts).all()
-    radius, upper = balls.radii(pts)
-    dist = _reference_distance(geom, pts)
-    assert np.all(radius <= dist)
-    assert np.all(upper >= dist - balls.rounding)
-    # no walk stalls, and next to ∂C the disc is the distance itself
-    assert np.all(radius > 0.0)
-    assert np.all(radius[:len(shell)] >= 0.999 * dist[:len(shell)])
-    # and the in-place curve evaluation and the separable clearance tables change no bit
-    ref_radius, ref_upper = safe_radii_reference(balls, pts)
-    np.testing.assert_array_equal(radius, ref_radius, strict=True)
-    np.testing.assert_array_equal(upper, ref_upper, strict=True)
-    np.testing.assert_array_equal(balls.clearance, clearance_reference(balls), strict=True)
-
-
 @pytest.fixture(scope="module")
 def bnd_14_r03_n32(p_14_r03):
     return solve_boundary(p_14_r03, make_circle_grid(32))[0]
-
-
-def test_safe_radii_match_polyval_reference_along_walks(p_14_r03, bnd_14_r03_n32):
-    """Every position of 500 walks from the origin, as mc_value draws them."""
-    balls = _SafeBalls(_BoundaryGeometry(p_14_r03, bnd_14_r03_n32))
-    rng = np.random.default_rng(3)
-    pos = np.zeros((500, 2))
-    seen = []
-    while len(pos):
-        seen.append(pos)
-        radius, upper = balls.radii(pos)
-        keep = upper > balls.shell
-        angle = 2.0 * np.pi * rng.random(keep.sum())
-        pos = pos[keep] + radius[keep, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
-    pts = np.concatenate(seen)
-    assert len(seen) > 20 and len(pts) > 5000
-    radius, upper = balls.radii(pts)
-    ref_radius, ref_upper = safe_radii_reference(balls, pts)
-    np.testing.assert_array_equal(radius, ref_radius, strict=True)
-    np.testing.assert_array_equal(upper, ref_upper, strict=True)
-    assert np.isfinite(upper).sum() > len(pts) // 2
-
-
-def test_safe_radii_evaluate_the_curve_once_per_newton_iterate(p_14_r03, bnd_14_r03_n32):
-    """One evaluation at the polar angles, then one per Newton iterate; the last is of order 1."""
-    geom = _BoundaryGeometry(p_14_r03, bnd_14_r03_n32)
-    balls = _SafeBalls(geom)
-    near = 0.999 * bnd_14_r03_n32.cartesian_points(p_14_r03)
-    orders = []
-    evaluate = geom.evaluate
-
-    def counted(theta, order):
-        orders.append(order)
-        return evaluate(theta, order)
-
-    geom.evaluate = counted
-    for x in (near, np.concatenate([near, np.zeros((5, 2))]), near[:1]):
-        orders.clear()
-        balls.radii(x)
-        assert orders == [2] * verification._WALK_NEWTON + [1]
-    orders.clear()
-    balls.radii(np.zeros((3, 2)))     # no row near ∂C: no Newton iterate
-    assert orders == [2]
 
 
 def _five_petal_star():
@@ -368,34 +287,71 @@ def _carried_walks(balls, paths, seed):
     return discs
 
 
-@pytest.mark.parametrize("name", ["l14-r0.3-n32", "l1_16-r1-n64", "star5"])
-def test_carried_radii_bound_the_distance_along_walks(walk_boundaries, name):
-    """R <= dist <= U at every disc of 100 walks, tight next to ∂C, and as the polyval reference."""
-    geom = _BoundaryGeometry(*walk_boundaries[name])
+def _assert_walk_radii_match_reference(balls, pos, before, after, radius, upper):
+    """R, U and carried points of one `walk_radii` call, bit for bit as the polyval reference."""
+    ref_radius, ref_upper, ref_after = walk_radii_reference(balls, pos, before)
+    np.testing.assert_array_equal(radius, ref_radius, strict=True)
+    np.testing.assert_array_equal(upper, ref_upper, strict=True)
+    np.testing.assert_array_equal(after, ref_after, strict=True)
+
+
+@pytest.mark.parametrize("lam, petals", [((1.0, 1.0), 0), ((1.0, 4.0), 0), ((1.0, 16.0), 0),
+                                         ((1.0, 4.0), 5)])
+def test_safe_radius_never_exceeds_distance(lam, petals):
+    """Solved boundaries, and a five-petal star whose curve bends back toward itself."""
+    p = QuadraticProblem(1.0, lam)
+    if petals:
+        grid = make_circle_grid(64)
+        b = StarBoundary(grid, p.beta * (1.2 + 0.35 * np.cos(petals * grid.angles)))
+    else:
+        b = solve_boundary(p, make_circle_grid(32))[0]
+    geom = _BoundaryGeometry(p, b)
     balls = _SafeBalls(geom)
-    discs = _carried_walks(balls, 100, 7)
-    for pos, before, after, radius, upper in discs:
+    rng = np.random.default_rng(17)
+    # points 1e-3 to 1e-9 inside the curve along its inward normal
+    theta = rng.uniform(0.0, 2.0 * np.pi, 1200)
+    y, dy, _ = geom.curve(theta)
+    inward = np.stack([-dy[:, 1], dy[:, 0]], axis=-1) / np.hypot(dy[:, 0], dy[:, 1])[:, None]
+    depth = 10.0 ** rng.uniform(-9.0, -3.0, len(theta))
+    shell = y + depth[:, None] * inward
+    # and points spread over the region
+    box = np.abs(y).max(axis=0)
+    spread = rng.uniform(-box, box, (3000, 2))
+    pts = np.concatenate([shell, spread[geom.inside(spread)]])
+    assert geom.inside(pts).all()
+    dist = _reference_distance(geom, pts)
+    # cold, with nothing carried, then twice from the points the call before carried
+    carried = np.full((7, len(pts)), np.nan)
+    for _ in range(3):
+        before = carried.copy()
+        radius, upper = balls.walk_radii(pts, carried)
+        assert np.all(radius <= dist)
+        assert np.all(upper >= dist - balls.rounding)
+        # no walk stalls
+        assert np.all(radius > 0.0)
+        # and the in-place curve evaluation changes no bit
+        _assert_walk_radii_match_reference(balls, pts, before, carried, radius, upper)
+    # next to ∂C, from warm iterates, the disc is the distance itself
+    assert np.all(radius[:len(shell)] >= 0.999 * dist[:len(shell)])
+    # and the separable clearance tables change no bit
+    np.testing.assert_array_equal(balls.clearance, clearance_reference(balls), strict=True)
+
+
+def test_safe_radii_match_polyval_reference_along_walks(walk_boundaries):
+    """Every disc of 500 walks from the origin on each walk boundary, as mc_value draws them."""
+    for p, b in walk_boundaries.values():
+        balls = _SafeBalls(_BoundaryGeometry(p, b))
+        discs = _carried_walks(balls, 500, 3)
         # disc by disc: numpy rounds a complex product of one element apart
         # from the same product inside a longer array, so batches matter
-        ref_radius, ref_upper, ref_after = walk_radii_reference(balls, pos, before)
-        np.testing.assert_array_equal(radius, ref_radius, strict=True)
-        np.testing.assert_array_equal(upper, ref_upper, strict=True)
-        np.testing.assert_array_equal(after, ref_after, strict=True)
-    pos, before, _, radius, upper = zip(*discs)
-    pts, radius, upper = np.concatenate(pos), np.concatenate(radius), np.concatenate(upper)
-    dist = _reference_distance(geom, pts)
-    assert np.all(radius <= dist)
-    assert np.all(upper >= dist - balls.rounding)
-    assert np.all(radius > 0.0)
-    # rows that took their Newton iterate from a carried point, within 1e-3 of ∂C
-    warm = np.isfinite(np.concatenate([b[0] for b in before])) & (dist < 1e-3)
-    assert warm.sum() > 500
-    ratio = radius[warm] / dist[warm]
-    assert np.median(ratio) >= 0.9999
-    assert np.mean(ratio < 0.999) <= 0.02
+        for disc in discs:
+            _assert_walk_radii_match_reference(balls, *disc)
+        upper = np.concatenate([disc[4] for disc in discs])
+        assert len(discs) > 20 and len(upper) > 5000
+        assert np.isfinite(upper).sum() > len(upper) // 2
 
 
-def test_carried_radii_evaluate_the_curve_twice_per_disc(p_14_r03, bnd_14_r03_n32):
+def test_safe_radii_evaluate_the_curve_once_per_newton_iterate(p_14_r03, bnd_14_r03_n32):
     """rho alone at the polar angles, then order 2 at the one Newton iterate of the near rows."""
     geom = _BoundaryGeometry(p_14_r03, bnd_14_r03_n32)
     balls = _SafeBalls(geom)
@@ -419,6 +375,25 @@ def test_carried_radii_evaluate_the_curve_twice_per_disc(p_14_r03, bnd_14_r03_n3
     balls.walk_radii(np.zeros((3, 2)), carried)     # no row near ∂C: no iterate, nothing carried
     assert orders == [0]
     assert np.isnan(carried).all()
+
+
+@pytest.mark.parametrize("name", ["l14-r0.3-n32", "l1_16-r1-n64", "star5"])
+def test_carried_radii_bound_the_distance_along_walks(walk_boundaries, name):
+    """R <= dist <= U at every disc of 100 walks, and tight next to ∂C from warm iterates."""
+    geom = _BoundaryGeometry(*walk_boundaries[name])
+    balls = _SafeBalls(geom)
+    pos, before, _, radius, upper = zip(*_carried_walks(balls, 100, 7))
+    pts, radius, upper = np.concatenate(pos), np.concatenate(radius), np.concatenate(upper)
+    dist = _reference_distance(geom, pts)
+    assert np.all(radius <= dist)
+    assert np.all(upper >= dist - balls.rounding)
+    assert np.all(radius > 0.0)
+    # rows that took their Newton iterate from a carried point, within 1e-3 of ∂C
+    warm = np.isfinite(np.concatenate([b[0] for b in before])) & (dist < 1e-3)
+    assert warm.sum() > 500
+    ratio = radius[warm] / dist[warm]
+    assert np.median(ratio) >= 0.9999
+    assert np.mean(ratio < 0.999) <= 0.02
 
 
 def test_convex_curves_skip_the_tangent_disc_search(walk_boundaries, p_sym, bnd_sym, p_14,
@@ -449,7 +424,7 @@ def test_five_petal_star_runs_the_tangent_disc_search(monkeypatch):
 
 
 def test_mc_value_consistent_over_seeds(p_14_r03, bnd_14_r03_n32):
-    """20 seeds x 2,000 paths on the r = 0.3 benchmark boundary: each within mc_tolerance, no bias."""
+    """20 seeds x 2,000 paths on the r = 0.3 benchmark boundary: each within tolerance, no bias."""
     recon = value(p_14_r03, bnd_14_r03_n32, np.zeros(2))
     z = []
     for seed in range(20):
