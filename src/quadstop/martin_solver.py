@@ -46,14 +46,16 @@ damped systems are solved by `lstsq`, LAPACK gelsy through scipy.
 (r = 1/2, mean lambda 1), whose stopping set is the target's up to a
 dilation, and maps its radii and residuals back.  It continues in lambda
 over equal stages, each started at the secant prediction from the two
-before it; only the target stage is solved to _RESIDUAL_TOL, the stages
-before it to _STAGE_TOL.
+before it and at the damping the stage before it ended at; only the
+target stage is solved to _RESIDUAL_TOL, the stages before it to
+_STAGE_TOL.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -70,7 +72,7 @@ __all__ = [
 
 _INIT_FACTOR = 1.3    # a cold start puts every radius at _INIT_FACTOR * beta
 _MAX_ITERATIONS = 200  # Levenberg-Marquardt steps per stage
-_DAMPING = 1e-3       # initial Levenberg parameter
+_DAMPING = 1e-3       # Levenberg parameter at the start of a solve's first stage
 # the tolerances act on the canonical problem, the same at every r and scale of lambda
 _STEP_TOL = 1e-11     # stop when an accepted step moves no canonical radius by more
 _RESIDUAL_TOL = 1e-9  # converged when max |R| <= _RESIDUAL_TOL * max_j sum_i w_i |m_d|
@@ -88,10 +90,11 @@ class SolveReport:
     """Outcome of a solve.
 
     iterations counts Levenberg-Marquardt steps (Jacobian evaluations),
-    summed over the stages, and accelerated_steps those of them whose
-    accepted step carried the geodesic acceleration.  homotopy_trace
-    holds (lambdas, residual inf-norm) of every stage run, the cold
-    start's one stage included.  converged, stop and step_inf_norm are
+    summed over the stages, and stage_iterations splits it by stage, in
+    stage order; accelerated_steps counts those steps whose accepted
+    step carried the geodesic acceleration.  homotopy_trace holds
+    (lambdas, residual inf-norm) of every stage run, the cold start's
+    one stage included.  converged, stop and step_inf_norm are
     the last stage's, converged judged against _STAGE_TOL for a stage
     before the target and _RESIDUAL_TOL for the target; stop is why that
     stage ended, one of STOP_REASONS.  The residual is always that of
@@ -101,6 +104,7 @@ class SolveReport:
     converged: bool
     stop: str
     iterations: int
+    stage_iterations: tuple
     accelerated_steps: int
     residual_inf_norm: float
     step_inf_norm: float
@@ -256,7 +260,10 @@ class _OrbitSystem:
 
         The velocity v minimizes
         ||J v + sqrt(|o| w_o) R||^2 + mu s sum_o |o| w_o v_o^2, with
-        s = |J|_F^2 / sum_i w_i making the damping scale with J'J.  The
+        s = |J|_F^2 / sum_i w_i making the damping scale with J'J.
+        |J|_F is summed over J divided by the power of two _pow2_below
+        picks, so it is exact and finite where the sum of J^2 would
+        overflow (e^{gamma rho} near the largest double).  The
         geodesic acceleration a solves the same damped problem with
         K v^2, the second derivative of the weighted residual along v,
         in place of the residual (Transtrum & Sethna 2012).  The step is
@@ -265,7 +272,9 @@ class _OrbitSystem:
         the kernel smooths, so J is badly conditioned and forming J'J
         would square that.
         """
-        damp = math.sqrt(mu * float((jac * jac).sum()) / self.w.sum())
+        u = _pow2_below(jac)
+        ju = jac / u
+        damp = u * math.sqrt(mu * float((ju * ju).sum()) / self.w.sum())
         aug = np.vstack([jac, np.diag(damp * self.row_w)])
         zeros = np.zeros(res.size)
         v = lstsq(aug, np.concatenate([-(self.row_w * res), zeros]))
@@ -276,7 +285,37 @@ class _OrbitSystem:
         return v, False
 
 
-def _lm_solve(p, grid, orbits, x0, tol):
+def _pow2_below(a):
+    """The power of two at or below max |a|, and 1 where that is 0 or not finite.
+
+    Dividing by it is exact and puts the largest entry in [1, 2), so
+    squares and sums of squares of the quotient do not overflow.
+    """
+    top = float(np.max(np.abs(a)))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
+
+
+def _objective(b):
+    """(u, |b/u|^2): the least-squares objective of b in units of u^2, u = _pow2_below(b)."""
+    u = _pow2_below(b)
+    b = b / u
+    return u, float(b @ b)
+
+
+class _Stage(NamedTuple):
+    """The outcome of one _lm_solve run (see there)."""
+
+    x: np.ndarray
+    res: np.ndarray
+    scale: float
+    iterations: int
+    step_inf: float
+    stop: str
+    accelerated: int
+    mu: float
+
+
+def _lm_solve(p, grid, orbits, x0, tol, mu):
     """Levenberg-Marquardt descent of the weighted residual with projection.
 
     Each test equation carries the square root of its direction's
@@ -316,15 +355,20 @@ def _lm_solve(p, grid, orbits, x0, tol):
     evaluation.  Each trial thus costs two damped solves, and one
     residual unless the model refuses it.
 
-    The damping mu follows Nielsen's gain-ratio rule (H. B. Nielsen,
-    IMM-REP-1999-05; Madsen, Nielsen & Tingleff 2004, section 3.2),
-    with the model the accelerated step is built from.  With b the
-    weighted residual, F = |b|^2 the objective and h the projected
-    step, the second-order model predicts the fall
-    F - |b + J h + K h^2 / 2|^2.  A trial whose predicted fall is not
-    positive is refused without evaluating its residual; otherwise it is
-    accepted when its objective is finite and below F.  The gain ratio g
-    is the actual fall over the predicted one, folded at 1 to
+    The damping starts at mu and follows Nielsen's gain-ratio rule
+    (H. B. Nielsen, IMM-REP-1999-05; Madsen, Nielsen & Tingleff 2004,
+    section 3.2), with the model the accelerated step is built from.
+    With b the weighted residual, F = |b|^2 the objective and h the
+    projected step, the second-order model predicts the fall
+    F - |b + J h + K h^2 / 2|^2.  F, the trial's objective and that
+    fall are all taken in units of u^2, u = _pow2_below(b) at the
+    current point: u is a power of two, so every comparison and the
+    gain ratio are the same to the last bit as in plain units, and
+    none of them overflows where |b|^2 would.  A trial whose predicted
+    fall is not positive is refused without evaluating its residual;
+    otherwise it is accepted when its objective is finite and below F.
+    The gain ratio g is the actual fall over the predicted one, folded
+    at 1 to
     gain = max(1 - |1 - g|, 0): a fall well past the predicted one
     shows a model as far off as one well short of it, and after an
     accelerated step the linear model's prediction is off by the
@@ -340,11 +384,13 @@ def _lm_solve(p, grid, orbits, x0, tol):
     shrinks it, and mu would overflow within the 60 trials a step may
     take.
 
-    Returns (x, R, scale, iterations, step_inf, stop, accelerated): the
-    radii, the residual and its scale there, the steps taken (at most
-    _MAX_ITERATIONS), the inf-norm of the last accepted step (inf if
-    none was), why the stage stopped (one of STOP_REASONS) and the
-    number of accepted steps that were accelerated.
+    Returns the _Stage (x, res, scale, iterations, step_inf, stop,
+    accelerated, mu): the radii, the residual R and its scale there, the
+    steps taken (at most _MAX_ITERATIONS), the inf-norm of the last
+    accepted step (inf if none was), why the stage stopped (one of
+    STOP_REASONS), the number of accepted steps that were accelerated,
+    and the damping the stage ended at, which solve_boundary hands to
+    the next stage.
     """
     lo = p.beta * (1.0 + 1e-6)
     hi = RADIUS_CAP * p.beta
@@ -352,8 +398,7 @@ def _lm_solve(p, grid, orbits, x0, tol):
     rw = system.row_w
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     res, scale = system.residual(x)
-    obj = (rw * res) @ (rw * res)
-    mu = _DAMPING
+    unit, obj = _objective(rw * res)
     step_inf = np.inf
     iterations = accelerated = 0
     while True:
@@ -377,18 +422,20 @@ def _lm_solve(p, grid, orbits, x0, tol):
                 break  # the step rounds away, and a larger mu only shrinks it
             cand = np.clip(cand, lo, hi)
             h = cand - x
-            model = rw * res + jac @ h + 0.5 * (curv @ (h * h))
+            model = (rw * res + jac @ h + 0.5 * (curv @ (h * h))) / unit
             predicted = obj - model @ model
             if predicted > 0.0:
                 res_c, scale_c = system.residual(cand)
                 with np.errstate(over="ignore"):
-                    obj_c = (rw * res_c) @ (rw * res_c)
+                    b_c = rw * res_c / unit
+                    obj_c = b_c @ b_c
                 if np.isfinite(obj_c) and obj_c < obj:
                     # the gain ratio, folded at 1: a fall past the predicted one
                     # misjudges the step as much as one that falls short of it
                     gain = max(1.0 - abs(1.0 - (obj - obj_c) / predicted), 0.0)
                     step_inf = float(np.max(np.abs(h)))
-                    x, res, scale, obj = cand, res_c, scale_c, obj_c
+                    x, res, scale = cand, res_c, scale_c
+                    unit, obj = _objective(rw * res)
                     mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-14)
                     accepted = True
                     accelerated += fast
@@ -398,7 +445,7 @@ def _lm_solve(p, grid, orbits, x0, tol):
         if not accepted:
             stop = "no descending trial"
             break
-    return x, res, scale, iterations, float(step_inf), stop, accelerated
+    return _Stage(x, res, scale, iterations, float(step_inf), stop, accelerated, mu)
 
 
 def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int = 4):
@@ -420,7 +467,14 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
     coefficients in p's units.  The steps being equal, stage k+1
     starts at the secant prediction 2 x_k - x_{k-1} from the radii of
     the two stages before it (the first stage at the starting radii
-    themselves).  Only the target's radii are returned, so the stages
+    themselves), and at the damping mu stage k ended at.  The first
+    stage starts at _DAMPING, so a one-stage solve is unchanged by
+    this.  Nielsen's rule lowers mu by at most 3 times per accepted
+    step, so a stage restarted at _DAMPING spends its first steps
+    shedding a damping the stage before it already shed, one
+    continuation step away (Allgower & Georg 1990, ch. 2): on the
+    benchmark's 8 solves that is 148 steps against 95.
+    Only the target's radii are returned, so the stages
     before it stop at _STAGE_TOL and only the target is solved to
     _RESIDUAL_TOL: past about 1e-7 the Levenberg-Marquardt steps crawl
     through the ill-posed modes of the smoothing kernel.
@@ -442,8 +496,9 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
         ts = (k / homotopy_steps for k in range(1, homotopy_steps + 1))
         x = np.full(reps.size, symmetric_radius(p.d, 0.5))
     n_stages = max(homotopy_steps, 1)
-    trace = []
-    iterations = accelerated = 0
+    trace, stage_iterations = [], []
+    accelerated = 0
+    mu = _DAMPING
     x_prev = x  # 2x - x is x exactly: stage 1 starts at x itself
     for k, t in enumerate(ts, 1):
         tol = _RESIDUAL_TOL if k == n_stages else _STAGE_TOL
@@ -451,24 +506,25 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
         x_start = 2.0 * x - x_prev
         x_prev = x
         q_t = QuadraticProblem(0.5, tuple((1.0 - t) + t * q.lam))
-        x, res, scale, stage_iterations, step_inf, stop, stage_accelerated = _lm_solve(
-            q_t, grid, orbits, x_start, tol)
-        iterations += stage_iterations
-        accelerated += stage_accelerated
+        stage = _lm_solve(q_t, grid, orbits, x_start, tol, mu)
+        x, res, scale, mu = stage.x, stage.res, stage.scale, stage.mu
+        stage_iterations.append(stage.iterations)
+        accelerated += stage.accelerated
         trace.append((tuple(((1.0 - t) * p.lam.mean() + t * p.lam).tolist()),
                       unit * float(np.max(np.abs(res)))))
-        if stop != "converged":
+        if stage.stop != "converged":
             break
     if k < n_stages:
         # a stage before the target failed: judge its radii against the target
         res, scale = _OrbitSystem(q, grid, orbits).residual(x)
     report = SolveReport(
-        converged=stop == "converged",
-        stop=stop,
-        iterations=iterations,
+        converged=stage.stop == "converged",
+        stop=stage.stop,
+        iterations=sum(stage_iterations),
+        stage_iterations=tuple(stage_iterations),
         accelerated_steps=accelerated,
         residual_inf_norm=unit * float(np.max(np.abs(res))),
-        step_inf_norm=c * step_inf,
+        step_inf_norm=c * stage.step_inf,
         residual_scale=unit * scale,
         homotopy_trace=tuple(trace),
     )

@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,11 +117,30 @@ def test_solve_reruns_byte_identical(tmp_path, capsys):
 def test_solve_converges_at_any_discount_scale(tmp_path, capsys):
     # the solver's step tolerance acts on the canonical problem; at r = 1e12 the radii
     # are 1e-6 times those at r = 1, and the solve still takes the same steps
-    out_csv = tmp_path / "b.csv"
-    code, out, _ = run(capsys, "solve", "--r", "1e12", "--lambdas", "1,4", "--n", "64",
-                       "--out", str(out_csv), "--report", str(out_csv) + ".json")
-    assert code == 0
-    assert out.startswith("converged=True iterations=22 ") and "stop:" not in out
+    steps = []
+    for r in ("1", "1e12"):
+        out_csv = tmp_path / ("b%s.csv" % r)
+        code, out, _ = run(capsys, "solve", "--r", r, "--lambdas", "1,4", "--n", "64",
+                           "--out", str(out_csv), "--report", str(out_csv) + ".json")
+        assert code == 0
+        assert out.startswith("converged=True iterations=") and "stop:" not in out
+        steps.append(out.split()[1])
+    assert steps[1] == steps[0]
+
+
+def test_solve_at_lambda_ratio_1e5_raises_no_warning(tmp_path, capsys):
+    # e^{gamma rho} near the largest double: the objective and the damping's |J|_F
+    # are taken in units that keep them finite
+    out_csv, rep_json = tmp_path / "b.csv", tmp_path / "b.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "solve", "--r", "1", "--lambdas", "1,100000",
+                           "--n", "16", "--out", str(out_csv), "--report", str(rep_json))
+    assert code in (0, 2)
+    rep = json.loads(rep_json.read_text())["solve_report"]
+    assert rep["stop"] in ms.STOP_REASONS
+    assert len(rep["stage_iterations"]) == len(rep["homotopy_trace"])
+    assert sum(rep["stage_iterations"]) == rep["iterations"]
 
 
 def test_solve_non_convergence_exit_2(tmp_path, monkeypatch, capsys):

@@ -120,7 +120,7 @@ def test_json_report_deterministic(tmp_path):
     assert doc["b"] == 1.5
     assert doc["flag"] is True
     assert doc["nested"]["x"] == 7
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert list(doc) == sorted(doc)
 
 

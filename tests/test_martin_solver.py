@@ -217,11 +217,11 @@ def test_lm_solve_ends_when_no_trial_descends(monkeypatch):
         return (res, scale) if np.array_equal(x, x0) else (2.0 * res, scale)
 
     monkeypatch.setattr(ms._OrbitSystem, "residual", doubled_away_from_x0)
-    x, _, _, iterations, step_inf, stop, accelerated = ms._lm_solve(p, grid, orbits, x0,
-                                                                   ms._RESIDUAL_TOL)
-    assert np.array_equal(x, x0)
-    assert iterations == 1 and step_inf == np.inf
-    assert stop == "no descending trial" and accelerated == 0
+    stage = ms._lm_solve(p, grid, orbits, x0, ms._RESIDUAL_TOL, ms._DAMPING)
+    assert np.array_equal(stage.x, x0)
+    assert stage.iterations == 1 and stage.step_inf == np.inf
+    assert stage.stop == "no descending trial" and stage.accelerated == 0
+    assert ms._DAMPING < stage.mu < math.inf
     # one residual at the start, then fewer trials than the cap of 60
     assert 1 < len(trials) < 61
 
@@ -515,12 +515,13 @@ def test_failed_homotopy_stage_reports_target_residual(monkeypatch):
 
 
 @pytest.mark.parametrize("p, grid, max_steps", [
-    (QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(128), 25),
-    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(16, 32), 20),
+    (QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(128), 13),
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(16, 32), 12),
 ])
 def test_continuation_step_count(p, grid, max_steps):
-    # predicted stages solved to _STAGE_TOL take 19 and 16 steps; stages each solved
-    # to _RESIDUAL_TOL from the last stage's radii take 59 and 40
+    # predicted stages solved to _STAGE_TOL, each started at the damping the stage
+    # before it ended at, take 11 and 10 steps; restarted at _DAMPING they took 20 and
+    # 17, and stages each solved to _RESIDUAL_TOL from the last stage's radii 59 and 40
     _, rep = solve_boundary(p, grid)
     assert rep.converged and rep.iterations <= max_steps
 
@@ -555,11 +556,34 @@ def test_single_stage_is_one_target_solve(steps):
     orbits = grid.reflection_orbits()
     reps, orbit_of = orbits
     start = ms._INIT_FACTOR * canon.beta if steps == 0 else symmetric_radius(p.d, 0.5)
-    x = ms._lm_solve(canon, grid, orbits, np.full(reps.size, start), ms._RESIDUAL_TOL)[0]
+    x = ms._lm_solve(canon, grid, orbits, np.full(reps.size, start), ms._RESIDUAL_TOL,
+                     ms._DAMPING).x
     b, rep = solve_boundary(p, grid, homotopy_steps=steps)
     assert rep.converged and len(rep.homotopy_trace) == 1
     assert rep.homotopy_trace[0][0] == p.lambdas
     assert np.array_equal(b.radii, c * x[orbit_of])
+
+
+def test_stages_carry_the_damping(monkeypatch):
+    # stage 1 starts at _DAMPING and each later stage at the damping the one before
+    # it ended at; stage_iterations splits iterations by stage
+    p, grid = QuadraticProblem(1.0, (1.0, 16.0)), make_circle_grid(64)
+    given, stages = [], []
+    real = ms._lm_solve
+
+    def recorded(p, grid, orbits, x0, tol, mu):
+        given.append(mu)
+        stages.append(real(p, grid, orbits, x0, tol, mu))
+        return stages[-1]
+
+    monkeypatch.setattr(ms, "_lm_solve", recorded)
+    _, rep = solve_boundary(p, grid)
+    assert rep.converged and len(stages) == 4
+    assert given[0] == ms._DAMPING
+    assert given[1:] == [st.mu for st in stages[:-1]]
+    assert all(mu < ms._DAMPING for mu in given[1:])
+    assert rep.stage_iterations == tuple(st.iterations for st in stages)
+    assert sum(rep.stage_iterations) == rep.iterations
 
 
 def test_crawling_solves_reject_few_trials(monkeypatch):
