@@ -26,25 +26,17 @@ def save_boundary_csv(path, p: QuadraticProblem, b: StarBoundary) -> None:
     A comment line records (r, lambda) so plot/verify can run from the
     file alone; loaders that only want the geometry skip it.
     """
-    lines = [
-        "# schema_version=%d" % SCHEMA_VERSION,
-        "# problem r=%s lambdas=%s" % (_FMT % p.r, ",".join(_FMT % v for v in p.lam)),
-    ]
-    pts = b.cartesian_points(p)
     if p.d == 2:
-        lines.append("theta,rho,x1,x2")
-        for theta, rho, x in zip(b.grid.angles, b.radii, pts):
-            lines.append(",".join(_FMT % v for v in (theta, rho, x[0], x[1])))
+        columns, index, fmt = "theta,rho,x1,x2", [b.grid.angles], [_FMT]
     elif p.d == 3:
-        n_lat, n_lon = b.grid.lat_shape
-        lines.append("lat_index,lon_index,rho,x1,x2,x3")
-        for k, (rho, x) in enumerate(zip(b.radii, pts)):
-            i, j = divmod(k, n_lon)
-            lines.append("%d,%d,%s" % (i, j, ",".join(_FMT % v for v in (rho, x[0], x[1], x[2]))))
+        lat, lon = np.divmod(np.arange(b.grid.n), b.grid.lat_shape[1])
+        columns, index, fmt = "lat_index,lon_index,rho,x1,x2,x3", [lat, lon], ["%d", "%d"]
     else:
         raise ValueError("boundary CSV supports d in {2, 3}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "# schema_version=%d\n# problem r=%s lambdas=%s\n%s" % (
+        SCHEMA_VERSION, _FMT % p.r, ",".join(_FMT % v for v in p.lam), columns)
+    np.savetxt(path, np.column_stack(index + [b.radii, b.cartesian_points(p)]),
+               fmt=fmt + [_FMT] * (p.d + 1), delimiter=",", header=header, comments="")
 
 
 def read_problem_csv(path) -> QuadraticProblem:
@@ -74,32 +66,30 @@ def load_boundary_csv(path) -> StarBoundary:
         rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not rows:
         raise ValueError("%s: empty boundary file" % path)
-    header = rows[0].split(",")
-    data = rows[1:]
+    header, data = rows[0].split(","), rows[1:]
     if not data:
         raise ValueError("%s: no data rows" % path)
-    if header[:2] == ["theta", "rho"]:
-        vals = np.array([[float(v) for v in row.split(",")] for row in data])
-        n = vals.shape[0]
-        grid = make_circle_grid(n)
+    sphere = header[:3] == ["lat_index", "lon_index", "rho"]
+    if not sphere and header[:2] != ["theta", "rho"]:
+        raise ValueError("%s: unrecognized boundary header %r" % (path, ",".join(header)))
+    vals = np.loadtxt(data, delimiter=",", ndmin=2)
+    if not sphere:
+        grid = make_circle_grid(vals.shape[0])
         if not np.allclose(vals[:, 0], grid.angles, rtol=0.0, atol=1e-9):
             raise ValueError("%s: theta column is not the expected equispaced grid" % path)
         return StarBoundary(grid, vals[:, 1])
-    if header[:3] == ["lat_index", "lon_index", "rho"]:
-        vals = np.array([[float(v) for v in row.split(",")] for row in data])
-        idx = vals[:, :2].astype(int)
-        if not np.array_equal(idx, vals[:, :2]) or np.any(idx < 0):
-            raise ValueError("%s: lat_index and lon_index must be integers >= 0" % path)
-        n_lat, n_lon = (int(v) + 1 for v in idx.max(axis=0))
-        if vals.shape[0] != n_lat * n_lon:
-            raise ValueError("%s: incomplete latitude/longitude grid" % path)
-        flat = idx[:, 0] * n_lon + idx[:, 1]
-        if np.unique(flat).size != flat.size:
-            raise ValueError("%s: duplicate (lat_index, lon_index) rows" % path)
-        radii = np.empty(flat.size)
-        radii[flat] = vals[:, 2]
-        return StarBoundary(make_sphere_grid(n_lat, n_lon), radii)
-    raise ValueError("%s: unrecognized boundary header %r" % (path, ",".join(header)))
+    idx = vals[:, :2].astype(int)
+    if not np.array_equal(idx, vals[:, :2]) or np.any(idx < 0):
+        raise ValueError("%s: lat_index and lon_index must be integers >= 0" % path)
+    n_lat, n_lon = (int(v) + 1 for v in idx.max(axis=0))
+    if vals.shape[0] != n_lat * n_lon:
+        raise ValueError("%s: incomplete latitude/longitude grid" % path)
+    flat = idx[:, 0] * n_lon + idx[:, 1]
+    if np.unique(flat).size != flat.size:
+        raise ValueError("%s: duplicate (lat_index, lon_index) rows" % path)
+    radii = np.empty(flat.size)
+    radii[flat] = vals[:, 2]
+    return StarBoundary(make_sphere_grid(n_lat, n_lon), radii)
 
 
 def _jsonable(obj):

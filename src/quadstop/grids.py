@@ -7,9 +7,9 @@ longitude.  Node order is the memory layout the solver and the Monte
 Carlo boundary interpolation both rely on: ascending angle for d = 2,
 latitude-major for d = 3.  `SphereGrid.reflection_orbits` groups the
 nodes into the orbits of the coordinate flips that map the grid onto
-itself, matching nodes by sorting their rounded coordinates; the solver
-takes one unknown per orbit and the class check requires the radii to
-be constant on each.
+itself, matching nodes by looking their rounded coordinates up in one
+dict; the solver takes one unknown per orbit and the class check
+requires the radii to be constant on each.
 """
 
 from __future__ import annotations
@@ -68,27 +68,25 @@ class SphereGrid:
 
         A flip x_k -> -x_k is supported when it maps every node onto a
         grid node (to 1e-9) of the same weight (to 1e-12 relative), so
-        that it maps the quadrature rule onto itself.  Nodes are matched
-        by their coordinates rounded to 1e-9, sorted once per flip, so a
-        call costs O(n log n) time and O(n) memory.  Returns
+        that it maps the quadrature rule onto itself.  A flip's
+        permutation looks each image's coordinates, rounded to 1e-9, up
+        in one dict of the nodes' keys: no sort, O(n) time and memory.
+        Of nodes sharing a key the last one is kept, and the tests below
+        reject a flip it mismatches.  Returns
         (representatives, orbit_of): the smallest node index of each
         orbit in ascending order, and the orbit index of every node.
         """
-        key = np.rint(self.nodes * 1e9).astype(np.int64)
+        def keys(x):
+            return map(tuple, np.rint(x * 1e9).astype(np.int64).tolist())
+
+        index = {k: i for i, k in enumerate(keys(self.nodes))}
         label = np.arange(self.n)
         for axis in range(self.d):
-            flipped = key.copy()
-            flipped[:, axis] = -flipped[:, axis]
-            # one id per distinct rounded point: nodes first, then their mirror images
-            ids = np.unique(np.concatenate([key, flipped]), axis=0,
-                            return_inverse=True)[1].ravel()
-            node_of = np.full(2 * self.n, -1)
-            node_of[ids[:self.n]] = np.arange(self.n)
-            perm = node_of[ids[self.n:]]
-            if np.any(perm < 0):
-                continue
             image = self.nodes.copy()
             image[:, axis] = -image[:, axis]
+            perm = np.array([index.get(k, -1) for k in keys(image)])
+            if np.any(perm < 0):
+                continue
             if (np.max(np.sqrt(((image - self.nodes[perm]) ** 2).sum(axis=1))) <= 1e-9
                     and np.allclose(self.weights[perm], self.weights, rtol=1e-12, atol=0.0)):
                 # the flips commute, so one pass over them reaches the whole group

@@ -35,13 +35,14 @@ model of the residual, and a trial that model predicts to rise is
 refused before its residual is evaluated.  Each trial adds to the
 damped velocity v the geodesic acceleration a/2 (Transtrum, Machta &
 Sethna 2011; Transtrum & Sethna 2012) while 2|a| <= 0.75 |v| in the same
-metric: a solves the damped system again with the residual's second
+metric: a solves the same damped system with the residual's second
 derivative along v on the right, which is exact and cheap here because
 each radius enters the equations through its own nodes only, so the
 Hessian is diagonal and d^2 m_d/d rho^2 is the integrand times its
 log-derivative.  Without it the steps crawl through the ill-posed modes
-of the smoothing kernel; with it they follow the curved valley.  The
-damped systems are solved by `lstsq`, LAPACK gelsy through scipy.
+of the smoothing kernel; with it they follow the curved valley.  A
+trial's damped matrix, of full rank by its damping rows, is factored
+once by `lstsq`, a QR through scipy, and v and a are solved on that.
 `solve_boundary` solves the canonical problem of `QuadraticProblem.canonical`
 (r = 1/2, mean lambda 1), whose stopping set is the target's up to a
 dilation, and maps its radii and residuals back.  It continues in lambda
@@ -204,9 +205,15 @@ def radial_moment_drho(d: int, rho, gam, beta: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def lstsq(a, b):
-    """Least-squares solution of a x = b by LAPACK gelsy with rcond = eps."""
-    return scipy.linalg.lstsq(a, b, lapack_driver="gelsy", check_finite=False)[0]
+def lstsq(a):
+    """The least-squares solver b -> R^-1 Q'b of a x = b, from one economic QR a = QR.
+
+    No column pivoting and no rank cutoff: a must have full column rank,
+    as `_OrbitSystem.step`'s damped matrices have by their positive
+    diagonal damping rows.
+    """
+    q, r = scipy.linalg.qr(a, mode="economic", check_finite=False)
+    return lambda b: scipy.linalg.solve_triangular(r, q.T @ b, check_finite=False)
 
 
 class _OrbitSystem:
@@ -268,17 +275,19 @@ class _OrbitSystem:
         K v^2, the second derivative of the weighted residual along v,
         in place of the residual (Transtrum & Sethna 2012).  The step is
         v + a/2 when 2|a| <= _ACCEL_RATIO |v| in the metric of the
-        damping, and v otherwise.  Both are solved in augmented form:
+        damping, and v otherwise.  Both are solved in augmented form,
+        on one QR (`lstsq`) of [J; D] with D = diag(sqrt(mu s |o| w_o)):
         the kernel smooths, so J is badly conditioned and forming J'J
-        would square that.
+        would square that.  D is positive, so [J; D] has full column rank
+        whatever the rank of J.
         """
         u = _pow2_below(jac)
         ju = jac / u
         damp = u * math.sqrt(mu * float((ju * ju).sum()) / self.w.sum())
-        aug = np.vstack([jac, np.diag(damp * self.row_w)])
+        solve = lstsq(np.vstack([jac, np.diag(damp * self.row_w)]))
         zeros = np.zeros(res.size)
-        v = lstsq(aug, np.concatenate([-(self.row_w * res), zeros]))
-        a = lstsq(aug, np.concatenate([-(curv @ (v * v)), zeros]))
+        v = solve(np.concatenate([-(self.row_w * res), zeros]))
+        a = solve(np.concatenate([-(curv @ (v * v)), zeros]))
         wa, wv = self.row_w * a, self.row_w * v
         if 4.0 * (wa @ wa) <= _ACCEL_RATIO ** 2 * (wv @ wv):
             return v + 0.5 * a, True
@@ -352,8 +361,8 @@ def _lm_solve(p, grid, orbits, x0, tol, mu):
     follows the linear model and crawls along the curved valley of the
     ill-posed modes; the correction follows the valley's curvature,
     which the exact second derivative K gives at no extra residual
-    evaluation.  Each trial thus costs two damped solves, and one
-    residual unless the model refuses it.
+    evaluation.  Each trial thus costs one QR of the damped matrix, and
+    one residual unless the model refuses it.
 
     The damping starts at mu and follows Nielsen's gain-ratio rule
     (H. B. Nielsen, IMM-REP-1999-05; Madsen, Nielsen & Tingleff 2004,

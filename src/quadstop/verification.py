@@ -101,7 +101,7 @@ class _BoundaryGeometry:
     grid.  It and its first two derivatives come from one sum of complex
     exponentials: rho^(m)(theta) = Re sum_k c_k (ik)^m e^{ik theta}.
     `evaluate` is the one route from angles to the curve: `rho`,
-    `curve`, `points` and `nearest` all go through it.  Only
+    `points` and `nearest` all go through it.  Only
     `curve_from`, which sums differences along the curve, has its own.
     """
 
@@ -153,10 +153,6 @@ class _BoundaryGeometry:
             bend, twice = drho[1] - rho, 2.0 * drho[0]
             out.append((bend * ux + twice * vx, bend * uy + twice * vy))
         return out
-
-    def curve(self, theta):
-        """x(theta), x'(theta) and x''(theta), each with a trailing axis of 2."""
-        return tuple(np.stack(xy, axis=-1) for xy in self.points(self.evaluate(theta, 2)))
 
     def curve_from(self, theta, t):
         """x(theta + t) - x(theta) and x'(theta + t), shaped (B, Q, 2) for B thetas, Q offsets t.

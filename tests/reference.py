@@ -20,8 +20,9 @@ predicts:
   node by node;
 * small conveniences with no caller in the package: K_nu unscaled and
   in log form, affine polar coordinates of a point, the negative set,
-  and the full n x n Martin residual and Jacobian of a given boundary,
-  with every grid node a test direction.
+  the d = 2 boundary curve and its first two derivatives, and the full
+  n x n Martin residual and Jacobian of a given boundary, with every
+  grid node a test direction.
 
 One-dimensional integrals go through `quad`, scipy's QUADPACK with its
 accuracy warnings raised as errors, so a reference never returns a value
@@ -543,6 +544,18 @@ def finiteness_ratio_scan(p: QuadraticProblem, radii, reward_fn=None,
 
 
 # ---------------------------------------------------------------------------
+# the boundary curve
+
+def curve(geom, theta):
+    """x(theta), x'(theta) and x''(theta) of the `_BoundaryGeometry` geom.
+
+    Each has a trailing axis of 2; all three come from one evaluation of
+    order 2, the route the package's own curve points take.
+    """
+    return tuple(np.stack(xy, axis=-1) for xy in geom.points(geom.evaluate(theta, 2)))
+
+
+# ---------------------------------------------------------------------------
 # walk-on-spheres radii by numpy's polyval
 
 def walk_radii_reference(balls, x, carried):
@@ -570,7 +583,7 @@ def walk_radii_reference(balls, x, carried):
         return (np.stack([cos, sin], axis=-1) / sqrt_lam,
                 np.stack([-sin, cos], axis=-1) / sqrt_lam)
 
-    def curve(theta):
+    def curve_by_polyval(theta):
         r, d1, d2 = np.moveaxis(rho(theta, 2), -1, 0)
         u, du = frame(theta)
         return (r[..., None] * u, d1[..., None] * u + r[..., None] * du,
@@ -604,7 +617,7 @@ def walk_radii_reference(balls, x, carried):
         offset = offset - 2.0 * np.pi * np.rint(offset / (2.0 * np.pi))
         offset = np.clip(offset, -w, w)
         t = phi_n + np.where(np.isnan(offset), 0.0, offset)
-        yn, dyn, d2yn = curve(t)
+        yn, dyn, d2yn = curve_by_polyval(t)
         d = yn - xn
         f = (d * d).sum(axis=1)
         df = 2.0 * (d * dyn).sum(axis=1)
@@ -625,7 +638,7 @@ def clearance_reference(balls):
     with it bit for bit.
     """
     h = 2.0 * np.pi / _WALK_SAMPLES
-    y = balls.geom.curve(h * np.arange(_WALK_SAMPLES))[0]
+    y = curve(balls.geom, h * np.arange(_WALK_SAMPLES))[0]
     out = np.empty(balls.clearance.shape)
     for i, j in np.ndindex(out.shape):
         d = balls.lo + balls.cell * np.array([i, j]) - y

@@ -6,6 +6,7 @@ import pytest
 from quadstop.dataio import (load_boundary_csv, read_problem_csv,
                              save_boundary_csv, svg_boundary_plot,
                              write_json_report)
+from quadstop.grids import make_circle_grid, make_sphere_grid
 from quadstop.problem import QuadraticProblem, StarBoundary
 
 
@@ -25,6 +26,46 @@ def test_roundtrip_3d(tmp_path, p3_sym, bnd3_sym):
     assert np.array_equal(back.radii, bnd3_sym.radii)
     assert back.grid.lat_shape == bnd3_sym.grid.lat_shape
     assert np.allclose(back.grid.nodes, bnd3_sym.grid.nodes, rtol=0.0, atol=0.0)
+
+
+# the writer's bytes for a 6-node circle and a 2 x 4 sphere boundary: the format
+# other tools read, so any change to it must show here
+CIRCLE_CSV = """\
+# schema_version=5
+# problem r=0.29999999999999999 lambdas=1,4
+theta,rho,x1,x2
+0,4.4907311951024935,4.4907311951024935,0
+1.0471975511965976,4.8989794855663575,2.4494897427831792,2.1213203435596428
+2.0943951023931953,5.3072277760302198,-2.6536138880151086,2.2980970388562798
+3.1415926535897931,5.7154760664940829,-5.7154760664940829,3.4997197352176418e-16
+4.1887902047863905,6.1237243569579451,-3.0618621784789752,-2.6516504294495524
+5.2359877559829888,6.5319726474218092,3.2659863237109055,-2.8284271247461903
+"""
+SPHERE_CSV = """\
+# schema_version=5
+# problem r=0.5 lambdas=1,2,3
+lat_index,lon_index,rho,x1,x2,x3
+0,0,3.8105117766515302,3.1112698372208092,0,-1.2701705922171767
+0,1,4.156921938165306,2.078294534965184e-16,2.3999999999999999,-1.3856406460551018
+0,2,4.5033320996790804,-3.6769552621700465,3.1840816777831177e-16,-1.5011106998930268
+0,3,4.8497422611928567,-7.2740308723781437e-16,-2.7999999999999998,-1.6165807537309522
+1,0,5.196152422706632,4.2426406871192857,0,1.7320508075688774
+1,1,5.5425625842204074,2.7710593799535783e-16,3.1999999999999997,1.8475208614068024
+1,2,5.8889727457341827,-4.8083261120685235,4.1637991171010006e-16,1.9629909152447276
+1,3,6.2353829072479581,-9.3523254073433262e-16,-3.5999999999999996,2.0784609690826525
+"""
+
+
+@pytest.mark.parametrize("p, grid, top, text", [
+    (QuadraticProblem(0.3, (1.0, 4.0)), make_circle_grid(6), 1.6, CIRCLE_CSV),
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(2, 4), 1.8, SPHERE_CSV),
+], ids=["circle6", "sphere2x4"])
+def test_boundary_csv_bytes(tmp_path, p, grid, top, text):
+    b = StarBoundary(grid, p.beta * np.linspace(1.1, top, grid.n))
+    f = tmp_path / "b.csv"
+    save_boundary_csv(f, p, b)
+    assert f.read_bytes() == text.encode()
+    assert np.array_equal(load_boundary_csv(f).radii, b.radii)
 
 
 def test_header_comments(tmp_path, p_14_r03, bnd_14_r03):

@@ -16,7 +16,7 @@ from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
 from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals, _SafeBalls,
                                    green_residual_normalized, interior_scan_grid,
                                    majorant_gap_scan, mc_value, run_verification, value)
-from reference import (bessel_K, clearance_reference, finiteness_ratio_scan,
+from reference import (bessel_K, clearance_reference, curve, finiteness_ratio_scan,
                        green_measure_identity_check, rect_green_mass, to_polar,
                        walk_radii_reference)
 from sweep_reference import sweep_integrals, trig_eval
@@ -105,18 +105,18 @@ def test_boundary_curve_matches_mode_loop(p_14, bnd_14):
     theta = np.random.default_rng(5).uniform(-4.0, 10.0, size=200)
     np.testing.assert_allclose(geom.rho(theta), trig_eval(bnd_14.radii, theta),
                                rtol=1e-13)
-    y, dy, d2y = geom.curve(theta)
+    y, dy, d2y = curve(geom, theta)
     np.testing.assert_allclose((y * p_14.sqrt_lam) ** 2 @ np.ones(2), geom.rho(theta) ** 2,
                                rtol=1e-13)
     h = 1e-5
-    yp, dyp, _ = geom.curve(theta + h)
-    ym, dym, _ = geom.curve(theta - h)
+    yp, dyp, _ = curve(geom, theta + h)
+    ym, dym, _ = curve(geom, theta - h)
     np.testing.assert_allclose(dy, (yp - ym) / (2 * h), atol=1e-8)
     np.testing.assert_allclose(d2y, (dyp - dym) / (2 * h), atol=1e-8)
     # differences along the curve keep their relative accuracy as t -> 0
     t = np.array([-1.0, -1e-3, -1e-9, 1e-12, 1e-6, 0.5])
     diff, tangent = geom.curve_from(theta[:3], t)
-    y_t, dy_t, _ = geom.curve(np.add.outer(theta[:3], t))
+    y_t, dy_t, _ = curve(geom, np.add.outer(theta[:3], t))
     np.testing.assert_allclose(tangent, dy_t, atol=1e-13)
     np.testing.assert_allclose(diff, y_t - y[:3, None, :], atol=1e-14)
     np.testing.assert_allclose(diff[:, 3], 1e-12 * dy[:3], rtol=1e-6)
@@ -162,7 +162,7 @@ def test_green_integral_continuous_across_boundary(p_14, bnd_14):
     # and on a wrong boundary (E of order 0.1) the slope stays bounded
     wrong = StarBoundary(bnd_14.grid, 1.05 * bnd_14.radii)
     geom = _BoundaryGeometry(p_14, wrong)
-    y, dy, _ = geom.curve(np.array([1.3]))
+    y, dy, _ = curve(geom, np.array([1.3]))
     normal = np.array([dy[0, 1], -dy[0, 0]]) / np.hypot(*dy[0])
     deltas = np.concatenate([-np.logspace(-2, -12, 6), [0.0], np.logspace(-12, -2, 6)])
     e, m = _green_integrals(p_14, wrong, y[0] + deltas[:, None] * normal)
@@ -310,7 +310,7 @@ def test_safe_radius_never_exceeds_distance(lam, petals):
     rng = np.random.default_rng(17)
     # points 1e-3 to 1e-9 inside the curve along its inward normal
     theta = rng.uniform(0.0, 2.0 * np.pi, 1200)
-    y, dy, _ = geom.curve(theta)
+    y, dy, _ = curve(geom, theta)
     inward = np.stack([-dy[:, 1], dy[:, 0]], axis=-1) / np.hypot(dy[:, 0], dy[:, 1])[:, None]
     depth = 10.0 ** rng.uniform(-9.0, -3.0, len(theta))
     shell = y + depth[:, None] * inward
@@ -473,7 +473,7 @@ def test_mc_value_independent_of_workers(p_14, bnd_14_n32, monkeypatch):
     assert walk["paths"] == cfg.paths
     assert 1.0 < walk["mean_walk"] <= walk["max_walk"]
     theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    y = _BoundaryGeometry(p_14, bnd_14_n32).curve(theta)[0]
+    y = curve(_BoundaryGeometry(p_14, bnd_14_n32), theta)[0]
     assert walk["shell"] == pytest.approx(1e-6 * np.hypot(y[:, 0], y[:, 1]).min(), rel=1e-3)
 
 
