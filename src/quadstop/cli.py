@@ -86,6 +86,8 @@ def cmd_solve(args) -> int:
     if args.r is None or args.lambdas is None:
         raise CliError("a problem needs --r and --lambdas (flags or config problem section)")
     p = QuadraticProblem(args.r, tuple(args.lambdas))
+    if p.d not in (2, 3):
+        raise CliError("--lambdas gives d = %d; solve supports d in {2, 3}" % p.d)
     grid = make_circle_grid(args.n) if p.d == 2 else make_sphere_grid(args.n_lat, args.n_lon)
     boundary, report = solve_boundary(p, grid, **_given(args, "homotopy_steps"))
     out = args.out
@@ -293,10 +295,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse -h

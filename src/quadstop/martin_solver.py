@@ -95,11 +95,12 @@ class SolveReport:
     stage order; accelerated_steps counts those steps whose accepted
     step carried the geodesic acceleration.  homotopy_trace holds
     (lambdas, residual inf-norm) of every stage run, the cold start's
-    one stage included.  converged, stop and step_inf_norm are
-    the last stage's, converged judged against _STAGE_TOL for a stage
-    before the target and _RESIDUAL_TOL for the target; stop is why that
-    stage ended, one of STOP_REASONS.  The residual is always that of
-    the target problem, also when an earlier stage failed.
+    one stage included.  converged, stop and step_inf_norm are the last
+    stage's, converged judged against _STAGE_TOL for a stage before the
+    target and _RESIDUAL_TOL for the target; stop is why that stage
+    ended, one of STOP_REASONS, and step_inf_norm is None when it
+    accepted no step.  The residual is always that of the target
+    problem, also when an earlier stage failed.
     """
 
     converged: bool
@@ -108,7 +109,7 @@ class SolveReport:
     stage_iterations: tuple
     accelerated_steps: int
     residual_inf_norm: float
-    step_inf_norm: float
+    step_inf_norm: float | None
     residual_scale: float
     homotopy_trace: tuple
 
@@ -304,13 +305,6 @@ def _pow2_below(a):
     return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
 
 
-def _objective(b):
-    """(u, |b/u|^2): the least-squares objective of b in units of u^2, u = _pow2_below(b)."""
-    u = _pow2_below(b)
-    b = b / u
-    return u, float(b @ b)
-
-
 class _Stage(NamedTuple):
     """The outcome of one _lm_solve run (see there)."""
 
@@ -371,8 +365,10 @@ def _lm_solve(p, grid, orbits, x0, tol, mu):
     projected step, the second-order model predicts the fall
     F - |b + J h + K h^2 / 2|^2.  F, the trial's objective and that
     fall are all taken in units of u^2, u = _pow2_below(b) at the
-    current point: u is a power of two, so every comparison and the
-    gain ratio are the same to the last bit as in plain units, and
+    stage's starting point, and an accepted trial's objective is the
+    next step's F.  u is a power of two, so every comparison and the
+    gain ratio are the same to the last bit as in plain units.  F only
+    falls within the stage, so |b/u| stays below 2 sqrt(n_orbits), and
     none of them overflows where |b|^2 would.  A trial whose predicted
     fall is not positive is refused without evaluating its residual;
     otherwise it is accepted when its objective is finite and below F.
@@ -407,7 +403,9 @@ def _lm_solve(p, grid, orbits, x0, tol, mu):
     rw = system.row_w
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     res, scale = system.residual(x)
-    unit, obj = _objective(rw * res)
+    unit = _pow2_below(rw * res)
+    b = rw * res / unit
+    obj = float(b @ b)
     step_inf = np.inf
     iterations = accelerated = 0
     while True:
@@ -443,8 +441,7 @@ def _lm_solve(p, grid, orbits, x0, tol, mu):
                     # misjudges the step as much as one that falls short of it
                     gain = max(1.0 - abs(1.0 - (obj - obj_c) / predicted), 0.0)
                     step_inf = float(np.max(np.abs(h)))
-                    x, res, scale = cand, res_c, scale_c
-                    unit, obj = _objective(rw * res)
+                    x, res, scale, obj = cand, res_c, scale_c, obj_c
                     mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-14)
                     accepted = True
                     accelerated += fast
@@ -533,7 +530,7 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
         stage_iterations=tuple(stage_iterations),
         accelerated_steps=accelerated,
         residual_inf_norm=unit * float(np.max(np.abs(res))),
-        step_inf_norm=c * stage.step_inf,
+        step_inf_norm=None if stage.step_inf == np.inf else c * stage.step_inf,
         residual_scale=unit * scale,
         homotopy_trace=tuple(trace),
     )

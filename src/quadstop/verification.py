@@ -189,19 +189,19 @@ class _BoundaryGeometry:
         curv = speed_sq + (cx * bend[0] + cy * bend[1])
         return slope / np.where(curv > 0.0, curv, speed_sq)
 
-    def nearest(self, px, py, t, at, steps: int, lo=-np.inf, hi=np.inf, max_step=np.inf):
+    def nearest(self, px, py, t, at, steps: int, max_step=np.inf):
         """Newton iterates, from t, toward the parameter of the curve point nearest each (px, py).
 
         Newton's method on f(t) = |x(t) - x|^2 / 2 (see `newton_step`),
         with `at` the evaluation of order 2 at the starting t.  Each step
-        is at most max_step long and each iterate is kept in [lo, hi].
+        is at most max_step long.
         Returns the last iterate and its curve point and tangent,
         ((x, y), (x', y')): one evaluation per step, the last of order 1
         as f and f' need no x''.
         """
         for i in range(steps):
             step = self.newton_step(px, py, *self.points(at))
-            t = np.clip(t - np.clip(step, -max_step, max_step), lo, hi)
+            t = t - np.clip(step, -max_step, max_step)
             at = self.evaluate(t, 2 if i + 1 < steps else 1)
         return t, self.points(at)[:2]
 

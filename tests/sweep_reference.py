@@ -116,9 +116,3 @@ def sweep_integrals(p, b, x, n_rays=720, n_scan=256):
     int_1 = (kern.reshape(-1, 16) @ _GL16_W) * half
     w_ang = 2.0 * np.pi / dirs.shape[0]
     return float(int_f.sum() * w_ang), float(int_1.sum() * w_ang)
-
-
-def sweep_residual_normalized(p, b, x, n_rays=720, n_scan=256):
-    """E(x) / (r beta^2 integral of G over C), as the package normalizes it."""
-    val, mass = sweep_integrals(p, b, x, n_rays, n_scan)
-    return val / (p.r * p.beta_sq * mass)

@@ -181,6 +181,31 @@ def test_solve_requires_problem(capsys):
     assert "needs --r and --lambdas" in err
 
 
+def test_solve_rejects_unsupported_dimension(tmp_path, capsys):
+    out_csv = tmp_path / "b.csv"
+    code, out, err = run(capsys, "solve", "--r", "1", "--lambdas", "1,2,3,4",
+                         "--out", str(out_csv))
+    assert code == 1
+    assert out == ""
+    assert err == "error: --lambdas gives d = 4; solve supports d in {2, 3}\n"
+    assert not out_csv.exists()
+
+
+def test_solve_report_is_strict_json(tmp_path, capsys):
+    # the symmetric solve starts at its analytic radius and accepts no step, so it
+    # has no step norm to report: null, not the non-JSON Infinity
+    rep_json = tmp_path / "b.json"
+    code, out, _ = run(capsys, "solve", "--r", "1", "--lambdas", "1,1", "--n", "16",
+                       "--out", str(tmp_path / "b.csv"), "--report", str(rep_json))
+    assert code == 0 and "iterations=0 " in out
+
+    def reject(name):
+        raise ValueError("non-JSON constant %s" % name)
+
+    rep = json.loads(rep_json.read_text(), parse_constant=reject)["solve_report"]
+    assert rep["step_inf_norm"] is None
+
+
 def test_verify_pass_and_shrunk_detection(tmp_path, capsys):
     out_csv = tmp_path / "b.csv"
     code, _, _ = run(capsys, "solve", "--r", "1", "--lambdas", "1,1",
