@@ -7,9 +7,9 @@ longitude.  Node order is the memory layout the solver and the Monte
 Carlo boundary interpolation both rely on: ascending angle for d = 2,
 latitude-major for d = 3.  `SphereGrid.reflection_orbits` groups the
 nodes into the orbits of the coordinate flips that map the grid onto
-itself, matching nodes by looking their rounded coordinates up in one
-dict; the solver takes one unknown per orbit and the class check
-requires the radii to be constant on each.
+itself (`reflection_flips`, which matches nodes by looking their rounded
+coordinates up in one dict); the solver takes one unknown per orbit and
+the class check requires the radii to be constant on each.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class SphereGrid:
             raise ValueError("angles are defined for d = 2 grids")
         return np.mod(np.arctan2(self.nodes[:, 1], self.nodes[:, 0]), 2.0 * np.pi)
 
-    def reflection_orbits(self):
-        """Orbits of the nodes under the coordinate flips the grid supports.
+    def reflection_flips(self) -> dict:
+        """{axis: perm} for each coordinate flip the grid supports: perm[i] is node i's image.
 
         A flip x_k -> -x_k is supported when it maps every node onto a
         grid node (to 1e-9) of the same weight (to 1e-12 relative), so
@@ -72,15 +72,13 @@ class SphereGrid:
         permutation looks each image's coordinates, rounded to 1e-9, up
         in one dict of the nodes' keys: no sort, O(n) time and memory.
         Of nodes sharing a key the last one is kept, and the tests below
-        reject a flip it mismatches.  Returns
-        (representatives, orbit_of): the smallest node index of each
-        orbit in ascending order, and the orbit index of every node.
+        reject a flip it mismatches.
         """
         def keys(x):
             return map(tuple, np.rint(x * 1e9).astype(np.int64).tolist())
 
         index = {k: i for i, k in enumerate(keys(self.nodes))}
-        label = np.arange(self.n)
+        flips = {}
         for axis in range(self.d):
             image = self.nodes.copy()
             image[:, axis] = -image[:, axis]
@@ -89,8 +87,19 @@ class SphereGrid:
                 continue
             if (np.max(np.sqrt(((image - self.nodes[perm]) ** 2).sum(axis=1))) <= 1e-9
                     and np.allclose(self.weights[perm], self.weights, rtol=1e-12, atol=0.0)):
-                # the flips commute, so one pass over them reaches the whole group
-                label = np.minimum(label, label[perm])
+                flips[axis] = perm
+        return flips
+
+    def reflection_orbits(self, flips=None):
+        """Orbits of the nodes under `flips`, a dict of `reflection_flips` (default all).
+
+        Returns (representatives, orbit_of): the smallest node index of
+        each orbit in ascending order, and the orbit index of every node.
+        """
+        label = np.arange(self.n)
+        for perm in (self.reflection_flips() if flips is None else flips).values():
+            # the flips commute, so one pass over them reaches the whole group
+            label = np.minimum(label, label[perm])
         representatives, orbit_of = np.unique(label, return_inverse=True)
         return representatives, orbit_of
 

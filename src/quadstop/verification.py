@@ -13,7 +13,8 @@ reuse the Martin-kernel discretization:
   a stopping shell whose bias is bounded (see `_SafeBalls`).
 * `_chunked_mean`, the one Monte Carlo engine, draws the walk and d = 3 `value`.
 * `run_verification` runs all of them, plus the class membership
-  checks, into one report, whose `checks` and `passed` are the verdict.
+  checks, into one report, whose `checks` and `passed` are the verdict;
+  it evaluates E at one point per mirror orbit.
 
 In d = 2, Green's second identity turns the area integral into one
 integral over ∂C, using only G_r, g and the curve:
@@ -100,6 +101,9 @@ class _BoundaryGeometry:
     rho is the trigonometric interpolant of the radii on the equispaced
     grid.  It and its first two derivatives come from one sum of complex
     exponentials: rho^(m)(theta) = Re sum_k c_k (ik)^m e^{ik theta}.
+    Radii that repeat bit for bit with period p | n have c_k = 0 unless
+    `fold` = n/p divides k: the sums run over one period's coefficients
+    in e^{i fold theta}.  Solved radii are flip-symmetric, so fold >= 2.
     `evaluate` is the one route from angles to the curve: `rho`,
     `points` and `nearest` all go through it.  Only
     `curve_from`, which sums differences along the curve, has its own.
@@ -110,29 +114,34 @@ class _BoundaryGeometry:
             raise ValueError("boundary integrals are a d = 2 scheme")
         self.p = p
         self.n = b.grid.n
-        coeffs = np.fft.rfft(b.radii) / self.n
+        period = next(q for q in range(1, self.n + 1)
+                      if self.n % q == 0 and np.array_equal(np.roll(b.radii, q), b.radii))
+        self.fold = self.n // period
+        coeffs = np.fft.rfft(b.radii[:period]) / period
         coeffs[1:] *= 2.0
-        if self.n % 2 == 0:
+        if period % 2 == 0:
             coeffs[-1] = 0.5 * coeffs[-1].real   # the Nyquist mode is a cosine
-        self._ik = 1j * np.arange(coeffs.size)
+        self._ik = 1j * self.fold * np.arange(coeffs.size)
         self._coef = coeffs[:, None] * self._ik[:, None] ** np.arange(3)
 
     def evaluate(self, theta, order):
         """(cos theta, sin theta, rho, ..., rho^(order)) at each theta.
 
-        Horner's rule in e^{i theta}, run in place on one complex array:
-        one complex exponential per angle, not one per mode, and no
-        temporaries per mode.  Its steps are numpy's polyval's, so are
-        its values.  cos and sin are the parts of that exponential.
+        Horner's rule in e^{i fold theta}, run in place on one complex
+        array: one complex exponential per angle, not one per mode, and
+        no temporaries per mode.  Its steps are numpy's polyval's, so are
+        its values.  cos and sin are the parts of that exponential.  All
+        come back contiguous, which later arithmetic reads faster.
         """
         phase = np.exp(1j * np.asarray(theta, dtype=float))
+        step = phase ** self.fold
         coef = self._coef[:, :order + 1].reshape((-1, order + 1) + (1,) * phase.ndim)
         acc = np.empty((order + 1,) + phase.shape, dtype=complex)
         acc[...] = coef[-1]
         for c in coef[-2::-1]:
-            acc *= phase
+            acc *= step
             acc += c
-        return (phase.real, phase.imag, *acc.real)
+        return (phase.real.copy(), phase.imag.copy(), *acc.real.copy())
 
     def rho(self, theta):
         return self.evaluate(theta, 0)[2]
@@ -477,8 +486,8 @@ class _SafeBalls:
     For x in C, `walk_radii` returns R <= dist(x, ∂C), so the disc of radius R
     about x lies in C, and U >= dist(x, ∂C), the distance to one curve
     point.  Notation: z = sqrt(lambda) x = s e(phi), x(theta) =
-    rho(theta) u(theta) with u = e / sqrt(lambda), and an x-disc of
-    radius R maps into a z-disc of radius R sqrt(lambda_max).
+    rho(theta) u(theta) with u = e / sqrt(lambda), so x = s u(phi), and
+    an x-disc of radius R maps into a z-disc of radius R sqrt(lambda_max).
 
     Constants hold for every theta, not only at samples: each is its
     extreme over _WALK_SAMPLES equispaced parameters, moved by half a
@@ -490,40 +499,54 @@ class _SafeBalls:
     M3 = (S3 + 3 S2 + 3 S1 + S0) / sqrt(lambda_min) >= |x'''|.  Every
     curve point lies within h M1 / 2 of a sample.
 
+    A disc evaluates the curve once, at one parameter t (order 2): the
+    Newton iterate toward x from the point the disc before carried, or
+    phi where nothing is carried.  With delta = phi - t reduced to
+    (-pi, pi], Taylor's theorem and |rho'''| <= S3 put rho(phi) within
+    rho_c +- hw: rho_c = rho(t) + delta (rho'(t) + delta rho''(t) / 2)
+    and hw = |delta| (eps S1 + |delta| (eps S2 / 2 + |delta| S3 / 6)).
+    The eps terms, eps = 8 K ulp for K coefficients, bound the rounding
+    of the two Taylor terms (Horner's rule in complex arithmetic and the
+    products after it).  Where nothing is carried delta = hw = 0 and
+    rho_c is rho(phi); the rounding of rho(t) and of the angles, an ulp
+    or so, is left to the 16-ulp margin below, as it is there.
+
     R is the largest of three lower bounds, less 16 ulp of max |x| on ∂C
     for rounding:
 
     * star: a z-disc of radius t about z lies in the z-image of C if
       s + t + L asin(t/s) <= rho(phi), as rho moves at most L per radian;
       asin(t/s) <= pi t / (2 s) gives t = (rho(phi) - s) /
-      (1 + pi L / (2 s)), at most s.  So does t = rho_min - s.  This
-      bound is positive everywhere in C, so no walk stalls.
+      (1 + pi L / (2 s)), at most s, taking rho(phi) >= rho_c - hw.  So
+      does t = rho_min - s.  At delta = 0 this bound is positive
+      everywhere in C, and a row the near bound does not take restarts
+      at phi on its next disc, so no walk stalls.
     * grid: each node c of a grid of _WALK_CELLS cells along the longer
       side of the curve's bounding box stores its distance to the
       samples less h M1 / 2, a lower bound on dist(c, ∂C); x's nearest
       node gives that less |x - c|.
-    * near, where e = |x - x(phi)| is below a = m1^2 / M2: on the window
-      |theta - phi| <= w = (a - e) / (2 M1), |x(theta) - x| <= e + w M1,
-      so f = |x(theta) - x|^2 has f'' >= mu = M2 (a - e) > 0.  So any
-      parameter t kept in the window bounds f on it below by
-      f(t) - f'(t)^2 / (2 mu), the least of f's quadratic minorant
-      about t; Newton's iterates toward the nearest curve point only
-      make it tight.  Outside the window z and z(theta) are at least w
-      apart in angle, so |z - z(theta)| >= rho sin w.  The bound is the
-      smaller of the two; U = sqrt(f(t)), at least the distance for any t.
+    * near, where e = |x - x(phi)| = |rho(phi) - s| |x| / s, taken at
+      the high end (|rho_c - s| + hw) |x| / s, is below a = m1^2 / M2:
+      on the window |theta - phi| <= w = (a - e) / (2 M1),
+      |x(theta) - x| <= e + w M1, so f = |x(theta) - x|^2 has
+      f'' >= mu = M2 (a - e) > 0.  So where t lies in the window,
+      |delta| <= w, it bounds f on the window below by f(t) - f'(t)^2 /
+      (2 mu), the least of f's quadratic minorant about t; Newton's
+      iterates toward the nearest curve point only make it tight.
+      Outside the window z and z(theta) are at least w apart in angle,
+      so |z - z(theta)| >= rho sin w.  The bound is the smaller of the
+      two.  The second part needs the window centred on phi, not on t;
+      a row with t outside it takes the star and grid bounds alone.
+
+    U = sqrt(f(t)) at every row, the distance to one curve point.
 
     A disc moves the path by its radius, at most the distance to ∂C,
     so the nearest-point iterate of its last disc is a close start for
-    this one.  `walk_radii` carries that parameter t and x(t), x'(t),
-    x''(t), none of which depends on the position, from one disc to the
-    next.  A disc evaluates the curve twice: rho(phi) alone (order 0)
-    for the star bound and the near test, and order 2 at one Newton
-    iterate from the carried point, kept in the window, for the near
-    bound and the next disc's carried point.  A row with no carried
-    point, on its first disc or after a disc outside the near zone,
-    takes phi itself, with no step; so does the first of repeated calls
-    at a fixed point, and the iterates of the later calls converge to
-    the nearest point.
+    this one.  `walk_radii` carries t and x(t), x'(t), x''(t), none of
+    which depends on the position, to the next disc from the rows the
+    near bound applied to; every other row starts again at phi.  So does
+    the first of repeated calls at a fixed point, and the iterates of
+    the later calls converge to the nearest point.
 
     The walk stops where U <= shell = _SHELL min |x(theta)|, which
     biases the value by at most shell * lipschitz.  The rule's value v
@@ -551,8 +574,10 @@ class _SafeBalls:
         at = geom.evaluate(theta, 2)
         rho, drho = at[2:4]
         y, dy, d2y = (np.stack(xy, axis=-1) for xy in geom.points(at))
-        k = np.arange(geom._coef.shape[0])
+        k = geom._ik.imag
         s0, s1, s2, s3 = ((np.abs(geom._coef[:, 0]) * k ** m).sum() for m in range(4))
+        eps = 8.0 * k.size * np.finfo(float).eps
+        self.taylor = (eps * s1, 0.5 * eps * s2, s3 / 6.0)
         inv_min, inv_max = 1.0 / p.sqrt_lam.min(), 1.0 / p.sqrt_lam.max()
         jerk = inv_min * (s3 + 3.0 * s2 + 3.0 * s1 + s0)
         self.rho_min = rho.min() - 0.5 * h * s1
@@ -587,77 +612,56 @@ class _SafeBalls:
         rho_max = rho.max() + 0.5 * h * s1
         self.lipschitz = float(max(p.beta_sq, rho_max ** 2 - p.beta_sq) * kappa * ratio)
 
-    def _star_and_grid(self, x):
-        """The star and grid bounds at each row of x, and the rows where the near bound applies.
+    def walk_radii(self, state):
+        """(R, U): R <= dist(x, ∂C) <= U at each column of state, x a point of C.
 
-        Returns (R, near, phi, a - e, w): R from the star and grid
-        bounds, the indices of the rows with e < a, and at those rows the
-        polar angle, a - e and the window's half-width w.  Nothing else
-        of all rows outlives the call, so every all-row temporary is
-        freed before the Newton step.
+        state is (9, k), one column per point: x by components, then the
+        carried parameter t, NaN where the column carries no point, and
+        x(t), x'(t), x''(t) by components.  Rows 2 to 8 are updated in
+        place to this disc's.
         """
         geom = self.geom
-        phi, s = geom.polar(x)
-        cos, sin, rho = geom.evaluate(phi, 0)
-        gap = rho - s
+        px, py = state[0], state[1]
+        phi, s = geom.polar(state[:2].T)
+        # delta = phi - t for Newton's iterate t, which may lie a whole turn from phi
+        delta = phi - (state[2] - geom.newton_step(px, py, state[3:5], state[5:7], state[7:9]))
+        delta -= 2.0 * np.pi * np.rint(delta / (2.0 * np.pi))
+        delta[np.isnan(delta)] = 0.0     # no carried point: phi itself
+        t = phi - delta
+        at = geom.evaluate(t, 2)
+        # rho(phi) within rho +- half: Taylor's theorem about t (see the class docstring)
+        size = np.abs(delta)
+        half = size * (self.taylor[0] + size * (self.taylor[1] + size * self.taylor[2]))
+        rho = at[2] + delta * (at[3] + 0.5 * delta * at[4])
+
+        gap = rho - half - s
         star = np.minimum(gap * s / np.maximum(s + 0.5 * np.pi * self.slope, 1e-300), s)
         radius = self.inv_max * np.maximum(star, self.rho_min - s)
-        px, py = x[:, 0], x[:, 1]
         nx, ny = self.clearance.shape
-        ix = np.clip(np.rint((px - self.lo[0]) / self.cell).astype(int), 0, nx - 1)
-        iy = np.clip(np.rint((py - self.lo[1]) / self.cell).astype(int), 0, ny - 1)
+        ix = np.rint((px - self.lo[0]) / self.cell)
+        iy = np.rint((py - self.lo[1]) / self.cell)
+        np.clip(ix, 0, nx - 1, out=ix)
+        np.clip(iy, 0, ny - 1, out=iy)
         ox = px - (self.lo[0] + self.cell * ix)
         oy = py - (self.lo[1] + self.cell * iy)
-        radius = np.maximum(radius, self.clearance[ix, iy] - np.sqrt(ox * ox + oy * oy))
-        ux, uy = geom._frame(cos, sin)[0]
-        room = self.reach - np.abs(gap) * np.sqrt(ux * ux + uy * uy)
-        near = np.flatnonzero(room > 0.0)
-        room = room[near]
-        w = np.minimum(0.5 * np.pi, 0.5 * room / self.speed)
-        return radius, near, phi[near], room, w
+        clear = self.clearance.take((ix * ny + iy).astype(int))
+        radius = np.maximum(radius, clear - np.sqrt(ox * ox + oy * oy))
 
-    def _near_bound(self, x, near, room, w, point, tangent, radius, upper):
-        """Raise R to the near bound and set U at the rows `near` of x, in place.
-
-        point and tangent are x(t) and x'(t) by components, at a
-        parameter t in each row's window.  Its temporaries are freed on
-        return, before the caller stores the carried points.
-        """
-        cx, cy = point[0] - x[near, 0], point[1] - x[near, 1]
-        dx, dy = tangent
+        point, tangent, bend = geom.points(at)
+        cx, cy = point[0] - px, point[1] - py
         f = cx * cx + cy * cy
-        df = 2.0 * (cx * dx + cy * dy)
-        inner = np.sqrt(np.maximum(f - df * df / (2.0 * self.bend * room), 0.0))
-        outer = self.inv_max * self.rho_min * np.sin(w)
-        radius[near] = np.maximum(radius[near], np.minimum(inner, outer))
-        upper[near] = np.sqrt(f)
-
-    def walk_radii(self, x, carried):
-        """(R, U): R <= dist(x, ∂C) <= U at each row of x, a point of C.
-
-        carried is a (7, len(x)) array, started all NaN and updated in
-        place to this disc's: per row the parameter t and x(t), x'(t),
-        x''(t) by components, with t NaN where the row carries no point.
-        """
-        radius, near, phi, room, w = self._star_and_grid(x)
-        upper = np.full(len(x), np.inf)
-        start = carried[:, near]
-        carried[0] = np.nan
-        if near.size:
-            # Newton's iterate as an offset from phi, which may lie a whole turn from t
-            offset = start[0] - self.geom.newton_step(x[near, 0], x[near, 1], start[1:3],
-                                                      start[3:5], start[5:])
-            del start
-            offset -= phi
-            offset -= 2.0 * np.pi * np.rint(offset / (2.0 * np.pi))
-            np.clip(offset, -w, w, out=offset)
-            offset[np.isnan(offset)] = 0.0     # no carried point: phi itself
-            t = phi + offset
-            point, tangent, bend = self.geom.points(self.geom.evaluate(t, 2))
-            self._near_bound(x, near, room, w, point, tangent, radius, upper)
-            for row, value in enumerate((t, *point, *tangent, *bend)):
-                carried[row, near] = value
-        return np.maximum(radius - self.rounding, 0.0), upper
+        df = 2.0 * (cx * tangent[0] + cy * tangent[1])
+        with np.errstate(divide="ignore", invalid="ignore"):    # x = 0: e is NaN, not near
+            room = self.reach - (np.abs(rho - s) + half) * (np.sqrt(px * px + py * py) / s)
+            w = np.minimum(0.5 * np.pi, 0.5 * room / self.speed)
+            near = (room > 0.0) & (size <= w)
+            inner = np.sqrt(np.maximum(f - df * df / (2.0 * self.bend * room), 0.0))
+            outer = self.inv_max * self.rho_min * np.sin(w)
+        np.maximum(radius, np.minimum(inner, outer), out=radius, where=near)
+        state[2] = np.where(near, t, np.nan)
+        for row, value in zip(state[3:], (*point, *tangent, *bend)):
+            row[...] = value
+        return np.maximum(radius - self.rounding, 0.0), np.sqrt(f)
 
 
 def _chunked_mean(paths: int, seed: int, simulate):
@@ -704,10 +708,10 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
     weight * g there.  The estimate has no time step and no horizon; its
     bias is at most eps * lipschitz (see _SafeBalls).  Counter-based RNG
     keyed by (seed, chunk) makes the result reproducible and independent
-    of scheduling.  Each path carries its last nearest-point iterate
-    from disc to disc, so a disc evaluates the curve twice: rho alone at
-    the polar angle of x, and, at the rows near ∂C, the curve at one
-    Newton iterate from the carried point (see _SafeBalls.walk_radii).
+    of scheduling.  A disc evaluates the curve once, at a Newton iterate
+    from the point the path carries (see _SafeBalls.walk_radii).  The
+    paths are columns of one array, compacted once per disc; all start
+    at x0, so the first disc is drawn once.
 
     Returns (estimate, stderr, walk), with the walk's "paths",
     "mean_walk" and "max_walk" (balls per path), "shell" (eps) and
@@ -728,31 +732,34 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
     kappa = np.sqrt(2.0 * p.r)
 
     def simulate(rng, n):
-        pos = np.tile(x0, (n, 1))
-        carried = np.full((7, n), np.nan)
-        weight = np.ones(n)
-        payoff = np.empty(n)
-        alive = np.arange(n)
+        # a column per path: x, the carried point of _SafeBalls.walk_radii, the weight
+        state = np.full((10, 1), np.nan)
+        state[:2, 0] = x0
+        state[9] = 1.0
+        payoffs = []
         walked = 0
         for longest in range(_WALK_MAX_BALLS):
-            radius, upper = balls.walk_radii(pos, carried)
+            radius, upper = balls.walk_radii(state[:9])
+            if not longest:     # every path starts at x0, so its first disc is drawn once
+                state, radius, upper = (np.repeat(a, n, axis=-1) for a in (state, radius, upper))
             done = upper <= balls.shell
             if done.any():
-                payoff[alive[done]] = weight[done] * p.reward(pos[done])
+                stopped = np.compress(done, state, axis=1)
+                payoffs.append(stopped[9] * p.reward(stopped[:2].T))
                 keep = ~done
-                alive, pos, weight, radius = alive[keep], pos[keep], weight[keep], radius[keep]
-                carried = carried[:, keep]
-                if not alive.size:
+                state, radius = np.compress(keep, state, axis=1), np.compress(keep, radius)
+                if not radius.size:
                     break
-            angle = 2.0 * np.pi * rng.random(alive.size)
-            pos = pos + radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
-            weight *= np.exp(-kappa * radius) / i0e(kappa * radius)
-            walked += alive.size
+            angle = 2.0 * np.pi * rng.random(radius.size)
+            state[0] += radius * np.cos(angle)
+            state[1] += radius * np.sin(angle)
+            state[9] *= np.exp(-kappa * radius) / i0e(kappa * radius)
+            walked += radius.size
         else:
             raise RuntimeError("walk on spheres: %d paths still outside the shell after %d balls"
-                               % (alive.size, _WALK_MAX_BALLS))
+                               % (radius.size, _WALK_MAX_BALLS))
         lengths.append((walked, longest))
-        return payoff
+        return np.concatenate(payoffs)
 
     est, err = _chunked_mean(cfg.paths, cfg.seed, simulate)
     walk.update(mean_walk=sum(total for total, _ in lengths) / cfg.paths,
@@ -766,15 +773,29 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
 def run_verification(p: QuadraticProblem, b: StarBoundary,
                      mc: MCConfig | None = None, scan_n: int = 40,
                      n_rays: int = 720) -> VerificationReport:
-    """All certification checks for a d = 2 boundary in one report."""
+    """All certification checks for a d = 2 boundary in one report.
+
+    A grid flip that maps the radii onto themselves bit for bit fixes C
+    and g, so E is the same on each of its orbits: the Green sweeps take
+    one node and one folded scan point per orbit of those flips.
+    """
     if p.d != 2:
         raise ValueError("run_verification supports d = 2 boundaries")
     _check_n_rays(n_rays)
     if mc is None:
         mc = MCConfig()
     grid = interior_scan_grid(p, b, n=scan_n)
-    residuals = green_residual_normalized(p, b, b.cartesian_points(p), n_rays=n_rays)
-    min_gap = majorant_gap_scan(p, b, grid, n_rays=n_rays)
+    flips = {axis: perm for axis, perm in b.grid.reflection_flips().items()
+             if np.array_equal(b.radii[perm], b.radii)}
+    nodes, orbit_of = b.grid.reflection_orbits(flips)
+    points = b.cartesian_points(p)
+    residuals = green_residual_normalized(p, b, points[nodes], n_rays=n_rays)[orbit_of]
+    axes = list(flips)
+    grid[:, axes] = np.abs(grid[:, axes])
+    # a scan point and its mirror image agree to rounding: key them to 1e-9 of C's extent
+    keys = np.rint(grid * (1e9 / np.abs(points).max()))
+    min_gap = majorant_gap_scan(p, b, grid[np.unique(keys, axis=0, return_index=True)[1]],
+                                n_rays=n_rays)
     origin = np.zeros(2)
     recon = value(p, b, origin, n_rays=n_rays)
     est, err, walk = mc_value(p, b, origin, mc)

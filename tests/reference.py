@@ -558,75 +558,71 @@ def curve(geom, theta):
 # ---------------------------------------------------------------------------
 # walk-on-spheres radii by numpy's polyval
 
-def walk_radii_reference(balls, x, carried):
-    """(R, U, carried) of `_SafeBalls.walk_radii` at the rows of x, with the curve by polyval.
+def walk_radii_reference(balls, state):
+    """(R, U, state) of `_SafeBalls.walk_radii` at the columns of state, with the curve by polyval.
 
     The same bounds, formulas and operation order as the package, but
     evaluated the plain way: rho and its derivatives by
-    numpy.polynomial.polynomial.polyval in e^{i theta}, the frame u, u'
-    by np.cos and np.sin, points stacked on a trailing axis of 2.  A near
-    row takes one Newton step from its carried point (t and x, x', x''
-    at t), as an offset from phi reduced to within half a turn and kept
-    in the window, or stays at phi where t is NaN.  carried is left as
-    it is; the returned one is the package's after the call, which must
-    agree with it bit for bit.
+    numpy.polynomial.polynomial.polyval in e^{i fold theta}, the frame
+    u, u' by np.cos and np.sin, points stacked on a trailing axis of 2.
+    Each column takes one Newton step from its carried point (t and x,
+    x', x'' at t) to a t within half a turn of phi, or stays at phi
+    where t is NaN, and evaluates the curve there alone; rho(phi) comes
+    from its Taylor enclosure about t.  state is left as it is; the
+    returned one is the package's after the call, which must agree with
+    it bit for bit.
     """
     geom = balls.geom
     sqrt_lam = geom.p.sqrt_lam
-
-    def rho(theta, order):
-        phase = np.exp(1j * np.asarray(theta, dtype=float))
-        return np.moveaxis(polyval(phase, geom._coef[:, :order + 1]), 0, -1).real
+    x = state[:2].T
 
     def frame(theta):
         cos, sin = np.cos(theta), np.sin(theta)
         return (np.stack([cos, sin], axis=-1) / sqrt_lam,
                 np.stack([-sin, cos], axis=-1) / sqrt_lam)
 
-    def curve_by_polyval(theta):
-        r, d1, d2 = np.moveaxis(rho(theta, 2), -1, 0)
-        u, du = frame(theta)
-        return (r[..., None] * u, d1[..., None] * u + r[..., None] * du,
-                (d2 - r)[..., None] * u + 2.0 * d1[..., None] * du)
-
     z = x * sqrt_lam
     phi, s = np.arctan2(z[..., 1], z[..., 0]), np.sqrt((z * z).sum(axis=-1))
-    gap = rho(phi, 0)[..., 0] - s
-    star = np.minimum(gap * s / np.maximum(s + 0.5 * np.pi * balls.slope, 1e-300), s)
+    y, dy, d2y = (state[k:k + 2].T for k in (3, 5, 7))
+    d = y - x
+    slope = (d * dy).sum(axis=1)
+    speed_sq = (dy * dy).sum(axis=1)
+    curv = speed_sq + (d * d2y).sum(axis=1)
+    delta = phi - (state[2] - slope / np.where(curv > 0.0, curv, speed_sq))
+    delta = delta - 2.0 * np.pi * np.rint(delta / (2.0 * np.pi))
+    delta = np.where(np.isnan(delta), 0.0, delta)
+    t = phi - delta
+    phase = np.exp(1j * t) ** geom.fold
+    r, d1, d2 = polyval(phase, geom._coef).real
+    size = np.abs(delta)
+    c1, c2, c3 = balls.taylor
+    half = size * (c1 + size * (c2 + size * c3))
+    rho = r + delta * (d1 + 0.5 * delta * d2)
+
+    star = np.minimum((rho - half - s) * s / np.maximum(s + 0.5 * np.pi * balls.slope, 1e-300), s)
     radius = balls.inv_max * np.maximum(star, balls.rho_min - s)
     node = np.clip(np.rint((x - balls.lo) / balls.cell).astype(int), 0,
                    np.array(balls.clearance.shape) - 1)
     offset = x - (balls.lo + balls.cell * node)
     radius = np.maximum(radius, balls.clearance[node[:, 0], node[:, 1]]
                         - np.sqrt((offset * offset).sum(axis=1)))
-    upper = np.full(len(x), np.inf)
-    out = carried.copy()
-    out[0] = np.nan
-    u = frame(phi)[0]
-    e = np.abs(gap) * np.sqrt((u * u).sum(axis=1))
-    near = np.flatnonzero(e < balls.reach)
-    if near.size:
-        xn, phi_n, room = x[near], phi[near], balls.reach - e[near]
+
+    u, du = frame(t)
+    yt = r[:, None] * u
+    dyt = d1[:, None] * u + r[:, None] * du
+    d2yt = (d2 - r)[:, None] * u + 2.0 * d1[:, None] * du
+    d = yt - x
+    f = (d * d).sum(axis=1)
+    df = 2.0 * (d * dyt).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = balls.reach - (np.abs(rho - s) + half) * (np.sqrt((x * x).sum(axis=1)) / s)
         w = np.minimum(0.5 * np.pi, 0.5 * room / balls.speed)
-        y, dy, d2y = (carried[k:k + 2, near].T for k in (1, 3, 5))
-        d = y - xn
-        slope = (d * dy).sum(axis=1)
-        speed_sq = (dy * dy).sum(axis=1)
-        curv = speed_sq + (d * d2y).sum(axis=1)
-        offset = carried[0, near] - slope / np.where(curv > 0.0, curv, speed_sq) - phi_n
-        offset = offset - 2.0 * np.pi * np.rint(offset / (2.0 * np.pi))
-        offset = np.clip(offset, -w, w)
-        t = phi_n + np.where(np.isnan(offset), 0.0, offset)
-        yn, dyn, d2yn = curve_by_polyval(t)
-        d = yn - xn
-        f = (d * d).sum(axis=1)
-        df = 2.0 * (d * dyn).sum(axis=1)
+        near = (room > 0.0) & (size <= w)
         inner = np.sqrt(np.maximum(f - df * df / (2.0 * balls.bend * room), 0.0))
         outer = balls.inv_max * balls.rho_min * np.sin(w)
-        radius[near] = np.maximum(radius[near], np.minimum(inner, outer))
-        upper[near] = np.sqrt(f)
-        out[:, near] = np.concatenate([t[None], yn.T, dyn.T, d2yn.T])
-    return np.maximum(radius - balls.rounding, 0.0), upper, out
+    radius = np.where(near, np.maximum(radius, np.minimum(inner, outer)), radius)
+    out = np.concatenate([x.T, np.where(near, t, np.nan)[None], yt.T, dyt.T, d2yt.T])
+    return np.maximum(radius - balls.rounding, 0.0), np.sqrt(f), out
 
 
 def clearance_reference(balls):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -120,6 +121,107 @@ def test_boundary_curve_matches_mode_loop(p_14, bnd_14):
     np.testing.assert_allclose(tangent, dy_t, atol=1e-13)
     np.testing.assert_allclose(diff, y_t - y[:3, None, :], atol=1e-14)
     np.testing.assert_allclose(diff[:, 3], 1e-12 * dy[:3], rtol=1e-6)
+
+
+def _every_mode(geom, radii):
+    """A copy of geom that sums every mode of the n-point interpolant, as before the period cut."""
+    coeffs = np.fft.rfft(radii) / radii.size
+    coeffs[1:] *= 2.0
+    if radii.size % 2 == 0:
+        coeffs[-1] = 0.5 * coeffs[-1].real
+    full = copy.copy(geom)
+    full.fold = 1
+    full._ik = 1j * np.arange(coeffs.size)
+    full._coef = coeffs[:, None] * full._ik[:, None] ** np.arange(3)
+    return full
+
+
+@pytest.fixture(scope="module")
+def benchmark_boundaries(p_14, bnd_14_n32, p_14_r03, bnd_14_r03_n32):
+    """The boundaries perfbench verifies: lambda = (1,1) on 16 nodes and (1,4) on 32 at r = 1, 0.3."""
+    p_11 = QuadraticProblem(1.0, (1.0, 1.0))
+    return {"l11-r1-n16": (p_11, solve_boundary(p_11, make_circle_grid(16))[0]),
+            "l14-r1-n32": (p_14, bnd_14_n32), "l14-r0.3-n32": (p_14_r03, bnd_14_r03_n32)}
+
+
+def test_curve_sums_only_the_modes_of_the_radii_period(benchmark_boundaries, walk_boundaries):
+    """Solved radii repeat every half turn, a circle's at every node, the five-petal star's never."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    folds = {"l11-r1-n16": 16, "l14-r1-n32": 2, "l14-r0.3-n32": 2, "l1_16-r1-n64": 2, "star5": 1}
+    for name, (p, b) in {**benchmark_boundaries, **walk_boundaries}.items():
+        geom = _BoundaryGeometry(p, b)
+        full = _every_mode(geom, b.radii)
+        assert geom.fold == folds[name]
+        assert len(geom._coef) == b.grid.n // geom.fold // 2 + 1
+        # rho to 1e-14; its derivatives to Horner's rounding over up to 33 terms
+        for got, want, rtol in zip(geom.evaluate(theta, 2), full.evaluate(theta, 2),
+                                   (1e-14, 1e-14, 1e-14, 1e-13, 1e-13)):
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+        balls, every = _SafeBalls(geom), _SafeBalls(full)
+        for name_ in ("rho_min", "slope", "speed", "bend", "lipschitz"):
+            assert getattr(balls, name_) == pytest.approx(getattr(every, name_), rel=1e-14, abs=0.0)
+        if geom.fold == 1:      # nothing to cut: the same coefficients, bit for bit
+            np.testing.assert_array_equal(geom._coef, full._coef, strict=True)
+    assert len(_BoundaryGeometry(*benchmark_boundaries["l11-r1-n16"])._coef) == 1
+
+
+def _sweep_sizes(monkeypatch):
+    """The number of points each Green sweep of run_verification evaluates, recorded into a dict."""
+    sizes = {}
+    for key, name in (("residual", "green_residual_normalized"), ("majorant", "majorant_gap_scan")):
+        def counted(p, b, x, n_rays=720, _real=getattr(verification, name), _key=key):
+            sizes[_key] = len(x)
+            return _real(p, b, x, n_rays=n_rays)
+        monkeypatch.setattr(verification, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["l11-r1-n16", "l14-r1-n32", "l14-r0.3-n32", "l1_16-r1-n64"])
+def test_green_sweeps_evaluate_one_point_per_mirror_orbit(benchmark_boundaries, walk_boundaries,
+                                                          name, monkeypatch):
+    p, b = {**benchmark_boundaries, **walk_boundaries}[name]
+    residuals = green_residual_normalized(p, b, b.cartesian_points(p))
+    scan = interior_scan_grid(p, b, n=12)
+    gap = majorant_gap_scan(p, b, scan)
+    sizes = _sweep_sizes(monkeypatch)
+    rep = run_verification(p, b, MCConfig(paths=100), scan_n=12)
+    # both flips: node i with -i, n/2 - i and n/2 + i; a scan point with its three mirror images
+    assert sizes == {"residual": b.grid.n // 4 + 1, "majorant": len(scan) // 4}
+    assert len(scan) % 4 == 0
+    # residuals are E over the magnitude of its terms, so 1e-12 is relative to those
+    assert np.abs(rep.boundary_residuals - residuals).max() <= 1e-12
+    assert rep.majorant_min_gap == pytest.approx(gap, rel=1e-12, abs=0.0)
+
+
+def test_five_petal_star_folds_by_its_one_flip(walk_boundaries, monkeypatch):
+    p, star = walk_boundaries["star5"]
+    flips = star.grid.reflection_flips()
+    assert list(flips) == [0, 1]
+    # cos 5 theta_i is even in i only to rounding; average it into an exact mirror image
+    b = StarBoundary(star.grid, 0.5 * (star.radii + star.radii[flips[1]]))
+    assert np.array_equal(b.radii[flips[1]], b.radii)
+    assert np.abs(b.radii - star.radii).max() <= 1e-15 * star.radii.max()
+    scan = interior_scan_grid(p, b, n=12)
+    sizes = _sweep_sizes(monkeypatch)
+    run_verification(p, b, MCConfig(paths=100), scan_n=12)
+    # cos 5 theta is even in theta but odd under theta -> pi - theta: y flips, x does not
+    assert sizes == {"residual": b.grid.n // 2 + 1, "majorant": len(scan) // 2}
+
+
+def test_radii_off_by_one_ulp_take_the_whole_sweeps(p_14_r03, bnd_14_r03_n32, monkeypatch):
+    radii = bnd_14_r03_n32.radii.copy()
+    radii[1] = np.nextafter(radii[1], np.inf)     # node 1 has no image under either flip
+    b = StarBoundary(bnd_14_r03_n32.grid, radii)
+    assert _BoundaryGeometry(p_14_r03, b).fold == 1
+    residuals = green_residual_normalized(p_14_r03, b, b.cartesian_points(p_14_r03))
+    scan = interior_scan_grid(p_14_r03, b, n=12)
+    gap = majorant_gap_scan(p_14_r03, b, scan)
+    sizes = _sweep_sizes(monkeypatch)
+    rep = run_verification(p_14_r03, b, MCConfig(paths=100), scan_n=12)
+    assert sizes == {"residual": 32, "majorant": len(scan)}
+    np.testing.assert_array_equal(rep.boundary_residuals, residuals, strict=True)
+    # the same scan points, in another order
+    assert rep.majorant_min_gap == pytest.approx(gap, rel=1e-12, abs=0.0)
 
 
 def test_boundary_integrals_match_area_sweep(p_14, bnd_14):
@@ -269,27 +371,27 @@ def walk_boundaries(p_14_r03, bnd_14_r03_n32):
 def _carried_walks(balls, paths, seed):
     """Every disc of walks from the origin by `walk_radii`, as mc_value draws them.
 
-    Returns one (positions, carried points before the disc, carried
-    points after it, R, U) per disc, over the paths still walking.
+    Returns one (state before the disc, state after it, R, U) per disc,
+    over the paths still walking: positions, then carried points.
     """
     rng = np.random.default_rng(seed)
-    pos = np.zeros((paths, 2))
-    carried = np.full((7, paths), np.nan)
+    state = np.full((9, paths), np.nan)
+    state[:2] = 0.0
     discs = []
-    while len(pos):
-        before = carried.copy()
-        radius, upper = balls.walk_radii(pos, carried)
-        discs.append((pos, before, carried.copy(), radius, upper))
+    while state.shape[1]:
+        before = state.copy()
+        radius, upper = balls.walk_radii(state)
+        discs.append((before, state.copy(), radius, upper))
         keep = upper > balls.shell
         angle = 2.0 * np.pi * rng.random(keep.sum())
-        pos = pos[keep] + radius[keep, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
-        carried = carried[:, keep]
+        state = state[:, keep]
+        state[:2] += radius[keep] * np.stack([np.cos(angle), np.sin(angle)])
     return discs
 
 
-def _assert_walk_radii_match_reference(balls, pos, before, after, radius, upper):
+def _assert_walk_radii_match_reference(balls, before, after, radius, upper):
     """R, U and carried points of one `walk_radii` call, bit for bit as the polyval reference."""
-    ref_radius, ref_upper, ref_after = walk_radii_reference(balls, pos, before)
+    ref_radius, ref_upper, ref_after = walk_radii_reference(balls, before)
     np.testing.assert_array_equal(radius, ref_radius, strict=True)
     np.testing.assert_array_equal(upper, ref_upper, strict=True)
     np.testing.assert_array_equal(after, ref_after, strict=True)
@@ -321,16 +423,17 @@ def test_safe_radius_never_exceeds_distance(lam, petals):
     assert geom.inside(pts).all()
     dist = _reference_distance(geom, pts)
     # cold, with nothing carried, then twice from the points the call before carried
-    carried = np.full((7, len(pts)), np.nan)
+    state = np.full((9, len(pts)), np.nan)
+    state[:2] = pts.T
     for _ in range(3):
-        before = carried.copy()
-        radius, upper = balls.walk_radii(pts, carried)
+        before = state.copy()
+        radius, upper = balls.walk_radii(state)
         assert np.all(radius <= dist)
         assert np.all(upper >= dist - balls.rounding)
         # no walk stalls
         assert np.all(radius > 0.0)
         # and the in-place curve evaluation changes no bit
-        _assert_walk_radii_match_reference(balls, pts, before, carried, radius, upper)
+        _assert_walk_radii_match_reference(balls, before, state, radius, upper)
     # next to ∂C, from warm iterates, the disc is the distance itself
     assert np.all(radius[:len(shell)] >= 0.999 * dist[:len(shell)])
     # and the separable clearance tables change no bit
@@ -346,13 +449,13 @@ def test_safe_radii_match_polyval_reference_along_walks(walk_boundaries):
         # from the same product inside a longer array, so batches matter
         for disc in discs:
             _assert_walk_radii_match_reference(balls, *disc)
-        upper = np.concatenate([disc[4] for disc in discs])
-        assert len(discs) > 20 and len(upper) > 5000
-        assert np.isfinite(upper).sum() > len(upper) // 2
+        carried = np.concatenate([disc[1][2] for disc in discs])
+        assert len(discs) > 20 and len(carried) > 5000
+        assert np.isfinite(carried).sum() > len(carried) // 2
 
 
 def test_safe_radii_evaluate_the_curve_once_per_newton_iterate(p_14_r03, bnd_14_r03_n32):
-    """rho alone at the polar angles, then order 2 at the one Newton iterate of the near rows."""
+    """One evaluation of order 2 per disc: at the Newton iterate, or at phi with nothing carried."""
     geom = _BoundaryGeometry(p_14_r03, bnd_14_r03_n32)
     balls = _SafeBalls(geom)
     near = 0.999 * bnd_14_r03_n32.cartesian_points(p_14_r03)
@@ -364,17 +467,19 @@ def test_safe_radii_evaluate_the_curve_once_per_newton_iterate(p_14_r03, bnd_14_
         return evaluate(theta, order)
 
     geom.evaluate = counted
-    carried = np.full((7, len(near)), np.nan)
+    state = np.full((9, len(near)), np.nan)
+    state[:2] = near.T
     for _ in range(2):      # cold, then from the carried points
         orders.clear()
-        balls.walk_radii(near, carried)
-        assert orders == [0, 2]
-        assert np.isfinite(carried).all()
+        balls.walk_radii(state)
+        assert orders == [2]
+        assert np.isfinite(state).all()
     orders.clear()
-    carried = np.full((7, 3), np.nan)
-    balls.walk_radii(np.zeros((3, 2)), carried)     # no row near ∂C: no iterate, nothing carried
-    assert orders == [0]
-    assert np.isnan(carried).all()
+    state = np.zeros((9, 3))
+    state[2:] = np.nan
+    balls.walk_radii(state)     # no row near ∂C: phi itself, nothing carried
+    assert orders == [2]
+    assert np.isnan(state[2]).all()
 
 
 @pytest.mark.parametrize("name", ["l14-r0.3-n32", "l1_16-r1-n64", "star5"])
@@ -382,14 +487,15 @@ def test_carried_radii_bound_the_distance_along_walks(walk_boundaries, name):
     """R <= dist <= U at every disc of 100 walks, and tight next to ∂C from warm iterates."""
     geom = _BoundaryGeometry(*walk_boundaries[name])
     balls = _SafeBalls(geom)
-    pos, before, _, radius, upper = zip(*_carried_walks(balls, 100, 7))
-    pts, radius, upper = np.concatenate(pos), np.concatenate(radius), np.concatenate(upper)
+    before, _, radius, upper = zip(*_carried_walks(balls, 100, 7))
+    radius, upper = np.concatenate(radius), np.concatenate(upper)
+    pts = np.concatenate([b[:2].T for b in before])
     dist = _reference_distance(geom, pts)
     assert np.all(radius <= dist)
     assert np.all(upper >= dist - balls.rounding)
     assert np.all(radius > 0.0)
     # rows that took their Newton iterate from a carried point, within 1e-3 of ∂C
-    warm = np.isfinite(np.concatenate([b[0] for b in before])) & (dist < 1e-3)
+    warm = np.isfinite(np.concatenate([b[2] for b in before])) & (dist < 1e-3)
     assert warm.sum() > 500
     ratio = radius[warm] / dist[warm]
     assert np.median(ratio) >= 0.9999
@@ -453,6 +559,19 @@ def test_mc_value_memory_peak(p_14_r03, bnd_14_r03_n32):
         tracemalloc.stop()
     assert peak <= 3.6e6
 
+
+
+def test_mc_value_draws_the_first_disc_once(p_14_r03, bnd_14_r03_n32, monkeypatch):
+    widths = []
+    walk_radii = _SafeBalls.walk_radii
+    monkeypatch.setattr(_SafeBalls, "walk_radii",
+                        lambda self, state: widths.append(state.shape[1]) or walk_radii(self, state))
+    paths = 500
+    walk = mc_value(p_14_r03, bnd_14_r03_n32, np.zeros(2), MCConfig(paths=paths, seed=2))[2]
+    # every path starts at x0: one column for the first disc, then one per path still walking
+    assert widths[:2] == [1, paths]
+    assert sum(widths[1:]) == walk["mean_walk"] * paths
+    assert len(widths) == walk["max_walk"] + 1
 
 def test_mc_value_independent_of_workers(p_14, bnd_14_n32, monkeypatch):
     # three chunks: one worker, the default pool, and three workers on
