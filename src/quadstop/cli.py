@@ -27,14 +27,24 @@ import numpy as np
 from .dataio import (load_boundary_csv, read_problem_csv, save_boundary_csv,
                      svg_boundary_plot, write_json_report)
 from .grids import make_circle_grid, make_sphere_grid
-from .kernels import KillingConfig, green_kernel_radial, martin_kernel
-from .martin_solver import solve_boundary
 from .problem import QuadraticProblem, symmetric_radius
-from .verification import THRESHOLDS, MCConfig, run_verification
 
 
 class CliError(Exception):
     pass
+
+
+# A command imports only the layers it uses, on call: solve never compiles the
+# verification, verify never loads the solver.  These two stay attributes of
+# this module so that a caller can wrap them here (perfbench/tracer.py does).
+def solve_boundary(*args, **kwargs):
+    from .martin_solver import solve_boundary
+    return solve_boundary(*args, **kwargs)
+
+
+def run_verification(*args, **kwargs):
+    from .verification import run_verification
+    return run_verification(*args, **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,6 +119,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import THRESHOLDS, MCConfig
     mc = MCConfig(**_given(args, "paths", "seed"))
     p, boundary = _load_boundary(args.boundary)
     report = run_verification(p, boundary, mc, **_given(args, "scan_n", "n_rays"))
@@ -136,6 +147,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from .kernels import KillingConfig, green_kernel_radial, martin_kernel
     for flag in ("a", "y") if args.which == "green" else ("dist",):
         if getattr(args, flag) is not None:
             raise CliError("kernel %s does not take --%s" % (args.which, flag))

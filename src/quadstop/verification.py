@@ -30,6 +30,7 @@ it Gauss-Legendre panels graded toward the nearest curve point (see
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -451,6 +452,8 @@ _SHELL = 1e-6            # shell width, relative to the smallest |x| on ∂C
 _WALK_SAMPLES = 1024     # curve samples behind the bounds of _SafeBalls
 _WALK_CELLS = 64         # node grid cells along the longer side of the bounding box
 _WALK_MAX_BALLS = 10_000
+# 1/(k!)^2, k = 10 down to 0: I_0(x) = sum_k (x/2)^(2k) / (k!)^2, cut at k = 10
+_I0_SERIES = tuple(1.0 / math.factorial(k) ** 2 for k in range(10, -1, -1))
 
 
 def _strictly_convex(dy, d2y, margin) -> bool:
@@ -695,6 +698,25 @@ def _chunked_mean(paths: int, seed: int, simulate):
     return float(mean), float(np.sqrt((dev * dev).sum()) / paths)
 
 
+def _disc_weight(x):
+    """1 / I_0(x), the discount E[e^{-r tau_R}] of a disc with x = sqrt(2r) R >= 0.
+
+    Most discs have x <= 1, where the series of _I0_SERIES is summed by
+    Horner in (x/2)^2; the first term it drops is below 1e-22 there.
+    Larger x take e^{-x} / i0e(x).
+    """
+    q = 0.25 * x * x
+    total = np.full_like(q, _I0_SERIES[0])
+    for coef in _I0_SERIES[1:]:
+        total *= q
+        total += coef
+    weight = np.reciprocal(total, out=total)
+    big = x > 1.0
+    if big.any():
+        weight[big] = np.exp(-x[big]) / i0e(x[big])
+    return weight
+
+
 def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
     """Simulated value of the rule "stop on first exit from C" from x0, by walk on spheres.
 
@@ -753,7 +775,7 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
             angle = 2.0 * np.pi * rng.random(radius.size)
             state[0] += radius * np.cos(angle)
             state[1] += radius * np.sin(angle)
-            state[9] *= np.exp(-kappa * radius) / i0e(kappa * radius)
+            state[9] *= _disc_weight(kappa * radius)
             walked += radius.size
         else:
             raise RuntimeError("walk on spheres: %d paths still outside the shell after %d balls"

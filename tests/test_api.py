@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import json
 import subprocess
 import sys
 
@@ -20,9 +21,13 @@ PUBLIC = [
 
 def test_public_names_resolve():
     assert quadstop.__all__ == PUBLIC + ["__version__"]
+    # dir lists every public name and the submodules that load on first access
+    assert set(quadstop.__all__) | {"martin_solver", "kernels", "verification"} <= set(dir(quadstop))
     namespace = {}
     exec("from quadstop import *", namespace)
     assert set(PUBLIC + ["__version__"]) <= set(namespace)
+    assert quadstop.verification is sys.modules["quadstop.verification"]
+    assert quadstop.run_verification is quadstop.verification.run_verification
 
 
 def test_solve_config_fields():
@@ -56,10 +61,35 @@ def test_verification_report_fields():
                      "reconstructed_value", "class_check", "mc_walk"]
 
 
-def test_cli_import_skips_optimize_and_integrate():
-    # scipy.optimize alone costs ~0.2 s of every CLI process
-    code = ("import sys, quadstop.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+# the package's layers and the scipy modules a command may load; scipy.optimize
+# alone costs ~0.2 s of every CLI process
+LAYERS = ("quadstop.martin_solver", "quadstop.kernels", "quadstop.verification",
+          "scipy.linalg", "scipy.special", "scipy.optimize", "scipy.integrate")
+
+
+def test_cli_import_skips_optimize_and_integrate(tmp_path):
+    # each entry point, in a fresh interpreter, loads only the layers it uses;
+    # verify and plot read the boundary that solve writes
+    b, out = str(tmp_path / "b.csv"), str(tmp_path / "out")
+    cases = {   # name: (argv of quadstop.cli.main, None for the import alone; LAYERS loaded)
+        "import": (None, []),
+        "solve": (["solve", "--r", "1", "--lambdas", "1,4", "--n", "16", "--out", b],
+                  ["quadstop.martin_solver", "scipy.linalg"]),
+        "verify": (["verify", "--boundary", b, "--report", out + ".json",
+                    "--paths", "200", "--scan-n", "6", "--n-rays", "128"],
+                   ["quadstop.kernels", "quadstop.verification", "scipy.special"]),
+        "plot": (["plot", "--boundary", b, "--out", out + ".svg"], []),
+        "kernel": (["kernel", "green", "--dist", "1"], ["quadstop.kernels", "scipy.special"]),
+        "oracle": (["oracle", "sym-radius"], []),
+    }
+    code = ("import json, sys, quadstop.cli; "
+            "rc = quadstop.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+            "print(json.dumps([rc, [m for m in %r if m in sys.modules]]))" % (LAYERS,))
+    loaded = {}
+    for name, (argv, _) in cases.items():
+        run = subprocess.run([sys.executable, "-c", code, *(argv or [])],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        rc, loaded[name] = json.loads(run.stdout.splitlines()[-1])
+        assert rc == 0, run.stdout + run.stderr
+    assert loaded == {name: layers for name, (_, layers) in cases.items()}

@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -565,6 +566,34 @@ def test_benchmark_wrapped_attributes_are_called(tmp_path, monkeypatch, capsys):
     assert calls == {"main": 2, "save_boundary_csv": 1, "load_boundary_csv": 1,
                      "read_problem_csv": 1, "write_json_report": 2, "solve_boundary": 1,
                      "run_verification": 1}
+
+
+def test_benchmark_traces_the_lazily_loaded_layers(tmp_path):
+    # perfbench/tracer.py wraps attributes of submodules the package loads on
+    # first access: trace one solve and one verify in a fresh interpreter
+    b = str(tmp_path / "b.csv")
+    code = textwrap.dedent("""
+        import importlib.util, json, sys
+        import quadstop, quadstop.cli
+        spec = importlib.util.spec_from_file_location("tracer", %r)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        trc = tracer.Tracer()
+        tracer.instrument(trc, quadstop)
+        rcs = [quadstop.cli.main(argv) for argv in %r]
+        print(json.dumps([rcs, sorted({span[1] for span in trc.spans}), trc.counts]))
+        """) % (str(PYPROJECT.parent / "perfbench" / "tracer.py"),
+                [["solve", "--r", "1", "--lambdas", "1,4", "--n", "16", "--out", b],
+                 ["verify", "--boundary", b, "--report", str(tmp_path / "v.json"),
+                  *LIGHT_VERIFY]])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    rcs, spans, counts = json.loads(run.stdout.splitlines()[-1])
+    assert rcs == [0, 0]
+    assert {"martin_solver.solve_boundary", "verification.run_verification"} <= set(spans)
+    for name in ("martin_solver.radial_moment_calls", "martin_solver.lstsq_calls",
+                 "verification.mc_paths"):
+        assert counts.get(name, 0) > 0, name
 
 
 def test_help_exits_zero(capsys):

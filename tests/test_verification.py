@@ -573,6 +573,18 @@ def test_mc_value_draws_the_first_disc_once(p_14_r03, bnd_14_r03_n32, monkeypatc
     assert sum(widths[1:]) == walk["mean_walk"] * paths
     assert len(widths) == walk["max_walk"] + 1
 
+
+def test_disc_weight_matches_mpmath():
+    # 1 / I_0(x): the series up to x = 1, e^{-x} / i0e(x) above, both to a few ulp
+    mpmath = pytest.importorskip("mpmath")
+    x = np.linspace(0.0, 2.5, 2501)
+    with mpmath.workdps(30):
+        ref = np.array([float(1 / mpmath.besseli(0, mpmath.mpf(v))) for v in x])
+    err = np.abs(verification._disc_weight(x) - ref) / ref
+    assert err[x <= 1.0].max() <= 4e-16
+    assert err[x > 1.0].max() <= 1e-15
+
+
 def test_mc_value_independent_of_workers(p_14, bnd_14_n32, monkeypatch):
     # three chunks: one worker, the default pool, and three workers on
     # this many cores or fewer, switching threads every 10 microseconds
