@@ -199,7 +199,7 @@ class _BoundaryGeometry:
         curv = speed_sq + (cx * bend[0] + cy * bend[1])
         return slope / np.where(curv > 0.0, curv, speed_sq)
 
-    def nearest(self, px, py, t, at, steps: int, max_step=np.inf):
+    def nearest(self, px, py, t, at, steps: int, max_step):
         """Newton iterates, from t, toward the parameter of the curve point nearest each (px, py).
 
         Newton's method on f(t) = |x(t) - x|^2 / 2 (see `newton_step`),
@@ -276,7 +276,7 @@ def _check_n_rays(n_rays):
         raise ValueError("n_rays must be >= 1, got %d" % n_rays)
 
 
-def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int = 720):
+def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int):
     """(E, M) at each row of pts: E = integral over C of G_r(x, y) (r - L)g(y) dy, M of G_r.
 
     Green's second identity with L = Laplacian/2 and (r - L)G_r = delta gives
@@ -399,12 +399,12 @@ def value(p: QuadraticProblem, b: StarBoundary, x, *, n_rays: int = 720) -> floa
     x = np.asarray(x, dtype=float)
     if x.shape != (p.d,):
         raise ValueError("x must be a point of dimension %d" % p.d)
+    if p.d != b.grid.d:
+        raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
     if p.d == 2:
         excess = float(_green_integrals(p, b, x[None, :], n_rays)[0][0])
-    elif p.d == 3:
-        excess = _green_integral_mc3(p, b, x)
     else:
-        raise ValueError("green integrals are implemented for d in {2, 3}")
+        excess = _green_integral_mc3(p, b, x)
     return float(p.reward(x)) - excess
 
 
@@ -419,11 +419,10 @@ def interior_scan_grid(p: QuadraticProblem, b: StarBoundary, n: int = 40) -> np.
     if n < 1:
         raise ValueError("majorant scan size must be >= 1, got %d" % n)
     geom = _BoundaryGeometry(p, b)
-    pts = b.cartesian_points(p)
-    mx = np.abs(pts).max(axis=0)
-    xs = np.linspace(-mx[0], mx[0], n)
-    ys = np.linspace(-mx[1], mx[1], n)
-    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    # exactly antisymmetric axes: every mirror image of a scan point is one, bit for bit
+    mx = np.abs(b.cartesian_points(p)).max(axis=0)
+    axes = mx[:, None] * (2.0 * np.arange(n) - (n - 1)) / max(n - 1, 1)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     phi, s = geom.polar(grid)
     inside = grid[s <= _SCAN_SHRINK * geom.rho(phi)]
     if not len(inside):
@@ -566,7 +565,11 @@ class _SafeBalls:
     derivative is x' x x'''): every other point of a simple closed
     curve of positive curvature, as this star-shaped one then is, lies
     inside each tangent line, so rho_e is infinite with no search.
-    Otherwise rho_e is `_outside_tangent_radius` of the samples.
+    Otherwise rho_e is `_outside_tangent_radius` of the _WALK_SAMPLES
+    samples.  That is an estimate, not a bound like the constants above:
+    a disc that holds no sample may still cut the curve between two.  A
+    curve convex at every sample but short of the margin gets rho_e
+    infinite from the samples alone.
     """
 
     def __init__(self, geom: _BoundaryGeometry):
@@ -803,21 +806,17 @@ def run_verification(p: QuadraticProblem, b: StarBoundary,
     """
     if p.d != 2:
         raise ValueError("run_verification supports d = 2 boundaries")
-    _check_n_rays(n_rays)
     if mc is None:
         mc = MCConfig()
     grid = interior_scan_grid(p, b, n=scan_n)
     flips = {axis: perm for axis, perm in b.grid.reflection_flips().items()
              if np.array_equal(b.radii[perm], b.radii)}
     nodes, orbit_of = b.grid.reflection_orbits(flips)
-    points = b.cartesian_points(p)
-    residuals = green_residual_normalized(p, b, points[nodes], n_rays=n_rays)[orbit_of]
+    residuals = green_residual_normalized(p, b, b.cartesian_points(p)[nodes],
+                                          n_rays=n_rays)[orbit_of]
     axes = list(flips)
     grid[:, axes] = np.abs(grid[:, axes])
-    # a scan point and its mirror image agree to rounding: key them to 1e-9 of C's extent
-    keys = np.rint(grid * (1e9 / np.abs(points).max()))
-    min_gap = majorant_gap_scan(p, b, grid[np.unique(keys, axis=0, return_index=True)[1]],
-                                n_rays=n_rays)
+    min_gap = majorant_gap_scan(p, b, np.unique(grid, axis=0), n_rays=n_rays)
     origin = np.zeros(2)
     recon = value(p, b, origin, n_rays=n_rays)
     est, err, walk = mc_value(p, b, origin, mc)

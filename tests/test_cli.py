@@ -240,6 +240,17 @@ def test_verify_missing_file(tmp_path, capsys):
     assert "not found" in err
 
 
+def test_verify_scan_of_size_one_checks_the_origin(tmp_path, capsys, boundary_16):
+    rep = tmp_path / "v.json"
+    code, out, err = run(capsys, "verify", "--boundary", boundary_16, "--report", str(rep),
+                         *LIGHT_VERIFY, "--scan-n", "1")
+    assert (code, err) == (0, "")
+    assert "majorant: pass" in out
+    # g(0) = 0, so the gap at the origin is the reconstructed value there
+    report = json.loads(rep.read_text())["report"]
+    assert report["majorant_min_gap"] == pytest.approx(report["reconstructed_value"], rel=1e-12)
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--scan-n", "0", "majorant scan size must be >= 1, got 0"),
     ("--scan-n", "2", "majorant scan of size 2 has no point inside the boundary"),

@@ -59,6 +59,13 @@ def test_value_exceeds_reward_inside(p_14, bnd_14):
         assert value(p_14, bnd_14, x) > p_14.reward(x)
 
 
+def test_value_rejects_a_boundary_of_another_dimension(p_sym, bnd_sym, p3_sym, bnd3_sym):
+    for p, b in ((p3_sym, bnd_sym), (p_sym, bnd3_sym)):
+        with pytest.raises(ValueError, match="^problem dimension %d != grid dimension %d$"
+                           % (p.d, b.grid.d)):
+            value(p, b, np.zeros(p.d))
+
+
 def test_majorant_gap_signs(p_sym, bnd_sym):
     grid = interior_scan_grid(p_sym, bnd_sym, n=24)
     assert majorant_gap_scan(p_sym, bnd_sym, grid) >= -1e-4
@@ -181,16 +188,31 @@ def test_green_sweeps_evaluate_one_point_per_mirror_orbit(benchmark_boundaries, 
                                                           name, monkeypatch):
     p, b = {**benchmark_boundaries, **walk_boundaries}[name]
     residuals = green_residual_normalized(p, b, b.cartesian_points(p))
-    scan = interior_scan_grid(p, b, n=12)
-    gap = majorant_gap_scan(p, b, scan)
+    scans = {n: interior_scan_grid(p, b, n=n) for n in (12, 13)}
+    gaps = {n: majorant_gap_scan(p, b, scan) for n, scan in scans.items()}
     sizes = _sweep_sizes(monkeypatch)
-    rep = run_verification(p, b, MCConfig(paths=100), scan_n=12)
-    # both flips: node i with -i, n/2 - i and n/2 + i; a scan point with its three mirror images
-    assert sizes == {"residual": b.grid.n // 4 + 1, "majorant": len(scan) // 4}
-    assert len(scan) % 4 == 0
-    # residuals are E over the magnitude of its terms, so 1e-12 is relative to those
-    assert np.abs(rep.boundary_residuals - residuals).max() <= 1e-12
-    assert rep.majorant_min_gap == pytest.approx(gap, rel=1e-12, abs=0.0)
+    for n, scan in scans.items():
+        rep = run_verification(p, b, MCConfig(paths=100), scan_n=n)
+        # both flips: node i with -i, n/2 - i and n/2 + i.  A scan point off the axes has
+        # three mirror images, one on an axis (odd n only) has one, the origin none
+        on_axes = (scan == 0.0).sum(axis=1)
+        quadrant = (scan >= 0.0).all(axis=1)
+        assert len(scan) == (4 * (quadrant & (on_axes == 0)).sum()
+                             + 2 * (quadrant & (on_axes == 1)).sum() + (on_axes == 2).sum())
+        assert on_axes.any() == (n % 2 == 1)
+        assert sizes == {"residual": b.grid.n // 4 + 1, "majorant": int(quadrant.sum())}
+        # residuals are E over the magnitude of its terms, so 1e-12 is relative to those
+        assert np.abs(rep.boundary_residuals - residuals).max() <= 1e-12
+        assert rep.majorant_min_gap == pytest.approx(gaps[n], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scan_n", [1, 12, 13, 40])
+def test_scan_grid_axes_are_exactly_antisymmetric(benchmark_boundaries, scan_n):
+    for p, b in benchmark_boundaries.values():
+        scan = interior_scan_grid(p, b, n=scan_n)
+        for axis in range(2):
+            coords = np.unique(scan[:, axis])
+            np.testing.assert_array_equal(coords, -coords[::-1], strict=True)
 
 
 def test_five_petal_star_folds_by_its_one_flip(walk_boundaries, monkeypatch):
@@ -232,7 +254,7 @@ def test_boundary_integrals_match_area_sweep(p_14, bnd_14):
     nodes = [pts[0], pts[21]]
     exterior = [1.3 * pts[0], 1.4 * pts[33], 1.8 * pts[50]]
     xs = np.array(interior + near + nodes + exterior)
-    e_bd, m_bd = _green_integrals(p_14, bnd_14, xs)
+    e_bd, m_bd = _green_integrals(p_14, bnd_14, xs, 720)
     scale = p_14.r * p_14.beta_sq
     for k, x in enumerate(xs):
         e_sw, m_sw = sweep_integrals(p_14, bnd_14, x)
@@ -254,7 +276,7 @@ def test_green_mass_of_disc_at_centre(p_sym, bnd_sym):
     # integral of K_0(k|y|)/pi over the disc |y| < R is (1 - kR K_1(kR)) / r
     k = math.sqrt(2.0 * p_sym.r)
     R = float(bnd_sym.radii.mean())
-    _, mass = _green_integrals(p_sym, bnd_sym, np.zeros((1, 2)))
+    _, mass = _green_integrals(p_sym, bnd_sym, np.zeros((1, 2)), 720)
     assert mass[0] == pytest.approx((1.0 - k * R * bessel_K(1, k * R)) / p_sym.r, rel=1e-12)
 
 
@@ -267,7 +289,7 @@ def test_green_integral_continuous_across_boundary(p_14, bnd_14):
     y, dy, _ = curve(geom, np.array([1.3]))
     normal = np.array([dy[0, 1], -dy[0, 0]]) / np.hypot(*dy[0])
     deltas = np.concatenate([-np.logspace(-2, -12, 6), [0.0], np.logspace(-12, -2, 6)])
-    e, m = _green_integrals(p_14, wrong, y[0] + deltas[:, None] * normal)
+    e, m = _green_integrals(p_14, wrong, y[0] + deltas[:, None] * normal, 720)
     assert abs(e[6]) > 0.05
     assert np.all(np.abs(e - e[6]) <= 1.0 * np.abs(deltas) + 1e-11)
     assert np.all(np.abs(m - m[6]) <= 1.0 * np.abs(deltas) + 1e-11)
