@@ -18,6 +18,7 @@ verdict is `VerificationReport.passed`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -225,7 +226,9 @@ def _config_tokens(path, command):
     return tokens
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: a parse leaves no state in it."""
     parser = _Parser(prog="quadstop",
                      description="optimal stopping boundaries for quadratic rewards")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -303,9 +306,8 @@ def _parse(parser, argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
+        args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

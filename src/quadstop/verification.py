@@ -7,11 +7,12 @@ reuse the Martin-kernel discretization:
   property of the optimal boundary is E = 0 on the stopping set, and
   g - E is the value function everywhere, so this single integral
   yields the residual check (`green_residual_normalized`), the
-  reconstructed value (`value`), and the majorant scan.
+  reconstructed value (`value`, at the origin of a d = 3 boundary one
+  grid sum: `_origin_excess`), and the majorant scan.
 * `mc_value` prices the candidate stopping rule by a walk on spheres
   over the same curve: exact disc exits, no time step, no horizon, and
   a stopping shell whose bias is bounded (see `_SafeBalls`).
-* `_chunked_mean`, the one Monte Carlo engine, draws the walk and d = 3 `value`.
+* `_chunked_mean`, the one Monte Carlo engine, draws the walk.
 * `run_verification` runs all of them, plus the class membership
   checks, into one report, whose `checks` and `passed` are the verdict;
   it evaluates E at one point per mirror orbit.
@@ -234,7 +235,7 @@ _NEAR_LEVELS = 12       # graded panels on each side of the nearest parameter
 _NEAR_FINEST = 1e-9     # the finest of them, relative to a plain panel
 _NEWTON_STEPS = 6
 _BLOCK_ENTRIES = 2 ** 14
-_MC3_SAMPLES = 1_000_000    # d = 3: points of E's volume integral in value, drawn with seed 0
+_N_RAYS = 720           # default trapezoid nodes on ∂C of the Green sweeps
 
 
 def _layer_sums(p: QuadraticProblem, cfg: KillingConfig, d, y, dy, w):
@@ -347,30 +348,8 @@ def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int):
     return chi * p.reward(x) + e_layer, (chi + m_layer) / p.r
 
 
-def _green_integral_mc3(p: QuadraticProblem, b: StarBoundary, x) -> float:
-    cfg = KillingConfig(p.r, 3)
-    step = max(1, _BLOCK_ENTRIES // b.grid.n)
-
-    def simulate(rng, n):
-        z = rng.standard_normal((n, 3))
-        omega = z / np.sqrt((z * z).sum(axis=1))[:, None]
-        # piecewise-constant boundary radius: nearest grid node by angle,
-        # in row blocks so that no samples x nodes matrix is formed
-        nearest = np.empty(n, dtype=int)
-        for i in range(0, n, step):
-            nearest[i:i + step] = np.argmax(omega[i:i + step] @ b.grid.nodes.T, axis=1)
-        rho_hat = b.radii[nearest]
-        rho = rho_hat * rng.random(n) ** (1.0 / 3.0)
-        y = p.to_cartesian(omega, rho)
-        s = np.maximum(np.sqrt(((y - x) ** 2).sum(axis=1)), 1e-300)
-        dens = 3.0 * np.prod(p.sqrt_lam) / (4.0 * np.pi * rho_hat ** 3)
-        return green_kernel_radial(cfg, s) * p.excess_generator(y) / dens
-
-    return _chunked_mean(_MC3_SAMPLES, 0, simulate)[0]
-
-
 def green_residual_normalized(p: QuadraticProblem, b: StarBoundary, x,
-                              n_rays: int = 720):
+                              n_rays: int = _N_RAYS):
     """E(x) / (r beta^2 integral of G over C): dimensionless residual.
 
     The denominator is the natural magnitude of either term of E, so a
@@ -388,12 +367,30 @@ def green_residual_normalized(p: QuadraticProblem, b: StarBoundary, x,
     return float(out[0]) if x.ndim == 1 else out
 
 
-def value(p: QuadraticProblem, b: StarBoundary, x, *, n_rays: int = 720) -> float:
+def _origin_excess(p: QuadraticProblem, b: StarBoundary) -> float:
+    """E(0) in any d, as one sum over b's grid, exact along each node's ray.
+
+    G_r(0, y) is radial.  On the ray y = rho omega / sqrt(lambda), |y| = a rho, a = |omega /
+    sqrt(lambda)|.  With kappa = sqrt(2r), nu = d/2 - 1 and S = kappa a rho_i at node i,
+    E(0) = (2 pi)^(-d/2) / prod sqrt(lambda) sum_i w_i a^-d (J3(S) / (kappa a)^2 - beta^2 J1(S)),
+    J1(S) = int_0^S u^(nu+1) K_nu(u) du = 2^nu Gamma(nu+1) - S^(nu+1) K_(nu+1)(S) and
+    J3(S) = int_0^S u^(nu+3) K_nu(u) du = 2^(nu+2) Gamma(nu+2) - S^(nu+2) (S K_(nu+1) + 2 K_(nu+2)).
+    """
+    nu = 0.5 * p.d - 1.0
+    a = np.sqrt(((b.grid.nodes / p.sqrt_lam) ** 2).sum(axis=1))
+    s = math.sqrt(2.0 * p.r) * a * b.radii
+    k1, k2 = (bessel_K_scaled(nu + m, s) * np.exp(-s) for m in (1, 2))
+    j1 = 2.0 ** nu * math.gamma(nu + 1.0) - s ** (nu + 1.0) * k1
+    j3 = 2.0 ** (nu + 2.0) * math.gamma(nu + 2.0) - s ** (nu + 2.0) * (s * k1 + 2.0 * k2)
+    terms = b.grid.weights * a ** -p.d * (j3 * (b.radii / s) ** 2 - p.beta_sq * j1)
+    return float(terms.sum() / ((2.0 * np.pi) ** (0.5 * p.d) * np.prod(p.sqrt_lam)))
+
+
+def value(p: QuadraticProblem, b: StarBoundary, x, *, n_rays: int = _N_RAYS) -> float:
     """Reconstructed value g(x) - E(x); exact for the optimal boundary.
 
     d = 2: E is an integral over ∂C on n_rays >= 1 nodes (see _green_integrals).
-    d = 3: importance-sampled Monte Carlo, _MC3_SAMPLES points with seed 0
-    through _chunked_mean against the closed-form Yukawa kernel.
+    d = 3: at the origin only, where E is the grid sum of _origin_excess.
     """
     _check_n_rays(n_rays)
     x = np.asarray(x, dtype=float)
@@ -402,16 +399,16 @@ def value(p: QuadraticProblem, b: StarBoundary, x, *, n_rays: int = 720) -> floa
     if p.d != b.grid.d:
         raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
     if p.d == 2:
-        excess = float(_green_integrals(p, b, x[None, :], n_rays)[0][0])
-    else:
-        excess = _green_integral_mc3(p, b, x)
-    return float(p.reward(x)) - excess
+        return float(p.reward(x)) - float(_green_integrals(p, b, x[None, :], n_rays)[0][0])
+    if x.any():
+        raise ValueError("d = %d value is implemented at the origin only" % p.d)
+    return -_origin_excess(p, b)
 
 
 _SCAN_SHRINK = 0.99     # scan points stay inside this fraction of rho(phi)
 
 
-def interior_scan_grid(p: QuadraticProblem, b: StarBoundary, n: int = 40) -> np.ndarray:
+def interior_scan_grid(p: QuadraticProblem, b: StarBoundary, n: int) -> np.ndarray:
     """n x n bounding-box grid filtered to the interior, shrunk by _SCAN_SHRINK.
 
     A grid with no point inside C is an error: the scan would check nothing.
@@ -431,7 +428,7 @@ def interior_scan_grid(p: QuadraticProblem, b: StarBoundary, n: int = 40) -> np.
 
 
 def majorant_gap_scan(p: QuadraticProblem, b: StarBoundary, scan_grid,
-                      n_rays: int = 720) -> float:
+                      n_rays: int = _N_RAYS) -> float:
     """min over the grid of V(x) - g(x) = -E(x); should be >= -noise.
 
     The value dominates the reward everywhere; a markedly negative gap
@@ -797,7 +794,7 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
 
 def run_verification(p: QuadraticProblem, b: StarBoundary,
                      mc: MCConfig | None = None, scan_n: int = 40,
-                     n_rays: int = 720) -> VerificationReport:
+                     n_rays: int = _N_RAYS) -> VerificationReport:
     """All certification checks for a d = 2 boundary in one report.
 
     A grid flip that maps the radii onto themselves bit for bit fixes C

@@ -41,8 +41,9 @@ def test_solve_config_fields():
 
 
 def test_value_and_mc_value_signatures():
-    # d = 3 value draws a fixed sample count with a fixed seed, and mc_value
-    # returns its walk statistics instead of filling a caller's dict
+    # value samples nothing, so it takes no sample count or seed (d = 3 value is
+    # one grid sum), and mc_value returns its walk statistics instead of filling
+    # a caller's dict
     positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
     params = inspect.signature(quadstop.value).parameters.values()
     assert [(a.name, a.kind) for a in params] == [

@@ -618,6 +618,20 @@ def test_no_command_is_usage_error(capsys):
     assert "usage:" in err and "error:" in err
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    # main reuses one parser, so a failing parse and then a passing one print
+    # what two fresh processes print
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")     # the usage line wraps alike in both
+    calls = [["verify", "--r", "1", "--boundary", "b.csv"],
+             ["kernel", "green", "--r", "0.5", "--d", "3", "--dist", "1.0"]]
+    for code, argv in zip((1, 0), calls):
+        fresh = subprocess.run([sys.executable, "-m", "quadstop", *argv],
+                               capture_output=True, text=True)
+        assert run(capsys, *argv) == (code, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == code
+
+
 def _console_script_launcher(name):
     """The launcher an installer writes for the [project.scripts] entry `name`."""
     tomllib = pytest.importorskip("tomllib")

@@ -18,8 +18,8 @@ from quadstop.verification import (MCConfig, _BoundaryGeometry, _green_integrals
                                    green_residual_normalized, interior_scan_grid,
                                    majorant_gap_scan, mc_value, run_verification, value)
 from reference import (bessel_K, clearance_reference, curve, finiteness_ratio_scan,
-                       green_measure_identity_check, rect_green_mass, to_polar,
-                       walk_radii_reference)
+                       green_integral_mc3, green_measure_identity_check, rect_green_mass,
+                       to_polar, walk_radii_reference)
 from sweep_reference import sweep_integrals, trig_eval
 
 V0_SYM_2D_R1 = 0.9512830041392790
@@ -847,26 +847,51 @@ def test_run_verification_verdict_on_shrunk_boundary(p_sym, bnd_sym):
 
 
 def test_d3_symmetric_reconstruction(p3_sym, bnd3_sym):
-    # d = 3 reconstruction goes through the MC route inside value
+    # E vanishes on the boundary: the sampler of tests/reference.py, to its surface's bias
     xb = bnd3_sym.cartesian_points(p3_sym)[40]
     gb = p3_sym.reward(xb)
-    assert value(p3_sym, bnd3_sym, xb) == pytest.approx(gb, abs=2e-2 * max(1.0, gb))
+    assert gb - green_integral_mc3(p3_sym, bnd3_sym, xb) == pytest.approx(
+        gb, abs=2e-2 * max(1.0, gb))
+    # V(0) of the optimal ball, V(s) = c sinh(k s) / s with V(R) = g(R), from the grid sum
     v0 = value(p3_sym, bnd3_sym, np.zeros(3))
     R = symmetric_radius(3, 0.5)
     k = 1.0
     exact = k * R ** 3 / math.sinh(k * R)
-    assert v0 == pytest.approx(exact, abs=2e-2 * exact)
+    assert v0 == pytest.approx(exact, rel=1e-12)
 
 
 def test_d3_value_forms_no_samples_by_nodes_matrix(p3_sym, bnd3_sym):
-    # a 1M x 512 cosine matrix alone would take 4.1 GB
+    # the grid sum holds a few arrays of one value per node: 46 kB on 512 nodes
     tracemalloc.start()
     try:
         value(p3_sym, bnd3_sym, np.zeros(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 200e3
+
+
+def test_d3_value_is_implemented_at_the_origin_only(p3_sym, bnd3_sym):
+    with pytest.raises(ValueError, match="^d = 3 value is implemented at the origin only$"):
+        value(p3_sym, bnd3_sym, np.array([0.1, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("fixture", ["14", "14_r03"])
+def test_origin_excess_matches_the_green_route_in_d2(request, fixture):
+    # the grid rule on the radii against the 720-node interpolant of the same radii
+    p, b = (request.getfixturevalue(name + fixture) for name in ("p_", "bnd_"))
+    v0 = value(p, b, np.zeros(2))
+    assert -verification._origin_excess(p, b) == pytest.approx(v0, rel=1e-12)
+
+
+def test_d3_origin_value_converges_in_the_grid():
+    p = QuadraticProblem(1.0, (1.0, 2.0, 3.0))
+    values = []
+    for n_lat in (12, 24):
+        b, rep = solve_boundary(p, make_sphere_grid(n_lat, 2 * n_lat))
+        assert rep.converged
+        values.append(value(p, b, np.zeros(3)))
+    assert values[0] == pytest.approx(values[1], rel=1e-7)
 
 
 def test_box_confinement_of_values(p_14, bnd_14):
