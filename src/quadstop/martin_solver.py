@@ -229,12 +229,11 @@ class _OrbitSystem:
         reps, self.orbit_of = orbits
         self.p = p
         self.w = grid.weights
-        self.size = np.bincount(self.orbit_of).astype(float)
         # members[o, i] = 1 for the nodes i of orbit o
         self.members = np.zeros((reps.size, grid.n))
         self.members[self.orbit_of, np.arange(grid.n)] = 1.0
         # row o stands for the |o| equal equations of its orbit, each of weight w_o
-        self.row_w = np.sqrt(self.size * self.w[reps])
+        self.row_w = np.sqrt(np.bincount(self.orbit_of) * self.w[reps])
         # gamma(omega_i, omega'_o): all nodes in rows, representatives in columns
         self.gam = np.sqrt(2.0 * p.r) * (grid.nodes / p.sqrt_lam) @ grid.nodes[reps].T
 
@@ -461,13 +460,13 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
     result back: radii and step times c, residuals and their scale
     times c^(d+2), so the solve takes the same steps at every r and
     every scale of lambda.  Runs _lm_solve once per stage and stops
-    after the first stage that does not converge.  With
-    homotopy_steps = 0 the one stage is q, started cold at
-    _INIT_FACTOR * beta.  Otherwise the stages continue in
-    homotopy_steps equal steps t from the symmetric problem along
-    lambda = 1 - t + t lambda_q (beta is invariant along that path),
-    started at its analytic radius, to q, whose coefficients the last
-    stage hits exactly; anisotropic lambda makes the cold start crawl
+    after the first stage that does not converge.  The stages continue
+    in max(homotopy_steps, 1) equal steps t from the symmetric problem
+    along lambda = 1 - t + t lambda_q (beta is invariant along that
+    path) to q, whose coefficients the last stage hits exactly.  They
+    start at the symmetric problem's analytic radius, or, with
+    homotopy_steps = 0, cold at _INIT_FACTOR * beta: that is one stage,
+    q itself.  Anisotropic lambda makes the cold start crawl
     (exponential residual curvature keeps the damping high), so
     continuation is the default.  The trace gives each stage's
     coefficients in p's units.  The steps being equal, stage k+1
@@ -478,8 +477,7 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
     this.  Nielsen's rule lowers mu by at most 3 times per accepted
     step, so a stage restarted at _DAMPING spends its first steps
     shedding a damping the stage before it already shed, one
-    continuation step away (Allgower & Georg 1990, ch. 2): on the
-    benchmark's 8 solves that is 148 steps against 95.
+    continuation step away (Allgower & Georg 1990, ch. 2).
     Only the target's radii are returned, so the stages
     before it stop at _STAGE_TOL and only the target is solved to
     _RESIDUAL_TOL: past about 1e-7 the Levenberg-Marquardt steps crawl
@@ -494,19 +492,15 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
     reps, orbit_of = orbits
     q, c = p.canonical()
     unit = c ** (p.d + 2)  # of the radial moments, residuals and their scale
-    if homotopy_steps == 0:
-        ts = (1.0,)
-        x = np.full(reps.size, _INIT_FACTOR * q.beta)
-    else:
-        # built one at a time, so a large stage count costs no memory up front
-        ts = (k / homotopy_steps for k in range(1, homotopy_steps + 1))
-        x = np.full(reps.size, symmetric_radius(p.d, 0.5))
     n_stages = max(homotopy_steps, 1)
+    x = np.full(reps.size, symmetric_radius(p.d, 0.5) if homotopy_steps
+                else _INIT_FACTOR * q.beta)
     trace, stage_iterations = [], []
     accelerated = 0
     mu = _DAMPING
     x_prev = x  # 2x - x is x exactly: stage 1 starts at x itself
-    for k, t in enumerate(ts, 1):
+    for k in range(1, n_stages + 1):
+        t = k / n_stages
         tol = _RESIDUAL_TOL if k == n_stages else _STAGE_TOL
         # secant predictor: the stages are equal steps in t
         x_start = 2.0 * x - x_prev

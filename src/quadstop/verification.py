@@ -793,7 +793,7 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
 # full report
 
 def run_verification(p: QuadraticProblem, b: StarBoundary,
-                     mc: MCConfig | None = None, scan_n: int = 40,
+                     mc: MCConfig = MCConfig(), scan_n: int = 40,
                      n_rays: int = _N_RAYS) -> VerificationReport:
     """All certification checks for a d = 2 boundary in one report.
 
@@ -803,8 +803,6 @@ def run_verification(p: QuadraticProblem, b: StarBoundary,
     """
     if p.d != 2:
         raise ValueError("run_verification supports d = 2 boundaries")
-    if mc is None:
-        mc = MCConfig()
     grid = interior_scan_grid(p, b, n=scan_n)
     flips = {axis: perm for axis, perm in b.grid.reflection_flips().items()
              if np.array_equal(b.radii[perm], b.radii)}
