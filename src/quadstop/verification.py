@@ -457,28 +457,6 @@ def _strictly_convex(dy, d2y, margin) -> bool:
     return bool((dy[:, 0] * d2y[:, 1] - dy[:, 1] * d2y[:, 0]).min() > margin)
 
 
-def _outside_tangent_radius(y, dy):
-    """The least, over the curve samples y, of the largest outside tangent disc holding no sample.
-
-    dy are the tangents at y.  The disc of radius t touching y_i from
-    outside, its centre along the outward normal n_i, holds y_j where
-    |y_j - y_i|^2 < 2 t (y_j - y_i) . n_i.  Infinite when every sample
-    lies inside every other's tangent line.
-    """
-    # outward unit normals: the tangent turned clockwise
-    nx, ny = (np.stack([dy[:, 1], -dy[:, 0]]) / np.sqrt((dy * dy).sum(axis=1)))[:, :, None]
-    rho_e = np.inf
-    step = _BLOCK_ENTRIES // len(y)
-    for i in range(0, len(y), step):
-        vx = y[:, 0] - y[i:i + step, :1]
-        vy = y[:, 1] - y[i:i + step, 1:]
-        lift = 2.0 * (vx * nx[i:i + step] + vy * ny[i:i + step])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tangent = np.where(lift > 0.0, (vx * vx + vy * vy) / lift, np.inf)
-        rho_e = min(rho_e, float(tangent.min()))
-    return rho_e
-
-
 class _SafeBalls:
     """Discs inside C for a walk on spheres over the curve of _BoundaryGeometry.
 
@@ -561,12 +539,27 @@ class _SafeBalls:
     sample, as x' x x'' then stays positive between samples (its
     derivative is x' x x'''): every other point of a simple closed
     curve of positive curvature, as this star-shaped one then is, lies
-    inside each tangent line, so rho_e is infinite with no search.
-    Otherwise rho_e is `_outside_tangent_radius` of the _WALK_SAMPLES
-    samples.  That is an estimate, not a bound like the constants above:
-    a disc that holds no sample may still cut the curve between two.  A
-    curve convex at every sample but short of the margin gets rho_e
-    infinite from the samples alone.
+    inside each tangent line, so rho_e is infinite.  Otherwise rho_e =
+    min(a, D/2), a = m1^2 / M2 <= |x'|^3 / |x' x x''| the least radius of
+    curvature, with w = min(pi/2, pi a / M1) and D = rho_min sin(w) /
+    sqrt(lambda_max).  Take a disc of radius at most rho_e tangent to
+    the curve at x(theta_0) from outside:
+
+    * a curve point with |theta - theta_0| >= w lies at least D from
+      x(theta_0), by the argument of the near bound's second part, and
+      the disc lies within 2 rho_e <= D of x(theta_0);
+    * each arc |theta - theta_0| <= w, either way from theta_0, has
+      length at most w M1 <= pi a and radius of curvature at least a.
+      Such an arc stays outside the open disc of radius a tangent to it
+      at x(theta_0) on the same side, which holds the smaller disc.  In
+      units of a, with gamma(s) the arc by length s <= pi, c the
+      disc's centre and psi the angle gamma' has turned toward c, so
+      psi(0) = 0 and |psi'| <= 1: let m be the largest psi on [0, s],
+      taken at u, and v the outward unit normal where the circle's
+      tangent has turned by m.  Then (gamma(s) - c) . v = cos m +
+      int_0^s sin(m - psi), and int_0^u psi' sin(m - psi) = 1 - cos m,
+      so it is 1 + int_0^u (1 - psi') sin(m - psi) + int_u^s sin(m -
+      psi) >= 1, as 0 <= m - psi(t) <= |t - u| <= pi.
     """
 
     def __init__(self, geom: _BoundaryGeometry):
@@ -606,12 +599,14 @@ class _SafeBalls:
         clearance = np.sqrt([(row + gy).min(axis=1) for row in gx])
         self.clearance = clearance - 0.5 * h * self.speed
 
-        convex = _strictly_convex(dy, d2y, 0.5 * h * self.speed * jerk)
-        rho_e = np.inf if convex else _outside_tangent_radius(y, dy)
+        w = min(0.5 * np.pi, np.pi * self.reach / self.speed)
+        self.rho_e = (np.inf if _strictly_convex(dy, d2y, 0.5 * h * self.speed * jerk)
+                      else min(self.reach, 0.5 * inv_max * self.rho_min * np.sin(w)))
         kappa = np.sqrt(2.0 * p.r)
         ratio = 1.0
-        if np.isfinite(rho_e):
-            ratio = bessel_K_scaled(1, kappa * rho_e) / bessel_K_scaled(0, kappa * rho_e)
+        if np.isfinite(self.rho_e):
+            ratio = (bessel_K_scaled(1, kappa * self.rho_e)
+                     / bessel_K_scaled(0, kappa * self.rho_e))
         rho_max = rho.max() + 0.5 * h * s1
         self.lipschitz = float(max(p.beta_sq, rho_max ** 2 - p.beta_sq) * kappa * ratio)
 

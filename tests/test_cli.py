@@ -17,6 +17,7 @@ from quadstop.grids import make_sphere_grid
 from quadstop.problem import QuadraticProblem, StarBoundary
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 LIGHT_VERIFY = ["--paths", "2000", "--scan-n", "10", "--n-rays", "240"]
 
@@ -126,6 +127,11 @@ def test_solve_converges_at_any_discount_scale(tmp_path, capsys):
         assert code == 0
         assert out.startswith("converged=True iterations=") and "stop:" not in out
         steps.append(out.split()[1])
+        if r == "1":    # the README's solve command, whose output line it quotes
+            quoted = [line for line in README.read_text().splitlines()
+                      if line.startswith("converged=")]
+            assert len(quoted) == 1
+            assert out.split(" boundary=")[0] == quoted[0].split(" boundary=")[0]
     assert steps[1] == steps[0]
 
 

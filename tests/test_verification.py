@@ -524,31 +524,54 @@ def test_carried_radii_bound_the_distance_along_walks(walk_boundaries, name):
     assert np.mean(ratio < 0.999) <= 0.02
 
 
-def test_convex_curves_skip_the_tangent_disc_search(walk_boundaries, p_sym, bnd_sym, p_14,
-                                                     bnd_14_n32, monkeypatch):
-    search = verification._outside_tangent_radius
-    calls = []
-    monkeypatch.setattr(verification, "_outside_tangent_radius",
-                        lambda y, dy: calls.append(len(y)) or search(y, dy))
-    convex = [(p_sym, bnd_sym), (p_14, bnd_14_n32), walk_boundaries["l14-r0.3-n32"],
-              walk_boundaries["l1_16-r1-n64"]]
-    certified = [_SafeBalls(_BoundaryGeometry(p, b)).lipschitz for p, b in convex]
-    assert calls == []
+def _shortcut_lipschitz(geom):
+    """kappa max(beta^2, rho_max^2 - beta^2), rho_max bounded over _SafeBalls' samples as it is."""
+    p, h = geom.p, 2.0 * np.pi / verification._WALK_SAMPLES
+    rho = geom.evaluate(h * np.arange(verification._WALK_SAMPLES), 2)[2]
+    s1 = (np.abs(geom._coef[:, 0]) * geom._ik.imag).sum()
+    rho_max = rho.max() + 0.5 * h * s1
+    return float(np.sqrt(2.0 * p.r) * max(p.beta_sq, rho_max ** 2 - p.beta_sq))
+
+
+def test_convex_curves_take_an_infinite_exterior_radius(walk_boundaries, p_sym, bnd_sym, p_14,
+                                                        bnd_14_n32, monkeypatch):
+    convex = [_BoundaryGeometry(p, b) for p, b in
+              [(p_sym, bnd_sym), (p_14, bnd_14_n32), walk_boundaries["l14-r0.3-n32"],
+               walk_boundaries["l1_16-r1-n64"]]]
+    certified = [_SafeBalls(geom) for geom in convex]
+    assert [balls.rho_e for balls in certified] == [np.inf] * len(convex)
+    assert [balls.lipschitz for balls in certified] == [_shortcut_lipschitz(g) for g in convex]
+    # without the shortcut each takes the proven radius, finite, and a wider bound
     monkeypatch.setattr(verification, "_strictly_convex", lambda *args: False)
-    searched = [_SafeBalls(_BoundaryGeometry(p, b)).lipschitz for p, b in convex]
-    assert len(calls) == len(convex)
-    assert certified == searched
+    for geom, shortcut in zip(convex, certified):
+        proven = _SafeBalls(geom)
+        assert 0.0 < proven.rho_e <= proven.reach
+        assert proven.lipschitz > shortcut.lipschitz
 
 
-def test_five_petal_star_runs_the_tangent_disc_search(monkeypatch):
-    search = verification._outside_tangent_radius
-    found = []
-    monkeypatch.setattr(verification, "_outside_tangent_radius",
-                        lambda y, dy: found.append(search(y, dy)) or found[-1])
+def test_five_petal_star_takes_the_proven_exterior_radius():
     balls = _SafeBalls(_BoundaryGeometry(*_five_petal_star()))
-    assert len(found) == 1 and np.isfinite(found[0])
-    # the lipschitz bound the full search gave before convex curves skipped it
-    assert balls.lipschitz == pytest.approx(float.fromhex("0x1.8fb1cce60f020p+5"), rel=1e-12)
+    assert 0.0 < balls.rho_e < balls.reach
+    # recorded on numpy 2.4.6 and scipy 1.17.1; the sampled tangent-disc search it replaces
+    # gave 0x1.8fb1cce60f020p+5 (49.96), an estimate and not a bound
+    assert balls.lipschitz == pytest.approx(float.fromhex("0x1.1d2b89c144ec8p+7"), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["l14-r0.3-n32", "l1_16-r1-n64", "star5"])
+def test_outside_tangent_discs_of_radius_rho_e_hold_no_curve_sample(walk_boundaries, name,
+                                                                    monkeypatch):
+    monkeypatch.setattr(verification, "_strictly_convex", lambda *args: False)
+    geom = _BoundaryGeometry(*walk_boundaries[name])
+    rho_e = _SafeBalls(geom).rho_e
+    assert np.isfinite(rho_e)
+    (x, y), (dx, dy) = geom.points(geom.evaluate(np.linspace(0.0, 2.0 * np.pi, 4096,
+                                                             endpoint=False), 1))
+    # centres along the outward normal, the tangent of the counterclockwise curve turned clockwise
+    speed = np.hypot(dx, dy)
+    cx, cy = x + rho_e * dy / speed, y - rho_e * dx / speed
+    nearest = min(np.hypot(x - cx[i:i + 256, None], y - cy[i:i + 256, None]).min()
+                  for i in range(0, x.size, 256))
+    assert nearest >= (1.0 - 1e-9) * rho_e
 
 
 def test_mc_value_consistent_over_seeds(p_14_r03, bnd_14_r03_n32):
