@@ -187,34 +187,23 @@ class _BoundaryGeometry:
         return diff, drho[..., None] * u + rho[..., None] * du
 
     @staticmethod
-    def newton_step(px, py, point, tangent, bend):
-        """Newton's step f'/f'' on f(t) = |x(t) - x|^2 / 2 toward each (px, py).
-
-        point, tangent and bend are x(t), x'(t) and x''(t) by components.
-        Where f'' is not positive its Gauss-Newton part |x'|^2 stands in.
-        """
+    def newton_step(px, py, point, tangent):
+        """Gauss-Newton step (x(t) - x) . x'(t) / |x'(t)|^2, point = x(t), tangent = x'(t)."""
         cx, cy = point[0] - px, point[1] - py
         dx, dy = tangent
-        slope = cx * dx + cy * dy
-        speed_sq = dx * dx + dy * dy
-        curv = speed_sq + (cx * bend[0] + cy * bend[1])
-        return slope / np.where(curv > 0.0, curv, speed_sq)
+        return (cx * dx + cy * dy) / (dx * dx + dy * dy)
 
     def nearest(self, px, py, t, at, steps: int, max_step):
-        """Newton iterates, from t, toward the parameter of the curve point nearest each (px, py).
+        """Gauss-Newton iterates, from t, toward the parameter of the curve point nearest (px, py).
 
-        Newton's method on f(t) = |x(t) - x|^2 / 2 (see `newton_step`),
-        with `at` the evaluation of order 2 at the starting t.  Each step
-        is at most max_step long.
-        Returns the last iterate and its curve point and tangent,
-        ((x, y), (x', y')): one evaluation per step, the last of order 1
-        as f and f' need no x''.
+        `at` is the evaluation of order 1 at t; each step is at most max_step long.
+        Returns the last iterate and its curve point and tangent, ((x, y), (x', y')).
         """
-        for i in range(steps):
+        for _ in range(steps):
             step = self.newton_step(px, py, *self.points(at))
             t = t - np.clip(step, -max_step, max_step)
-            at = self.evaluate(t, 2 if i + 1 < steps else 1)
-        return t, self.points(at)[:2]
+            at = self.evaluate(t, 1)
+        return t, self.points(at)
 
     def polar(self, x):
         """(phi, s) with sqrt(lambda) x = s (cos phi, sin phi): the inverse affine-polar map."""
@@ -290,7 +279,7 @@ def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int):
     max(n_rays, 8n) equispaced parameters, spectrally accurate there.
     Nearer points use 16-point Gauss-Legendre panels in the parameter,
     graded geometrically toward the parameter of the nearest curve
-    point (found by Newton's method), which resolves the near-singular
+    point (found by Gauss-Newton iterates), which resolves the near-singular
     kernels down to the finest panel.  A point closer to ∂C than that is
     moved onto it, where chi = 1/2: the single layer is log-singular
     there and the double layer bounded, which the same panels integrate.
@@ -302,8 +291,8 @@ def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int):
     cfg = KillingConfig(p.r, 2)
     n_samples = max(int(n_rays), 8 * geom.n)
     theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    at = geom.evaluate(theta, 2)
-    y, dy = (np.stack(xy, axis=-1) for xy in geom.points(at[:4]))
+    at = geom.evaluate(theta, 1)
+    y, dy = (np.stack(xy, axis=-1) for xy in geom.points(at))
     spacing = 2.0 * np.pi / n_samples
     far_dist = _FAR_SPACINGS * spacing * float(np.max(np.sqrt((dy * dy).sum(axis=1))))
 
@@ -452,9 +441,16 @@ _WALK_MAX_BALLS = 10_000
 _I0_SERIES = tuple(1.0 / math.factorial(k) ** 2 for k in range(10, -1, -1))
 
 
-def _strictly_convex(dy, d2y, margin) -> bool:
-    """Whether x' x x'' exceeds margin at every sample, from its tangent dy and bend d2y."""
-    return bool((dy[:, 0] * d2y[:, 1] - dy[:, 1] * d2y[:, 0]).min() > margin)
+def _strictly_convex(dy, d2y, h, bend, jerk) -> bool:
+    """Whether c = x' x x'' > 0 everywhere, from dy = x' and d2y = x'' at samples h apart.
+
+    c' = x' x x''', and |x'| moves at most h bend / 2 from the nearer end of a
+    sample interval, so c moves at most (h/2)(max(|x'_i|, |x'_i+1|) + h bend / 2) jerk.
+    """
+    c = dy[:, 0] * d2y[:, 1] - dy[:, 1] * d2y[:, 0]
+    speed = np.sqrt((dy * dy).sum(axis=1))
+    margin = 0.5 * h * (np.maximum(speed, np.roll(speed, -1)) + 0.5 * h * bend) * jerk
+    return bool((np.minimum(c, np.roll(c, -1)) > margin).all())
 
 
 class _SafeBalls:
@@ -476,17 +472,16 @@ class _SafeBalls:
     M3 = (S3 + 3 S2 + 3 S1 + S0) / sqrt(lambda_min) >= |x'''|.  Every
     curve point lies within h M1 / 2 of a sample.
 
-    A disc evaluates the curve once, at one parameter t (order 2): the
-    Newton iterate toward x from the point the disc before carried, or
-    phi where nothing is carried.  With delta = phi - t reduced to
-    (-pi, pi], Taylor's theorem and |rho'''| <= S3 put rho(phi) within
-    rho_c +- hw: rho_c = rho(t) + delta (rho'(t) + delta rho''(t) / 2)
-    and hw = |delta| (eps S1 + |delta| (eps S2 / 2 + |delta| S3 / 6)).
-    The eps terms, eps = 8 K ulp for K coefficients, bound the rounding
-    of the two Taylor terms (Horner's rule in complex arithmetic and the
-    products after it).  Where nothing is carried delta = hw = 0 and
-    rho_c is rho(phi); the rounding of rho(t) and of the angles, an ulp
-    or so, is left to the 16-ulp margin below, as it is there.
+    A disc evaluates the curve once, at one parameter t (order 1): the
+    Gauss-Newton iterate toward x from the point the disc before carried,
+    or phi where nothing is carried.  With delta = phi - t reduced to
+    (-pi, pi], Taylor's theorem and |rho''| <= S2 put rho(phi) within
+    rho_c +- hw: rho_c = rho(t) + delta rho'(t), hw = |delta| (eps S1 +
+    |delta| S2 / 2).  The eps term, eps = 8 K ulp for K coefficients,
+    bounds the rounding of the Taylor term (Horner's rule in complex
+    arithmetic and the product after it).  Where nothing is carried
+    delta = hw = 0 and rho_c is rho(phi); the rounding of rho(t) and of
+    the angles, an ulp or so, is left to the 16-ulp margin below.
 
     R is the largest of three lower bounds, less 16 ulp of max |x| on ∂C
     for rounding:
@@ -508,7 +503,7 @@ class _SafeBalls:
       |x(theta) - x| <= e + w M1, so f = |x(theta) - x|^2 has
       f'' >= mu = M2 (a - e) > 0.  So where t lies in the window,
       |delta| <= w, it bounds f on the window below by f(t) - f'(t)^2 /
-      (2 mu), the least of f's quadratic minorant about t; Newton's
+      (2 mu), the least of f's quadratic minorant about t; Gauss-Newton
       iterates toward the nearest curve point only make it tight.
       Outside the window z and z(theta) are at least w apart in angle,
       so |z - z(theta)| >= rho sin w.  The bound is the smaller of the
@@ -519,9 +514,9 @@ class _SafeBalls:
 
     A disc moves the path by its radius, at most the distance to ∂C,
     so the nearest-point iterate of its last disc is a close start for
-    this one.  `walk_radii` carries t and x(t), x'(t), x''(t), none of
-    which depends on the position, to the next disc from the rows the
-    near bound applied to; every other row starts again at phi.  So does
+    this one.  `walk_radii` carries t and x(t), x'(t), none of which
+    depends on the position, to the next disc from the rows the near
+    bound applied to; every other row starts again at phi.  So does
     the first of repeated calls at a fixed point, and the iterates of
     the later calls converge to the nearest point.
 
@@ -535,9 +530,8 @@ class _SafeBalls:
     1 - delta k K_1(k rho_e) / K_0(k rho_e), k = sqrt(2r), K_0 convex.
     Hence lipschitz = max(beta^2, rho_max^2 - beta^2) k K_1(k rho_e) /
     K_0(k rho_e); it is k max(...) for a convex curve (rho_e infinite).
-    The curve is strictly convex where x' x x'' > h M1 M3 / 2 at every
-    sample, as x' x x'' then stays positive between samples (its
-    derivative is x' x x'''): every other point of a simple closed
+    The curve is strictly convex where `_strictly_convex` finds x' x x''
+    positive between the samples: every other point of a simple closed
     curve of positive curvature, as this star-shaped one then is, lies
     inside each tangent line, so rho_e is infinite.  Otherwise rho_e =
     min(a, D/2), a = m1^2 / M2 <= |x'|^3 / |x' x x''| the least radius of
@@ -573,7 +567,7 @@ class _SafeBalls:
         k = geom._ik.imag
         s0, s1, s2, s3 = ((np.abs(geom._coef[:, 0]) * k ** m).sum() for m in range(4))
         eps = 8.0 * k.size * np.finfo(float).eps
-        self.taylor = (eps * s1, 0.5 * eps * s2, s3 / 6.0)
+        self.taylor = (eps * s1, 0.5 * s2)
         inv_min, inv_max = 1.0 / p.sqrt_lam.min(), 1.0 / p.sqrt_lam.max()
         jerk = inv_min * (s3 + 3.0 * s2 + 3.0 * s1 + s0)
         self.rho_min = rho.min() - 0.5 * h * s1
@@ -600,7 +594,7 @@ class _SafeBalls:
         self.clearance = clearance - 0.5 * h * self.speed
 
         w = min(0.5 * np.pi, np.pi * self.reach / self.speed)
-        self.rho_e = (np.inf if _strictly_convex(dy, d2y, 0.5 * h * self.speed * jerk)
+        self.rho_e = (np.inf if _strictly_convex(dy, d2y, h, self.bend, jerk)
                       else min(self.reach, 0.5 * inv_max * self.rho_min * np.sin(w)))
         kappa = np.sqrt(2.0 * p.r)
         ratio = 1.0
@@ -613,24 +607,24 @@ class _SafeBalls:
     def walk_radii(self, state):
         """(R, U): R <= dist(x, ∂C) <= U at each column of state, x a point of C.
 
-        state is (9, k), one column per point: x by components, then the
+        state is (7, k), one column per point: x by components, then the
         carried parameter t, NaN where the column carries no point, and
-        x(t), x'(t), x''(t) by components.  Rows 2 to 8 are updated in
-        place to this disc's.
+        x(t), x'(t) by components.  Rows 2 to 6 are updated in place to
+        this disc's.
         """
         geom = self.geom
         px, py = state[0], state[1]
         phi, s = geom.polar(state[:2].T)
-        # delta = phi - t for Newton's iterate t, which may lie a whole turn from phi
-        delta = phi - (state[2] - geom.newton_step(px, py, state[3:5], state[5:7], state[7:9]))
+        # delta = phi - t for the Gauss-Newton iterate t, which may lie a whole turn from phi
+        delta = phi - (state[2] - geom.newton_step(px, py, state[3:5], state[5:7]))
         delta -= 2.0 * np.pi * np.rint(delta / (2.0 * np.pi))
         delta[np.isnan(delta)] = 0.0     # no carried point: phi itself
         t = phi - delta
-        at = geom.evaluate(t, 2)
+        at = geom.evaluate(t, 1)
         # rho(phi) within rho +- half: Taylor's theorem about t (see the class docstring)
         size = np.abs(delta)
-        half = size * (self.taylor[0] + size * (self.taylor[1] + size * self.taylor[2]))
-        rho = at[2] + delta * (at[3] + 0.5 * delta * at[4])
+        half = size * (self.taylor[0] + size * self.taylor[1])
+        rho = at[2] + delta * at[3]
 
         gap = rho - half - s
         star = np.minimum(gap * s / np.maximum(s + 0.5 * np.pi * self.slope, 1e-300), s)
@@ -645,7 +639,7 @@ class _SafeBalls:
         clear = self.clearance.take((ix * ny + iy).astype(int))
         radius = np.maximum(radius, clear - np.sqrt(ox * ox + oy * oy))
 
-        point, tangent, bend = geom.points(at)
+        point, tangent = geom.points(at)
         cx, cy = point[0] - px, point[1] - py
         f = cx * cx + cy * cy
         df = 2.0 * (cx * tangent[0] + cy * tangent[1])
@@ -657,7 +651,7 @@ class _SafeBalls:
             outer = self.inv_max * self.rho_min * np.sin(w)
         np.maximum(radius, np.minimum(inner, outer), out=radius, where=near)
         state[2] = np.where(near, t, np.nan)
-        for row, value in zip(state[3:], (*point, *tangent, *bend)):
+        for row, value in zip(state[3:], (*point, *tangent)):
             row[...] = value
         return np.maximum(radius - self.rounding, 0.0), np.sqrt(f)
 
@@ -725,8 +719,8 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
     weight * g there.  The estimate has no time step and no horizon; its
     bias is at most eps * lipschitz (see _SafeBalls).  Counter-based RNG
     keyed by (seed, chunk) makes the result reproducible and independent
-    of scheduling.  A disc evaluates the curve once, at a Newton iterate
-    from the point the path carries (see _SafeBalls.walk_radii).  The
+    of scheduling.  A disc evaluates the curve once, at a Gauss-Newton
+    iterate from the point the path carries (see _SafeBalls.walk_radii).  The
     paths are columns of one array, compacted once per disc; all start
     at x0, so the first disc is drawn once.
 
@@ -750,19 +744,19 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
 
     def simulate(rng, n):
         # a column per path: x, the carried point of _SafeBalls.walk_radii, the weight
-        state = np.full((10, 1), np.nan)
+        state = np.full((8, 1), np.nan)
         state[:2, 0] = x0
-        state[9] = 1.0
+        state[7] = 1.0
         payoffs = []
         walked = 0
         for longest in range(_WALK_MAX_BALLS):
-            radius, upper = balls.walk_radii(state[:9])
+            radius, upper = balls.walk_radii(state[:7])
             if not longest:     # every path starts at x0, so its first disc is drawn once
                 state, radius, upper = (np.repeat(a, n, axis=-1) for a in (state, radius, upper))
             done = upper <= balls.shell
             if done.any():
                 stopped = np.compress(done, state, axis=1)
-                payoffs.append(stopped[9] * p.reward(stopped[:2].T))
+                payoffs.append(stopped[7] * p.reward(stopped[:2].T))
                 keep = ~done
                 state, radius = np.compress(keep, state, axis=1), np.compress(keep, radius)
                 if not radius.size:
@@ -770,7 +764,7 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
             angle = 2.0 * np.pi * rng.random(radius.size)
             state[0] += radius * np.cos(angle)
             state[1] += radius * np.sin(angle)
-            state[9] *= _disc_weight(kappa * radius)
+            state[7] *= _disc_weight(kappa * radius)
             walked += radius.size
         else:
             raise RuntimeError("walk on spheres: %d paths still outside the shell after %d balls"

@@ -20,6 +20,8 @@ predicts:
 * the walk-on-spheres radii of `_SafeBalls`, carried from disc to disc,
   with the curve evaluated by numpy's polyval, and its clearance grid
   node by node;
+* the curve point nearest a point by Newton's method with second
+  derivatives, which the package's Gauss-Newton iterates do without;
 * small conveniences with no caller in the package: K_nu unscaled and
   in log form, affine polar coordinates of a point, the negative set,
   the d = 2 boundary curve and its first two derivatives, and the full
@@ -593,6 +595,26 @@ def curve(geom, theta):
     return tuple(np.stack(xy, axis=-1) for xy in geom.points(geom.evaluate(theta, 2)))
 
 
+def newton_nearest(geom, px, py, t, steps: int, max_step):
+    """Newton's iterates, from t, toward the parameter of the curve point nearest each (px, py).
+
+    Newton's method on f(t) = |x(t) - x|^2 / 2: the step f'/f'' with
+    f'' = |x'|^2 + (x(t) - x) . x'', its Gauss-Newton part |x'|^2 where
+    that is not positive, and at most max_step long.  Returns, as
+    `_BoundaryGeometry.nearest` does, the last iterate and its curve
+    point and tangent by components.
+    """
+    for _ in range(steps):
+        y, dy, d2y = curve(geom, t)
+        d = y - np.stack([px, py], axis=-1)
+        slope = (d * dy).sum(axis=-1)
+        speed_sq = (dy * dy).sum(axis=-1)
+        curv = speed_sq + (d * d2y).sum(axis=-1)
+        t = t - np.clip(slope / np.where(curv > 0.0, curv, speed_sq), -max_step, max_step)
+    y, dy, _ = curve(geom, t)
+    return t, ((y[..., 0], y[..., 1]), (dy[..., 0], dy[..., 1]))
+
+
 # ---------------------------------------------------------------------------
 # walk-on-spheres radii by numpy's polyval
 
@@ -603,10 +625,10 @@ def walk_radii_reference(balls, state):
     evaluated the plain way: rho and its derivatives by
     numpy.polynomial.polynomial.polyval in e^{i fold theta}, the frame
     u, u' by np.cos and np.sin, points stacked on a trailing axis of 2.
-    Each column takes one Newton step from its carried point (t and x,
-    x', x'' at t) to a t within half a turn of phi, or stays at phi
+    Each column takes one Gauss-Newton step from its carried point (t
+    and x, x' at t) to a t within half a turn of phi, or stays at phi
     where t is NaN, and evaluates the curve there alone; rho(phi) comes
-    from its Taylor enclosure about t.  state is left as it is; the
+    from its first-order Taylor enclosure about t.  state is left as it is; the
     returned one is the package's after the call, which must agree with
     it bit for bit.
     """
@@ -621,21 +643,17 @@ def walk_radii_reference(balls, state):
 
     z = x * sqrt_lam
     phi, s = np.arctan2(z[..., 1], z[..., 0]), np.sqrt((z * z).sum(axis=-1))
-    y, dy, d2y = (state[k:k + 2].T for k in (3, 5, 7))
-    d = y - x
-    slope = (d * dy).sum(axis=1)
-    speed_sq = (dy * dy).sum(axis=1)
-    curv = speed_sq + (d * d2y).sum(axis=1)
-    delta = phi - (state[2] - slope / np.where(curv > 0.0, curv, speed_sq))
+    y, dy = (state[k:k + 2].T for k in (3, 5))
+    delta = phi - (state[2] - ((y - x) * dy).sum(axis=1) / (dy * dy).sum(axis=1))
     delta = delta - 2.0 * np.pi * np.rint(delta / (2.0 * np.pi))
     delta = np.where(np.isnan(delta), 0.0, delta)
     t = phi - delta
     phase = np.exp(1j * t) ** geom.fold
-    r, d1, d2 = polyval(phase, geom._coef).real
+    r, d1 = polyval(phase, geom._coef[:, :2]).real
     size = np.abs(delta)
-    c1, c2, c3 = balls.taylor
-    half = size * (c1 + size * (c2 + size * c3))
-    rho = r + delta * (d1 + 0.5 * delta * d2)
+    c1, c2 = balls.taylor
+    half = size * (c1 + size * c2)
+    rho = r + delta * d1
 
     star = np.minimum((rho - half - s) * s / np.maximum(s + 0.5 * np.pi * balls.slope, 1e-300), s)
     radius = balls.inv_max * np.maximum(star, balls.rho_min - s)
@@ -648,7 +666,6 @@ def walk_radii_reference(balls, state):
     u, du = frame(t)
     yt = r[:, None] * u
     dyt = d1[:, None] * u + r[:, None] * du
-    d2yt = (d2 - r)[:, None] * u + 2.0 * d1[:, None] * du
     d = yt - x
     f = (d * d).sum(axis=1)
     df = 2.0 * (d * dyt).sum(axis=1)
@@ -659,7 +676,7 @@ def walk_radii_reference(balls, state):
         inner = np.sqrt(np.maximum(f - df * df / (2.0 * balls.bend * room), 0.0))
         outer = balls.inv_max * balls.rho_min * np.sin(w)
     radius = np.where(near, np.maximum(radius, np.minimum(inner, outer)), radius)
-    out = np.concatenate([x.T, np.where(near, t, np.nan)[None], yt.T, dyt.T, d2yt.T])
+    out = np.concatenate([x.T, np.where(near, t, np.nan)[None], yt.T, dyt.T])
     return np.maximum(radius - balls.rounding, 0.0), np.sqrt(f), out
 
 
