@@ -72,10 +72,6 @@ class QuadraticProblem:
         out = (self.lam * x * x).sum(axis=-1)
         return float(out) if np.ndim(out) == 0 else out
 
-    def excess_generator(self, x):
-        """(r - L)g at x for L = Laplacian/2: equals r (g(x) - beta^2)."""
-        return self.r * (self.reward(x) - self.beta_sq)
-
     def to_cartesian(self, omega, rho):
         """Point x with x_k = rho omega_k / sqrt(lambda_k); g(x) = rho^2."""
         omega = np.asarray(omega, dtype=float)

@@ -133,7 +133,7 @@ class _BoundaryGeometry:
         array: one complex exponential per angle, not one per mode, and
         no temporaries per mode.  Its steps are numpy's polyval's, so are
         its values.  cos and sin are the parts of that exponential.  All
-        come back contiguous, which later arithmetic reads faster.
+        come back as views of the real and imaginary parts.
         """
         phase = np.exp(1j * np.asarray(theta, dtype=float))
         step = phase ** self.fold
@@ -143,7 +143,7 @@ class _BoundaryGeometry:
         for c in coef[-2::-1]:
             acc *= step
             acc += c
-        return (phase.real.copy(), phase.imag.copy(), *acc.real.copy())
+        return (phase.real, phase.imag, *acc.real)
 
     def rho(self, theta):
         return self.evaluate(theta, 0)[2]
@@ -170,18 +170,21 @@ class _BoundaryGeometry:
 
         The difference is summed from expm1(ikt) and half-angle sines, so
         it keeps its relative accuracy as t -> 0, where subtracting two
-        nearby points would leave only rounding.
+        nearby points would leave only rounding.  The phases e^{i(theta + t)}
+        and e^{i(theta + t/2)} are outer products of one complex exponential
+        per theta and one, e^{it/2}, per offset, as in `evaluate`.
         """
         at = np.exp(np.multiply.outer(theta, self._ik))[..., None] * self._coef[:, :2]
         rho0, drho0 = at.sum(axis=1).real.T
         step = (np.expm1(np.multiply.outer(t, self._ik)) @ at).real
         rho = rho0[:, None] + step[..., 0]
         drho = drho0[:, None] + step[..., 1]
-        phase = np.exp(1j * np.add.outer(theta, t))
+        base, turn = np.exp(1j * theta), np.exp(0.5j * t)
+        phase = np.multiply.outer(base, turn * turn)
         u, du = (np.stack(v, axis=-1) for v in self._frame(phase.real, phase.imag))
         # u(theta + t) - u(theta) = 2 sin(t/2) u'(theta + t/2)
-        half = np.exp(1j * np.add.outer(theta, 0.5 * t))
-        chord = ((2.0 * np.sin(0.5 * t))[:, None]
+        half = np.multiply.outer(base, turn)
+        chord = ((2.0 * turn.imag)[:, None]
                  * np.stack(self._frame(half.real, half.imag)[1], axis=-1))
         diff = step[..., :1] * u + rho0[:, None, None] * chord
         return diff, drho[..., None] * u + rho[..., None] * du
@@ -441,16 +444,26 @@ _WALK_MAX_BALLS = 10_000
 _I0_SERIES = tuple(1.0 / math.factorial(k) ** 2 for k in range(10, -1, -1))
 
 
-def _strictly_convex(dy, d2y, h, bend, jerk) -> bool:
-    """Whether c = x' x x'' > 0 everywhere, from dy = x' and d2y = x'' at samples h apart.
+def _strictly_convex(geom, dy, d2y, bend, jerk) -> bool:
+    """Whether c = x' x x'' > 0 everywhere, from dy = x' and d2y = x'' at equispaced samples.
 
     c' = x' x x''', and |x'| moves at most h bend / 2 from the nearer end of a
-    sample interval, so c moves at most (h/2)(max(|x'_i|, |x'_i+1|) + h bend / 2) jerk.
+    sample interval h long, so c moves at most (h/2)(max(|x'_i|, |x'_i+1|) + h bend / 2) jerk.
+    Where c is positive at all _WALK_SAMPLES samples but some interval fails
+    that margin, the test is repeated on four times as many samples, where
+    the margin, which scales with h, is about a quarter as wide.
     """
+    h = 2.0 * np.pi / len(dy)
     c = dy[:, 0] * d2y[:, 1] - dy[:, 1] * d2y[:, 0]
     speed = np.sqrt((dy * dy).sum(axis=1))
     margin = 0.5 * h * (np.maximum(speed, np.roll(speed, -1)) + 0.5 * h * bend) * jerk
-    return bool((np.minimum(c, np.roll(c, -1)) > margin).all())
+    if (np.minimum(c, np.roll(c, -1)) > margin).all():
+        return True
+    if len(dy) > _WALK_SAMPLES or not (c > 0.0).all():
+        return False
+    theta = 0.25 * h * np.arange(4 * len(dy))
+    _, dy, d2y = (np.stack(xy, axis=-1) for xy in geom.points(geom.evaluate(theta, 2)))
+    return _strictly_convex(geom, dy, d2y, bend, jerk)
 
 
 class _SafeBalls:
@@ -594,7 +607,7 @@ class _SafeBalls:
         self.clearance = clearance - 0.5 * h * self.speed
 
         w = min(0.5 * np.pi, np.pi * self.reach / self.speed)
-        self.rho_e = (np.inf if _strictly_convex(dy, d2y, h, self.bend, jerk)
+        self.rho_e = (np.inf if _strictly_convex(geom, dy, d2y, self.bend, jerk)
                       else min(self.reach, 0.5 * inv_max * self.rho_min * np.sin(w)))
         kappa = np.sqrt(2.0 * p.r)
         ratio = 1.0
@@ -721,8 +734,8 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
     keyed by (seed, chunk) makes the result reproducible and independent
     of scheduling.  A disc evaluates the curve once, at a Gauss-Newton
     iterate from the point the path carries (see _SafeBalls.walk_radii).  The
-    paths are columns of one array, compacted once per disc; all start
-    at x0, so the first disc is drawn once.
+    paths are columns of one array, all starting at x0 and compacted once
+    per disc.
 
     Returns (estimate, stderr, walk), with the walk's "paths",
     "mean_walk" and "max_walk" (balls per path), "shell" (eps) and
@@ -744,15 +757,13 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
 
     def simulate(rng, n):
         # a column per path: x, the carried point of _SafeBalls.walk_radii, the weight
-        state = np.full((8, 1), np.nan)
-        state[:2, 0] = x0
+        state = np.full((8, n), np.nan)
+        state[:2] = x0[:, None]
         state[7] = 1.0
         payoffs = []
         walked = 0
         for longest in range(_WALK_MAX_BALLS):
             radius, upper = balls.walk_radii(state[:7])
-            if not longest:     # every path starts at x0, so its first disc is drawn once
-                state, radius, upper = (np.repeat(a, n, axis=-1) for a in (state, radius, upper))
             done = upper <= balls.shell
             if done.any():
                 stopped = np.compress(done, state, axis=1)

@@ -23,10 +23,10 @@ predicts:
 * the curve point nearest a point by Newton's method with second
   derivatives, which the package's Gauss-Newton iterates do without;
 * small conveniences with no caller in the package: K_nu unscaled and
-  in log form, affine polar coordinates of a point, the negative set,
-  the d = 2 boundary curve and its first two derivatives, and the full
-  n x n Martin residual and Jacobian of a given boundary, with every
-  grid node a test direction.
+  in log form, affine polar coordinates of a point, the excess
+  generator (r - L)g and its negative set, the d = 2 boundary curve and
+  its first two derivatives, and the full n x n Martin residual and
+  Jacobian of a given boundary, with every grid node a test direction.
 
 One-dimensional integrals go through `quad`, scipy's QUADPACK with its
 accuracy warnings raised as errors, so a reference never returns a value
@@ -95,6 +95,11 @@ def to_polar(p: QuadraticProblem, x):
         omega[0] = 1.0
         return omega, 0.0
     return z / rho, rho
+
+
+def excess_generator(p: QuadraticProblem, x):
+    """(r - L)g at x for L = Laplacian/2: equals r (g(x) - beta^2)."""
+    return p.r * (p.reward(x) - p.beta_sq)
 
 
 def negative_set_contains(p: QuadraticProblem, x):
@@ -549,7 +554,7 @@ def green_integral_mc3(p: QuadraticProblem, b: StarBoundary, x) -> float:
         y = p.to_cartesian(omega, rho)
         s = np.maximum(np.sqrt(((y - x) ** 2).sum(axis=1)), 1e-300)
         dens = 3.0 * np.prod(p.sqrt_lam) / (4.0 * np.pi * rho_hat ** 3)
-        return green_kernel_radial(cfg, s) * p.excess_generator(y) / dens
+        return green_kernel_radial(cfg, s) * excess_generator(p, y) / dens
 
     return _chunked_mean(_MC3_SAMPLES, 0, simulate)[0]
 

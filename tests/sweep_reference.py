@@ -14,6 +14,7 @@ import numpy as np
 
 from quadstop.kernels import KillingConfig, green_kernel_radial
 from quadstop.verification import _GL16_W, _GL16_X
+from reference import excess_generator
 
 
 def trig_eval(radii, theta):
@@ -111,7 +112,7 @@ def sweep_integrals(p, b, x, n_rays=720, n_scan=256):
     s_flat = (mid[:, None] + half[:, None] * _GL16_X).ravel()
     pts = x + s_flat[:, None] * dirs[np.repeat(ray, 16)]
     kern = green_kernel_radial(cfg, s_flat) * s_flat
-    f_vals = p.excess_generator(pts)
+    f_vals = excess_generator(p, pts)
     int_f = ((kern * f_vals).reshape(-1, 16) @ _GL16_W) * half
     int_1 = (kern.reshape(-1, 16) @ _GL16_W) * half
     w_ang = 2.0 * np.pi / dirs.shape[0]

@@ -599,11 +599,14 @@ def _shortcut_lipschitz(geom):
 
 def test_convex_curves_take_an_infinite_exterior_radius(walk_boundaries, p_sym, bnd_sym, p_14,
                                                         bnd_14_n32, monkeypatch):
-    p_64 = QuadraticProblem(1.0, (1.0, 64.0))
+    p_64, p_400 = (QuadraticProblem(1.0, (1.0, ratio)) for ratio in (64.0, 400.0))
+    # (1,400), n = 64: c = x' x x'' is positive at every sample, and only the
+    # retest on four times as many samples clears each interval's margin
     convex = [_BoundaryGeometry(p, b) for p, b in
               [(p_sym, bnd_sym), (p_14, bnd_14_n32), walk_boundaries["l14-r0.3-n32"],
                walk_boundaries["l1_16-r1-n64"],
-               (p_64, solve_boundary(p_64, make_circle_grid(64))[0])]]
+               (p_64, solve_boundary(p_64, make_circle_grid(64))[0]),
+               (p_400, solve_boundary(p_400, make_circle_grid(64))[0])]]
     certified = [_SafeBalls(geom) for geom in convex]
     assert [balls.rho_e for balls in certified] == [np.inf] * len(convex)
     assert [balls.lipschitz for balls in certified] == [_shortcut_lipschitz(g) for g in convex]
@@ -672,15 +675,15 @@ def test_mc_value_memory_peak(p_14_r03, bnd_14_r03_n32):
 
 
 
-def test_mc_value_draws_the_first_disc_once(p_14_r03, bnd_14_r03_n32, monkeypatch):
+def test_mc_value_runs_every_disc_through_one_loop_step(p_14_r03, bnd_14_r03_n32, monkeypatch):
     widths = []
     walk_radii = _SafeBalls.walk_radii
     monkeypatch.setattr(_SafeBalls, "walk_radii",
                         lambda self, state: widths.append(state.shape[1]) or walk_radii(self, state))
     paths = 500
     walk = mc_value(p_14_r03, bnd_14_r03_n32, np.zeros(2), MCConfig(paths=paths, seed=2))[2]
-    # every path starts at x0: one column for the first disc, then one per path still walking
-    assert widths[:2] == [1, paths]
+    # one column per path at the first disc, then one per path still walking
+    assert widths[0] == paths
     assert sum(widths[1:]) == walk["mean_walk"] * paths
     assert len(widths) == walk["max_walk"] + 1
 
