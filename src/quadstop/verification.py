@@ -109,12 +109,15 @@ class _BoundaryGeometry:
     `evaluate` is the one route from angles to the curve: `rho`,
     `points` and `nearest` all go through it.  Only
     `curve_from`, which sums differences along the curve, has its own.
+    Points and vectors, here and in the sweeps and the walk, are (2, ...)
+    arrays: components on axis 0.  sqrt(lambda) and lambda are columns.
     """
 
     def __init__(self, p: QuadraticProblem, b: StarBoundary):
         if p.d != 2 or b.grid.d != 2:
             raise ValueError("boundary integrals are a d = 2 scheme")
         self.p = p
+        self.lam, self.sqrt_lam = p.lam[:, None], p.sqrt_lam[:, None]
         self.n = b.grid.n
         period = next(q for q in range(1, self.n + 1)
                       if self.n % q == 0 and np.array_equal(np.roll(b.radii, q), b.radii))
@@ -127,13 +130,13 @@ class _BoundaryGeometry:
         self._coef = coeffs[:, None] * self._ik[:, None] ** np.arange(3)
 
     def evaluate(self, theta, order):
-        """(cos theta, sin theta, rho, ..., rho^(order)) at each theta.
+        """(e, rho, ..., rho^(order)) at each theta, e = (cos theta, sin theta) on axis 0.
 
         Horner's rule in e^{i fold theta}, run in place on one complex
         array: one complex exponential per angle, not one per mode, and
         no temporaries per mode.  Its steps are numpy's polyval's, so are
-        its values.  cos and sin are the parts of that exponential.  All
-        come back as views of the real and imaginary parts.
+        its values.  e holds the parts of that exponential.  All come
+        back as real copies, so no complex array outlives the call.
         """
         phase = np.exp(1j * np.asarray(theta, dtype=float))
         step = phase ** self.fold
@@ -143,30 +146,33 @@ class _BoundaryGeometry:
         for c in coef[-2::-1]:
             acc *= step
             acc += c
-        return (phase.real, phase.imag, *acc.real)
+        return (np.stack([phase.real, phase.imag]), *acc.real.copy())
 
     def rho(self, theta):
-        return self.evaluate(theta, 0)[2]
+        return self.evaluate(theta, 0)[1]
 
-    def _frame(self, cos, sin):
-        """u = (cos, sin) / sqrt(lambda) and u' = (-sin, cos) / sqrt(lambda), by components."""
-        sx, sy = self.p.sqrt_lam
-        return (cos / sx, sin / sy), (-(sin / sx), cos / sy)
+    def _frame(self, e):
+        """u = e / sqrt(lambda) and u' = (-sin, cos) / sqrt(lambda), e = (cos, sin) on axis 0."""
+        scale = self.sqrt_lam.reshape((2,) + (1,) * (e.ndim - 1))
+        return e / scale, np.stack([-e[1], e[0]]) / scale
 
     def points(self, at):
-        """(x, y) of x(theta) and of as many derivatives as the evaluation `at` carries."""
-        cos, sin, rho, *drho = at
-        (ux, uy), (vx, vy) = self._frame(cos, sin)
-        out = [(rho * ux, rho * uy)]
+        """x(theta) and as many derivatives as the evaluation `at` carries, (2, ...) arrays."""
+        e, rho, *drho = at
+        u, du = self._frame(e)
+        out = [rho * u]
         if drho:
-            out.append((drho[0] * ux + rho * vx, drho[0] * uy + rho * vy))
+            out.append(drho[0] * u + rho * du)
         if len(drho) > 1:
-            bend, twice = drho[1] - rho, 2.0 * drho[0]
-            out.append((bend * ux + twice * vx, bend * uy + twice * vy))
+            out.append((drho[1] - rho) * u + (2.0 * drho[0]) * du)
         return out
 
+    def reward(self, x):
+        """g(x) at the points x, a (2, ...) array."""
+        return (self.lam.reshape((2,) + (1,) * (x.ndim - 1)) * x * x).sum(axis=0)
+
     def curve_from(self, theta, t):
-        """x(theta + t) - x(theta) and x'(theta + t), shaped (B, Q, 2) for B thetas, Q offsets t.
+        """x(theta + t) - x(theta) and x'(theta + t), shaped (2, B, Q) for B thetas, Q offsets t.
 
         The difference is summed from expm1(ikt) and half-angle sines, so
         it keeps its relative accuracy as t -> 0, where subtracting two
@@ -181,41 +187,37 @@ class _BoundaryGeometry:
         drho = drho0[:, None] + step[..., 1]
         base, turn = np.exp(1j * theta), np.exp(0.5j * t)
         phase = np.multiply.outer(base, turn * turn)
-        u, du = (np.stack(v, axis=-1) for v in self._frame(phase.real, phase.imag))
+        u, du = self._frame(np.stack([phase.real, phase.imag]))
         # u(theta + t) - u(theta) = 2 sin(t/2) u'(theta + t/2)
         half = np.multiply.outer(base, turn)
-        chord = ((2.0 * turn.imag)[:, None]
-                 * np.stack(self._frame(half.real, half.imag)[1], axis=-1))
-        diff = step[..., :1] * u + rho0[:, None, None] * chord
-        return diff, drho[..., None] * u + rho[..., None] * du
+        chord = (2.0 * turn.imag) * self._frame(np.stack([half.real, half.imag]))[1]
+        return step[..., 0] * u + rho0[:, None] * chord, drho * u + rho * du
 
     @staticmethod
-    def newton_step(px, py, point, tangent):
+    def newton_step(x, point, tangent):
         """Gauss-Newton step (x(t) - x) . x'(t) / |x'(t)|^2, point = x(t), tangent = x'(t)."""
-        cx, cy = point[0] - px, point[1] - py
-        dx, dy = tangent
-        return (cx * dx + cy * dy) / (dx * dx + dy * dy)
+        c = point - x
+        return (c * tangent).sum(axis=0) / (tangent * tangent).sum(axis=0)
 
-    def nearest(self, px, py, t, at, steps: int, max_step):
-        """Gauss-Newton iterates, from t, toward the parameter of the curve point nearest (px, py).
+    def nearest(self, x, t, at, steps: int, max_step):
+        """Gauss-Newton iterates, from t, toward the parameter of the curve point nearest each x.
 
         `at` is the evaluation of order 1 at t; each step is at most max_step long.
-        Returns the last iterate and its curve point and tangent, ((x, y), (x', y')).
+        Returns the last iterate and its curve point and tangent, (2, ...) arrays.
         """
         for _ in range(steps):
-            step = self.newton_step(px, py, *self.points(at))
+            step = self.newton_step(x, *self.points(at))
             t = t - np.clip(step, -max_step, max_step)
             at = self.evaluate(t, 1)
         return t, self.points(at)
 
     def polar(self, x):
         """(phi, s) with sqrt(lambda) x = s (cos phi, sin phi): the inverse affine-polar map."""
-        zx = x[..., 0] * self.p.sqrt_lam[0]
-        zy = x[..., 1] * self.p.sqrt_lam[1]
-        return np.arctan2(zy, zx), np.sqrt(zx * zx + zy * zy)
+        z = x * self.sqrt_lam
+        return np.arctan2(z[1], z[0]), np.sqrt((z * z).sum(axis=0))
 
-    def inside(self, pts: np.ndarray) -> np.ndarray:
-        phi, s = self.polar(pts)
+    def inside(self, x: np.ndarray) -> np.ndarray:
+        phi, s = self.polar(x)
         return s < self.rho(phi)
 
 
@@ -230,20 +232,20 @@ _BLOCK_ENTRIES = 2 ** 14
 _N_RAYS = 720           # default trapezoid nodes on ∂C of the Green sweeps
 
 
-def _layer_sums(p: QuadraticProblem, cfg: KillingConfig, d, y, dy, w):
+def _layer_sums(geom: _BoundaryGeometry, cfg: KillingConfig, d, y, dy, w):
     """Quadratures of 1/2 (g d_nG - G d_n g) and 1/2 d_nG along ∂C, one per point.
 
-    Axis 0 runs over the points x, axis 1 over the nodes: d = y - x,
-    y and dy are the curve points and tangents, w the weights in theta.
-    dy rotated clockwise is the outward normal times ds/dtheta.
+    d = y - x, the curve points y and tangents dy are (2, P, N) arrays, or
+    broadcast to them: components, P points x, N nodes.  w are the weights
+    in theta.  dy rotated clockwise is the outward normal times ds/dtheta.
     """
-    nu = np.stack([dy[..., 1], -dy[..., 0]], axis=-1)
-    s = np.sqrt((d * d).sum(axis=-1))
+    nu = np.stack([dy[1], -dy[0]])
+    s = np.sqrt((d * d).sum(axis=0))
     kern = green_kernel_radial(cfg, s.ravel()).reshape(s.shape)
     dn_kern = (green_kernel_radial_ds(cfg, s.ravel()).reshape(s.shape)
-               * (d * nu).sum(axis=-1) / s)
-    dn_g = 2.0 * (p.lam * y * nu).sum(axis=-1)
-    layer = ((p.reward(y) * dn_kern - kern * dn_g) * w).sum(axis=-1)
+               * (d * nu).sum(axis=0) / s)
+    dn_g = 2.0 * (geom.lam[..., None] * y * nu).sum(axis=0)
+    layer = ((geom.reward(y) * dn_kern - kern * dn_g) * w).sum(axis=-1)
     return 0.5 * layer, 0.5 * (dn_kern * w).sum(axis=-1)
 
 
@@ -289,55 +291,52 @@ def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int):
     Points are processed in blocks of about _BLOCK_ENTRIES kernel entries.
     """
     _check_n_rays(n_rays)
-    pts = np.asarray(pts, dtype=float)
+    x = np.asarray(pts, dtype=float).T.copy()     # (2, m): components on axis 0
     geom = _BoundaryGeometry(p, b)
     cfg = KillingConfig(p.r, 2)
     n_samples = max(int(n_rays), 8 * geom.n)
     theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
     at = geom.evaluate(theta, 1)
-    y, dy = (np.stack(xy, axis=-1) for xy in geom.points(at))
+    y, dy = geom.points(at)
     spacing = 2.0 * np.pi / n_samples
-    far_dist = _FAR_SPACINGS * spacing * float(np.max(np.sqrt((dy * dy).sum(axis=1))))
+    far_dist = _FAR_SPACINGS * spacing * float(np.max(np.sqrt((dy * dy).sum(axis=0))))
 
-    nearest = np.empty(len(pts), dtype=int)
-    dist = np.empty(len(pts))
+    nearest = np.empty(x.shape[1], dtype=int)
+    dist = np.empty(x.shape[1])
     step = max(1, _BLOCK_ENTRIES // n_samples)
-    for i in range(0, len(pts), step):
-        d2 = ((pts[i:i + step, None, :] - y) ** 2).sum(axis=-1)
+    for i in range(0, x.shape[1], step):
+        d2 = ((x[:, i:i + step, None] - y[:, None]) ** 2).sum(axis=0)
         nearest[i:i + step] = np.argmin(d2, axis=1)
         dist[i:i + step] = np.sqrt(d2[np.arange(len(d2)), nearest[i:i + step]])
-    chi = geom.inside(pts).astype(float)
-    x = pts.copy()
-    e_layer = np.empty(len(pts))
-    m_layer = np.empty(len(pts))
+    chi = geom.inside(x).astype(float)
+    e_layer, m_layer = np.empty((2, x.shape[1]))
 
     far = np.flatnonzero(dist > far_dist)
     for i in range(0, far.size, step):
         idx = far[i:i + step]
-        e_layer[idx], m_layer[idx] = _layer_sums(p, cfg, y - x[idx, None, :], y[None],
-                                                 dy[None], spacing)
+        e_layer[idx], m_layer[idx] = _layer_sums(geom, cfg, y[:, None] - x[:, idx, None],
+                                                 y[:, None], dy[:, None], spacing)
 
     near = np.flatnonzero(dist <= far_dist)
     if near.size:
         width = 16.0 * spacing    # as many nodes per turn as the trapezoid rule
         offsets, weights = _near_panels(width)
         start = nearest[near]
-        t_star, ends = geom.nearest(x[near, 0], x[near, 1], theta[start],
-                                    tuple(a[start] for a in at), _NEWTON_STEPS, max_step=spacing)
-        yn, dyn = (np.stack(xy, axis=-1) for xy in ends)
-        tau = np.sqrt(((yn - x[near]) ** 2).sum(axis=1) / (dyn * dyn).sum(axis=1))
+        t_star, (yn, dyn) = geom.nearest(x[:, near], theta[start], [a[..., start] for a in at],
+                                         _NEWTON_STEPS, max_step=spacing)
+        tau = np.sqrt(((yn - x[:, near]) ** 2).sum(axis=0) / (dyn * dyn).sum(axis=0))
         on = tau < width * _NEAR_FINEST
-        x[near[on]] = yn[on]
+        x[:, near[on]] = yn[:, on]
         chi[near[on]] = 0.5
         step_near = max(1, _BLOCK_ENTRIES // offsets.size)
         for i in range(0, near.size, step_near):
             blk = slice(i, i + step_near)
             diff, dyq = geom.curve_from(t_star[blk], offsets)
             e_layer[near[blk]], m_layer[near[blk]] = _layer_sums(
-                p, cfg, diff + (yn[blk] - x[near[blk]])[:, None, :], diff + yn[blk, None, :],
-                dyq, weights)
+                geom, cfg, diff + (yn[:, blk] - x[:, near[blk]])[..., None],
+                diff + yn[:, blk, None], dyq, weights)
 
-    return chi * p.reward(x) + e_layer, (chi + m_layer) / p.r
+    return chi * geom.reward(x) + e_layer, (chi + m_layer) / p.r
 
 
 def green_residual_normalized(p: QuadraticProblem, b: StarBoundary, x,
@@ -411,9 +410,9 @@ def interior_scan_grid(p: QuadraticProblem, b: StarBoundary, n: int) -> np.ndarr
     # exactly antisymmetric axes: every mirror image of a scan point is one, bit for bit
     mx = np.abs(b.cartesian_points(p)).max(axis=0)
     axes = mx[:, None] * (2.0 * np.arange(n) - (n - 1)) / max(n - 1, 1)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(2, -1)
     phi, s = geom.polar(grid)
-    inside = grid[s <= _SCAN_SHRINK * geom.rho(phi)]
+    inside = grid[:, s <= _SCAN_SHRINK * geom.rho(phi)].T
     if not len(inside):
         raise ValueError("majorant scan of size %d has no point inside the boundary" % n)
     return inside
@@ -453,16 +452,16 @@ def _strictly_convex(geom, dy, d2y, bend, jerk) -> bool:
     that margin, the test is repeated on four times as many samples, where
     the margin, which scales with h, is about a quarter as wide.
     """
-    h = 2.0 * np.pi / len(dy)
-    c = dy[:, 0] * d2y[:, 1] - dy[:, 1] * d2y[:, 0]
-    speed = np.sqrt((dy * dy).sum(axis=1))
+    h = 2.0 * np.pi / dy.shape[1]
+    c = dy[0] * d2y[1] - dy[1] * d2y[0]
+    speed = np.sqrt((dy * dy).sum(axis=0))
     margin = 0.5 * h * (np.maximum(speed, np.roll(speed, -1)) + 0.5 * h * bend) * jerk
     if (np.minimum(c, np.roll(c, -1)) > margin).all():
         return True
-    if len(dy) > _WALK_SAMPLES or not (c > 0.0).all():
+    if dy.shape[1] > _WALK_SAMPLES or not (c > 0.0).all():
         return False
-    theta = 0.25 * h * np.arange(4 * len(dy))
-    _, dy, d2y = (np.stack(xy, axis=-1) for xy in geom.points(geom.evaluate(theta, 2)))
+    theta = 0.25 * h * np.arange(4 * dy.shape[1])
+    _, dy, d2y = geom.points(geom.evaluate(theta, 2))
     return _strictly_convex(geom, dy, d2y, bend, jerk)
 
 
@@ -575,32 +574,32 @@ class _SafeBalls:
         h = 2.0 * np.pi / _WALK_SAMPLES
         theta = h * np.arange(_WALK_SAMPLES)
         at = geom.evaluate(theta, 2)
-        rho, drho = at[2:4]
-        y, dy, d2y = (np.stack(xy, axis=-1) for xy in geom.points(at))
+        rho, drho = at[1:3]
+        y, dy, d2y = geom.points(at)
         k = geom._ik.imag
         s0, s1, s2, s3 = ((np.abs(geom._coef[:, 0]) * k ** m).sum() for m in range(4))
         eps = 8.0 * k.size * np.finfo(float).eps
         self.taylor = (eps * s1, 0.5 * s2)
-        inv_min, inv_max = 1.0 / p.sqrt_lam.min(), 1.0 / p.sqrt_lam.max()
+        inv_min, inv_max = 1.0 / geom.sqrt_lam.min(), 1.0 / geom.sqrt_lam.max()
         jerk = inv_min * (s3 + 3.0 * s2 + 3.0 * s1 + s0)
         self.rho_min = rho.min() - 0.5 * h * s1
         self.slope = np.abs(drho).max() + 0.5 * h * s2
-        self.speed = (np.sqrt((dy * dy).sum(axis=1)).max()
+        self.speed = (np.sqrt((dy * dy).sum(axis=0)).max()
                       + 0.5 * h * inv_min * (s2 + 2.0 * s1 + s0))
-        self.bend = np.sqrt((d2y * d2y).sum(axis=1)).max() + 0.5 * h * jerk
+        self.bend = np.sqrt((d2y * d2y).sum(axis=0)).max() + 0.5 * h * jerk
         self.inv_max = inv_max
         self.reach = (inv_max * self.rho_min) ** 2 / self.bend
-        norms = np.sqrt((y * y).sum(axis=1))
+        norms = np.sqrt((y * y).sum(axis=0))
         self.shell = _SHELL * norms.min()
         self.rounding = 16.0 * np.finfo(float).eps * norms.max()
 
-        lo, hi = y.min(axis=0), y.max(axis=0)
+        lo, hi = y.min(axis=1), y.max(axis=1)
         self.cell = (hi - lo).max() / _WALK_CELLS
         self.lo = lo
         axes = [lo[i] + self.cell * np.arange(int(np.ceil((hi[i] - lo[i]) / self.cell)) + 1)
                 for i in range(2)]
         # squared offsets of each node coordinate from each sample's, one table per axis
-        gx, gy = (axes[i][:, None] - y[:, i] for i in range(2))
+        gx, gy = (axes[i][:, None] - y[i] for i in range(2))
         gx *= gx
         gy *= gy
         clearance = np.sqrt([(row + gy).min(axis=1) for row in gx])
@@ -620,16 +619,16 @@ class _SafeBalls:
     def walk_radii(self, state):
         """(R, U): R <= dist(x, ∂C) <= U at each column of state, x a point of C.
 
-        state is (7, k), one column per point: x by components, then the
-        carried parameter t, NaN where the column carries no point, and
-        x(t), x'(t) by components.  Rows 2 to 6 are updated in place to
-        this disc's.
+        state is (7, k), one column per point: x in rows 0-1, the carried
+        parameter t in row 2, NaN where the column carries no point, x(t)
+        in rows 3-4 and x'(t) in 5-6, each (2, k) as the curve's points.
+        Rows 2 to 6 are updated in place to this disc's.
         """
         geom = self.geom
-        px, py = state[0], state[1]
-        phi, s = geom.polar(state[:2].T)
+        x = state[:2]
+        phi, s = geom.polar(x)
         # delta = phi - t for the Gauss-Newton iterate t, which may lie a whole turn from phi
-        delta = phi - (state[2] - geom.newton_step(px, py, state[3:5], state[5:7]))
+        delta = phi - (state[2] - geom.newton_step(x, state[3:5], state[5:7]))
         delta -= 2.0 * np.pi * np.rint(delta / (2.0 * np.pi))
         delta[np.isnan(delta)] = 0.0     # no carried point: phi itself
         t = phi - delta
@@ -637,35 +636,32 @@ class _SafeBalls:
         # rho(phi) within rho +- half: Taylor's theorem about t (see the class docstring)
         size = np.abs(delta)
         half = size * (self.taylor[0] + size * self.taylor[1])
-        rho = at[2] + delta * at[3]
+        rho = at[1] + delta * at[2]
 
         gap = rho - half - s
         star = np.minimum(gap * s / np.maximum(s + 0.5 * np.pi * self.slope, 1e-300), s)
         radius = self.inv_max * np.maximum(star, self.rho_min - s)
-        nx, ny = self.clearance.shape
-        ix = np.rint((px - self.lo[0]) / self.cell)
-        iy = np.rint((py - self.lo[1]) / self.cell)
-        np.clip(ix, 0, nx - 1, out=ix)
-        np.clip(iy, 0, ny - 1, out=iy)
-        ox = px - (self.lo[0] + self.cell * ix)
-        oy = py - (self.lo[1] + self.cell * iy)
-        clear = self.clearance.take((ix * ny + iy).astype(int))
-        radius = np.maximum(radius, clear - np.sqrt(ox * ox + oy * oy))
+        # x's nearest node of the clearance grid, by its (2, k) indices
+        node = np.rint((x - self.lo[:, None]) / self.cell)
+        np.clip(node, 0, np.array(self.clearance.shape)[:, None] - 1, out=node)
+        offset = x - (self.lo[:, None] + self.cell * node)
+        clear = self.clearance.take((node[0] * self.clearance.shape[1] + node[1]).astype(int))
+        radius = np.maximum(radius, clear - np.sqrt((offset * offset).sum(axis=0)))
 
         point, tangent = geom.points(at)
-        cx, cy = point[0] - px, point[1] - py
-        f = cx * cx + cy * cy
-        df = 2.0 * (cx * tangent[0] + cy * tangent[1])
+        c = point - x
+        f = (c * c).sum(axis=0)
+        df = 2.0 * (c * tangent).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):    # x = 0: e is NaN, not near
-            room = self.reach - (np.abs(rho - s) + half) * (np.sqrt(px * px + py * py) / s)
+            room = self.reach - (np.abs(rho - s) + half) * (np.sqrt((x * x).sum(axis=0)) / s)
             w = np.minimum(0.5 * np.pi, 0.5 * room / self.speed)
             near = (room > 0.0) & (size <= w)
             inner = np.sqrt(np.maximum(f - df * df / (2.0 * self.bend * room), 0.0))
             outer = self.inv_max * self.rho_min * np.sin(w)
         np.maximum(radius, np.minimum(inner, outer), out=radius, where=near)
         state[2] = np.where(near, t, np.nan)
-        for row, value in zip(state[3:], (*point, *tangent)):
-            row[...] = value
+        state[3:5] = point
+        state[5:7] = tangent
         return np.maximum(radius - self.rounding, 0.0), np.sqrt(f)
 
 
@@ -751,7 +747,7 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
     lengths = []
     walk = dict(paths=cfg.paths, mean_walk=0.0, max_walk=0, shell=float(balls.shell),
                 lipschitz=balls.lipschitz)
-    if not geom.inside(x0[None, :])[0]:
+    if not geom.inside(x0[:, None])[0]:
         return float(p.reward(x0)), 0.0, walk
     kappa = np.sqrt(2.0 * p.r)
 
@@ -767,7 +763,7 @@ def mc_value(p: QuadraticProblem, b: StarBoundary, x0, cfg: MCConfig):
             done = upper <= balls.shell
             if done.any():
                 stopped = np.compress(done, state, axis=1)
-                payoffs.append(stopped[7] * p.reward(stopped[:2].T))
+                payoffs.append(stopped[7] * geom.reward(stopped[:2]))
                 keep = ~done
                 state, radius = np.compress(keep, state, axis=1), np.compress(keep, radius)
                 if not radius.size:

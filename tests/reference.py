@@ -605,9 +605,9 @@ def newton_nearest(geom, px, py, t, steps: int, max_step):
 
     Newton's method on f(t) = |x(t) - x|^2 / 2: the step f'/f'' with
     f'' = |x'|^2 + (x(t) - x) . x'', its Gauss-Newton part |x'|^2 where
-    that is not positive, and at most max_step long.  Returns, as
-    `_BoundaryGeometry.nearest` does, the last iterate and its curve
-    point and tangent by components.
+    that is not positive, and at most max_step long.  Returns the last
+    iterate and its curve point and tangent, each a pair of component
+    arrays, where `_BoundaryGeometry.nearest` returns (2, ...) arrays.
     """
     for _ in range(steps):
         y, dy, d2y = curve(geom, t)
