@@ -15,7 +15,7 @@ import numpy as np
 from .grids import make_circle_grid, make_sphere_grid
 from .problem import QuadraticProblem, StarBoundary
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 _FMT = "%.17g"
 

@@ -49,7 +49,9 @@ dilation, and maps its radii and residuals back.  It continues in lambda
 over equal stages, each started at the secant prediction from the two
 before it and at the damping the stage before it ended at; only the
 target stage is solved to _RESIDUAL_TOL, the stages before it to
-_STAGE_TOL.
+_STAGE_TOL.  Where the grid has a half grid (`grids.half_grid`: every
+other angle of each circle, at least 64 nodes) those earlier stages run
+on it, and the target starts from their interpolated secant prediction.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .grids import SphereGrid
+from .grids import SphereGrid, half_grid
 from .problem import RADIUS_CAP, QuadraticProblem, StarBoundary, symmetric_radius
 
 __all__ = [
@@ -92,13 +94,17 @@ class SolveReport:
 
     iterations counts Levenberg-Marquardt steps (Jacobian evaluations),
     summed over the stages, and stage_iterations splits it by stage, in
-    stage order; accelerated_steps counts those steps whose accepted
-    step carried the geodesic acceleration.  homotopy_trace holds
-    (lambdas, residual inf-norm) of every stage run, the cold start's
-    one stage included.  converged, stop and step_inf_norm are the last
-    stage's, converged judged against _STAGE_TOL for a stage before the
-    target and _RESIDUAL_TOL for the target; stop is why that stage
-    ended, one of STOP_REASONS, and step_inf_norm is None when it
+    stage order; stage_nodes gives the node count of the grid each stage
+    ran on: the half grid's (`half_grid`, at least 64 nodes) for the
+    stages before the target where solve_boundary uses it, the solve's
+    grid's for the target and for every stage on smaller grids.
+    accelerated_steps counts those steps whose accepted step carried the
+    geodesic acceleration.  homotopy_trace holds (lambdas, residual inf-norm) of
+    every stage run, the cold start's one stage included, each residual
+    on the grid its stage ran on.  converged, stop and step_inf_norm are
+    the last stage's, converged judged against _STAGE_TOL for a stage
+    before the target and _RESIDUAL_TOL for the target; stop is why that
+    stage ended, one of STOP_REASONS, and step_inf_norm is None when it
     accepted no step.  The residual is always that of the target
     problem, also when an earlier stage failed.
     """
@@ -107,6 +113,7 @@ class SolveReport:
     stop: str
     iterations: int
     stage_iterations: tuple
+    stage_nodes: tuple
     accelerated_steps: int
     residual_inf_norm: float
     step_inf_norm: float | None
@@ -481,7 +488,15 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
     Only the target's radii are returned, so the stages
     before it stop at _STAGE_TOL and only the target is solved to
     _RESIDUAL_TOL: past about 1e-7 the Levenberg-Marquardt steps crawl
-    through the ill-posed modes of the smoothing kernel.
+    through the ill-posed modes of the smoothing kernel.  For the same
+    reason the stages before the target run on `half_grid(grid)`, every
+    other angle of each circle and a quarter of the moments per
+    assembly, when there is one (at least HALF_GRID_MIN_NODES nodes) and
+    there are at least two stages; the target starts at the
+    interpolated secant prediction and is solved on grid as before
+    (nested iteration, Hackbusch 1985, ch. 5).  A half-grid stage that
+    stops short ends the solve like any other stage: its radii,
+    interpolated onto grid, are returned and judged against the target.
     Non-convergence is reported, never raised.
     """
     if homotopy_steps < 0:
@@ -493,9 +508,17 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
     q, c = p.canonical()
     unit = c ** (p.d + 2)  # of the radial moments, residuals and their scale
     n_stages = max(homotopy_steps, 1)
-    x = np.full(reps.size, symmetric_radius(p.d, 0.5) if homotopy_steps
+    coarse = half_grid(grid) if n_stages > 1 else None
+    if coarse is None:
+        stage_grid, stage_orbits, to_target = grid, orbits, lambda x: x
+    else:
+        stage_grid, prolong = coarse
+        stage_orbits = stage_grid.reflection_orbits()
+        # radii per half-grid orbit, to its nodes, interpolated, to the grid's orbits
+        to_target = lambda x: prolong(x[stage_orbits[1]])[reps]
+    x = np.full(stage_orbits[0].size, symmetric_radius(p.d, 0.5) if homotopy_steps
                 else _INIT_FACTOR * q.beta)
-    trace, stage_iterations = [], []
+    trace, stage_iterations, stage_nodes = [], [], []
     accelerated = 0
     mu = _DAMPING
     x_prev = x  # 2x - x is x exactly: stage 1 starts at x itself
@@ -505,23 +528,29 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
         # secant predictor: the stages are equal steps in t
         x_start = 2.0 * x - x_prev
         x_prev = x
+        if k == n_stages:
+            x_start = to_target(x_start)
+            stage_grid, stage_orbits = grid, orbits
         q_t = QuadraticProblem(0.5, tuple((1.0 - t) + t * q.lam))
-        stage = _lm_solve(q_t, grid, orbits, x_start, tol, mu)
+        stage = _lm_solve(q_t, stage_grid, stage_orbits, x_start, tol, mu)
         x, res, scale, mu = stage.x, stage.res, stage.scale, stage.mu
         stage_iterations.append(stage.iterations)
+        stage_nodes.append(stage_grid.n)
         accelerated += stage.accelerated
         trace.append((tuple(((1.0 - t) * p.lam.mean() + t * p.lam).tolist()),
                       unit * float(np.max(np.abs(res)))))
         if stage.stop != "converged":
             break
     if k < n_stages:
-        # a stage before the target failed: judge its radii against the target
+        # a stage before the target failed: judge its radii, on grid, against the target
+        x = to_target(x)
         res, scale = _OrbitSystem(q, grid, orbits).residual(x)
     report = SolveReport(
         converged=stage.stop == "converged",
         stop=stage.stop,
         iterations=sum(stage_iterations),
         stage_iterations=tuple(stage_iterations),
+        stage_nodes=tuple(stage_nodes),
         accelerated_steps=accelerated,
         residual_inf_norm=unit * float(np.max(np.abs(res))),
         step_inf_norm=None if stage.step_inf == np.inf else c * stage.step_inf,

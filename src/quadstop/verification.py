@@ -108,7 +108,8 @@ class _BoundaryGeometry:
     in e^{i fold theta}.  Solved radii are flip-symmetric, so fold >= 2.
     `evaluate` is the one route from angles to the curve: `rho`,
     `points` and `nearest` all go through it.  Only
-    `curve_from`, which sums differences along the curve, has its own.
+    `curve_from`, which sums differences along the curve, has its own,
+    with its per-offset factors from `offset_table`.
     Points and vectors, here and in the sweeps and the walk, are (2, ...)
     arrays: components on axis 0.  sqrt(lambda) and lambda are columns.
     """
@@ -171,21 +172,28 @@ class _BoundaryGeometry:
         """g(x) at the points x, a (2, ...) array."""
         return (self.lam.reshape((2,) + (1,) * (x.ndim - 1)) * x * x).sum(axis=0)
 
-    def curve_from(self, theta, t):
+    def offset_table(self, t):
+        """The per-offset factors of `curve_from`: e^{it/2} and expm1(ikt) for each offset t."""
+        return np.exp(0.5j * t), np.expm1(np.multiply.outer(t, self._ik))
+
+    def curve_from(self, theta, table):
         """x(theta + t) - x(theta) and x'(theta + t), shaped (2, B, Q) for B thetas, Q offsets t.
 
-        The difference is summed from expm1(ikt) and half-angle sines, so
-        it keeps its relative accuracy as t -> 0, where subtracting two
-        nearby points would leave only rounding.  The phases e^{i(theta + t)}
-        and e^{i(theta + t/2)} are outer products of one complex exponential
-        per theta and one, e^{it/2}, per offset, as in `evaluate`.
+        table is `offset_table(t)`, built once for every block of thetas
+        that shares the offsets.  The difference is summed from expm1(ikt)
+        and half-angle sines, so it keeps its relative accuracy as t -> 0,
+        where subtracting two nearby points would leave only rounding.
+        The phases e^{i(theta + t)} and e^{i(theta + t/2)} are outer
+        products of one complex exponential per theta and one, e^{it/2},
+        per offset, as in `evaluate`.
         """
+        turn, expm1_ikt = table
         at = np.exp(np.multiply.outer(theta, self._ik))[..., None] * self._coef[:, :2]
         rho0, drho0 = at.sum(axis=1).real.T
-        step = (np.expm1(np.multiply.outer(t, self._ik)) @ at).real
+        step = (expm1_ikt @ at).real
         rho = rho0[:, None] + step[..., 0]
         drho = drho0[:, None] + step[..., 1]
-        base, turn = np.exp(1j * theta), np.exp(0.5j * t)
+        base = np.exp(1j * theta)
         phase = np.multiply.outer(base, turn * turn)
         u, du = self._frame(np.stack([phase.real, phase.imag]))
         # u(theta + t) - u(theta) = 2 sin(t/2) u'(theta + t/2)
@@ -328,10 +336,11 @@ def _green_integrals(p: QuadraticProblem, b: StarBoundary, pts, n_rays: int):
         on = tau < width * _NEAR_FINEST
         x[:, near[on]] = yn[:, on]
         chi[near[on]] = 0.5
+        table = geom.offset_table(offsets)
         step_near = max(1, _BLOCK_ENTRIES // offsets.size)
         for i in range(0, near.size, step_near):
             blk = slice(i, i + step_near)
-            diff, dyq = geom.curve_from(t_star[blk], offsets)
+            diff, dyq = geom.curve_from(t_star[blk], table)
             e_layer[near[blk]], m_layer[near[blk]] = _layer_sums(
                 geom, cfg, diff + (yn[:, blk] - x[:, near[blk]])[..., None],
                 diff + yn[:, blk, None], dyq, weights)

@@ -104,6 +104,18 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert doc["kind"] == "solve_report"
     assert doc["solve_report"]["converged"] is True
     assert doc["radii_min"] >= np.sqrt(5.0)
+    assert doc["solve_report"]["stage_nodes"] == [32] * 4
+
+
+def test_solve_report_gives_each_stages_nodes(tmp_path, capsys):
+    # the stages before the target run on the 64-node half grid
+    rep_json = tmp_path / "b.json"
+    code, _, _ = run(capsys, "solve", "--r", "1", "--lambdas", "1,4", "--n", "128",
+                     "--out", str(tmp_path / "b.csv"), "--report", str(rep_json))
+    assert code == 0
+    doc = json.loads(rep_json.read_text())
+    assert doc["schema_version"] == 7
+    assert doc["solve_report"]["stage_nodes"] == [64, 64, 64, 128]
 
 
 def test_solve_reruns_byte_identical(tmp_path, capsys):

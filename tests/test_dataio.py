@@ -31,7 +31,7 @@ def test_roundtrip_3d(tmp_path, p3_sym, bnd3_sym):
 # the writer's bytes for a 6-node circle and a 2 x 4 sphere boundary: the format
 # other tools read, so any change to it must show here
 CIRCLE_CSV = """\
-# schema_version=6
+# schema_version=7
 # problem r=0.29999999999999999 lambdas=1,4
 theta,rho,x1,x2
 0,4.4907311951024935,4.4907311951024935,0
@@ -42,7 +42,7 @@ theta,rho,x1,x2
 5.2359877559829888,6.5319726474218092,3.2659863237109055,-2.8284271247461903
 """
 SPHERE_CSV = """\
-# schema_version=6
+# schema_version=7
 # problem r=0.5 lambdas=1,2,3
 lat_index,lon_index,rho,x1,x2,x3
 0,0,3.8105117766515302,3.1112698372208092,0,-1.2701705922171767
@@ -161,7 +161,7 @@ def test_json_report_deterministic(tmp_path):
     assert doc["b"] == 1.5
     assert doc["flag"] is True
     assert doc["nested"]["x"] == 7
-    assert doc["schema_version"] == 6
+    assert doc["schema_version"] == 7
     assert list(doc) == sorted(doc)
 
 

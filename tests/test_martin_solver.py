@@ -9,7 +9,7 @@ import scipy.special
 
 import quadstop as q
 import quadstop.martin_solver as ms
-from quadstop.grids import make_circle_grid, make_sphere_grid
+from quadstop.grids import half_grid, make_circle_grid, make_sphere_grid
 from quadstop.martin_solver import radial_moment, radial_moment_drho, solve_boundary
 from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
 from quadstop.verification import (THRESHOLDS, green_residual_normalized, interior_scan_grid,
@@ -584,6 +584,75 @@ def test_stages_carry_the_damping(monkeypatch):
     assert all(mu < ms._DAMPING for mu in given[1:])
     assert rep.stage_iterations == tuple(st.iterations for st in stages)
     assert sum(rep.stage_iterations) == rep.iterations
+
+
+@pytest.mark.parametrize("grid, steps, nodes", [
+    (make_circle_grid(128), 4, (64, 64, 64, 128)),
+    (make_circle_grid(256), 4, (128, 128, 128, 256)),
+    (make_sphere_grid(16, 32), 4, (256, 256, 256, 512)),
+    (make_circle_grid(128), 2, (64, 128)),
+    (make_circle_grid(64), 4, (64,) * 4),        # the half grid would have 32 nodes
+    (make_sphere_grid(8, 16), 4, (128,) * 4),    # 8 x 8: 8 angles per circle
+    (make_circle_grid(128), 0, (128,)),          # cold: one stage, the target
+    (make_circle_grid(128), 1, (128,)),
+], ids=["n128", "n256", "16x32", "n128-k2", "n64", "8x16", "n128-cold", "n128-k1"])
+def test_stages_before_the_target_run_on_the_half_grid(monkeypatch, grid, steps, nodes):
+    seen = []
+    real = ms._lm_solve
+
+    def recorded(p, grid, orbits, x0, tol, mu):
+        seen.append((grid.n, orbits[0].size, x0.size))
+        return real(p, grid, orbits, x0, tol, mu)
+
+    monkeypatch.setattr(ms, "_lm_solve", recorded)
+    lambdas = (1.0, 4.0) if grid.d == 2 else (1.0, 2.0, 3.0)
+    _, rep = solve_boundary(QuadraticProblem(0.5, lambdas), grid, homotopy_steps=steps)
+    assert rep.converged
+    assert tuple(n for n, _, _ in seen) == rep.stage_nodes == nodes
+    # unknowns and starting radii are one per reflection orbit of the stage's own grid
+    assert all(n_orbits == size for _, n_orbits, size in seen)
+
+
+def test_failed_half_grid_stage_ends_the_solve(monkeypatch):
+    # a half-grid stage that stops short ends the solve like any stage before the
+    # target: its radii, interpolated onto the grid, are returned and judged against
+    # the target problem
+    p, grid = QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(128)
+    real = ms._lm_solve
+    stages = []
+
+    def failing(p, stage_grid, orbits, x0, tol, mu):
+        stages.append(real(p, stage_grid, orbits, x0, tol, mu))
+        if len(stages) == 2:
+            stages[-1] = stages[-1]._replace(stop="step cap")
+        return stages[-1]
+
+    monkeypatch.setattr(ms, "_lm_solve", failing)
+    b, rep = solve_boundary(p, grid)
+    assert not rep.converged and rep.stop == "step cap"
+    assert rep.stage_nodes == (64, 64) and len(rep.stage_iterations) == 2
+    half, prolong = half_grid(grid)
+    reps, orbit_of = grid.reflection_orbits()
+    x = p.canonical()[1] * prolong(stages[-1].x[half.reflection_orbits()[1]])[reps]
+    assert np.array_equal(b.radii, x[orbit_of])
+    res, scale = ms._OrbitSystem(p, grid, (reps, orbit_of)).residual(x)
+    assert rep.residual_inf_norm == pytest.approx(np.max(np.abs(res)), rel=1e-12)
+    assert rep.residual_scale == pytest.approx(scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, grid, tol", [
+    (QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(256), 1e-5),
+    (QuadraticProblem(0.5, (1.0, 4.0, 16.0)), make_sphere_grid(16, 32), 2e-5),
+], ids=["n256", "16x32"])
+def test_half_grid_target_matches_the_full_continuation(monkeypatch, p, grid, tol):
+    # the target solves the same equations to the same tolerance from a start one
+    # interpolation away: the radii agree to the solve's ill-posed slack
+    b, rep = solve_boundary(p, grid)
+    monkeypatch.setattr(ms, "half_grid", lambda grid: None)
+    b_full, rep_full = solve_boundary(p, grid)
+    assert rep.converged and rep_full.converged
+    assert rep.stage_nodes[:-1] == (grid.n // 2,) * 3 and rep_full.stage_nodes == (grid.n,) * 4
+    assert np.max(np.abs(b.radii - b_full.radii)) <= tol * np.max(b_full.radii)
 
 
 def test_crawling_solves_reject_few_trials(monkeypatch):

@@ -124,7 +124,7 @@ def test_boundary_curve_matches_mode_loop(p_14, bnd_14):
     np.testing.assert_allclose(d2y, (dyp - dym) / (2 * h), atol=1e-8)
     # differences along the curve keep their relative accuracy as t -> 0
     t = np.array([-1.0, -1e-3, -1e-9, 1e-12, 1e-6, 0.5])
-    diff, tangent = (np.moveaxis(v, 0, -1) for v in geom.curve_from(theta[:3], t))
+    diff, tangent = (np.moveaxis(v, 0, -1) for v in geom.curve_from(theta[:3], geom.offset_table(t)))
     y_t, dy_t, _ = curve(geom, np.add.outer(theta[:3], t))
     np.testing.assert_allclose(tangent, dy_t, atol=1e-13)
     np.testing.assert_allclose(diff, y_t - y[:3, None, :], atol=1e-14)
