@@ -497,7 +497,8 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
     (nested iteration, Hackbusch 1985, ch. 5).  A half-grid stage that
     stops short ends the solve like any other stage: its radii,
     interpolated onto grid, are returned and judged against the target.
-    Non-convergence is reported, never raised.
+    Non-convergence is reported, never raised; a problem whose c^(d+2)
+    overflows a float raises ValueError before any solving.
     """
     if homotopy_steps < 0:
         raise ValueError("homotopy_steps must be >= 0")
@@ -506,7 +507,11 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
     orbits = grid.reflection_orbits()
     reps, orbit_of = orbits
     q, c = p.canonical()
-    unit = c ** (p.d + 2)  # of the radial moments, residuals and their scale
+    try:
+        unit = c ** (p.d + 2)  # of the radial moments, residuals and their scale
+    except OverflowError:
+        raise ValueError("the residual unit c^(d+2) overflows at c = sqrt(mean(lambda) / (2r))"
+                         " = %.3g: rescale lambda or r" % c) from None
     n_stages = max(homotopy_steps, 1)
     coarse = half_grid(grid) if n_stages > 1 else None
     if coarse is None:

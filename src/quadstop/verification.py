@@ -100,8 +100,9 @@ class VerificationReport:
 class _BoundaryGeometry:
     """The curve x(theta) = rho(theta) (cos theta, sin theta) / sqrt(lambda) of ∂C, d = 2.
 
-    rho is the trigonometric interpolant of the radii on the equispaced
-    grid.  It and its first two derivatives come from one sum of complex
+    rho is the trigonometric interpolant of the radii on the grid, whose
+    angles are 2 pi i / n by construction: a d = 2 grid is its shape
+    (n,).  It and its first two derivatives come from one sum of complex
     exponentials: rho^(m)(theta) = Re sum_k c_k (ik)^m e^{ik theta}.
     Radii that repeat bit for bit with period p | n have c_k = 0 unless
     `fold` = n/p divides k: the sums run over one period's coefficients
@@ -687,6 +688,10 @@ def _chunked_mean(paths: int, seed: int, simulate):
     next peak.  The variance is taken in
     two passes, about the first value and then about the mean, so it
     carries no cancellation: identical values give a stderr of exactly 0.0.
+    The deviations are squared after division by the power of two at or
+    below their largest magnitude, and the root multiplied back: exact
+    wherever the plain squares neither underflow nor overflow, and
+    deviations of 1e-202, whose plain squares underflow, keep their size.
     """
     starts = range(0, paths, _CHUNK)
 
@@ -702,7 +707,9 @@ def _chunked_mean(paths: int, seed: int, simulate):
     mean = sum(values.sum() for values in chunks) / paths
     dev = np.concatenate(chunks) - chunks[0][0]
     dev -= dev.mean()
-    return float(mean), float(np.sqrt((dev * dev).sum()) / paths)
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(dev)))[1] - 1)
+    dev /= scale
+    return float(mean), float(scale * np.sqrt((dev * dev).sum()) / paths)
 
 
 def _disc_weight(x):

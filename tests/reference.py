@@ -22,6 +22,8 @@ predicts:
   node by node;
 * the curve point nearest a point by Newton's method with second
   derivatives, which the package's Gauss-Newton iterates do without;
+* the coordinate flips of a grid found from its node coordinates, which
+  the package reads off the grid's shape;
 * small conveniences with no caller in the package: K_nu unscaled and
   in log form, affine polar coordinates of a point, the excess
   generator (r - L)g and its negative set, the d = 2 boundary curve and
@@ -121,6 +123,22 @@ def gamma_matrix(p: QuadraticProblem, nodes) -> np.ndarray:
     """gamma(omega_i, omega'_j) with every node both a boundary node (row) and a test direction."""
     nodes = np.asarray(nodes, dtype=float)
     return np.sqrt(2.0 * p.r) * (nodes / p.sqrt_lam) @ nodes.T
+
+
+def flip_permutations(grid):
+    """{axis: perm} for each coordinate flip that maps the grid's nodes onto nodes (to 1e-9).
+
+    perm is the node index of every node's mirror image, found by a
+    dense distance match of the coordinates.
+    """
+    perms = {}
+    for axis in range(grid.d):
+        flipped = grid.nodes.copy()
+        flipped[:, axis] *= -1.0
+        dist = np.linalg.norm(flipped[:, None, :] - grid.nodes[None, :, :], axis=2)
+        if np.all(dist.min(axis=1) <= 1e-9):
+            perms[axis] = np.argmin(dist, axis=1)
+    return perms
 
 
 def assemble_residual(p: QuadraticProblem, b: StarBoundary) -> np.ndarray:

@@ -147,6 +147,20 @@ def test_solve_converges_at_any_discount_scale(tmp_path, capsys):
     assert steps[1] == steps[0]
 
 
+@pytest.mark.parametrize("r, lambdas", [("1e-200", "1,4"), ("1", "1e200,4e200")])
+def test_solve_whose_residual_unit_overflows_is_an_error(tmp_path, capsys, r, lambdas):
+    # c = sqrt(mean(lambda) / 2r) = 1.1e100, and c^4 is past the largest float
+    out_csv = tmp_path / "b.csv"
+    code, out, err = run(capsys, "solve", "--r", r, "--lambdas", lambdas, "--n", "16",
+                         "--out", str(out_csv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the residual unit c^(d+2) overflows at c = ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_csv.exists()
+
+
 def test_solve_at_lambda_ratio_1e5_raises_no_warning(tmp_path, capsys):
     # e^{gamma rho} near the largest double: the objective and the damping's |J|_F
     # are taken in units that keep them finite

@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial.legendre import legval
 
 from quadstop.grids import SphereGrid, half_grid, make_circle_grid, make_sphere_grid
+from reference import flip_permutations
 
 
 def _band_limited(rng, n_modes, n_degrees=1):
@@ -25,10 +26,10 @@ def test_half_grid_prolongation_reproduces_band_limited_radii(grid):
     # latitude on its Gauss nodes: the half grid's own interpolant, reproduced on
     # the grid to rounding
     half, prolong = half_grid(grid)
-    n_circles, m = grid.lat_shape or (1, grid.n)
-    assert half.lat_shape == (grid.lat_shape and (n_circles, m // 2))
+    m = grid.shape[-1]
+    assert half.shape == grid.shape[:-1] + (m // 2,)
     assert half.n == grid.n // 2
-    radii = _band_limited(np.random.default_rng(grid.n), m // 4, n_circles)
+    radii = _band_limited(np.random.default_rng(grid.n), m // 4, grid.n // m)
     exact = radii(grid)
     assert np.max(np.abs(prolong(radii(half)) - exact)) <= 1e-13 * np.max(np.abs(exact))
 
@@ -56,21 +57,42 @@ def test_half_grid_is_none_below_the_minimum_or_with_other_flips(grid):
     assert half_grid(grid) is None
 
 
-def test_half_grid_is_none_for_other_grids():
-    # the nodes of a 128-point circle grid turned by 1e-3: not make_circle_grid's
-    th = 2.0 * np.pi * np.arange(128) / 128 + 1e-3
-    grid = SphereGrid(np.stack([np.cos(th), np.sin(th)], axis=1), make_circle_grid(128).weights)
-    assert half_grid(grid) is None
-    assert half_grid(make_circle_grid(128)) is not None
+@pytest.mark.parametrize("grid", [make_circle_grid(128), make_circle_grid(256),
+                                  make_sphere_grid(16, 32), make_sphere_grid(15, 32),
+                                  make_sphere_grid(2, 256)],
+                         ids=["n128", "n256", "16x32", "15x32", "2x256"])
+def test_half_grid_takes_the_even_numbered_nodes_at_twice_their_weights(grid):
+    # bit for bit: a stage on the half grid assembles the moments of these very
+    # nodes and weights, whichever grid it came from
+    half, _ = half_grid(grid)
+    m = grid.shape[-1]
+    even = grid.nodes.reshape(-1, m, grid.d)[:, ::2].reshape(-1, grid.d)
+    assert np.array_equal(half.nodes, even)
+    assert np.array_equal(half.weights, 2.0 * grid.weights.reshape(-1, m)[:, ::2].ravel())
 
 
-def test_reflection_flips_keep_the_last_node_of_a_key():
-    # nodes 0 and 8 coincide: a flip maps the images of both onto the later one
-    base = make_circle_grid(8)
-    nodes = np.concatenate([base.nodes, base.nodes[:1]])
-    weights = np.full(9, 2.0 * np.pi / 9)
-    flips = SphereGrid(nodes, weights).reflection_flips()
-    assert set(flips) == {0, 1}
-    assert flips[1][0] == 8 and flips[1][8] == 8   # theta = 0 is its own y-flip image
-    assert flips[0][4] == 8                        # theta = pi flips onto theta = 0
-    assert np.array_equal(flips[1][1:8], [7, 6, 5, 4, 3, 2, 1])
+@pytest.mark.parametrize("shape", [(4,), (5,), (31,), (64,), (2, 4), (3, 5), (7, 12),
+                                   (13, 25), (16, 32)])
+def test_reflection_flips_are_the_geometric_flips(shape):
+    # the index maps of the shape against a dense match of the node coordinates,
+    # on the smallest shapes, odd n, odd n_lat and odd n_lon
+    grid = SphereGrid(shape)
+    flips = grid.reflection_flips()
+    reference = flip_permutations(grid)
+    assert list(flips) == list(reference)
+    for axis, perm in flips.items():
+        assert np.array_equal(perm, reference[axis])
+        assert np.allclose(grid.weights[perm], grid.weights, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(), (4, 8, 16), (3,), (1, 8), (8, 3)])
+def test_sphere_grid_rejects_other_shapes(shape):
+    with pytest.raises(ValueError):
+        SphereGrid(shape)
+
+
+def test_grids_of_one_shape_are_equal():
+    assert make_circle_grid(8) == SphereGrid((8,))
+    assert hash(make_sphere_grid(8, 16)) == hash(SphereGrid((8, 16)))
+    assert make_circle_grid(8) != make_circle_grid(16)
+    assert make_sphere_grid(8, 16).lat_shape == (8, 16) and make_circle_grid(8).lat_shape == ()

@@ -15,8 +15,8 @@ from quadstop.problem import QuadraticProblem, StarBoundary, symmetric_radius
 from quadstop.verification import (THRESHOLDS, green_residual_normalized, interior_scan_grid,
                                    majorant_gap_scan)
 from reference import (alt_radial_forms, assemble_jacobian, assemble_residual,
-                       assemble_second_derivative, gamma, gamma_matrix, kummer_moment_terms,
-                       quad, radial_form_audit)
+                       assemble_second_derivative, flip_permutations, gamma, gamma_matrix,
+                       kummer_moment_terms, quad, radial_form_audit)
 
 M2_RHO1_GAM1_BETA2 = -3.436563656918091  # 2 - 2e
 
@@ -725,18 +725,6 @@ def test_anisotropic_default_solves_converge():
     assert rep.converged
 
 
-def _flip_permutations(grid):
-    # node index of every node's mirror image, one map per coordinate flip the grid has
-    perms = []
-    for axis in range(grid.d):
-        flipped = grid.nodes.copy()
-        flipped[:, axis] *= -1.0
-        dist = np.linalg.norm(flipped[:, None, :] - grid.nodes[None, :, :], axis=2)
-        if np.all(dist.min(axis=1) <= 1e-9):
-            perms.append(np.argmin(dist, axis=1))
-    return perms
-
-
 ORBIT_CASES = [  # (problem, grid, number of orbits)
     (QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64), 17),
     (QuadraticProblem(0.3, (1.0, 4.0)), make_circle_grid(62), 16),
@@ -754,11 +742,11 @@ def test_reflection_orbits(p, grid, n_orbits):
     assert reps.size == n_orbits
     assert np.array_equal(orbit_of[reps], np.arange(n_orbits))
     assert np.all(reps == [np.flatnonzero(orbit_of == o).min() for o in range(n_orbits)])
-    perms = _flip_permutations(grid)
+    perms = flip_permutations(grid)
     # an odd number of circle nodes or of longitudes has no x flip
-    assert len(perms) == grid.d - (grid.lat_shape or (grid.n,))[-1] % 2
+    assert len(perms) == grid.d - grid.shape[-1] % 2
     images = np.arange(grid.n)[:, None]   # each node's images under the group of flips
-    for perm in perms:
+    for perm in perms.values():
         images = np.concatenate([images, perm[images]], axis=1)
     for i in range(grid.n):
         assert set(images[i]) == set(np.flatnonzero(orbit_of == orbit_of[i]))
@@ -859,7 +847,7 @@ def test_second_derivative_is_the_central_difference(p, grid):
 ])
 def test_orbit_solve_is_symmetric_and_converged_everywhere(p, grid):
     b, rep = solve_boundary(p, grid)
-    for perm in _flip_permutations(grid):
+    for perm in flip_permutations(grid).values():
         assert np.array_equal(b.radii[perm], b.radii)
     assert rep.converged
     # judged on the representatives only, yet every test direction meets the tolerance

@@ -747,6 +747,23 @@ def test_chunked_mean_merges_chunks_exactly():
     assert stderr == pytest.approx(every.std() / math.sqrt(paths), rel=1e-13)
 
 
+def test_mc_stderr_scales_exactly_with_the_values():
+    # lambda times 2^-700 and radii times 2^-350 give the same curve and every value
+    # times 2^-700; squared, the deviations of 1e-213 would underflow to 0
+    s = 2.0 ** -700
+    p = QuadraticProblem(1.0, (1.0, 4.0))
+    b, rep = solve_boundary(p, make_circle_grid(16))
+    assert rep.converged
+    scaled = (QuadraticProblem(1.0, (s, 4.0 * s)), StarBoundary(b.grid, b.radii * math.sqrt(s)))
+    mc = MCConfig(paths=2000, seed=0)
+    ref, small = (run_verification(*pb, mc=mc, scan_n=10) for pb in ((p, b), scaled))
+    assert ref.mc_stderr > 0.0
+    assert small.mc_stderr == s * ref.mc_stderr
+    assert small.mc_value == s * ref.mc_value
+    assert small.checks == ref.checks
+    assert ref.passed
+
+
 def test_rect_green_mass_matches_quadrature():
     cfg = KillingConfig(1.0, 2)
     rect = ((0.3, 1.1), (-0.4, 0.6))
