@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -33,10 +34,13 @@ def save_boundary_csv(path, p: QuadraticProblem, b: StarBoundary) -> None:
         columns, index, fmt = "lat_index,lon_index,rho,x1,x2,x3", [lat, lon], ["%d", "%d"]
     else:
         raise ValueError("boundary CSV supports d in {2, 3}")
-    header = "# schema_version=%d\n# problem r=%s lambdas=%s\n%s" % (
+    header = "# schema_version=%d\n# problem r=%s lambdas=%s\n%s\n" % (
         SCHEMA_VERSION, _FMT % p.r, ",".join(_FMT % v for v in p.lam), columns)
-    np.savetxt(path, np.column_stack(index + [b.radii, b.cartesian_points(p)]),
-               fmt=fmt + [_FMT] * (p.d + 1), delimiter=",", header=header, comments="")
+    table = np.column_stack(index + [b.radii, b.cartesian_points(p)])
+    # np.savetxt's bytes, formatted in one operation rather than row by row
+    row = ",".join(fmt + [_FMT] * (p.d + 1)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + (row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def read_problem_csv(path) -> QuadraticProblem:
@@ -93,21 +97,31 @@ def load_boundary_csv(path) -> StarBoundary:
 
 
 def _jsonable(obj):
-    """json.dump's default hook: a dataclass as its field dict, numpy values as Python ones."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    """obj in JSON's types: the floats JSON has no number for (nan, inf) as None,
+    dataclasses as field dicts and numpy values as Python ones."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
+        return _jsonable(obj.tolist())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+    return obj
 
 
 def write_json_report(path, payload: dict) -> None:
-    """Write a report dict as deterministic JSON (schema-versioned)."""
+    """Write a report dict as deterministic, strict JSON (schema-versioned).
+
+    A float that is not finite, a residual that overflowed say, is
+    written as null; allow_nan=False raises on any that got past.
+    """
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
     with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+        fh.write(json.dumps(_jsonable(body), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

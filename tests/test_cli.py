@@ -237,6 +237,20 @@ def test_solve_report_is_strict_json(tmp_path, capsys):
 
     rep = json.loads(rep_json.read_text(), parse_constant=reject)["solve_report"]
     assert rep["step_inf_norm"] is None
+    # the target stage of ratio 5e5 starts where e^{gamma rho} overflows: it stops
+    # before any step, without a warning, and its nan residuals are written as null
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "solve", "--r", "1", "--lambdas", "1,5e5", "--n", "16",
+                           "--out", str(tmp_path / "o.csv"), "--report", str(rep_json))
+    assert code == 2
+    assert out.endswith(" residual_inf=nan boundary=%s report=%s\nstop: moments overflow\n"
+                        % (tmp_path / "o.csv", rep_json))
+    rep = json.loads(rep_json.read_text(), parse_constant=reject)["solve_report"]
+    assert rep["stop"] == "moments overflow" and rep["stage_iterations"][-1] == 0
+    assert rep["residual_inf_norm"] is None and rep["residual_scale"] is None
+    assert rep["homotopy_trace"][-1][1] is None
+    assert all(res is not None for _, res in rep["homotopy_trace"][:-1])
 
 
 def test_verify_pass_and_shrunk_detection(tmp_path, capsys):

@@ -8,6 +8,7 @@ from quadstop.dataio import (load_boundary_csv, read_problem_csv,
                              write_json_report)
 from quadstop.grids import make_circle_grid, make_sphere_grid
 from quadstop.problem import QuadraticProblem, StarBoundary
+from reference import savetxt_boundary_csv
 
 
 def test_roundtrip_2d(tmp_path, p_14, bnd_14):
@@ -147,6 +148,32 @@ def test_load_duplicate_3d_rows(tmp_path, p3_sym, bnd3_sym):
         f.write_text("\n".join(lines[:first] + [bad + lines[first][4:]] + lines[first + 1:]) + "\n")
         with pytest.raises(ValueError, match="integers >= 0"):
             load_boundary_csv(f)
+
+
+@pytest.mark.parametrize("grid", [make_circle_grid(31), make_circle_grid(64),
+                                  make_circle_grid(256), make_sphere_grid(8, 16),
+                                  make_sphere_grid(13, 25)], ids=lambda g: str(g.lat_shape or g.n))
+def test_boundary_csv_bytes_are_savetxt_bytes(tmp_path, grid):
+    # all rows formatted in one operation: the bytes np.savetxt writes row by row
+    p = QuadraticProblem(0.3, (1.0, 4.0)) if grid.d == 2 else QuadraticProblem(0.5, (1.0, 2.0, 3.0))
+    radii = p.beta * np.random.default_rng(grid.n).uniform(1.0, 3.0, grid.n)
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    save_boundary_csv(ours, p, StarBoundary(grid, radii))
+    savetxt_boundary_csv(theirs, p, StarBoundary(grid, radii))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_json_report_writes_nonfinite_floats_as_null(tmp_path):
+    f = tmp_path / "r.json"
+    write_json_report(f, {"a": float("nan"), "b": [np.float64(np.inf), 1.5],
+                          "c": {"d": -np.inf, "e": (np.nan, 2)}})
+
+    def reject(name):
+        raise ValueError("non-JSON constant %s" % name)
+
+    doc = json.loads(f.read_text(), parse_constant=reject)
+    assert doc["a"] is None and doc["b"] == [None, 1.5]
+    assert doc["c"] == {"d": None, "e": [None, 2]}
 
 
 def test_json_report_deterministic(tmp_path):

@@ -16,7 +16,8 @@ from quadstop.verification import (THRESHOLDS, green_residual_normalized, interi
                                    majorant_gap_scan)
 from reference import (alt_radial_forms, assemble_jacobian, assemble_residual,
                        assemble_second_derivative, flip_permutations, gamma, gamma_matrix,
-                       kummer_moment_terms, quad, radial_form_audit)
+                       kummer_moment_terms, moment, moment_drho, quad, radial_form_audit,
+                       scipy_lstsq)
 
 M2_RHO1_GAM1_BETA2 = -3.436563656918091  # 2 - 2e
 
@@ -34,16 +35,16 @@ def test_gamma_values():
 def test_radial_moment_polynomial_case():
     # gamma = 0 reduces to rho^{d+2}/(d+2) - beta^2 rho^d / d
     for rho, beta in ((1.0, 2.0), (3.0, 1.5)):
-        assert radial_moment(2, rho, 0.0, beta) == pytest.approx(
+        assert radial_moment(2, rho, 0.0, beta, 1.0) == pytest.approx(
             rho ** 4 / 4.0 - beta ** 2 * rho ** 2 / 2.0, rel=1e-14)
-        assert radial_moment(3, rho, 0.0, beta) == pytest.approx(
+        assert radial_moment(3, rho, 0.0, beta, 1.0) == pytest.approx(
             rho ** 5 / 5.0 - beta ** 2 * rho ** 3 / 3.0, rel=1e-14)
-    assert radial_moment(2, math.sqrt(2.0) * 1.7, 0.0, 1.7) == pytest.approx(0.0, abs=1e-13)
+    assert radial_moment(2, math.sqrt(2.0) * 1.7, 0.0, 1.7, 1.0) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_radial_moment_frozen_value():
-    assert radial_moment(2, 1.0, 1.0, 2.0) == pytest.approx(M2_RHO1_GAM1_BETA2, rel=1e-13)
-    assert radial_moment(2, 1.0, 1.0, 2.0) == pytest.approx(2.0 - 2.0 * math.e, rel=1e-13)
+    assert radial_moment(2, 1.0, 1.0, 2.0, math.e) == pytest.approx(M2_RHO1_GAM1_BETA2, rel=1e-13)
+    assert radial_moment(2, 1.0, 1.0, 2.0, math.e) == pytest.approx(2.0 - 2.0 * math.e, rel=1e-13)
 
 
 def test_radial_moment_vs_quadrature():
@@ -65,20 +66,20 @@ def test_radial_moment_vs_quadrature():
             cases.append((d, 2.5, z / 2.5, 1.3))
     for d, rho, gam, beta in cases:
         ref = quad(lambda s: math.exp(gam * s) * (s * s - beta * beta) * s ** (d - 1), 0.0, rho)
-        got = radial_moment(d, rho, gam, beta)
+        got = moment(d, rho, gam, beta)
         assert type(got) is float
         assert got == pytest.approx(ref, rel=1e-10, abs=1e-13)
     # an (n, 1) column of radii against an (n, m) gamma matrix, as the solver assembles it
     rho = np.array([[0.4], [1.1], [2.9]])
     gam = np.array([[-2.5, 0.0, 0.3, 1.9], [-0.7, 1e-12, 0.8, 2.2], [-1.4, -0.05, 0.6, 2.8]])
-    m = radial_moment(3, rho, gam, 1.2)
+    m = moment(3, rho, gam, 1.2)
     assert m.shape == (3, 4)
     for (i, j), got in np.ndenumerate(m):
         ref = quad(lambda s: math.exp(gam[i, j] * s) * (s * s - 1.44) * s * s, 0.0, rho[i, 0])
         assert got == pytest.approx(ref, rel=1e-10, abs=1e-13)
     for bad in (-1e-3, np.array([1.0, -1.0])):
         with pytest.raises(ValueError, match="rho"):
-            radial_moment(2, bad, 0.5, 1.0)
+            moment(2, bad, 0.5, 1.0)
 
 
 def _power_moment(n, rho, gam):
@@ -95,12 +96,12 @@ def test_radial_moment_branch_continuity():
         for z0 in (2.0, ms._SERIES_MAX):
             for gam in (0.5, -0.5, 1.3):
                 rho = z0 / abs(gam)
-                lo = radial_moment(d, rho * (1.0 - 1e-9), gam, 1.0)
-                hi = radial_moment(d, rho * (1.0 + 1e-9), gam, 1.0)
+                lo = moment(d, rho * (1.0 - 1e-9), gam, 1.0)
+                hi = moment(d, rho * (1.0 + 1e-9), gam, 1.0)
                 assert lo == pytest.approx(hi, rel=1e-7)  # continuity of m itself
                 # and the elementary closed form agrees at the same point
                 closed = _power_moment(d + 1, rho, gam) - _power_moment(d - 1, rho, gam)
-                assert radial_moment(d, rho, gam, 1.0) == pytest.approx(closed, rel=1e-13)
+                assert moment(d, rho, gam, 1.0) == pytest.approx(closed, rel=1e-13)
 
 
 def _switch_points():
@@ -117,7 +118,7 @@ def test_radial_moment_matches_kummer_form():
         overflowed = 0
         for rho, beta in ((0.5, 0.9), (1.3, 1.1), (3.0, 2.0), (60.0, 40.0)):
             gam = z / rho
-            got = radial_moment(d, rho, gam, beta)
+            got = moment(d, rho, gam, beta)
             hi, lo = kummer_moment_terms(d, rho, gam, beta)
             with np.errstate(invalid="ignore"):
                 ref = hi - lo
@@ -137,7 +138,7 @@ def test_power_moments_match_high_precision():
     z = np.concatenate([np.linspace(-40.0, 40.0, 801), [0.0, 1e-12, -1e-12], _switch_points()])
     with mpmath.workdps(40):
         for d in (2, 3):
-            for k, got in zip((d - 1, d + 1), ms._power_moments(d, z)):
+            for k, got in zip((d - 1, d + 1), ms._power_moments(d, z, np.exp(z))):
                 ref = np.array([float(mpmath.hyp1f1(k + 1, k + 2, mpmath.mpf(x)) / (k + 1))
                                 for x in z])
                 assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
@@ -168,8 +169,8 @@ def _solve_with_overshoot(monkeypatch, blind_model):
             h = h + ms.RADIUS_CAP * self.p.beta
         return h, accelerated
 
-    def blind_once(self, x):
-        jac, curv = real_linearization(self, x)
+    def blind_once(self, x, e):
+        jac, curv = real_linearization(self, x, e)
         if not forced:
             h = ms.RADIUS_CAP * self.p.beta - x
             miss = self.row_w * self.residual(x)[0] + jac @ h
@@ -212,9 +213,9 @@ def test_lm_solve_ends_when_no_trial_descends(monkeypatch):
     trials = []
 
     def doubled_away_from_x0(self, x):
-        res, scale = real(self, x0)
+        res, scale, e = real(self, x0)
         trials.append(1)
-        return (res, scale) if np.array_equal(x, x0) else (2.0 * res, scale)
+        return (res, scale, e) if np.array_equal(x, x0) else (2.0 * res, scale, e)
 
     monkeypatch.setattr(ms._OrbitSystem, "residual", doubled_away_from_x0)
     stage = ms._lm_solve(p, grid, orbits, x0, ms._RESIDUAL_TOL, ms._DAMPING)
@@ -224,6 +225,28 @@ def test_lm_solve_ends_when_no_trial_descends(monkeypatch):
     assert ms._DAMPING < stage.mu < math.inf
     # one residual at the start, then fewer trials than the cap of 60
     assert 1 < len(trials) < 61
+
+
+@pytest.mark.parametrize("ratio, n", [(5e5, 16), (1e6, 16), (5e5, 32)])
+def test_overflowing_start_stops_before_any_step(ratio, n):
+    # the canonical target of lambda = (1, ratio) starts at gamma rho up to ~1486, past
+    # 709.78 where e^{gamma rho} overflows: the stage ends with no step and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = solve_boundary(QuadraticProblem(1.0, (1.0, ratio)), make_circle_grid(n))
+    assert rep.stop == "moments overflow" and rep.stop in ms.STOP_REASONS
+    assert not rep.converged and len(rep.homotopy_trace) == 4
+    assert rep.stage_iterations[-1] == 0
+    assert math.isnan(rep.residual_inf_norm) and not math.isfinite(rep.residual_scale)
+    assert all(math.isfinite(res) for _, res in rep.homotopy_trace[:-1])
+
+
+def test_finite_start_at_ratio_2e5_steps_on():
+    # ratio 2e5 starts finite: it takes its steps as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = solve_boundary(QuadraticProblem(1.0, (1.0, 2e5)), make_circle_grid(16))
+    assert rep.stop != "moments overflow" and rep.stage_iterations[-1] > 0
 
 
 def test_solve_never_calls_hyp1f1(monkeypatch):
@@ -244,8 +267,8 @@ def test_solve_never_calls_hyp1f1(monkeypatch):
 
 
 def test_radial_moment_derivative():
-    assert radial_moment_drho(2, 2.0, 0.3, 2.0) == pytest.approx(0.0, abs=1e-14)
-    assert radial_moment_drho(2, 1.0, 0.0, 2.0) == pytest.approx(-3.0, rel=1e-14)
+    assert radial_moment_drho(2, 2.0, 2.0, math.exp(0.6)) == pytest.approx(0.0, abs=1e-14)
+    assert radial_moment_drho(2, 1.0, 2.0, 1.0) == pytest.approx(-3.0, rel=1e-14)
     rng = np.random.default_rng(4)
     for _ in range(20):
         d = int(rng.integers(2, 4))
@@ -253,9 +276,9 @@ def test_radial_moment_derivative():
         gam = rng.uniform(-2.0, 2.0)
         beta = rng.uniform(0.2, 3.0)
         h = 1e-6 * max(1.0, rho)
-        fd = (radial_moment(d, rho + h, gam, beta) - radial_moment(d, rho - h, gam, beta)) / (2.0 * h)
+        fd = (moment(d, rho + h, gam, beta) - moment(d, rho - h, gam, beta)) / (2.0 * h)
         scale = max(1.0, abs(fd))
-        assert radial_moment_drho(d, rho, gam, beta) == pytest.approx(fd, abs=1e-6 * scale)
+        assert moment_drho(d, rho, gam, beta) == pytest.approx(fd, abs=1e-6 * scale)
 
 
 def test_residual_negative_at_beta(p_14, grid64):
@@ -268,7 +291,7 @@ def test_residual_small_at_symmetric_oracle(p_sym, grid64):
     R = symmetric_radius(2, 1.0)
     b = StarBoundary(grid64, np.full(64, R))
     res = assemble_residual(p_sym, b)
-    scale = np.abs(radial_moment(2, R, math.sqrt(2.0), p_sym.beta)) * 2.0 * math.pi
+    scale = np.abs(moment(2, R, math.sqrt(2.0), p_sym.beta)) * 2.0 * math.pi
     assert np.max(np.abs(res)) <= 1e-6 * scale
 
 
@@ -290,7 +313,7 @@ def test_residual_matches_raw_martin_integral(p_14, bnd_14):
     rho = bnd_14.radii
     res = assemble_residual(p_14, bnd_14)
     scale = float(np.max(np.sum(
-        np.abs(radial_moment(2, rho[None, :].T,
+        np.abs(moment(2, rho[None, :].T,
                              np.array([[gamma(p_14, w, wp) for wp in bnd_14.grid.nodes] for w in bnd_14.grid.nodes]),
                              p_14.beta)) * (2.0 * math.pi / n), axis=0)))
     for j in (0, 7, 16, 33):
@@ -506,7 +529,7 @@ def test_failed_homotopy_stage_reports_target_residual(monkeypatch):
     assert not rep.converged
     assert len(rep.homotopy_trace) == 1   # stage 1 of 4 failed
     gm = math.sqrt(2.0 * p.r) * (grid.nodes / p.sqrt_lam) @ grid.nodes.T
-    m = radial_moment(2, b.radii[:, None], gm, p.beta)
+    m = moment(2, b.radii[:, None], gm, p.beta)
     assert rep.residual_inf_norm == pytest.approx(np.max(np.abs(assemble_residual(p, b))),
                                                   rel=1e-12)
     assert rep.residual_scale == pytest.approx(np.max(np.abs(m).T @ grid.weights), rel=1e-12)
@@ -542,7 +565,7 @@ def test_stages_meet_their_own_tolerance(monkeypatch):
     orbits = grid.reflection_orbits()
     c = p.canonical()[1]  # the stages run on canonical radii
     for k, ((lam, res_inf), x) in enumerate(zip(rep.homotopy_trace, stage_radii), 1):
-        _, scale = ms._OrbitSystem(QuadraticProblem(p.r, lam), grid, orbits).residual(c * x)
+        _, scale, _ = ms._OrbitSystem(QuadraticProblem(p.r, lam), grid, orbits).residual(c * x)
         tol = ms._RESIDUAL_TOL if k == 4 else ms._STAGE_TOL
         assert res_inf <= tol * scale
 
@@ -635,7 +658,7 @@ def test_failed_half_grid_stage_ends_the_solve(monkeypatch):
     reps, orbit_of = grid.reflection_orbits()
     x = p.canonical()[1] * prolong(stages[-1].x[half.reflection_orbits()[1]])[reps]
     assert np.array_equal(b.radii, x[orbit_of])
-    res, scale = ms._OrbitSystem(p, grid, (reps, orbit_of)).residual(x)
+    res, scale, _ = ms._OrbitSystem(p, grid, (reps, orbit_of)).residual(x)
     assert rep.residual_inf_norm == pytest.approx(np.max(np.abs(res)), rel=1e-12)
     assert rep.residual_scale == pytest.approx(scale, rel=1e-12)
 
@@ -780,17 +803,17 @@ def test_orbit_system_is_the_contracted_nodal_system(p, grid, n_orbits):
 
     # residual: the full one is constant on orbits of test directions
     full_res = assemble_residual(p, b)
-    res, scale = system.residual(x)
+    res, scale, e = system.residual(x)
     close(res, full_res[reps], 1e-13)
     close(res[orbit_of], full_res, 1e-13)
-    m = radial_moment(p.d, b.radii[:, None], gamma_matrix(p, grid.nodes), p.beta)
+    m = moment(p.d, b.radii[:, None], gamma_matrix(p, grid.nodes), p.beta)
     assert scale == pytest.approx(np.max(np.abs(m).T @ w), rel=1e-13)
     # Jacobian: representatives' rows of the weighted nodal one, columns summed per orbit
     full_jac = np.sqrt(w)[:, None] * assemble_jacobian(p, b)
     contracted = np.zeros((n_orbits, n_orbits))
     for q in range(n_orbits):
         contracted[:, q] = full_jac[reps][:, orbit_of == q].sum(axis=1)
-    jac, curv = system.linearization(x)
+    jac, curv = system.linearization(x, e)
     close(jac, np.sqrt(size)[:, None] * contracted, 1e-13)
     # second derivative along a flip-symmetric v: the nodal R_vv, constant on orbits
     v = p.beta * rng.uniform(-0.1, 0.1, n_orbits)
@@ -834,7 +857,7 @@ def test_second_derivative_is_the_central_difference(p, grid):
     x = p.beta * rng.uniform(1.05, 1.6, orbits[0].size)
     v = p.beta * rng.uniform(-1.0, 1.0, orbits[0].size)
     system = ms._OrbitSystem(p, grid, orbits)
-    vv = system.linearization(x)[1] @ (v * v) / system.row_w
+    vv = system.linearization(x, system.residual(x)[2])[1] @ (v * v) / system.row_w
     t = 1e-4
     diff = (system.residual(x + t * v)[0] - 2.0 * system.residual(x)[0]
             + system.residual(x - t * v)[0]) / (t * t)
@@ -860,13 +883,17 @@ def test_solver_layers_go_through_module_attributes(monkeypatch):
     # call would silently zero radial_moment_entries or lstsq_flops
     p, grid = QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(64)
     n_orbits = grid.reflection_orbits()[0].size
-    moment_shape = lambda a: np.broadcast(np.asarray(a[1]), np.asarray(a[2])).shape  # noqa: E731
-    shape_of = {"radial_moment": moment_shape, "radial_moment_drho": moment_shape,
+    shape_of = {"radial_moment": lambda a: np.broadcast(a[1], a[2]).shape,
+                "radial_moment_drho": lambda a: np.broadcast(a[1], a[3]).shape,
                 "lstsq": lambda a: np.shape(a[0])}
     seen = {name: [] for name in shape_of}
+    # the exponentials e^{gamma rho} each moment call takes, in call order
+    exps = {"radial_moment": [], "radial_moment_drho": []}
     for name in shape_of:
         def counted(*args, _real=getattr(ms, name), _name=name, **kwargs):
             seen[_name].append(shape_of[_name](args))
+            if _name in exps:
+                exps[_name].append((len(exps["radial_moment"]), args[-1]))
             return _real(*args, **kwargs)
         monkeypatch.setattr(ms, name, counted)
     # continuation and cold start run the same stage loop: one residual per
@@ -874,7 +901,7 @@ def test_solver_layers_go_through_module_attributes(monkeypatch):
     # (which serves velocity and acceleration) per trial step; the second-order
     # model refuses none here
     for steps in (4, 0):
-        for calls in seen.values():
+        for calls in (*seen.values(), *exps.values()):
             calls.clear()
         _, rep = solve_boundary(p, grid, homotopy_steps=steps)
         assert rep.converged
@@ -885,12 +912,93 @@ def test_solver_layers_go_through_module_attributes(monkeypatch):
         assert (set(seen["radial_moment"]) == set(seen["radial_moment_drho"])
                 == {(grid.n, n_orbits)})
         assert set(seen["lstsq"]) == {(2 * n_orbits, n_orbits)}
+        # a Jacobian follows the residual of the point it linearizes, the start or an
+        # accepted trial, and takes that residual's exponentials, the same array
+        moment_exps = [e for _, e in exps["radial_moment"]]
+        for before, e in exps["radial_moment_drho"]:
+            assert e is moment_exps[before - 1]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_moment_kernels_keep_their_bits_with_the_carried_exponential(d):
+    # the solver evaluates e^{gamma rho} once over the n x n_orbits block: the same
+    # bits as exponentials taken over each regime's entries (series, closed form),
+    # one entry at a time, or as np.exp(gam * rho), overflowing entries included
+    rng = np.random.default_rng(d)
+    beta = 1.3
+    rho = rng.uniform(beta, 40.0, (64, 1))
+    gam = np.concatenate([rng.uniform(-30.0, 30.0, (64, 20)),
+                          rng.uniform(-ms._SERIES_MAX, ms._SERIES_MAX, (64, 4)) / rho], axis=1)
+    z = rho * gam
+    series = np.abs(z) <= ms._SERIES_MAX
+    with np.errstate(over="ignore"):
+        e = np.exp(rho * gam)
+        by_regime = np.empty_like(z)
+        by_regime[series] = np.exp(z[series])
+        by_regime[~series] = np.exp(z[~series])
+        drho_own = np.exp(gam * rho) * (rho * rho - beta * beta) * (rho if d == 2 else rho * rho)
+    assert series.any() and np.isinf(e).any() and np.array_equal(e, by_regime)
+    m = radial_moment(d, rho, gam, beta, e)
+    assert not np.all(np.isfinite(m))
+    with np.errstate(over="ignore"):
+        drho = radial_moment_drho(d, rho, beta, e)
+    assert np.array_equal(drho, drho_own)
+    # entry by entry, each with its own one-entry exponential
+    with np.errstate(over="ignore"):
+        for (i, j), zij in np.ndenumerate(z):
+            e_ij = np.exp(zij)
+            assert np.array_equal(radial_moment(d, rho[i, 0], gam[i, j], beta, e_ij), m[i, j],
+                                  equal_nan=True)
+            assert radial_moment_drho(d, rho[i, 0], beta, e_ij) == drho[i, j]
+
+
+@pytest.mark.parametrize("p, grid", [
+    (QuadraticProblem(1.0, (1.0, 4.0)), make_circle_grid(128)),
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(8, 16)),
+    (QuadraticProblem(0.5, (1.0, 2.0, 3.0)), make_sphere_grid(16, 32)),
+])
+def test_lstsq_keeps_the_bits_of_scipy_qr(p, grid, monkeypatch):
+    # the damped matrices and both right-hand sides (velocity, acceleration) of a
+    # real solve, on the half grid too where it has one: LAPACK called directly
+    # gives scipy.linalg's qr and solve_triangular bit for bit
+    real = ms.lstsq
+    systems = []
+
+    def recorded(a):
+        solve, rhs = real(a), []
+        systems.append((a.copy(), rhs))
+
+        def recorded_solve(b):
+            rhs.append(b.copy())
+            return solve(b)
+        return recorded_solve
+
+    monkeypatch.setattr(ms, "lstsq", recorded)
+    _, rep = solve_boundary(p, grid)
+    assert rep.converged and len(systems) >= rep.iterations
+    for a, rhs in systems:
+        assert len(rhs) == 2
+        ours, theirs = real(a), scipy_lstsq(a)
+        for b in rhs:
+            assert np.array_equal(ours(b), theirs(b))
+
+
+def test_lstsq_raises_as_scipy_does():
+    # a zero column: R is singular, which trtrs reports as scipy.linalg does
+    a = np.vstack([np.eye(3), np.eye(3)])
+    a[:, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix: resolution failed at "
+                                                    "diagonal 1"):
+        ms.lstsq(a)(np.ones(6))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        scipy_lstsq(a)(np.ones(6))
 
 
 def test_radial_moment_rejects_other_dimensions():
-    for fn in (radial_moment, radial_moment_drho):
+    for fn, args in ((radial_moment, (1.0, 0.5, 1.0, math.exp(0.5))),
+                     (radial_moment_drho, (1.0, 1.0, math.exp(0.5)))):
         with pytest.raises(ValueError, match=r"^%s supports d in \{2, 3\}" % fn.__name__):
-            fn(4, 1.0, 0.5, 1.0)
+            fn(4, *args)
 
 
 def test_solve_config_validation(p_14, grid64):
